@@ -2,8 +2,11 @@
 
 Every command runs a batch of named checks, prints one pass/fail line per
 check, and writes a JSON report.  A failing check never aborts the rest of
-the suite; the exit status is 0 only when everything passed (2 for a
-configuration problem).
+the suite, and a suite that raises on the numbers (immersion loss, focal
+distance, an ambiguous spin-lift sign, ...) is recorded as one failed entry
+while the remaining suites still run.  The exit status is 0 only when
+everything passed, 1 otherwise, and 2 for a configuration problem (the
+ones that need no compiled chart are rejected before any suite runs).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .dirac import (
     selfadjointization_check,
     submanifold_dirac,
 )
-from .geometry import adapted_frames, build_frame_field, catalog_chart, rho, weingarten
+from .geometry import CATALOG, adapted_frames, build_frame_field, catalog_chart, rho, weingarten
 from .meshio import export_obj
 from .reciprocity import check_reciprocity, recover_embedding, reference_intertwiner, restrict, induce
 from .spinors import (
@@ -38,7 +41,7 @@ from .spinors import (
     spinor_dim,
     vector_pairing,
 )
-from .weierstrass import immersion_bilinears, reconstruct_immersion, reconstruction_report
+from .weierstrass import _reconstruction_study
 
 COMMANDS = ("verify-algebra", "verify-reciprocity", "geometry", "dirac", "reconstruct", "all")
 
@@ -91,8 +94,12 @@ class Checks:
         try:
             self.add(name, fn(), tolerance, center)
         except Exception as exc:  # a crashed check is a failed check, not a crashed report
-            self.entries.append({"name": name, "value": f"error: {exc}",
-                                 "tolerance": float(tolerance), "pass": False})
+            self.fail(name, exc, float(tolerance))
+
+    def fail(self, name, exc, tolerance=None):
+        """Failed entry for a computation that raised; names the exception class."""
+        self.entries.append({"name": name, "value": f"error: {exc}", "tolerance": tolerance,
+                             "pass": False, "error": type(exc).__name__})
 
     @property
     def all_pass(self):
@@ -117,8 +124,6 @@ def _random_multivector(rng, m, nnz=5):
 
 def suite_verify_algebra(cfg, checks: Checks):
     m = int(cfg["m"])
-    if not 1 <= m <= 12:
-        raise UsageError(f"algebra dimension m={m} outside 1..12")
     rng = np.random.default_rng(cfg["seed"])
     trials = int(cfg["trials"])
 
@@ -217,10 +222,7 @@ def suite_verify_algebra(cfg, checks: Checks):
 def suite_verify_reciprocity(cfg, checks: Checks):
     rng = np.random.default_rng(cfg["seed"])
     trials = int(cfg["trials"])
-    pairs = [tuple(p) for p in cfg.get("pairs") or [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]]
-    for k, n in pairs:
-        if not k < n <= 12:
-            raise UsageError(f"reciprocity pair ({k},{n}) needs k < n <= 12")
+    for k, n in _pairs(cfg):
         rep_n = build_gamma_rep(n)
 
         def frobenius(k=k, n=n, rep_n=rep_n):
@@ -254,17 +256,25 @@ def suite_verify_reciprocity(cfg, checks: Checks):
         checks.run(f"embedding-recovery-({k},{n})", grassmannian, 1e-12)
 
 
-def _grid_for(chart, cfg):
+def _pairs(cfg):
+    return [tuple(p) for p in cfg.get("pairs") or [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]]
+
+
+def _grid(cfg):
     grid = cfg.get("grid")
     if grid is None:
+        return None
+    return tuple(int(g) for g in (grid if isinstance(grid, (list, tuple)) else [grid]))
+
+
+def _grid_for(chart, cfg):
+    grid = _grid(cfg)
+    if grid is None:
         return chart.grid_shape
-    grid = tuple(int(g) for g in (grid if isinstance(grid, (list, tuple)) else [grid]))
     if len(grid) == 1 and chart.k == 2:
         grid = grid * 2
     if len(grid) != chart.k:
         raise UsageError(f"grid {grid} does not match chart dimension k={chart.k}")
-    if any(g < 8 for g in grid):
-        raise UsageError("grid resolutions must be at least 8 per axis")
     return grid
 
 
@@ -333,7 +343,7 @@ def suite_dirac(cfg, checks: Checks):
 
     residuals = []
     orth = 0.0
-    ff = None
+    ff_coarse = fields_coarse = None
     for sh in (shape, fine):
         ff = build_frame_field(chart, shape=sh)
         op = submanifold_dirac(ff)
@@ -341,6 +351,8 @@ def suite_dirac(cfg, checks: Checks):
         residuals.append(max(dirac_residual(op, f) for f in fields))
         gram = pointwise_pairings(fields)
         orth = max(orth, np.abs(gram - np.eye(gram.shape[-1])).max())
+        if ff_coarse is None:
+            ff_coarse, fields_coarse = ff, fields
     checks.add("kernel-orthonormality", orth, 1e-10)
     if residuals[1] < 1e-13:
         checks.add("kernel-residual-fine", residuals[1], 1e-12)
@@ -348,13 +360,12 @@ def suite_dirac(cfg, checks: Checks):
         checks.add("kernel-convergence-ratio", residuals[0] / residuals[1], 0.5, center=4.0)
 
     if chart.n - chart.k == 1 and np.abs(ff.mean_curvature).max() > 1e-6:
-        ffc = build_frame_field(chart, shape=shape)
-        op0 = intrinsic_dirac(ffc)
-        control = min(dirac_residual(op0, f) for f in frame_spinor_fields(ffc))
-        floor = 0.4 * float(np.abs(ffc.mean_curvature).min())
+        op0 = intrinsic_dirac(ff_coarse)
+        control = min(dirac_residual(op0, f) for f in fields_coarse)
+        floor = 0.4 * float(np.abs(ff_coarse.mean_curvature).min())
         checks.add_floor("curvature-term-necessity", control, floor)
 
-        without, with_ = selfadjointization_check(chart, s_shape=shape)
+        without, with_ = selfadjointization_check(chart, frames=ff_coarse)
         checks.add_floor("selfadjointization-defect-geometric-measure", without, 1e-2)
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)
 
@@ -363,7 +374,8 @@ def suite_reconstruct(cfg, checks: Checks, out_dir: Path):
     chart = _chart_for(cfg)
     shape = _grid_for(chart, cfg)
     fine = tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
-    report = reconstruction_report(chart, shapes=(shape, fine))
+    ff = build_frame_field(chart, shape=shape)
+    report, coords = _reconstruction_study([ff, build_frame_field(chart, shape=fine)])
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
     checks.add("reconstruction-order", report.convergence_order, 0.2, center=2.0)
     errs = report.extras["errors_by_resolution"]
@@ -375,11 +387,9 @@ def suite_reconstruct(cfg, checks: Checks, out_dir: Path):
         else:
             checks.add("path-independence-residual", paths[1], 1e-13)
 
-    ff = build_frame_field(chart, shape=shape)
-    coords, _ = reconstruct_immersion(ff, bilinears=immersion_bilinears(ff))
     if chart.n in (3, 4) or chart.k == 1:
         export_obj(ff.x, out_dir / f"{chart.name}-source.obj", chart_id=f"{chart.name} source")
-        export_obj(coords, out_dir / f"{chart.name}-reconstructed.obj",
+        export_obj(coords[0], out_dir / f"{chart.name}-reconstructed.obj",
                    chart_id=f"{chart.name} reconstructed")
 
 
@@ -414,29 +424,55 @@ def load_config(args) -> dict:
     return cfg
 
 
+def validate(cfg: dict):
+    """Reject a configuration before any suite runs (exit status 2).
+
+    Checks what needs no chart compiled: the algebra dimension, the
+    reciprocity pairs, the chart name and the grid floor.
+    """
+    command = cfg["command"]
+    try:
+        m = int(cfg["m"]) if command in ("verify-algebra", "all") else 1
+        pairs = ([(int(k), int(n)) for k, n in _pairs(cfg)]
+                 if command in ("verify-reciprocity", "all") else [])
+        grid = _grid(cfg)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed configuration: {exc}") from exc
+    if not 1 <= m <= 12:
+        raise UsageError(f"algebra dimension m={m} outside 1..12")
+    for k, n in pairs:
+        if not k < n <= 12:
+            raise UsageError(f"reciprocity pair ({k},{n}) needs k < n <= 12")
+    if command in ("geometry", "dirac", "reconstruct", "all"):
+        if cfg["chart"] not in CATALOG:
+            raise UsageError(f"unknown chart {cfg['chart']!r}; available: {sorted(CATALOG)}")
+        if grid is not None and any(g < 8 for g in grid):
+            raise UsageError("grid resolutions must be at least 8 per axis")
+
+
 def run(cfg: dict) -> int:
     """Execute one suite; returns the process exit status."""
     t0 = time.perf_counter()
+    validate(cfg)
     checks = Checks(overrides=cfg.get("tolerances"))
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     command = cfg["command"]
-    try:
-        if command in ("verify-algebra", "all"):
-            suite_verify_algebra(cfg, checks)
-        if command in ("verify-reciprocity", "all"):
-            suite_verify_reciprocity(cfg, checks)
-        if command in ("geometry", "all"):
-            suite_geometry(cfg, checks)
-        if command in ("dirac", "all"):
-            suite_dirac(cfg, checks)
-        if command in ("reconstruct", "all"):
-            suite_reconstruct(cfg, checks, out_dir)
-    except UsageError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc)) from exc
+    suites = (("verify-algebra", suite_verify_algebra, ()),
+              ("verify-reciprocity", suite_verify_reciprocity, ()),
+              ("geometry", suite_geometry, ()),
+              ("dirac", suite_dirac, ()),
+              ("reconstruct", suite_reconstruct, (out_dir,)))
+    for name, suite, extra in suites:
+        if command not in (name, "all"):
+            continue
+        try:
+            suite(cfg, checks, *extra)
+        except UsageError:
+            raise
+        except (ValueError, ArithmeticError) as exc:  # numerical failure: report it, go on
+            checks.fail(f"{name}-suite", exc)
 
     report = {
         "command": command,
@@ -455,8 +491,6 @@ def run(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
-    from .geometry import CATALOG
-
     parser = argparse.ArgumentParser(
         prog="subdirac",
         description="verification suites for the spinor-frame immersion machinery",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FrameField, ImmersionChart, _diff_axis, build_frame_field
-from .spinors import CliffordGroupElement, GammaRep, build_gamma_rep, spin_lift, spinor_dim
+from .spinors import GammaRep, build_gamma_rep, spin_lift, spinor_dim
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,108 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     return float(np.linalg.norm(vals, axis=-1).max())
 
 
+def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
+    """values at each grid point's staircase predecessor.
+
+    The predecessor is the one geometry._staircase_indices yields: the
+    point before it in the first-axis chain at the base column, then the
+    point before it along its row.  The base corner maps to itself.
+    """
+    if ndim == 1:
+        return np.concatenate([values[:1], values[:-1]])
+    if ndim == 2:
+        prev = np.empty_like(values)
+        prev[:, 1:] = values[:, :-1]
+        prev[1:, 0] = values[:-1, 0]
+        prev[0, 0] = values[0, 0]
+        return prev
+    raise ValueError("staircase traversal supports curve and surface grids only")
+
+
+def _twirl(rotations: np.ndarray, rep: GammaRep, x: np.ndarray | None = None) -> np.ndarray:
+    """sum_I gamma'_I x gamma_I^{-1} over all 2^n blades I, gamma'_i = sum_j R[j, i] gamma_j.
+
+    x defaults to the identity.  For R in SO(n) with spin lift tau the sum
+    is tau (2^n / d) tr(tau^H x).  (For odd n the module identifies each odd
+    blade with an even one through the pseudoscalar, so the sum is twice the
+    one over the even blades.)  It factorises generator by generator: with
+    L_i(y) = y + gamma'_i y gamma_i^{-1} it is L_1(L_2(... L_n(x))), n
+    products per point instead of 2^n.
+    """
+    d, m = rep.dim, rep.m
+    gam = np.stack(rep.gammas)
+    r = rotations.reshape(-1, m, m)
+    points = r.shape[0]
+    # y[a, p, c] = y_p[a, c]: a constant gamma on either side of every y_p
+    # is then one matrix product
+    y = np.empty((d, points, d), dtype=complex)
+    y[...] = (np.eye(d)[:, None, :] if x is None
+              else x.reshape(points, d, d).transpose(1, 0, 2))
+    for i in reversed(range(m)):
+        prime_y = np.zeros_like(y)
+        for j in range(m):
+            term = (gam[j] @ y.reshape(d, -1)).reshape(y.shape)
+            term *= r[:, j, i, None]
+            prime_y += term
+        # gamma_i^{-1} = gamma_i: the gammas are hermitian and unitary
+        y += (prime_y.reshape(-1, d) @ gam[i]).reshape(y.shape)
+    return y.transpose(1, 0, 2).reshape(rotations.shape[:-2] + (d, d))
+
+
 def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
     """Spin lift tau(s) of the frame assembly at every grid point.
 
-    The lifted rotation has the frame vectors as matrix rows; the
-    double-cover sign is chained along the staircase order so the lift
-    varies smoothly across the grid.  Shape (*grid, d, d).
+    The lifted rotation has the frame vectors as matrix rows.  Signs follow
+    the staircase order (base column first, then along each row): a
+    point's rotation relative to its predecessor, R(s) R(prev)^T, stays
+    near the identity on a smooth field, and its lift sigma(s) is the twirl
+    over the Clifford basis normalised to Re tr sigma > 0.  As
+    Re tr(tau^H sigma tau) = Re tr sigma, that is the sign nearest to the
+    predecessor's lift.  The base corner takes spin_lift's default sign, and
+    the chain tau(s) = sigma(s) tau(prev) runs down the base column, then
+    across all rows at once.  Each chained lift is then twirled once more
+    against its own rotation, which keeps its sign and removes the rounding
+    the chain gathers along its length.
+
+    Every rotation must be in SO(n) to 1e-10, and |tr sigma| < 1e-6 (a
+    half-turn between neighbours) raises, since the sign is then ambiguous.
+    Shape (*grid, d, d).
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     rot = frames.frame_rotation
     shape = frames.grid_shape
-    d = rep.dim
-    taus = np.empty(shape + (d, d), dtype=complex)
-    cache = {}
-    from .geometry import _staircase_indices
+    m, d = rep.m, rep.dim
+    if rot.shape[-2:] != (m, m):
+        raise ValueError(f"expected {m}x{m} rotation")
+    if not np.isclose(np.swapaxes(rot, -1, -2) @ rot, np.eye(m), atol=1e-10).all():
+        raise ValueError("matrix is not orthogonal within tolerance")
+    if (np.linalg.det(rot) < 0).any():
+        raise ValueError("matrix has determinant -1 (not in SO)")
 
-    for idx, prev in _staircase_indices(shape):
-        anchor = cache[prev] if prev is not None else None
-        tau = spin_lift(rot[idx], rep, anchor=anchor)
-        cache[idx] = tau
-        taus[idx] = tau.matrix
-    return taus
+    def scale(t):
+        """|c| for t = c tau with tau unitary, as ||tau||_F = sqrt(d)."""
+        return np.linalg.norm(t, axis=(-2, -1), keepdims=True) / np.sqrt(d)
+
+    sigma = _twirl(rot @ np.swapaxes(_staircase_previous(rot, len(shape)), -1, -2), rep)
+    # sigma = tau_rel (2^m / d) tr(tau_rel^H), and that trace is real
+    sigma_scale = scale(sigma)
+    if (sigma_scale * d / 2 ** m < 1e-6).any():
+        raise ValueError("double-cover sign is ambiguous relative to the anchor "
+                         "(frame field discontinuity)")
+    sigma /= sigma_scale
+
+    taus = np.empty(shape + (d, d), dtype=complex)
+    column = (slice(None),) + (0,) * (len(shape) - 1)
+    chain, steps = taus[column], sigma[column]
+    chain[0] = spin_lift(rot[(0,) * len(shape)], rep).matrix
+    for i in range(1, shape[0]):
+        chain[i] = steps[i] @ chain[i - 1]
+    if len(shape) == 2:
+        for j in range(1, shape[1]):
+            taus[:, j] = sigma[:, j] @ taus[:, j - 1]
+
+    taus = _twirl(rot, rep, taus)
+    return taus / scale(taus)
 
 
 def frame_spinor_fields(frames: FrameField, rep: GammaRep | None = None) -> list:

@@ -148,22 +148,35 @@ def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
                           rep: GammaRep | None = None, extras: dict | None = None
                           ) -> ReconstructionReport:
     """Run the recovery at two resolutions and collect the error figures."""
+    frame_fields = (build_frame_field(chart, shape=shape) for shape in shapes)
+    return _reconstruction_study(frame_fields, rep, extras)[0]
+
+
+def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
+                          extras: dict | None = None):
+    """reconstruction_report over a coarse and a fine frame field of one chart.
+
+    Also returns the reconstructed coordinate grid of each field.
+    """
     errors = []
     path_residuals = []
     loop_residuals = []
+    coords_by_field = []
+    sizes = []
     bilinear_dev = 0.0
     per_coord = None
-    for shape in shapes:
-        frames = build_frame_field(chart, shape=shape)
+    for frames in frame_fields:
         b = immersion_bilinears(frames, rep)
         bilinear_dev = max(bilinear_dev, float(np.abs(b - frames.jac).max()))
         coords, path_res = reconstruct_immersion(frames, rep, bilinears=b)
         err = np.abs(coords - frames.x)
-        per_coord = err.reshape(-1, chart.n).max(axis=0)
+        per_coord = err.reshape(-1, err.shape[-1]).max(axis=0)
         errors.append(per_coord.max())
         path_residuals.append(path_res)
         loop_residuals.append(plaquette_circulation(b, frames.spacings))
-    refine = np.log2((shapes[1][0] - 1) / (shapes[0][0] - 1))
+        coords_by_field.append(coords)
+        sizes.append(frames.grid_shape[0])
+    refine = np.log2((sizes[1] - 1) / (sizes[0] - 1))
     if errors[0] == 0 and errors[1] == 0:
         order = float("inf")
     else:
@@ -172,7 +185,8 @@ def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
               "path_residuals": tuple(path_residuals),
               "plaquette_loop_residuals": tuple(loop_residuals)}
     merged.update(extras or {})
-    return ReconstructionReport(per_coord, max(path_residuals), order, bilinear_dev, merged)
+    report = ReconstructionReport(per_coord, max(path_residuals), order, bilinear_dev, merged)
+    return report, coords_by_field
 
 
 def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)),

@@ -184,3 +184,50 @@ def test_failing_check_writes_report_and_exits_one(tmp_path, monkeypatch):
     assert cli.run(cfg) == 1
     report = json.loads((tmp_path / "report-geometry.json").read_text())
     assert [c["pass"] for c in report["checks"]] == [False, True]
+
+
+def test_usage_error_algebra_dimension(tmp_path):
+    assert run_cli(["--command", "verify-algebra", "--m", "13", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report-verify-algebra.json").exists()
+
+
+def test_numerical_failure_is_a_failed_entry(tmp_path):
+    # a degenerate sphere breaks every grid suite; the algebra and
+    # reciprocity checks that passed stay in the report
+    cfg = json.dumps({"command": "all", "chart": "sphere", "params": {"r": 0.0},
+                      "m": 3, "trials": 40, "pairs": [[1, 2]], "grid": 9,
+                      "out": str(tmp_path)})
+    assert run_cli(["--config", cfg]) == 1
+    report = json.loads((tmp_path / "report-all.json").read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["associativity"]["pass"] and by_name["frobenius-(1,2)"]["pass"]
+    for suite in ("geometry", "dirac", "reconstruct"):
+        entry = by_name[f"{suite}-suite"]
+        assert entry["pass"] is False
+        assert entry["error"] == "ImmersionError"
+        assert entry["value"].startswith("error: immersion condition violated")
+
+
+def test_failed_suite_does_not_stop_the_rest(tmp_path, monkeypatch):
+    from subdirac.geometry import IntegrabilityError
+
+    def passing(name):
+        return lambda cfg, checks, *rest: checks.add(name, 0.0, 1e-12)
+
+    def raising(cfg, checks):
+        checks.add("before-the-failure", 0.0, 1e-12)
+        raise IntegrabilityError("normal connection residual 1e-1 above 1e-3")
+
+    monkeypatch.setattr(cli, "suite_verify_algebra", passing("algebra"))
+    monkeypatch.setattr(cli, "suite_verify_reciprocity", passing("reciprocity"))
+    monkeypatch.setattr(cli, "suite_geometry", raising)
+    monkeypatch.setattr(cli, "suite_dirac", passing("dirac"))
+    monkeypatch.setattr(cli, "suite_reconstruct", passing("reconstruct"))
+    cfg = dict(cli.DEFAULTS, command="all", out=str(tmp_path))
+    assert cli.run(cfg) == 1
+    report = json.loads((tmp_path / "report-all.json").read_text())
+    assert [(c["name"], c["pass"], c.get("error")) for c in report["checks"]] == [
+        ("algebra", True, None), ("reciprocity", True, None),
+        ("before-the-failure", True, None),
+        ("geometry-suite", False, "IntegrabilityError"),
+        ("dirac", True, None), ("reconstruct", True, None)]
