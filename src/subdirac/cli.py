@@ -5,8 +5,8 @@ check, and writes a JSON report.  A failing check never aborts the rest of
 the suite, and a suite that raises on the numbers (immersion loss, focal
 distance, an ambiguous spin-lift sign, ...) is recorded as one failed entry
 while the remaining suites still run.  The exit status is 0 only when
-everything passed, 1 otherwise, and 2 for a configuration problem (the
-ones that need no compiled chart are rejected before any suite runs).
+everything passed, 1 otherwise, and 2 for a configuration problem, which
+is rejected before any suite runs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .spinors import (
 from .weierstrass import _reconstruction_study
 
 COMMANDS = ("verify-algebra", "verify-reciprocity", "geometry", "dirac", "reconstruct", "all")
+GRID_COMMANDS = ("geometry", "dirac", "reconstruct", "all")
 
 DEFAULTS = {
     "command": "all",
@@ -289,9 +290,7 @@ def _chart_for(cfg):
     return chart
 
 
-def suite_geometry(cfg, checks: Checks):
-    chart = _chart_for(cfg)
-    shape = _grid_for(chart, cfg)
+def suite_geometry(cfg, checks: Checks, chart, shape):
     ff = build_frame_field(chart, shape=shape)
 
     rot = ff.frame_rotation
@@ -336,9 +335,7 @@ def suite_geometry(cfg, checks: Checks):
         checks.run("sphere-rho-closed-form", sphere_rho, 1e-10)
 
 
-def suite_dirac(cfg, checks: Checks):
-    chart = _chart_for(cfg)
-    shape = _grid_for(chart, cfg)
+def suite_dirac(cfg, checks: Checks, chart, shape):
     fine = tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
 
     residuals = []
@@ -370,9 +367,7 @@ def suite_dirac(cfg, checks: Checks):
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)
 
 
-def suite_reconstruct(cfg, checks: Checks, out_dir: Path):
-    chart = _chart_for(cfg)
-    shape = _grid_for(chart, cfg)
+def suite_reconstruct(cfg, checks: Checks, chart, shape, out_dir: Path):
     fine = tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
     ff = build_frame_field(chart, shape=shape)
     report, coords = _reconstruction_study([ff, build_frame_field(chart, shape=fine)])
@@ -443,7 +438,7 @@ def validate(cfg: dict):
     for k, n in pairs:
         if not k < n <= 12:
             raise UsageError(f"reciprocity pair ({k},{n}) needs k < n <= 12")
-    if command in ("geometry", "dirac", "reconstruct", "all"):
+    if command in GRID_COMMANDS:
         if cfg["chart"] not in CATALOG:
             raise UsageError(f"unknown chart {cfg['chart']!r}; available: {sorted(CATALOG)}")
         if grid is not None and any(g < 8 for g in grid):
@@ -451,7 +446,11 @@ def validate(cfg: dict):
 
 
 def run(cfg: dict) -> int:
-    """Execute one suite; returns the process exit status."""
+    """Execute one suite; returns the process exit status.
+
+    The grid commands compile the chart and check the grid dimension and
+    n <= 6 before the first suite runs, and share that chart.
+    """
     t0 = time.perf_counter()
     validate(cfg)
     checks = Checks(overrides=cfg.get("tolerances"))
@@ -459,18 +458,20 @@ def run(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     command = cfg["command"]
+    grid_args = ()
+    if command in GRID_COMMANDS:
+        chart = _chart_for(cfg)
+        grid_args = (chart, _grid_for(chart, cfg))
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),
-              ("geometry", suite_geometry, ()),
-              ("dirac", suite_dirac, ()),
-              ("reconstruct", suite_reconstruct, (out_dir,)))
+              ("geometry", suite_geometry, grid_args),
+              ("dirac", suite_dirac, grid_args),
+              ("reconstruct", suite_reconstruct, grid_args + (out_dir,)))
     for name, suite, extra in suites:
         if command not in (name, "all"):
             continue
         try:
             suite(cfg, checks, *extra)
-        except UsageError:
-            raise
         except (ValueError, ArithmeticError) as exc:  # numerical failure: report it, go on
             checks.fail(f"{name}-suite", exc)
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FrameField, ImmersionChart, _diff_axis, build_frame_field
+from .geometry import (
+    FrameField,
+    ImmersionChart,
+    _diff_axis,
+    _staircase_previous,
+    _staircase_scan,
+    build_frame_field,
+)
 from .spinors import GammaRep, build_gamma_rep, spin_lift, spinor_dim
 
 
@@ -123,24 +130,6 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     return float(np.linalg.norm(vals, axis=-1).max())
 
 
-def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
-    """values at each grid point's staircase predecessor.
-
-    The predecessor is the one geometry._staircase_indices yields: the
-    point before it in the first-axis chain at the base column, then the
-    point before it along its row.  The base corner maps to itself.
-    """
-    if ndim == 1:
-        return np.concatenate([values[:1], values[:-1]])
-    if ndim == 2:
-        prev = np.empty_like(values)
-        prev[:, 1:] = values[:, :-1]
-        prev[1:, 0] = values[:-1, 0]
-        prev[0, 0] = values[0, 0]
-        return prev
-    raise ValueError("staircase traversal supports curve and surface grids only")
-
-
 def _twirl(rotations: np.ndarray, rep: GammaRep, x: np.ndarray | None = None) -> np.ndarray:
     """sum_I gamma'_I x gamma_I^{-1} over all 2^n blades I, gamma'_i = sum_j R[j, i] gamma_j.
 
@@ -213,16 +202,7 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
                          "(frame field discontinuity)")
     sigma /= sigma_scale
 
-    taus = np.empty(shape + (d, d), dtype=complex)
-    column = (slice(None),) + (0,) * (len(shape) - 1)
-    chain, steps = taus[column], sigma[column]
-    chain[0] = spin_lift(rot[(0,) * len(shape)], rep).matrix
-    for i in range(1, shape[0]):
-        chain[i] = steps[i] @ chain[i - 1]
-    if len(shape) == 2:
-        for j in range(1, shape[1]):
-            taus[:, j] = sigma[:, j] @ taus[:, j - 1]
-
+    taus = _staircase_scan(sigma, spin_lift(rot[(0,) * len(shape)], rep).matrix)
     taus = _twirl(rot, rep, taus)
     return taus / scale(taus)
 

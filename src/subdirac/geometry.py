@@ -6,7 +6,10 @@ differences for ad-hoc callables).  Frame fields carry an orthonormal
 tangent frame from ordered Gram-Schmidt of the coordinate derivatives and a
 normal frame completed from the standard basis, smoothed across the grid
 and rotated into a parallel frame (vanishing normal-connection
-coefficients) by staircase path integration.
+coefficients) by staircase path integration.  Both steps run on the whole
+grid at once: the per-point work is batched, and the staircase products
+are one scan (_staircase_scan) down the base column and then across all
+rows together.  The pointwise functions keep the per-point kernels.
 """
 
 from __future__ import annotations
@@ -464,17 +467,6 @@ def _diff_axis(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def _so_exponential(a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    if d == 1:
-        return np.eye(1)
-    if d == 2:
-        th = a[1, 0]
-        c, s = np.cos(th), np.sin(th)
-        return np.array([[c, -s], [s, c]])
-    return scipy.linalg.expm(a)
-
-
 @dataclass
 class FrameField:
     """Adapted frames and derived curvature data on a full parameter grid."""
@@ -514,24 +506,112 @@ class FrameField:
         return np.linalg.det(damp) ** 2
 
 
-def _staircase_indices(shape):
-    """Visit order: base corner, first-axis chain, then each row in turn."""
-    if len(shape) == 1:
-        for i in range(shape[0]):
-            yield (i,), (i - 1,) if i > 0 else None
-    elif len(shape) == 2:
-        for i in range(shape[0]):
-            prev = (i - 1, 0) if i > 0 else None
-            yield (i, 0), prev
-        for i in range(shape[0]):
-            for j in range(1, shape[1]):
-                yield (i, j), (i, j - 1)
-    else:
+def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
+    """values at each grid point's staircase predecessor.
+
+    The grid is the leading ndim axes of values.  The staircase runs down
+    the first-axis chain of the base column, then along every row; a
+    point's predecessor is the one before it in that chain or row, and the
+    base corner maps to itself.
+    """
+    if ndim == 1:
+        return np.concatenate([values[:1], values[:-1]])
+    if ndim == 2:
+        prev = np.empty_like(values)
+        prev[:, 1:] = values[:, :-1]
+        prev[1:, 0] = values[:-1, 0]
+        prev[0, 0] = values[0, 0]
+        return prev
+    raise ValueError("staircase traversal supports curve and surface grids only")
+
+
+def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Chained products out(s) = steps(s) @ out(prev(s)) along the staircase.
+
+    The grid is the leading axes of steps that first lacks; out is first at
+    the base corner, where steps is not read.  The chain runs down the base
+    column one point at a time, then across all rows at once, so the Python
+    loop has N0 + N1 steps rather than N0 * N1.
+    """
+    first = np.asarray(first)
+    ndim = steps.ndim - first.ndim
+    if ndim > 2:
         raise ValueError("staircase traversal supports curve and surface grids only")
+    out = np.empty(steps.shape[:ndim] + first.shape, dtype=np.result_type(steps, first))
+    column = (slice(None),) + (0,) * (ndim - 1)
+    chain, chain_steps = out[column], steps[column]
+    chain[0] = first
+    for i in range(1, len(chain)):
+        chain[i] = chain_steps[i] @ chain[i - 1]
+    if ndim == 2:
+        for j in range(1, out.shape[1]):
+            out[:, j] = steps[:, j] @ out[:, j - 1]
+    return out
+
+
+def _complete_normal_stack(tangent):
+    """_complete_normals at every point of a (P, k, n) stack of tangent frames.
+
+    Each point keeps a zero-padded (n, n) stack of rows, tangent rows
+    first, and each candidate is projected against all n slots in order.
+    An empty slot is an exact no-op, so every point does the arithmetic of
+    the scalar loop.  The relaxed pass runs only for the points still short.
+    Shape (P, n-k, n).
+    """
+    points, k, n = tangent.shape
+    rows = np.zeros((points, n, n))
+    rows[:, :k] = tangent
+    count = np.full(points, k)
+    short = np.arange(points)
+    for thr in (0.5, 1e-8):
+        sub, filled = rows[short], count[short]
+        for j in range(n):
+            w = np.zeros((len(short), n))
+            w[:, j] = 1.0
+            for slot in range(n):
+                u = sub[:, slot]
+                w -= np.einsum("pi,pi->p", u, w)[:, None] * u
+            norm = np.linalg.norm(w, axis=-1)
+            hit = np.flatnonzero((norm > thr) & (filled < n))
+            sub[hit, filled[hit]] = w[hit] / norm[hit, None]
+            filled[hit] += 1
+        rows[short], count[short] = sub, filled
+        short = short[filled < n]
+        if not len(short):
+            return rows[:, k:]
+    raise ImmersionError("could not complete the normal frame")
 
 
 def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
                       integrability_tol=None) -> FrameField:
+    """Adapted frames, curvature and connection data on the chart grid.
+
+    The tangent frame is the ordered Gram-Schmidt of the coordinate
+    derivatives.  Surfaces in R^3 and plane curves take their normal from
+    the cross product and the quarter turn.  In higher codimension every
+    point completes its tangent rows with standard basis vectors
+    (_complete_normals, all points at once), and the completions b(s) are
+    smoothed along the staircase by Procrustes alignment to the
+    predecessor.  As polar(Q M) = Q polar(M), the aligned frame is
+    Q(s) b(s) with Q(s) = Q(prev) R(s), R(s) = polar(b(prev) b(s)^T): one
+    stacked SVD and one staircase scan of the R^T.  R(s) can be a
+    reflection, so the order of that product matters.  The field is then
+    flipped to det +1 at the base corner.
+
+    With parallel=True and codimension >= 2, the normal frame is rotated by
+    the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the
+    staircase: one exponential exp(-h Mbar) per edge, a closed-form plane
+    rotation in codimension 2 and a batched expm otherwise, chained by the
+    same scan.  On a curve this is the Bishop frame.  omega comes from
+    central differences of the tangent frames at s +- h_fd along each axis.
+
+    Raises ImmersionError when the Jacobian loses rank on the grid, when a
+    normal frame cannot be completed, or when smoothing leaves frames of
+    both orientations (a seam); IntegrabilityError when the normal
+    connection stays above integrability_tol; ValueError for fewer than 8
+    points per axis, or for a grid of more than two axes that needs the
+    staircase (any chart but the two fast paths).
+    """
     shape = tuple(shape or chart.grid_shape)
     axes = chart.axes(shape)
     hs = chart.spacings(shape)
@@ -556,14 +636,10 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         t = tangent[..., 0, :]
         normal = np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None, :]
     else:
-        normal = np.empty(shape + (nk, n))
-        cache = {}
-        for idx, prev in _staircase_indices(shape):
-            b = _complete_normals(tangent[idx])
-            if prev is not None:
-                b = _procrustes_align(b, cache[prev])
-            cache[idx] = b
-            normal[idx] = b
+        b = _complete_normal_stack(tangent.reshape(-1, k, n)).reshape(shape + (nk, n))
+        u, _, vt = np.linalg.svd(_staircase_previous(b, len(shape)) @ np.swapaxes(b, -1, -2))
+        q_t = _staircase_scan(np.swapaxes(u @ vt, -1, -2), np.eye(nk))
+        normal = np.swapaxes(q_t, -1, -2) @ b
         det = np.linalg.det(np.concatenate([tangent, normal], axis=-2))
         if det.max() - det.min() > 1.0:  # dets are +/-1; a mix means a seam
             raise ImmersionError("normal-frame smoothing left an orientation seam")
@@ -586,16 +662,20 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     gtilde = gtilde_of(normal)
 
     if parallel and nk >= 2:
-        # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase
-        y = np.empty(shape + (nk, nk))
-        for idx, prev in _staircase_indices(shape):
-            if prev is None:
-                y[idx] = np.eye(nk)
-                continue
-            axis = 0 if idx[0] != prev[0] else len(shape) - 1
-            mbar = 0.5 * (gtilde[prev][..., axis, :, :] + gtilde[idx][..., axis, :, :])
-            sign = 1.0 if idx[axis] > prev[axis] else -1.0
-            y[idx] = _so_exponential(-sign * hs[axis] * mbar) @ y[prev]
+        # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase;
+        # the edge into s along axis alpha steps by exp(-h_alpha Mbar), Mbar
+        # the mean of M_alpha at s and at its predecessor
+        mbar = 0.5 * (_staircase_previous(gtilde, len(shape)) + gtilde)
+        column = (slice(None),) + (0,) * (len(shape) - 1)
+        gen = -hs[-1] * mbar[..., -1, :, :]
+        gen[column] = -hs[0] * mbar[column][..., 0, :, :]
+        if nk == 2:
+            cos, sin = np.cos(gen[..., 1, 0]), np.sin(gen[..., 1, 0])
+            step = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)],
+                            axis=-2)
+        else:
+            step = scipy.linalg.expm(gen)
+        y = _staircase_scan(step, np.eye(nk))
         lam = np.swapaxes(y, -1, -2)
         normal = np.einsum("...de,...ei->...di", lam, normal)
         wein = np.einsum("...de,...eab->...dab", lam, wein)

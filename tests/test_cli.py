@@ -175,7 +175,7 @@ def test_tolerance_overrides(tmp_path):
 
 
 def test_failing_check_writes_report_and_exits_one(tmp_path, monkeypatch):
-    def failing_suite(cfg, checks):
+    def failing_suite(cfg, checks, *rest):
         checks.add("deliberate-failure", 1.0, 1e-12)
         checks.add("still-recorded", 0.0, 1e-12)
 
@@ -214,7 +214,7 @@ def test_failed_suite_does_not_stop_the_rest(tmp_path, monkeypatch):
     def passing(name):
         return lambda cfg, checks, *rest: checks.add(name, 0.0, 1e-12)
 
-    def raising(cfg, checks):
+    def raising(cfg, checks, *rest):
         checks.add("before-the-failure", 0.0, 1e-12)
         raise IntegrabilityError("normal connection residual 1e-1 above 1e-3")
 
@@ -231,3 +231,27 @@ def test_failed_suite_does_not_stop_the_rest(tmp_path, monkeypatch):
         ("before-the-failure", True, None),
         ("geometry-suite", False, "IntegrabilityError"),
         ("dirac", True, None), ("reconstruct", True, None)]
+
+
+@pytest.mark.parametrize("chart, grid", [("helix-curve", [17, 17]), ("sphere", [17, 17, 17])])
+def test_grid_dimension_mismatch_runs_no_suite(tmp_path, monkeypatch, chart, grid):
+    called = []
+    for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
+                 "suite_dirac", "suite_reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    cfg = json.dumps({"command": "all", "chart": chart, "grid": grid, "out": str(tmp_path)})
+    assert run_cli(["--config", cfg]) == 2
+    assert called == []
+    assert not (tmp_path / "report-all.json").exists()
+
+
+def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
+    compiled = []
+    catalog_chart = cli.catalog_chart
+    monkeypatch.setattr(cli, "catalog_chart",
+                        lambda name, **params: compiled.append(name) or catalog_chart(name, **params))
+    for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
+                 "suite_dirac", "suite_reconstruct"):
+        monkeypatch.setattr(cli, name, lambda cfg, checks, *rest: None)
+    assert cli.run(dict(cli.DEFAULTS, command="all", chart="helix-curve", out=str(tmp_path))) == 0
+    assert compiled == ["helix-curve"]

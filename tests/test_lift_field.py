@@ -13,15 +13,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subdirac.dirac import frame_lift_field
-from subdirac.geometry import _staircase_indices, build_frame_field, catalog_chart
+from subdirac.geometry import build_frame_field, catalog_chart
 from subdirac.spinors import build_gamma_rep, spin_lift
+
+
+def staircase_indices(shape):
+    """Visit order: base corner, first-axis chain, then each row in turn."""
+    if len(shape) == 1:
+        for i in range(shape[0]):
+            yield (i,), (i - 1,) if i > 0 else None
+    elif len(shape) == 2:
+        for i in range(shape[0]):
+            prev = (i - 1, 0) if i > 0 else None
+            yield (i, 0), prev
+        for i in range(shape[0]):
+            for j in range(1, shape[1]):
+                yield (i, j), (i, j - 1)
+    else:
+        raise ValueError("staircase traversal supports curve and surface grids only")
 
 
 def reference_lift(rot, rep):
     shape = rot.shape[:-2]
     taus = np.empty(shape + (rep.dim, rep.dim), dtype=complex)
     cache = {}
-    for idx, prev in _staircase_indices(shape):
+    for idx, prev in staircase_indices(shape):
         anchor = cache[prev] if prev is not None else None
         tau = spin_lift(rot[idx], rep, anchor=anchor)
         cache[idx] = tau
