@@ -6,10 +6,13 @@ differences for ad-hoc callables).  Frame fields carry an orthonormal
 tangent frame from ordered Gram-Schmidt of the coordinate derivatives and a
 normal frame completed from the standard basis, smoothed across the grid
 and rotated into a parallel frame (vanishing normal-connection
-coefficients) by staircase path integration.  Both steps run on the whole
-grid at once: the per-point work is batched, and the staircase products
-are one scan (_staircase_scan) down the base column and then across all
-rows together.  The pointwise functions keep the per-point kernels.
+coefficients) by staircase path integration.  The Gram-Schmidt triangular
+factor R also gives the immersion guard, the metric inverse, the frame
+coefficients and the exact spin connection (from the Hessian, with no
+evaluation off the grid).  All of it runs on the whole grid at once: the
+per-point work is batched, and the staircase products are one scan
+(_staircase_scan) down the base column and then across all rows together.
+The pointwise functions keep the per-point kernels.
 """
 
 from __future__ import annotations
@@ -132,8 +135,14 @@ class ImmersionChart:
 
     # -- grids ---------------------------------------------------------
 
+    def _shape(self, shape):
+        shape = tuple(shape or self.grid_shape)
+        if len(shape) != self.k:
+            raise ValueError("rectangle/grid must have one entry per parameter")
+        return shape
+
     def axes(self, shape=None):
-        shape = shape or self.grid_shape
+        shape = self._shape(shape)
         if any(nn < 8 for nn in shape):
             raise ValueError("grids need at least 8 points per axis")
         return [np.linspace(lo, hi, nn) for (lo, hi), nn in zip(self.rectangle, shape)]
@@ -145,7 +154,7 @@ class ImmersionChart:
         return np.stack(mesh, axis=-1)
 
     def spacings(self, shape=None):
-        shape = shape or self.grid_shape
+        shape = self._shape(shape)
         return [(hi - lo) / (nn - 1) for (lo, hi), nn in zip(self.rectangle, shape)]
 
     def contains(self, s, tol=1e-9) -> bool:
@@ -262,17 +271,37 @@ def induced_metric(chart: ImmersionChart, s) -> np.ndarray:
     return np.einsum("...ia,...ib->...ab", jac, jac)
 
 
-def _tangent_frames(jac):
-    """Ordered Gram-Schmidt of the coordinate derivatives, batched over grids."""
+def _tangent_frames(jac, name):
+    """Ordered Gram-Schmidt of curve or surface Jacobians (k <= 2) on a grid.
+
+    Returns the tangent frames (*grid, k, n) and the upper-triangular factor
+    r = tangent @ jac (*grid, k, k), so that jac = tangent^T r and
+    sigma_min(jac) = sigma_min(r).  The 1e-8 immersion guard is tested on r
+    before each division by a Gram-Schmidt norm: sigma_min <= r11, and for
+    k = 2 sigma_min = r11 r22 / sigma_max with
+    sigma_max = (|(r11 + r22, r12)| + |(r11 - r22, r12)|) / 2, which keeps a
+    small singular value to full relative accuracy (the eigenvalues of
+    jac^T jac would not).
+    """
+
+    def guard(sigma_min):
+        if not (sigma_min > 1e-8).all():  # a NaN fails too
+            raise ImmersionError(f"immersion condition violated on the grid of {name}")
+
     k = jac.shape[-1]
-    n = jac.shape[-2]
-    tangent = np.empty(jac.shape[:-2] + (k, n))
-    for a in range(k):
-        w = jac[..., :, a].copy()
-        for b in range(a):
-            w -= np.einsum("...i,...i->...", tangent[..., b, :], w)[..., None] * tangent[..., b, :]
-        tangent[..., a, :] = w / np.linalg.norm(w, axis=-1)[..., None]
-    return tangent
+    cols = np.moveaxis(jac, -1, 0).copy()  # contiguous columns
+    r = np.zeros(jac.shape[:-2] + (k, k))
+    tangent = np.empty(jac.shape[:-2] + (k, jac.shape[-2]))
+    r11 = r[..., 0, 0] = np.linalg.norm(cols[0], axis=-1)
+    guard(r11)
+    tangent[..., 0, :] = t1 = cols[0] / r11[..., None]
+    if k == 2:
+        r12 = r[..., 0, 1] = np.einsum("...i,...i->...", t1, cols[1])
+        w = cols[1] - r12[..., None] * t1
+        r22 = r[..., 1, 1] = np.linalg.norm(w, axis=-1)
+        guard(r11 * r22 / (0.5 * (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12))))
+        tangent[..., 1, :] = w / r22[..., None]
+    return tangent, r
 
 
 def _gram_schmidt_rows(vectors):
@@ -498,12 +527,17 @@ class FrameField:
         return np.concatenate([self.tangent, self.normal], axis=-2)
 
     def rho_on_tube(self, q) -> np.ndarray:
-        """rho(s, q) over the grid for one normal offset vector q."""
+        """rho(s, q) over the grid for one normal offset vector q.
+
+        det g_q = det(g) det(1 + q Gamma)^2 in a parallel frame; the k x k
+        determinant (k <= 2 on a frame field) is written out.
+        """
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        qg = np.einsum("d,...dab->...ab", q, self.weingarten)
-        eye = np.eye(self.chart.k)
-        damp = eye + qg  # det g_q = det(g) det(1 + qGamma)^2 in a parallel frame
-        return np.linalg.det(damp) ** 2
+        qg = np.tensordot(self.weingarten, q, axes=([-3], [0]))  # (*grid, k, k)
+        damp = 1 + qg[..., 0, 0]
+        if self.chart.k == 2:
+            damp = damp * (1 + qg[..., 1, 1]) - qg[..., 0, 1] * qg[..., 1, 0]
+        return damp * damp
 
 
 def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -586,15 +620,22 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
                       integrability_tol=None) -> FrameField:
     """Adapted frames, curvature and connection data on the chart grid.
 
-    The tangent frame is the ordered Gram-Schmidt of the coordinate
-    derivatives.  Surfaces in R^3 and plane curves take their normal from
-    the cross product and the quarter turn.  In higher codimension every
-    point completes its tangent rows with standard basis vectors
+    The chart is evaluated once per derivative order (x, jac, hess), all on
+    the grid.  The tangent frame is the ordered Gram-Schmidt of the
+    coordinate derivatives, jac = tangent^T R with R = tangent jac upper
+    triangular (k <= 2, since the staircase covers curves and surfaces
+    only).  R gives the immersion guard, sigma_min(jac) = sigma_min(R) in
+    closed form, the frame coefficients e_coeff = R^-T and the metric
+    inverse g^-1 = R^-1 R^-T.
+
+    Surfaces in R^3 and plane curves take their normal from the cross
+    product and the quarter turn.  In higher codimension every point
+    completes its tangent rows with standard basis vectors
     (_complete_normals, all points at once), and the completions b(s) are
     smoothed along the staircase by Procrustes alignment to the
     predecessor.  As polar(Q M) = Q polar(M), the aligned frame is
-    Q(s) b(s) with Q(s) = Q(prev) R(s), R(s) = polar(b(prev) b(s)^T): one
-    stacked SVD and one staircase scan of the R^T.  R(s) can be a
+    Q(s) b(s) with Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one
+    stacked SVD and one staircase scan of the P^T.  P(s) can be a
     reflection, so the order of that product matters.  The field is then
     flipped to det +1 at the base corner.
 
@@ -602,18 +643,25 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the
     staircase: one exponential exp(-h Mbar) per edge, a closed-form plane
     rotation in codimension 2 and a batched expm otherwise, chained by the
-    same scan.  On a curve this is the Bishop frame.  omega comes from
-    central differences of the tangent frames at s +- h_fd along each axis.
+    same scan.  On a curve this is the Bishop frame.
 
-    Raises ImmersionError when the Jacobian loses rank on the grid, when a
-    normal frame cannot be completed, or when smoothing leaves frames of
-    both orientations (a seam); IntegrabilityError when the normal
-    connection stays above integrability_tol; ValueError for fewer than 8
-    points per axis, or for a grid of more than two axes that needs the
-    staircase (any chart but the two fast paths).
+    The spin connection is exact: differentiating jac = tangent^T R gives
+    tangent d_alpha(jac) R^-1 = tangent d_alpha(tangent^T) + d_alpha(R) R^-1,
+    an antisymmetric plus an upper-triangular matrix, so omega_alpha is the
+    antisymmetrised strict-lower part of tangent hess_alpha R^-1.
+
+    Raises, in this order: ValueError for a shape with the wrong number of
+    axes, fewer than 8 points per axis, or more than two axes; then
+    ImmersionError when the Jacobian's smallest singular value is <= 1e-8
+    somewhere on the grid (tested before any division by a Gram-Schmidt
+    norm), when a normal frame cannot be completed, or when smoothing
+    leaves frames of both orientations (a seam); then IntegrabilityError
+    when the normal connection stays above integrability_tol.
     """
     shape = tuple(shape or chart.grid_shape)
     axes = chart.axes(shape)
+    if len(shape) > 2:
+        raise ValueError("staircase traversal supports curve and surface grids only")
     hs = chart.spacings(shape)
     pts = chart.grid(shape)
     x = chart.x(pts)
@@ -622,11 +670,7 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     k, n = chart.k, chart.n
     nk = n - k
 
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[..., -1].min() <= 1e-8:
-        raise ImmersionError(f"immersion condition violated on the grid of {chart.name}")
-
-    tangent = _tangent_frames(jac)
+    tangent, r = _tangent_frames(jac, chart.name)
 
     # normal completion: fast paths for surfaces in R^3 and plane curves
     if (k, n) == (2, 3):
@@ -646,8 +690,15 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         if det.flat[0] < 0:
             normal[..., -1, :] = -normal[..., -1, :]
 
+    # jac = tangent^T R, so e_a = x_alpha (R^-1)^alpha_a and g^-1 = R^-1 R^-T
+    r_inv = np.zeros_like(r)
+    r_inv[..., 0, 0] = 1 / r[..., 0, 0]
+    if k == 2:
+        r_inv[..., 1, 1] = 1 / r[..., 1, 1]
+        r_inv[..., 0, 1] = -r[..., 0, 1] * r_inv[..., 0, 0] * r_inv[..., 1, 1]
+    e_coeff = np.swapaxes(r_inv, -1, -2)
     metric = np.einsum("...ia,...ib->...ab", jac, jac)
-    metric_inv = np.linalg.inv(metric)
+    metric_inv = r_inv @ e_coeff
     wein = _weingarten_from_arrays(jac, hess, metric_inv, normal)
 
     # normal-connection coefficients of the completed field
@@ -687,21 +738,14 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
             f"normal connection residual {gtilde_residual:.3e} above {integrability_tol:.3e}")
 
     mean = np.einsum("...daa->...d", wein)
-    # e_a^alpha = g^{alpha beta} (x_beta . e_a)
-    proj = np.einsum("...ai,...ib->...ab", tangent, jac)  # e_a . x_beta
-    e_coeff = np.einsum("...gb,...ab->...ag", metric_inv, proj)
-
-    # spin-connection coefficients from local differences of the tangent
-    # frames (Gram-Schmidt is deterministic, so shifted frames line up)
-    omega = np.empty(shape + (k, k, k))
-    for a in range(k):
-        step = chart.h_fd * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
-        e = np.zeros(k)
-        e[a] = step
-        de = (_tangent_frames(chart.jacobian(pts + e))
-              - _tangent_frames(chart.jacobian(pts - e))) / (2 * step)
-        m = np.einsum("...bi,...ci->...bc", tangent, de)
-        omega[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
+    # omega_alpha = L - L^T with L the strict-lower part of tangent hess_alpha
+    # R^-1; for k = 2 that is the one entry L[1, 0] = e_1 . d_alpha d_0 x / R[0, 0]
+    # (0-based), and a curve has no spin connection
+    omega = np.zeros(shape + (k, k, k))
+    if k == 2:
+        low = np.einsum("...i,...ia->...a", tangent[..., 1, :], hess[..., :, 0, :])
+        low *= r_inv[..., :1, 0]
+        omega[..., 1, 0], omega[..., 0, 1] = low, -low
 
     return FrameField(chart, axes, hs, pts, x, jac, metric, metric_inv, tangent,
                       normal, wein, mean, gtilde, gtilde_residual, e_coeff, omega)

@@ -22,27 +22,22 @@ def export_obj(coords: np.ndarray, path, chart_id: str = "chart") -> None:
     if len(grid_shape) not in (1, 2):
         raise ValueError("OBJ export needs a curve or surface grid")
 
-    lines = [f"# {chart_id}: grid {'x'.join(str(s) for s in grid_shape)}"]
+    parts = [f"# {chart_id}: grid {'x'.join(str(s) for s in grid_shape)}\n"]
     if n == 4:
-        lines.append("# ambient dimension 4: orthographic projection onto the first three axes")
+        parts.append("# ambient dimension 4: orthographic projection onto the first three axes\n")
     verts = coords.reshape(-1, n)[:, :3]
     if verts.shape[1] == 2:
         verts = np.column_stack([verts, np.zeros(len(verts))])
-    for v in verts:
-        lines.append("v " + " ".join(f"{c:.17g}" for c in v))
+    parts.append("v %.17g %.17g %.17g\n" * len(verts) % tuple(verts.ravel().tolist()))
 
     if len(grid_shape) == 1:
-        indices = " ".join(str(i + 1) for i in range(grid_shape[0]))
-        lines.append(f"l {indices}")
+        parts.append("l " + " ".join(map(str, range(1, grid_shape[0] + 1))) + "\n")
     else:
+        # quad (i, j) has corners a = i n2 + j + 1, b = a + 1, c = a + n2, d = c + 1
+        # and is split into the triangles (a, b, d) and (a, d, c)
         n1, n2 = grid_shape
-        for i in range(n1 - 1):
-            for j in range(n2 - 1):
-                a = i * n2 + j + 1
-                b = a + 1
-                c = a + n2
-                d = c + 1
-                lines.append(f"f {a} {b} {d}")
-                lines.append(f"f {a} {d} {c}")
+        a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1) + 1).ravel()
+        faces = np.stack([a, a + 1, a + n2 + 1, a, a + n2 + 1, a + n2], axis=-1)
+        parts.append("f %d %d %d\nf %d %d %d\n" * len(a) % tuple(faces.ravel().tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

@@ -52,6 +52,55 @@ def test_obj_r4_projection_noted(tmp_path):
     assert all(len(l.split()) == 4 for l in text.splitlines() if l.startswith("v "))
 
 
+def reference_export_obj(coords, path, chart_id="chart"):
+    """The line-by-line OBJ writer that export_obj replaced."""
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[-1]
+    grid_shape = coords.shape[:-1]
+    lines = [f"# {chart_id}: grid {'x'.join(str(s) for s in grid_shape)}"]
+    if n == 4:
+        lines.append("# ambient dimension 4: orthographic projection onto the first three axes")
+    verts = coords.reshape(-1, n)[:, :3]
+    if verts.shape[1] == 2:
+        verts = np.column_stack([verts, np.zeros(len(verts))])
+    for v in verts:
+        lines.append("v " + " ".join(f"{c:.17g}" for c in v))
+    if len(grid_shape) == 1:
+        indices = " ".join(str(i + 1) for i in range(grid_shape[0]))
+        lines.append(f"l {indices}")
+    else:
+        n1, n2 = grid_shape
+        for i in range(n1 - 1):
+            for j in range(n2 - 1):
+                a = i * n2 + j + 1
+                b = a + 1
+                c = a + n2
+                d = c + 1
+                lines.append(f"f {a} {b} {d}")
+                lines.append(f"f {a} {d} {c}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _awkward_surface():
+    grid = np.random.default_rng(3).normal(size=(11, 9, 3))
+    grid[0, 0] = [-0.0, 1e-300, 1e17]
+    grid[4, 5] = [-1e-300, -1e17, 0.1 + 0.2]
+    return grid
+
+
+@pytest.mark.parametrize("coords", [
+    _awkward_surface(),
+    np.random.default_rng(4).normal(size=(40, 3)),  # space curve
+    np.random.default_rng(5).normal(size=(25, 2)),  # plane curve, zero third column
+    np.random.default_rng(6).normal(size=(8, 13, 4)),  # R^4, projected
+], ids=["surface", "space-curve", "plane-curve", "r4-surface"])
+def test_obj_bytes_match_reference_writer(tmp_path, coords):
+    export_obj(coords, tmp_path / "new.obj", chart_id="id")
+    reference_export_obj(coords, tmp_path / "ref.obj", chart_id="id")
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
 def test_obj_unsupported_dimension(tmp_path):
     with pytest.raises(ValueError):
         export_obj(np.zeros((4, 4, 5)), tmp_path / "x.obj")

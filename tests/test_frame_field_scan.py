@@ -3,8 +3,13 @@
 The reference completes the normal frame point by point, aligns each
 completion to its staircase predecessor by Procrustes, and transports the
 normal frame one edge at a time, the way the grid frame field used to be
-built.
+built.  It also keeps the slow forms of the Gram-Schmidt quantities:
+e_coeff from the inverted metric, and omega from central differences of
+the tangent frames at s +- h_fd.  The closed-form immersion guard is
+checked against the SVD.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +41,36 @@ def so_exponential(a):
     return scipy.linalg.expm(a)
 
 
+def tangent_frames(jac):
+    """Ordered Gram-Schmidt of the coordinate derivatives, any k."""
+    k = jac.shape[-1]
+    n = jac.shape[-2]
+    tangent = np.empty(jac.shape[:-2] + (k, n))
+    for a in range(k):
+        w = jac[..., :, a].copy()
+        for b in range(a):
+            w -= np.einsum("...i,...i->...", tangent[..., b, :], w)[..., None] * tangent[..., b, :]
+        tangent[..., a, :] = w / np.linalg.norm(w, axis=-1)[..., None]
+    return tangent
+
+
+def finite_difference_omega(chart, shape):
+    """omega from central differences of the tangent frames at s +- h_fd."""
+    pts = chart.grid(shape)
+    k = chart.k
+    tangent = tangent_frames(chart.jacobian(pts))
+    omega = np.empty(shape + (k, k, k))
+    for a in range(k):
+        step = chart.h_fd * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
+        e = np.zeros(k)
+        e[a] = step
+        de = (tangent_frames(chart.jacobian(pts + e))
+              - tangent_frames(chart.jacobian(pts - e))) / (2 * step)
+        m = np.einsum("...bi,...ci->...bc", tangent, de)
+        omega[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
+    return omega
+
+
 def reference_frame_field(chart, shape):
     """The per-point loops of build_frame_field in codimension >= 2."""
     hs = chart.spacings(shape)
@@ -43,7 +78,7 @@ def reference_frame_field(chart, shape):
     jac, hess = chart.jacobian(pts), chart.hessian(pts)
     k, n = chart.k, chart.n
     nk = n - k
-    tangent = _tangent_frames(jac)
+    tangent = tangent_frames(jac)
 
     normal = np.empty(shape + (nk, n))
     cache = {}
@@ -84,19 +119,11 @@ def reference_frame_field(chart, shape):
     gtilde = gtilde_of(normal)
 
     proj = np.einsum("...ai,...ib->...ab", tangent, jac)
-    omega = np.empty(shape + (k, k, k))
-    for a in range(k):
-        step = chart.h_fd * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
-        e = np.zeros(k)
-        e[a] = step
-        de = (_tangent_frames(chart.jacobian(pts + e))
-              - _tangent_frames(chart.jacobian(pts - e))) / (2 * step)
-        m = np.einsum("...bi,...ci->...bc", tangent, de)
-        omega[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
     return {"tangent": tangent, "normal": normal, "weingarten": wein,
             "mean_curvature": np.einsum("...daa->...d", wein), "gtilde": gtilde,
             "gtilde_residual": float(np.abs(gtilde).max()),
-            "e_coeff": np.einsum("...gb,...ab->...ag", metric_inv, proj), "omega": omega}
+            "e_coeff": np.einsum("...gb,...ab->...ag", metric_inv, proj),
+            "omega": finite_difference_omega(chart, shape)}
 
 
 _S1, _S2, _S3, _T = sp.symbols("s1 s2 s3 t")
@@ -119,10 +146,77 @@ def surface_in_r5():
 def test_matches_reference_loops(chart, shape):
     ff = build_frame_field(chart, shape=shape)
     expected = reference_frame_field(chart, shape)
-    for name in ("tangent", "omega", "e_coeff"):
-        assert np.array_equal(getattr(ff, name), expected[name]), name
+    assert np.array_equal(ff.tangent, expected["tangent"])
+    assert np.abs(ff.e_coeff - expected["e_coeff"]).max() <= 1e-14
+    # the reference omega carries the O(h_fd^2) error of its central differences
+    assert np.abs(ff.omega - expected["omega"]).max() <= 1e-7
     for name in ("normal", "weingarten", "mean_curvature", "gtilde", "gtilde_residual"):
         assert np.abs(getattr(ff, name) - expected[name]).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("name", ["torus", "catenoid", "enneper"])
+def test_exact_omega_matches_finite_differences(name):
+    chart = catalog_chart(name)
+    ff = build_frame_field(chart, shape=(65, 65))
+    assert np.array_equal(ff.tangent, tangent_frames(ff.jac))
+    assert np.abs(ff.omega - finite_difference_omega(chart, (65, 65))).max() <= 1e-7
+
+
+@st.composite
+def jacobian_stacks(draw):
+    """Random (P, n, k) Jacobians, k <= 2 and k < n <= 6, sigma_min in 1e-10..1.
+
+    The first point holds the smallest singular value of the stack; half of
+    the draws put it within 1e-12 of the 1e-8 threshold.
+    """
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(k + 1, 6))
+    points = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sigma_min = 1e-8 + draw(st.floats(-1e-12, 1e-12))
+    else:
+        sigma_min = 10.0 ** draw(st.floats(-10, 0))
+    sigma = np.array([sigma_min, draw(st.floats(1, 3))])[:k]
+    u = np.linalg.qr(rng.normal(size=(points, n, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(points, k, k)))[0]
+    scale = np.ones(points)
+    scale[1:] = rng.uniform(1.0, 2.0, size=points - 1)  # the other points stay clear
+    return u * (sigma * scale[:, None])[:, None, :] @ np.swapaxes(v, -1, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(jacobian_stacks())
+def test_immersion_guard_matches_svd(jac):
+    sigma_min = np.linalg.svd(jac, compute_uv=False)[..., -1].min()
+    try:
+        _tangent_frames(jac, "random")
+        raised = False
+    except ImmersionError as exc:
+        assert str(exc) == "immersion condition violated on the grid of random"
+        raised = True
+    if abs(sigma_min - 1e-8) > 1e-14:
+        assert raised == (sigma_min <= 1e-8)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("sphere", (17, 17)), ("clifford-torus-r4", (17, 17)), ("helix-curve", (33,)),
+    ("circle-curve", (33,))])
+def test_chart_is_evaluated_inside_its_rectangle(name, shape):
+    chart = catalog_chart(name)
+    outside = []
+
+    def inside(fn):
+        def evaluate(s):
+            if not chart.contains(s):
+                outside.append(fn.__name__)
+            return fn(s)
+        return evaluate
+
+    wrapped = dataclasses.replace(chart, x=inside(chart.x), jacobian=inside(chart.jacobian),
+                                  hessian=inside(chart.hessian))
+    build_frame_field(wrapped, shape=shape)
+    assert outside == []
 
 
 def test_helix_steps_include_reflections():

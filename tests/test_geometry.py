@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -207,6 +209,17 @@ def test_rho_sphere_closed_form():
         assert rho(chart, s, [q]) == pytest.approx(((r + q) / r) ** 4, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["sphere", "torus", "helix-curve"])
+def test_rho_on_tube_matches_determinant(name):
+    chart = catalog_chart(name)
+    ff = build_frame_field(chart)
+    nk = chart.n - chart.k
+    for q in (np.full(nk, 0.2), np.linspace(-0.3, 0.25, nk), np.zeros(nk)):
+        qg = np.einsum("d,...dab->...ab", q, ff.weingarten)
+        expected = np.linalg.det(np.eye(chart.k) + qg) ** 2
+        assert np.abs(ff.rho_on_tube(q) / expected - 1).max() <= 1e-14
+
+
 def test_rho_at_zero_is_one():
     for name in ("sphere", "torus", "enneper"):
         chart = catalog_chart(name)
@@ -305,9 +318,9 @@ def test_sphere_omega_analytic():
     ff = build_frame_field(chart, shape=(33, 33))
     th = ff.points[..., 0]
     # omega[phi-axis, theta, phi] = e_theta . d_phi e_phi = -cos(theta)
-    assert np.abs(ff.omega[..., 1, 0, 1] + np.cos(th)).max() < 1e-7
+    assert np.abs(ff.omega[..., 1, 0, 1] + np.cos(th)).max() < 1e-13
     # the theta-direction connection vanishes in this frame
-    assert np.abs(ff.omega[..., 0, :, :]).max() < 1e-7
+    assert np.abs(ff.omega[..., 0, :, :]).max() < 1e-13
 
 
 @pytest.mark.parametrize("name", ["torus", "sphere", "enneper"])
@@ -358,3 +371,21 @@ def test_all_catalog_charts_build():
         ff = build_frame_field(catalog_chart(name), shape=None)
         assert np.isfinite(ff.mean_curvature).all()
         assert ff.gtilde_residual < 5e-2
+
+
+def test_degenerate_grid_raises_before_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImmersionError) as exc:
+            build_frame_field(catalog_chart("sphere", r=0.0), shape=(9, 9))
+    assert str(exc.value) == "immersion condition violated on the grid of sphere"
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("sphere", (33, 33, 33)), ("sphere", (33,)), ("helix-curve", (33, 33))])
+def test_grid_shape_needs_one_entry_per_parameter(name, shape):
+    chart = catalog_chart(name)
+    for build in (chart.axes, chart.grid, chart.spacings,
+                  lambda shape: build_frame_field(chart, shape)):
+        with pytest.raises(ValueError, match="rectangle/grid must have one entry per parameter"):
+            build(shape)
