@@ -269,6 +269,9 @@ def _grid(cfg):
 
 
 def _grid_for(chart, cfg):
+    refined = cfg.get("refined_grid")
+    if refined and len(refined) != chart.k:
+        raise UsageError(f"refined grid {refined} does not match chart dimension k={chart.k}")
     grid = _grid(cfg)
     if grid is None:
         return chart.grid_shape
@@ -423,16 +426,25 @@ def validate(cfg: dict):
     """Reject a configuration before any suite runs (exit status 2).
 
     Checks what needs no chart compiled: the algebra dimension, the
-    reciprocity pairs, the chart name and the grid floor.
+    reciprocity pairs, the chart name and parameters, the grid and refined
+    grid floor, and that every tolerance override is a number.
     """
     command = cfg["command"]
+    refined = cfg.get("refined_grid")
+    if refined and not isinstance(refined, (list, tuple)):
+        raise UsageError("refined_grid must list one resolution per chart axis")
     try:
         m = int(cfg["m"]) if command in ("verify-algebra", "all") else 1
         pairs = ([(int(k), int(n)) for k, n in _pairs(cfg)]
                  if command in ("verify-reciprocity", "all") else [])
-        grid = _grid(cfg)
+        grid = _grid(cfg) or ()
+        refined = tuple(int(g) for g in refined) if refined else ()
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed configuration: {exc}") from exc
+    tolerances = cfg.get("tolerances") or {}
+    if not isinstance(tolerances, dict) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in tolerances.values()):
+        raise UsageError("tolerances must map check names to numbers")
     if not 1 <= m <= 12:
         raise UsageError(f"algebra dimension m={m} outside 1..12")
     for k, n in pairs:
@@ -441,15 +453,17 @@ def validate(cfg: dict):
     if command in GRID_COMMANDS:
         if cfg["chart"] not in CATALOG:
             raise UsageError(f"unknown chart {cfg['chart']!r}; available: {sorted(CATALOG)}")
-        if grid is not None and any(g < 8 for g in grid):
+        if not isinstance(cfg.get("params", {}), dict):
+            raise UsageError("params must be a JSON object of chart parameters")
+        if any(g < 8 for g in grid + refined):
             raise UsageError("grid resolutions must be at least 8 per axis")
 
 
 def run(cfg: dict) -> int:
     """Execute one suite; returns the process exit status.
 
-    The grid commands compile the chart and check the grid dimension and
-    n <= 6 before the first suite runs, and share that chart.
+    The grid commands compile the chart and check the grid and refined grid
+    dimensions and n <= 6 before the first suite runs, and share that chart.
     """
     t0 = time.perf_counter()
     validate(cfg)

@@ -11,6 +11,12 @@ the remaining ones the parallel normal directions, and second-order central
 differences for d_alpha.  The optional zeroth-order term is the
 mean-curvature correction that distinguishes the submanifold operator from
 the intrinsic one.
+
+Every coefficient of D is a few real fields of the frame times fixed gamma
+products: the tangent gammas gamma_a, the triple products
+gamma_a gamma_b gamma_c and the normal gammas gamma_adot.  Assembly builds
+these tables once from the gamma system and forms each coefficient as one
+real matrix product of a coefficient field against a table.
 """
 
 from __future__ import annotations
@@ -53,9 +59,11 @@ class GridSpinorField:
 class DiracOperator:
     """First-order operator assembled over a frame field.
 
-    axis_matrices[alpha] multiplies the alpha-th central difference;
-    potential collects the spin-connection and (optionally) the
-    mean-curvature zeroth-order terms.
+    axis_matrices[alpha] = sum_a e_a^alpha gamma_a multiplies the alpha-th
+    central difference; potential collects the spin-connection term
+    sum_{abc} C_abc gamma_a gamma_b gamma_c and (optionally) the
+    mean-curvature term (1/2) H_adot gamma_adot.  Both are stored dense per
+    grid point, as assembled from the gamma tables.
     """
 
     frames: FrameField
@@ -72,7 +80,29 @@ class DiracOperator:
         return apply_operator(self, field)
 
 
+def _combine(coeff: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_r coeff[..., r] mats[r] for a real field coeff and fixed (r, d, d) mats.
+
+    The mats enter as one (r, 2 d^2) real table, the float view of their
+    entries, so the whole field is one real matrix product and its result
+    is read back as complex without a copy.
+    """
+    d = mats.shape[-1]
+    table = np.ascontiguousarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
+    flat = np.asarray(coeff, dtype=float).reshape(-1, len(mats)) @ table
+    return flat.view(complex).reshape(coeff.shape[:-1] + (d, d))
+
+
 def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperator:
+    """Coefficient fields of the frame times fixed gamma tables.
+
+    A_alpha = sum_a e_a^alpha gamma_a is the transposed e_coeff against the
+    table of tangent gammas.  The spin connection contracted with A_alpha is
+    sum_{abc} C_abc gamma_a gamma_b gamma_c with
+    C_abc = (1/4) sum_alpha e_a^alpha omega_{alpha b c}, one product against
+    the table of tangent triple products, and the mean-curvature term is
+    (1/2) H_adot against the table of normal gammas.
+    """
     chart = frames.chart
     k, n = chart.k, chart.n
     if rep.m != n:
@@ -83,17 +113,15 @@ def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperat
     if np.abs(frames.omega + np.swapaxes(frames.omega, -1, -2)).max() > 1e-8:
         raise ValueError("spin connection coefficients are not antisymmetric")
 
-    # A_alpha = sum_a gamma_a e_a^alpha
-    axis = np.einsum("...ag,aij->...gij", frames.e_coeff, gam[:k])
+    tangent = gam[:k]
+    triple = np.einsum("aij,bjl,clm->abcim", tangent, tangent, tangent).reshape(-1, d, d)
+    grid = frames.grid_shape
 
-    # (1/4) omega_{alpha b c} gamma_b gamma_c, then contracted with A_alpha
-    gbc = np.einsum("bij,cjk->bcik", gam[:k], gam[:k])
-    conn = 0.25 * np.einsum("...gbc,bcij->...gij", frames.omega, gbc)
-    potential = np.einsum("...gij,...gjk->...ik", axis, conn)
-
+    axis = _combine(np.swapaxes(frames.e_coeff, -1, -2), tangent)
+    conn = 0.25 * (frames.e_coeff @ frames.omega.reshape(grid + (k, k * k)))
+    potential = _combine(conn.reshape(grid + (k ** 3,)), triple)
     if with_mean:
-        potential = potential + 0.5 * np.einsum("...m,mij->...ij",
-                                                frames.mean_curvature, gam[k:])
+        potential += _combine(0.5 * frames.mean_curvature, gam[k:])
     return DiracOperator(frames, rep, axis, potential, with_mean)
 
 
@@ -234,6 +262,12 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * u) ** 2
 
 
+def _trapezoid_weights(axis: np.ndarray, h: float) -> np.ndarray:
+    w = np.full(len(axis), h)
+    w[[0, -1]] = 0.5 * h
+    return w
+
+
 def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
                              q_max=0.25, direction=0, frames: FrameField | None = None):
     """Adjoint defect of p = i d/dq on the tube, before and after the
@@ -245,9 +279,14 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     measure converges to |integral conj(f) g d_q(rho^{1/2}) sqrt(g_S)| > 0
     whenever the mean curvature along the chosen direction is nonzero; the
     flattened one is pure discretization error, O(h^2).
+
+    The complex bump test functions factor as f = f_s(s) f_q(q) and
+    g = g_s(s) g_q(q), so p acts on f_q and g_q alone and the trapezoid sum
+    of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
+    u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
+    - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
     """
     frames = frames or build_frame_field(chart, shape=s_shape)
-    shape = frames.grid_shape
     nk = chart.n - chart.k
     if not 0 <= direction < nk:
         raise ValueError("normal direction out of range")
@@ -256,41 +295,32 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     hq = q[1] - q[0]
 
     unit = np.eye(nk)[direction]
-    rho = np.stack([frames.rho_on_tube(qv * unit) for qv in q], axis=-1)  # (*grid, Nq)
+    rho = np.stack([frames.rho_on_tube(qv * unit).ravel() for qv in q])  # (Nq, P)
     if rho.min() <= 0:
         raise ValueError("tube too thick: rho lost positivity")
-    sqrt_gs = np.sqrt(np.linalg.det(frames.metric))[..., None]
+    sqrt_gs = np.sqrt(np.linalg.det(frames.metric))
 
-    # complex bump test functions on the tube
+    # complex bump test functions on the tube, factor by factor
     su = [(ax - ax[0]) / (ax[-1] - ax[0]) for ax in frames.axes]
     qu = (q - q[0]) / (q[-1] - q[0])
     sbump = _bump(su[0])
-    for u in su[1:]:
-        sbump = np.multiply.outer(sbump, _bump(u))
-    prof = sbump[..., None] * _bump(qu)
+    for x in su[1:]:
+        sbump = np.multiply.outer(sbump, _bump(x))
     phase_s = np.add.reduce(np.meshgrid(*su, indexing="ij"))
-    f = prof * np.exp(1j * (phase_s[..., None] + 2.0 * qu))
-    g = prof * np.exp(1j * (0.5 * phase_s[..., None] - 1.0 * qu))
+    f_s = sbump * np.exp(1j * phase_s)
+    g_s = sbump * np.exp(0.5j * phase_s)
+    f_q = _bump(qu) * np.exp(2j * qu)
+    g_q = _bump(qu) * np.exp(-1j * qu)
 
     def p(field):
-        return 1j * _diff_axis(field, field.ndim - 1, hq)
+        return 1j * _diff_axis(field, 0, hq)
 
-    weights = np.ones(len(frames.axes[0]))
-    weights[[0, -1]] = 0.5
-    w = weights * frames.spacings[0]
+    w_s = _trapezoid_weights(frames.axes[0], frames.spacings[0])
     for ax, h in zip(frames.axes[1:], frames.spacings[1:]):
-        wa = np.ones(len(ax))
-        wa[[0, -1]] = 0.5
-        w = np.multiply.outer(w, wa * h)
-    wq = np.ones(q_points)
-    wq[[0, -1]] = 0.5
-    w = np.multiply.outer(w, wq * hq)
+        w_s = np.multiply.outer(w_s, _trapezoid_weights(ax, h))
+    u = (w_s * sqrt_gs * np.conj(f_s) * g_s).ravel()
+    v = _trapezoid_weights(q, hq) * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
 
-    def defect(measure):
-        lhs = np.sum(w * measure * np.conj(p(f)) * g)
-        rhs = np.sum(w * measure * np.conj(f) * p(g))
-        return abs(lhs - rhs)
-
-    residual_without = defect(np.sqrt(rho) * sqrt_gs)
-    residual_with = defect(np.broadcast_to(sqrt_gs, rho.shape))
+    residual_without = abs((v @ np.sqrt(rho)) @ u)
+    residual_with = abs(u.sum() * v.sum())
     return residual_without, residual_with

@@ -26,7 +26,7 @@ from .dirac import (
     submanifold_dirac,
 )
 from .geometry import FrameField, ImmersionChart, build_frame_field
-from .spinors import GammaRep, build_gamma_rep, primitive_spinor
+from .spinors import GammaRep, build_gamma_rep, primitive_spinor, spin_lift
 
 
 class MisclassificationError(ValueError):
@@ -49,28 +49,54 @@ class ReconstructionReport:
             raise ValueError("report entries must be nonnegative")
 
 
+def _bilinear_kernel(taus: np.ndarray, tangent: np.ndarray, jac: np.ndarray,
+                     rep: GammaRep) -> np.ndarray:
+    """B^i_alpha from lifts taus (*grid, d, d) and the frame data at the same points.
+
+    B^i_alpha = sum_a (tangent jac)_{a alpha} W_ia with
+    W_ia = Re <conj(psi_i), gamma_a psi_i> and psi_i = tau psi_{e_i}: the
+    stacked psi_i of every point go through one product against the table
+    of the k tangent gammas.  B is quadratic in tau, so the sign of the lift
+    does not enter.
+    """
+    grid = taus.shape[:-2]
+    n, k = jac.shape[-2:]
+    d = rep.dim
+    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components
+                     for i in range(n)])  # (n, d)
+    psi = (taus.reshape(-1, d) @ prim.T).reshape(grid + (d, n))
+    psi = np.ascontiguousarray(np.swapaxes(psi, -1, -2)).reshape(-1, d)  # (P n, d)
+    # table[c, a d + e] = gamma_a[e, c], so psi @ table stacks the gamma_a psi
+    table = np.stack(rep.gammas[:k]).transpose(2, 0, 1).reshape(d, k * d)
+    gamma_psi = (psi @ table).reshape(-1, k, d)
+    # Re <conj(psi), gamma_a psi> is the dot product of the float views
+    w = np.einsum("pc,pac->pa", psi.view(float), gamma_psi.view(float))
+    return w.reshape(grid + (n, k)) @ (tangent @ jac)
+
+
 def immersion_bilinears(frames: FrameField, rep: GammaRep | None = None,
                         taus: np.ndarray | None = None) -> np.ndarray:
     """B^i_alpha over the grid, shape (*grid, n, k); equals the Jacobian."""
-    chart = frames.chart
-    rep = rep or build_gamma_rep(chart.n)
+    rep = rep or build_gamma_rep(frames.chart.n)
     if taus is None:
         taus = frame_lift_field(frames, rep)
-    prim = np.stack([primitive_spinor(np.eye(chart.n)[i], rep).components
-                     for i in range(chart.n)])  # (n, d)
-    psi = np.einsum("...cd,id->...ic", taus, prim)  # (*grid, n, d)
-    coeff = np.einsum("...ai,...ib->...ba", frames.tangent, frames.jac)  # (alpha, a)
-    gam = np.stack(rep.gammas[: chart.k])
-    mats = np.einsum("...ba,aij->...bij", coeff, gam)  # (*grid, alpha, d, d)
-    vals = np.einsum("...ic,...bcd,...id->...ib", np.conj(psi), mats, psi)
-    return np.real(vals)
+    return _bilinear_kernel(taus, frames.tangent, frames.jac, rep)
 
 
 def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
                        rep: GammaRep | None = None) -> float:
-    """Single bilinear B^i_alpha at one grid index; equals d_alpha x^i there."""
-    vals = immersion_bilinears(frames, rep)
-    return float(vals[tuple(np.atleast_1d(index))][i, alpha])
+    """Single bilinear B^i_alpha at one grid index; equals d_alpha x^i there.
+
+    Lifts only that point's frame rotation: the bilinear does not depend on
+    the lift's sign, so no staircase chain is needed.
+    """
+    rep = rep or build_gamma_rep(frames.chart.n)
+    index = tuple(np.atleast_1d(index))
+    if len(index) != len(frames.grid_shape):
+        raise IndexError(f"grid index {index} does not match grid {frames.grid_shape}")
+    tangent, normal, jac = frames.tangent[index], frames.normal[index], frames.jac[index]
+    tau = spin_lift(np.concatenate([tangent, normal]), rep).matrix
+    return float(_bilinear_kernel(tau, tangent, jac, rep)[i, alpha])
 
 
 def _cumtrapz(values: np.ndarray, h: float, axis: int) -> np.ndarray:

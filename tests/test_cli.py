@@ -304,3 +304,21 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, lambda cfg, checks, *rest: None)
     assert cli.run(dict(cli.DEFAULTS, command="all", chart="helix-curve", out=str(tmp_path))) == 0
     assert compiled == ["helix-curve"]
+
+
+@pytest.mark.parametrize("bad", [
+    {"refined_grid": 65},
+    {"params": [1]},
+    {"refined_grid": [5, 5]},
+    {"refined_grid": [65]},
+    {"tolerances": {"kernel-orthonormality": "tight"}},
+], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text"])
+def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
+    called = []
+    for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
+                 "suite_dirac", "suite_reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    cfg = dict({"command": "dirac", "chart": "sphere", "grid": 17, "out": str(tmp_path)}, **bad)
+    assert run_cli(["--config", json.dumps(cfg)]) == 2
+    assert called == []
+    assert not (tmp_path / "report-dirac.json").exists()

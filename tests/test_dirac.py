@@ -1,6 +1,10 @@
+import functools
+import types
+
 import numpy as np
 import pytest
 import sympy as sp
+from test_frame_field_scan import surface_in_r5
 
 from subdirac.dirac import (
     DiracOperator,
@@ -13,7 +17,14 @@ from subdirac.dirac import (
     selfadjointization_check,
     submanifold_dirac,
 )
-from subdirac.geometry import ImmersionChart, build_frame_field, catalog_chart, _diff_axis
+from subdirac.dirac import _assemble
+from subdirac.geometry import (
+    FrameField,
+    ImmersionChart,
+    _diff_axis,
+    build_frame_field,
+    catalog_chart,
+)
 from subdirac.spinors import build_gamma_rep
 
 S1, S2 = sp.symbols("s1 s2")
@@ -200,3 +211,133 @@ def test_selfadjointization_sphere():
 def test_selfadjointization_direction_range():
     with pytest.raises(ValueError):
         selfadjointization_check(catalog_chart("sphere"), s_shape=(9, 9), direction=1)
+
+
+# --- gamma-table assembly and factored tube check against the dense forms ----------
+#
+# The references below are the per-point einsum forms that the gamma tables
+# and the separable tube integral replaced.
+
+def reference_assemble(frames, rep, with_mean):
+    k = frames.chart.k
+    gam = np.stack(rep.gammas)
+    axis = np.einsum("...ag,aij->...gij", frames.e_coeff, gam[:k])
+    gbc = np.einsum("bij,cjk->bcik", gam[:k], gam[:k])
+    conn = 0.25 * np.einsum("...gbc,bcij->...gij", frames.omega, gbc)
+    potential = np.einsum("...gij,...gjk->...ik", axis, conn)
+    if with_mean:
+        potential = potential + 0.5 * np.einsum("...m,mij->...ij",
+                                                frames.mean_curvature, gam[k:])
+    return axis, potential
+
+
+def reference_selfadjointization(frames, q_points=33, q_max=0.25, direction=0):
+    """Both tube defects from the full (*grid, Nq) complex test functions."""
+    nk = frames.chart.n - frames.chart.k
+    q = np.linspace(-q_max, q_max, q_points)
+    hq = q[1] - q[0]
+    unit = np.eye(nk)[direction]
+    rho = np.stack([frames.rho_on_tube(qv * unit) for qv in q], axis=-1)
+    if rho.min() <= 0:
+        raise ValueError("tube too thick: rho lost positivity")
+    sqrt_gs = np.sqrt(np.linalg.det(frames.metric))[..., None]
+    su = [(ax - ax[0]) / (ax[-1] - ax[0]) for ax in frames.axes]
+    qu = (q - q[0]) / (q[-1] - q[0])
+    bump = lambda u: np.sin(np.pi * u) ** 2  # noqa: E731
+    sbump = bump(su[0])
+    for u in su[1:]:
+        sbump = np.multiply.outer(sbump, bump(u))
+    prof = sbump[..., None] * bump(qu)
+    phase_s = np.add.reduce(np.meshgrid(*su, indexing="ij"))
+    f = prof * np.exp(1j * (phase_s[..., None] + 2.0 * qu))
+    g = prof * np.exp(1j * (0.5 * phase_s[..., None] - 1.0 * qu))
+
+    def p(field):
+        return 1j * _diff_axis(field, field.ndim - 1, hq)
+
+    w = np.ones(())
+    for ax, h in list(zip(frames.axes, frames.spacings)) + [(q, hq)]:
+        wa = np.full(len(ax), h)
+        wa[[0, -1]] *= 0.5
+        w = np.multiply.outer(w, wa)
+
+    def defect(measure):
+        return abs(np.sum(w * measure * (np.conj(p(f)) * g - np.conj(f) * p(g))))
+
+    return defect(np.sqrt(rho) * sqrt_gs), defect(np.broadcast_to(sqrt_gs, rho.shape))
+
+
+ORACLE_CASES = {
+    "sphere-65": (lambda: catalog_chart("sphere"), (65, 65)),
+    "torus-33": (lambda: catalog_chart("torus"), (33, 33)),
+    "catenoid-33": (lambda: catalog_chart("catenoid"), (33, 33)),
+    "clifford-torus-r4-33": (lambda: catalog_chart("clifford-torus-r4"), (33, 33)),
+    "helix-257": (lambda: catalog_chart("helix-curve"), (257,)),
+    "surface-r5-33": (surface_in_r5, (33, 33)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_frames(case):
+    make_chart, shape = ORACLE_CASES[case]
+    return build_frame_field(make_chart(), shape=shape)
+
+
+def oracle_rep(n, kind):
+    """The standard gamma system, or one conjugated by a random unitary."""
+    rep = build_gamma_rep(n)
+    if kind == "conjugated":
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.normal(size=(rep.dim,) * 2) + 1j * rng.normal(size=(rep.dim,) * 2))
+        rep = rep.conjugated(u)
+    return rep
+
+
+def random_frames(k=3, n=5, shape=(4, 3, 5), seed=11):
+    """Random coefficient fields with an antisymmetric omega on a k = 3 grid.
+
+    For k <= 2 every term of sum C_abc gamma_a gamma_b gamma_c with C
+    antisymmetric in (b, c) has a in {b, c}, and those triple products read
+    the same reversed; only k >= 3 pins the order of the triple table.
+    build_frame_field stops at k = 2, so the fields are drawn directly.
+    """
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=shape + (k, k, k))
+    fields = dict.fromkeys(f.name for f in FrameField.__dataclass_fields__.values())
+    fields.update(chart=types.SimpleNamespace(k=k, n=n), points=np.zeros(shape + (k,)),
+                  e_coeff=rng.normal(size=shape + (k, k)),
+                  omega=omega - np.swapaxes(omega, -1, -2),
+                  mean_curvature=rng.normal(size=shape + (n - k,)))
+    return FrameField(**fields)
+
+
+@pytest.mark.parametrize("kind", ["standard", "conjugated"])
+@pytest.mark.parametrize("case", list(ORACLE_CASES) + ["random-k3"])
+def test_assembly_matches_einsum_reference(case, kind):
+    frames = random_frames() if case == "random-k3" else oracle_frames(case)
+    rep = oracle_rep(frames.chart.n, kind)
+    for with_mean in (False, True):
+        op = _assemble(frames, rep, with_mean)
+        axis, potential = reference_assemble(frames, rep, with_mean)
+        assert op.axis_matrices.shape == axis.shape
+        assert op.potential.shape == potential.shape
+        assert np.abs(op.axis_matrices - axis).max() <= 1e-14
+        assert np.abs(op.potential - potential).max() <= 1e-14
+
+
+def test_assembly_rejects_non_antisymmetric_omega():
+    frames = random_frames()
+    frames.omega = frames.omega + 1e-6
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        _assemble(frames, build_gamma_rep(5), True)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_selfadjointization_matches_dense_reference(case):
+    frames = oracle_frames(case)
+    for direction in range(frames.chart.n - frames.chart.k):
+        expected = reference_selfadjointization(frames, direction=direction)
+        without, with_ = selfadjointization_check(frames.chart, frames=frames,
+                                                  direction=direction)
+        assert abs(without - expected[0]) <= 1e-12 * expected[0]
+        assert abs(with_ - expected[1]) <= 1e-14

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 import sympy as sp
+from test_dirac import ORACLE_CASES, oracle_frames, oracle_rep
 
-from subdirac.dirac import dirac_residual, frame_spinor_fields, submanifold_dirac
+from subdirac.dirac import (
+    dirac_residual,
+    frame_lift_field,
+    frame_spinor_fields,
+    submanifold_dirac,
+)
 from subdirac.geometry import ImmersionChart, build_frame_field, catalog_chart
-from subdirac.spinors import build_gamma_rep
+from subdirac.spinors import build_gamma_rep, primitive_spinor
 from subdirac.weierstrass import (
     MisclassificationError,
     ReconstructionReport,
@@ -36,6 +42,46 @@ def test_bilinear_equals_jacobian(name):
     ff = build_frame_field(catalog_chart(name))
     b = immersion_bilinears(ff)
     assert np.abs(b - ff.jac).max() < 1e-10
+
+
+def reference_bilinears(frames, rep, taus):
+    """The per-point einsum form that the gamma-table product replaced."""
+    n, k = frames.chart.n, frames.chart.k
+    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components for i in range(n)])
+    psi = np.einsum("...cd,id->...ic", taus, prim)
+    coeff = np.einsum("...ai,...ib->...ba", frames.tangent, frames.jac)
+    mats = np.einsum("...ba,aij->...bij", coeff, np.stack(rep.gammas[:k]))
+    return np.real(np.einsum("...ic,...bcd,...id->...ib", np.conj(psi), mats, psi))
+
+
+@pytest.mark.parametrize("kind", ["standard", "conjugated"])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_bilinears_match_einsum_reference(case, kind):
+    frames = oracle_frames(case)
+    rep = oracle_rep(frames.chart.n, kind)
+    taus = frame_lift_field(frames, rep)
+    b = immersion_bilinears(frames, rep, taus=taus)
+    assert b.shape == frames.jac.shape
+    assert np.abs(b - reference_bilinears(frames, rep, taus)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name, shape", [("sphere", (17, 17)),
+                                         ("clifford-torus-r4", (17, 17)),
+                                         ("helix-curve", (33,))])
+def test_single_bilinear_matches_grid(name, shape):
+    ff = build_frame_field(catalog_chart(name), shape=shape)
+    b = immersion_bilinears(ff)
+    n, k = ff.chart.n, ff.chart.k
+    worst = 0.0
+    for index in np.ndindex(*shape):
+        negative = tuple(j - s for j, s in zip(index, shape))
+        for i in range(n):
+            for alpha in range(k):
+                for idx in (index, negative):
+                    worst = max(worst, abs(immersion_bilinear(ff, i, alpha, idx) - b[index][i, alpha]))
+    assert worst <= 1e-14
+    with pytest.raises(IndexError):
+        immersion_bilinear(ff, 0, 0, shape)
 
 
 def test_bilinear_zero_direction():
