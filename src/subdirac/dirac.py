@@ -285,6 +285,7 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
     u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
     - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
+    Raises FocalDistanceError when the tube reaches the focal set.
     """
     frames = frames or build_frame_field(chart, shape=s_shape)
     nk = chart.n - chart.k
@@ -296,8 +297,6 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
 
     unit = np.eye(nk)[direction]
     rho = np.stack([frames.rho_on_tube(qv * unit).ravel() for qv in q])  # (Nq, P)
-    if rho.min() <= 0:
-        raise ValueError("tube too thick: rho lost positivity")
     sqrt_gs = np.sqrt(np.linalg.det(frames.metric))
 
     # complex bump test functions on the tube, factor by factor

@@ -12,7 +12,8 @@ coefficients and the exact spin connection (from the Hessian, with no
 evaluation off the grid).  All of it runs on the whole grid at once: the
 per-point work is batched, and the staircase products are one scan
 (_staircase_scan) down the base column and then across all rows together.
-The pointwise functions keep the per-point kernels.
+The pointwise functions run the same kernels on a one-point grid, with an
+exact normal connection from the completed frame's Gram-Schmidt factor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import sympy as sp
 
 
@@ -31,7 +31,7 @@ class ImmersionError(ValueError):
 
 
 class FocalDistanceError(ValueError):
-    """Tubular metric lost positive definiteness (offset beyond focal set)."""
+    """Normal offset at or beyond the focal set: 1 + q Gamma is not positive."""
 
 
 class IntegrabilityError(ValueError):
@@ -272,7 +272,7 @@ def induced_metric(chart: ImmersionChart, s) -> np.ndarray:
 
 
 def _tangent_frames(jac, name):
-    """Ordered Gram-Schmidt of curve or surface Jacobians (k <= 2) on a grid.
+    """Ordered Gram-Schmidt of curve or surface Jacobians on a grid (any leading shape).
 
     Returns the tangent frames (*grid, k, n) and the upper-triangular factor
     r = tangent @ jac (*grid, k, k), so that jac = tangent^T r and
@@ -281,7 +281,7 @@ def _tangent_frames(jac, name):
     k = 2 sigma_min = r11 r22 / sigma_max with
     sigma_max = (|(r11 + r22, r12)| + |(r11 - r22, r12)|) / 2, which keeps a
     small singular value to full relative accuracy (the eigenvalues of
-    jac^T jac would not).
+    jac^T jac would not).  Raises ValueError for k > 2.
     """
 
     def guard(sigma_min):
@@ -289,6 +289,8 @@ def _tangent_frames(jac, name):
             raise ImmersionError(f"immersion condition violated on the grid of {name}")
 
     k = jac.shape[-1]
+    if k > 2:
+        raise ValueError("tangent frames support curve and surface grids only")
     cols = np.moveaxis(jac, -1, 0).copy()  # contiguous columns
     r = np.zeros(jac.shape[:-2] + (k, k))
     tangent = np.empty(jac.shape[:-2] + (k, jac.shape[-2]))
@@ -304,47 +306,14 @@ def _tangent_frames(jac, name):
     return tangent, r
 
 
-def _gram_schmidt_rows(vectors):
-    """Orthonormalize rows in order; raises on rank deficiency."""
-    out = []
-    for v in vectors:
-        w = v.astype(float).copy()
-        for u in out:
-            w -= (u @ w) * u
-        norm = np.linalg.norm(w)
-        if norm <= 1e-8 * max(1.0, np.linalg.norm(v)):
-            raise ImmersionError("rank-deficient derivative set")
-        out.append(w / norm)
-    return np.array(out)
-
-
-def _complete_normals(tangent, threshold=0.5):
-    """Gram-Schmidt completion with ascending standard basis vectors.
-
-    Vectors whose residual after projecting out the span falls below the
-    threshold are skipped; if the sweep comes up short the threshold is
-    relaxed to the best remaining candidates.
-    """
-    k, n = tangent.shape
-    rows = list(tangent)
-    normals = []
-    for thr in (threshold, 1e-8):
-        for j in range(n):
-            if len(normals) == n - k:
-                break
-            w = np.eye(n)[j].copy()
-            for u in rows:
-                w -= (u @ w) * u
-            norm = np.linalg.norm(w)
-            if norm > thr:
-                w /= norm
-                rows.append(w)
-                normals.append(w)
-        if len(normals) == n - k:
-            break
-    if len(normals) != n - k:
-        raise ImmersionError("could not complete the normal frame")
-    return np.array(normals)
+def _r_inverse(r):
+    """r^-1 written out (k <= 2): e_a = x_alpha (r^-1)^alpha_a, g^-1 = r^-1 r^-T."""
+    r_inv = np.zeros_like(r)
+    r_inv[..., 0, 0] = 1 / r[..., 0, 0]
+    if r.shape[-1] == 2:
+        r_inv[..., 1, 1] = 1 / r[..., 1, 1]
+        r_inv[..., 0, 1] = -r[..., 0, 1] * r_inv[..., 0, 0] * r_inv[..., 1, 1]
+    return r_inv
 
 
 @dataclass(frozen=True)
@@ -361,20 +330,30 @@ class PointFrame:
         return np.vstack([self.tangent, self.normal])
 
 
+def _point_frame(chart, s):
+    """The grid kernels on the one-point grid s: jac, tangent and r, and the
+    raw normal completion turned to det +1 with its pivots (_raw_normals)."""
+    _require_inside(chart, s)
+    jac = chart.jacobian(s)
+    tangent, r = _tangent_frames(jac, chart.name)
+    normal, pivots = _raw_normals(tangent)
+    if pivots is not None and np.linalg.det(np.vstack([tangent, normal])) < 0:
+        normal[-1] = -normal[-1]
+    return jac, tangent, r, normal, pivots
+
+
+def _point_weingarten(chart, s, frames):
+    """jac and Gamma at s in frames.normal (the completion's if frames is None)."""
+    jac, _, r, normal, _ = _point_frame(chart, s)
+    r_inv = _r_inverse(r)
+    normal = normal if frames is None else frames.normal
+    return jac, _weingarten_from_arrays(jac, chart.hessian(s), r_inv @ r_inv.T, normal)
+
+
 def adapted_frames(chart: ImmersionChart, s) -> PointFrame:
     """Tangent frame from ordered Gram-Schmidt, deterministic normal completion."""
-    _require_inside(chart, s)
     s = np.asarray(s, dtype=float)
-    jac = chart.jacobian(s)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] <= 1e-8:
-        raise ImmersionError(f"immersion condition violated at s={s}")
-    tangent = _gram_schmidt_rows(jac.T)
-    normal = _complete_normals(tangent)
-    frame = np.vstack([tangent, normal])
-    if np.linalg.det(frame) < 0:
-        normal = normal.copy()
-        normal[-1] = -normal[-1]
+    _, tangent, _, normal, _ = _point_frame(chart, s)
     return PointFrame(s, tangent, normal)
 
 
@@ -391,83 +370,91 @@ def _weingarten_from_arrays(jac, hess, metric_inv, normal):
 def weingarten(chart: ImmersionChart, s, frames: PointFrame):
     """(Gamma^beta_{adot alpha}, Gammatilde^adot_{alpha bdot}, Gamma_adot) at s.
 
-    Tangential coefficients come from closed-form second derivatives; the
-    normal-connection block differentiates the deterministic completion with
-    a local central difference of step h_fd.
+    Gamma and the mean curvature Gamma_adot are in frames.normal.
+    Gammatilde_alpha = b d_alpha(b)^T is the exact normal connection of the
+    adapted_frames completion b, written in frames.normal = Lambda b as
+    Lambda Gammatilde_alpha Lambda^T.  F = [tangent; b] is the ordered
+    Gram-Schmidt of A = [jac^T; E], E the basis rows the completion accepted,
+    so A = L F with L = A F^T lower triangular and K_alpha = d_alpha(F) F^T
+    = U - U^T, U the strict upper part of L^-1 [hess_alpha^T; 0] F^T; then
+    Gammatilde_alpha = -K_alpha[k:, k:], which is 0 in codimension 1.
     """
-    s = np.asarray(s, dtype=float)
-    jac = chart.jacobian(s)
+    jac, tangent, r, normal, pivots = _point_frame(chart, s)
     hess = chart.hessian(s)
-    g = np.einsum("ia,ib->ab", jac, jac)
-    ginv = np.linalg.inv(g)
-    gamma = _weingarten_from_arrays(jac, hess, ginv, frames.normal)
+    r_inv = _r_inverse(r)
+    gamma = _weingarten_from_arrays(jac, hess, r_inv @ r_inv.T, frames.normal)
     mean = np.einsum("daa->d", gamma)  # trace over the coordinate/mixed pair
 
     k, n = chart.k, chart.n
-    gtilde = np.zeros((k, n - k, n - k))
-    for a in range(k):
-        step = chart.h_fd * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
-        e = np.zeros(k)
-        e[a] = step
-        bp = _aligned_normal(chart, s + e, frames)
-        bm = _aligned_normal(chart, s - e, frames)
-        db = (bp - bm) / (2 * step)
-        m = frames.normal @ db.T
-        gtilde[a] = 0.5 * (m - m.T)
-    return gamma, gtilde, mean
+    if pivots is None:
+        return gamma, np.zeros((k, n - k, n - k)), mean
+    frame = np.vstack([tangent, normal])
+    low = np.tril(np.vstack([jac.T, np.eye(n)[pivots]]) @ frame.T)
+    # rows k: and columns k: of L^-1 [hess_alpha^T; 0] F^T, one block per alpha
+    m = np.linalg.inv(low)[k:, :k] @ hess.T @ normal.T
+    u = np.triu(m, 1)
+    lam = frames.normal @ normal.T
+    return gamma, lam @ (np.swapaxes(u, -1, -2) - u) @ lam.T, mean
 
 
-def _aligned_normal(chart, s, ref: PointFrame):
-    """Normal completion at s rotated (in its own span) closest to ref's."""
-    tangent = _gram_schmidt_rows(chart.jacobian(s).T)
-    normal = _complete_normals(tangent)
-    return _procrustes_align(normal, ref.normal)
+def _tube_factor(gamma, q):
+    """(q Gamma, det(1 + q Gamma)) over the leading shape of gamma, k <= 2.
 
-
-def _procrustes_align(b_cur, b_ref):
-    """Rotate/reflect the rows of b_cur within their span closest to b_ref.
-
-    The full orthogonal group is allowed: the raw basis completion can land
-    in either orientation from point to point, and smoothing must be free
-    to undo that (a single global flip fixes the overall orientation later).
+    sqrt(rho) = det and g_q = (1 + q Gamma) g (1 + q Gamma)^T.  Raises
+    FocalDistanceError where the offset reaches the focal set, i.e. where
+    1 + q Gamma has an eigenvalue <= 0: det <= 0 or, for k = 2 (real
+    eigenvalues, Gamma being g-self-adjoint), trace <= 0, which catches the
+    sphere's det (1 + q/r)^2 touching 0 at q = -r without changing sign.
     """
-    m = b_ref @ b_cur.T
-    u, _, vt = np.linalg.svd(m)
-    return (u @ vt) @ b_cur
+    k = np.shape(gamma)[-1]
+    if k > 2:
+        raise ValueError("tube factors support curve and surface charts only")
+    qg = np.tensordot(gamma, q, axes=([-3], [0]))  # row alpha, column beta
+    det = trace = 1 + qg[..., 0, 0]
+    if k == 2:
+        last = 1 + qg[..., 1, 1]
+        det, trace = det * last - qg[..., 0, 1] * qg[..., 1, 0], trace + last
+    if not (det.min() > 0 and trace.min() > 0):  # a NaN fails too
+        raise FocalDistanceError("normal offset reaches the focal set: 1 + q Gamma "
+                                 "has an eigenvalue <= 0")
+    return qg, det
+
+
+def _offset(chart, s, q):
+    _require_inside(chart, s)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.shape != (chart.n - chart.k,):
+        raise ValueError(f"offset q needs {chart.n - chart.k} components")
+    return q
 
 
 def tubular_metric(chart: ImmersionChart, s, q, frames: PointFrame = None,
                    gamma=None) -> np.ndarray:
     """Metric of the offset chart x + q^adot b_adot in a parallel normal frame.
 
-    g_q = g + [q Gamma]^T g + g [q Gamma] + [q Gamma]^T g [q Gamma], exact
-    when the normal frame is parallel along s.
+    g_q = (1 + q Gamma) g (1 + q Gamma)^T, exact when the normal frame is
+    parallel along s; Gamma in frames.normal unless given.  Raises
+    FocalDistanceError at or beyond the focal set.
     """
-    _require_inside(chart, s)
-    s = np.asarray(s, dtype=float)
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (chart.n - chart.k,):
-        raise ValueError(f"offset q needs {chart.n - chart.k} components")
-    jac = chart.jacobian(s)
-    g = np.einsum("ia,ib->ab", jac, jac)
+    q = _offset(chart, s, q)
     if gamma is None:
-        frames = frames or adapted_frames(chart, s)
-        hess = chart.hessian(s)
-        gamma = _weingarten_from_arrays(jac, hess, np.linalg.inv(g), frames.normal)
-    qg = np.einsum("d,dab->ab", q, gamma)  # row alpha, column beta: q^d Gamma^beta_{d alpha}
-    gq = g + qg @ g + g @ qg.T + qg @ g @ qg.T
-    try:
-        np.linalg.cholesky(gq)
-    except np.linalg.LinAlgError as exc:
-        raise FocalDistanceError("offset metric lost positive definiteness") from exc
-    return gq
+        jac, gamma = _point_weingarten(chart, s, frames)
+    else:
+        jac = chart.jacobian(s)
+    a = np.eye(chart.k) + _tube_factor(gamma, q)[0]
+    return a @ (jac.T @ jac) @ a.T
 
 
 def rho(chart: ImmersionChart, s, q, frames: PointFrame = None, gamma=None) -> float:
-    """det(tubular metric)/det(induced metric); sqrt(rho) = 1 + Gamma.q + O(q^2)."""
-    g = induced_metric(chart, s)
-    gq = tubular_metric(chart, s, q, frames=frames, gamma=gamma)
-    return float(np.linalg.det(gq) / np.linalg.det(g))
+    """det(tubular metric)/det(induced metric) = det(1 + q Gamma)^2.
+
+    sqrt(rho) = 1 + Gamma.q + O(q^2).  With gamma given the chart is not
+    evaluated.  Raises FocalDistanceError at or beyond the focal set.
+    """
+    q = _offset(chart, s, q)
+    if gamma is None:
+        _, gamma = _point_weingarten(chart, s, frames)
+    return float(_tube_factor(gamma, q)[1] ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -527,17 +514,12 @@ class FrameField:
         return np.concatenate([self.tangent, self.normal], axis=-2)
 
     def rho_on_tube(self, q) -> np.ndarray:
-        """rho(s, q) over the grid for one normal offset vector q.
+        """rho(s, q) = det(1 + q Gamma)^2 over the grid for one normal offset q.
 
-        det g_q = det(g) det(1 + q Gamma)^2 in a parallel frame; the k x k
-        determinant (k <= 2 on a frame field) is written out.
+        Raises FocalDistanceError where the offset reaches the focal set
+        (_tube_factor).
         """
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        qg = np.tensordot(self.weingarten, q, axes=([-3], [0]))  # (*grid, k, k)
-        damp = 1 + qg[..., 0, 0]
-        if self.chart.k == 2:
-            damp = damp * (1 + qg[..., 1, 1]) - qg[..., 0, 1] * qg[..., 1, 0]
-        return damp * damp
+        return _tube_factor(self.weingarten, np.atleast_1d(np.asarray(q, dtype=float)))[1] ** 2
 
 
 def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -584,36 +566,59 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def _complete_normal_stack(tangent):
-    """_complete_normals at every point of a (P, k, n) stack of tangent frames.
+    """Gram-Schmidt completion of (P, k, n) tangent frames with ascending
+    standard basis vectors, skipping residuals <= 0.5 (<= 1e-8 in a second
+    pass for the points still short).
 
-    Each point keeps a zero-padded (n, n) stack of rows, tangent rows
-    first, and each candidate is projected against all n slots in order.
-    An empty slot is an exact no-op, so every point does the arithmetic of
-    the scalar loop.  The relaxed pass runs only for the points still short.
-    Shape (P, n-k, n).
+    Each point keeps a zero-padded (n, n) stack of rows, tangent rows first;
+    a candidate is projected against the filled slots in order (an empty
+    slot would be an exact no-op), the arithmetic of a per-point loop.
+    Returns the normals (P, n-k, n) and the accepted basis indices (P, n-k).
     """
     points, k, n = tangent.shape
     rows = np.zeros((points, n, n))
     rows[:, :k] = tangent
+    pivots = np.zeros((points, n), dtype=int)
     count = np.full(points, k)
     short = np.arange(points)
     for thr in (0.5, 1e-8):
-        sub, filled = rows[short], count[short]
+        sub, piv, filled = rows[short], pivots[short], count[short]
         for j in range(n):
             w = np.zeros((len(short), n))
             w[:, j] = 1.0
-            for slot in range(n):
+            for slot in range(filled.max()):
                 u = sub[:, slot]
                 w -= np.einsum("pi,pi->p", u, w)[:, None] * u
             norm = np.linalg.norm(w, axis=-1)
             hit = np.flatnonzero((norm > thr) & (filled < n))
             sub[hit, filled[hit]] = w[hit] / norm[hit, None]
+            piv[hit, filled[hit]] = j
             filled[hit] += 1
-        rows[short], count[short] = sub, filled
+            if filled.min() == n:
+                break
+        rows[short], pivots[short], count[short] = sub, piv, filled
         short = short[filled < n]
         if not len(short):
-            return rows[:, k:]
+            return rows[:, k:], pivots[:, k:]
     raise ImmersionError("could not complete the normal frame")
+
+
+def _raw_normals(tangent):
+    """Unsmoothed normal frames (*grid, n-k, n) and completion pivots.
+
+    Surfaces in R^3 take the cross product and plane curves the quarter
+    turn, both det +1, with pivots None; codimension >= 2 completes with
+    standard basis vectors (_complete_normal_stack).
+    """
+    lead, (k, n) = tangent.shape[:-2], tangent.shape[-2:]
+    if (k, n) == (2, 3):
+        nrm = np.cross(tangent[..., 0, :], tangent[..., 1, :])[..., None, :]
+        return nrm / np.linalg.norm(nrm, axis=-1)[..., None], None
+    if (k, n) == (1, 2):
+        t = tangent[..., 0, :]
+        return np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None, :], None
+    b, pivots = _complete_normal_stack(tangent.reshape(-1, k, n))
+    return b.reshape(lead + (n - k, n)), pivots.reshape(lead + (n - k,))
 
 
 def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
@@ -630,10 +635,9 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     Surfaces in R^3 and plane curves take their normal from the cross
     product and the quarter turn.  In higher codimension every point
-    completes its tangent rows with standard basis vectors
-    (_complete_normals, all points at once), and the completions b(s) are
-    smoothed along the staircase by Procrustes alignment to the
-    predecessor.  As polar(Q M) = Q polar(M), the aligned frame is
+    completes its tangent rows with standard basis vectors (_raw_normals,
+    all points at once), and the completions b(s) are smoothed along the
+    staircase by Procrustes alignment to the predecessor.  As polar(Q M) = Q polar(M), the aligned frame is
     Q(s) b(s) with Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one
     stacked SVD and one staircase scan of the P^T.  P(s) can be a
     reflection, so the order of that product matters.  The field is then
@@ -672,30 +676,19 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     tangent, r = _tangent_frames(jac, chart.name)
 
-    # normal completion: fast paths for surfaces in R^3 and plane curves
-    if (k, n) == (2, 3):
-        nrm = np.cross(tangent[..., 0, :], tangent[..., 1, :])[..., None, :]
-        normal = nrm / np.linalg.norm(nrm, axis=-1)[..., None]
-    elif (k, n) == (1, 2):
-        t = tangent[..., 0, :]
-        normal = np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None, :]
-    else:
-        b = _complete_normal_stack(tangent.reshape(-1, k, n)).reshape(shape + (nk, n))
-        u, _, vt = np.linalg.svd(_staircase_previous(b, len(shape)) @ np.swapaxes(b, -1, -2))
+    normal, pivots = _raw_normals(tangent)
+    if pivots is not None:  # the closed forms need no smoothing
+        u, _, vt = np.linalg.svd(_staircase_previous(normal, len(shape))
+                                 @ np.swapaxes(normal, -1, -2))
         q_t = _staircase_scan(np.swapaxes(u @ vt, -1, -2), np.eye(nk))
-        normal = np.swapaxes(q_t, -1, -2) @ b
+        normal = np.swapaxes(q_t, -1, -2) @ normal
         det = np.linalg.det(np.concatenate([tangent, normal], axis=-2))
         if det.max() - det.min() > 1.0:  # dets are +/-1; a mix means a seam
             raise ImmersionError("normal-frame smoothing left an orientation seam")
         if det.flat[0] < 0:
             normal[..., -1, :] = -normal[..., -1, :]
 
-    # jac = tangent^T R, so e_a = x_alpha (R^-1)^alpha_a and g^-1 = R^-1 R^-T
-    r_inv = np.zeros_like(r)
-    r_inv[..., 0, 0] = 1 / r[..., 0, 0]
-    if k == 2:
-        r_inv[..., 1, 1] = 1 / r[..., 1, 1]
-        r_inv[..., 0, 1] = -r[..., 0, 1] * r_inv[..., 0, 0] * r_inv[..., 1, 1]
+    r_inv = _r_inverse(r)
     e_coeff = np.swapaxes(r_inv, -1, -2)
     metric = np.einsum("...ia,...ib->...ab", jac, jac)
     metric_inv = r_inv @ e_coeff
@@ -725,6 +718,8 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
             step = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)],
                             axis=-2)
         else:
+            import scipy.linalg
+
             step = scipy.linalg.expm(gen)
         y = _staircase_scan(step, np.eye(nk))
         lam = np.swapaxes(y, -1, -2)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import MAX_DIMENSION, Multivector
 
@@ -251,6 +250,8 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
     if r.shape != (rep.m, rep.m):
         raise ValueError(f"expected {rep.m}x{rep.m} rotation")
     _assert_special_orthogonal(r, tol)
+
+    import scipy.linalg
 
     t, z = scipy.linalg.schur(r, output="real")
     tau = np.eye(rep.dim, dtype=complex)

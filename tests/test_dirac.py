@@ -19,6 +19,7 @@ from subdirac.dirac import (
 )
 from subdirac.dirac import _assemble
 from subdirac.geometry import (
+    FocalDistanceError,
     FrameField,
     ImmersionChart,
     _diff_axis,
@@ -206,6 +207,12 @@ def test_selfadjointization_sphere():
         prev = without
     # the geometric-measure defect converges to a positive constant
     assert abs(prev - without) < 1e-12
+
+
+def test_selfadjointization_rejects_a_tube_past_the_focal_set():
+    # q = -1 lies between the q samples, so no sample has rho = 0
+    with pytest.raises(FocalDistanceError):
+        selfadjointization_check(catalog_chart("sphere"), s_shape=(17, 17), q_max=1.5)
 
 
 def test_selfadjointization_direction_range():

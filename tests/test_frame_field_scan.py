@@ -1,4 +1,4 @@
-"""The batched build_frame_field against the per-point staircase loops.
+"""The batched frame kernels against the per-point loops.
 
 The reference completes the normal frame point by point, aligns each
 completion to its staircase predecessor by Procrustes, and transports the
@@ -6,7 +6,10 @@ normal frame one edge at a time, the way the grid frame field used to be
 built.  It also keeps the slow forms of the Gram-Schmidt quantities:
 e_coeff from the inverted metric, and omega from central differences of
 the tangent frames at s +- h_fd.  The closed-form immersion guard is
-checked against the SVD.
+checked against the SVD.  The pointwise functions, one-point calls into
+the grid kernels, are checked against the scalar per-point path they
+replaced and their exact normal connection against central differences
+of the completed frame.
 """
 
 import dataclasses
@@ -21,17 +24,79 @@ from test_lift_field import staircase_indices
 
 from subdirac import geometry
 from subdirac.geometry import (
+    CATALOG,
     ImmersionChart,
     ImmersionError,
     _complete_normal_stack,
-    _complete_normals,
     _diff_axis,
-    _procrustes_align,
     _tangent_frames,
     _weingarten_from_arrays,
+    adapted_frames,
     build_frame_field,
     catalog_chart,
+    weingarten,
 )
+
+
+def gram_schmidt_rows(vectors):
+    """Orthonormalize rows in order; raises on rank deficiency."""
+    out = []
+    for v in vectors:
+        w = v.astype(float).copy()
+        for u in out:
+            w -= (u @ w) * u
+        norm = np.linalg.norm(w)
+        if norm <= 1e-8 * max(1.0, np.linalg.norm(v)):
+            raise ImmersionError("rank-deficient derivative set")
+        out.append(w / norm)
+    return np.array(out)
+
+
+def complete_normals_with_pivots(tangent, threshold=0.5):
+    """Gram-Schmidt completion with ascending standard basis vectors.
+
+    Vectors whose residual after projecting out the span falls below the
+    threshold are skipped; if the sweep comes up short the threshold is
+    relaxed to the best remaining candidates.  Also returns the accepted
+    basis indices in order of acceptance.
+    """
+    k, n = tangent.shape
+    rows = list(tangent)
+    normals, pivots = [], []
+    for thr in (threshold, 1e-8):
+        for j in range(n):
+            if len(normals) == n - k:
+                break
+            w = np.eye(n)[j].copy()
+            for u in rows:
+                w -= (u @ w) * u
+            norm = np.linalg.norm(w)
+            if norm > thr:
+                w /= norm
+                rows.append(w)
+                normals.append(w)
+                pivots.append(j)
+        if len(normals) == n - k:
+            break
+    if len(normals) != n - k:
+        raise ImmersionError("could not complete the normal frame")
+    return np.array(normals), np.array(pivots)
+
+
+def complete_normals(tangent):
+    return complete_normals_with_pivots(tangent)[0]
+
+
+def procrustes_align(b_cur, b_ref):
+    """Rotate/reflect the rows of b_cur within their span closest to b_ref.
+
+    The full orthogonal group is allowed: the raw basis completion can land
+    in either orientation from point to point, and smoothing must be free
+    to undo that (a single global flip fixes the overall orientation later).
+    """
+    m = b_ref @ b_cur.T
+    u, _, vt = np.linalg.svd(m)
+    return (u @ vt) @ b_cur
 
 
 def so_exponential(a):
@@ -83,9 +148,9 @@ def reference_frame_field(chart, shape):
     normal = np.empty(shape + (nk, n))
     cache = {}
     for idx, prev in staircase_indices(shape):
-        b = _complete_normals(tangent[idx])
+        b = complete_normals(tangent[idx])
         if prev is not None:
-            b = _procrustes_align(b, cache[prev])
+            b = procrustes_align(b, cache[prev])
         cache[idx] = b
         normal[idx] = b
     det = np.linalg.det(np.concatenate([tangent, normal], axis=-2))
@@ -223,7 +288,7 @@ def test_helix_steps_include_reflections():
     # the relative Procrustes chain multiplies on the right, which matters
     # only when some step is a reflection
     ff = build_frame_field(catalog_chart("helix-curve"), shape=(257,))
-    b = _complete_normal_stack(ff.tangent)
+    b, _ = _complete_normal_stack(ff.tangent)
     m = np.einsum("pdi,pei->pde", b[:-1], b[1:])
     u, _, vt = np.linalg.svd(m)
     assert (np.linalg.det(u @ vt) < 0).any()
@@ -254,8 +319,10 @@ def tangent_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(tangent_stacks())
 def test_grid_completion_matches_scalar(tangent):
-    expected = np.stack([_complete_normals(t) for t in tangent])
-    assert np.abs(_complete_normal_stack(tangent) - expected).max() <= 1e-14
+    expected = [complete_normals_with_pivots(t) for t in tangent]
+    b, pivots = _complete_normal_stack(tangent)
+    assert np.abs(b - np.stack([e[0] for e in expected])).max() <= 1e-14
+    assert np.array_equal(pivots, np.stack([e[1] for e in expected]))
 
 
 def test_grid_completion_takes_the_relaxed_pass():
@@ -265,14 +332,14 @@ def test_grid_completion_takes_the_relaxed_pass():
     tangent = np.stack([spread, np.eye(n)[:4], np.eye(n)[[4, 0, 2, 1]]])
     residuals = np.linalg.norm(np.eye(n) - spread.T @ spread, axis=-1)
     assert (residuals <= 0.5).all()  # the first pass accepts nothing
-    expected = np.stack([_complete_normals(t) for t in tangent])
-    assert np.abs(_complete_normal_stack(tangent) - expected).max() <= 1e-14
+    expected = np.stack([complete_normals(t) for t in tangent])
+    assert np.abs(_complete_normal_stack(tangent)[0] - expected).max() <= 1e-14
 
 
 def test_grid_completion_failure_message():
     tangent = np.stack([np.eye(4)[:2], np.full((2, 4), np.nan)])
     with pytest.raises(ImmersionError) as scalar:
-        _complete_normals(tangent[1])
+        complete_normals(tangent[1])
     with pytest.raises(ImmersionError) as grid:
         _complete_normal_stack(tangent)
     assert str(grid.value) == str(scalar.value) == "could not complete the normal frame"
@@ -291,22 +358,104 @@ def test_orientation_seam_is_reported():
     assert str(grid.value) == str(loops.value) == "normal-frame smoothing left an orientation seam"
 
 
-def test_three_axis_grid_rejected():
-    chart = ImmersionChart.from_sympy(
+def solid_in_r5():
+    return ImmersionChart.from_sympy(
         "solid-r5", [_S1, _S2, _S3, _S1 * _S2, _S2 * _S3], [_S1, _S2, _S3],
         [(0.0, 1.0)] * 3, grid_shape=(8, 8, 8))
+
+
+def test_three_axis_grid_rejected():
+    chart = solid_in_r5()
     with pytest.raises(ValueError, match="curve and surface grids only"):
         build_frame_field(chart)
     with pytest.raises(ValueError, match="curve and surface grids only"):
         geometry._staircase_scan(np.zeros((8, 8, 8, 2, 2)), np.eye(2))
 
 
+def test_pointwise_rejects_three_parameters():
+    chart = solid_in_r5()
+    s = np.array([0.3, 0.4, 0.5])
+    with pytest.raises(ValueError, match="curve and surface grids only"):
+        adapted_frames(chart, s)
+    with pytest.raises(ValueError, match="curve and surface grids only"):
+        _tangent_frames(chart.jacobian(s), chart.name)
+
+
+# --- pointwise functions: one-point calls into the grid kernels ----------------
+
+def scalar_point_frame(chart, s):
+    """The per-point frame path: SVD guard, row Gram-Schmidt, completion, det +1."""
+    jac = chart.jacobian(s)
+    if np.linalg.svd(jac, compute_uv=False)[-1] <= 1e-8:
+        raise ImmersionError(f"immersion condition violated at s={s}")
+    tangent = gram_schmidt_rows(jac.T)
+    normal, pivots = complete_normals_with_pivots(tangent)
+    if np.linalg.det(np.vstack([tangent, normal])) < 0:
+        normal[-1] = -normal[-1]
+    return tangent, normal, pivots
+
+
+def seeded_points(chart, count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.array([lo + (hi - lo) * rng.uniform(0.1, 0.9) for lo, hi in chart.rectangle])
+            for _ in range(count)]
+
+
+POINTWISE_CHARTS = sorted(CATALOG) + ["surface-r5"]
+
+
+def pointwise_chart(name):
+    return surface_in_r5() if name == "surface-r5" else catalog_chart(name)
+
+
+@pytest.mark.parametrize("name", POINTWISE_CHARTS)
+def test_pointwise_matches_scalar_path(name):
+    chart = pointwise_chart(name)
+    for s in seeded_points(chart, 4, seed=11):
+        tangent, normal, _ = scalar_point_frame(chart, s)
+        fr = adapted_frames(chart, s)
+        assert np.abs(fr.tangent - tangent).max() <= 1e-14
+        assert np.abs(fr.normal - normal).max() <= 1e-14
+        jac, hess = chart.jacobian(s), chart.hessian(s)
+        gamma = _weingarten_from_arrays(jac, hess, np.linalg.inv(jac.T @ jac), normal)
+        got, _, mean = weingarten(chart, s, fr)
+        assert np.abs(got - gamma).max() <= 1e-12
+        assert np.abs(mean - np.einsum("daa->d", gamma)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["surface-r5", "helix-curve"])
+def test_pointwise_normal_connection_matches_central_difference(name):
+    """Gammatilde_alpha = b d_alpha(b)^T of the completion, in the caller's frame."""
+    chart = pointwise_chart(name)
+    k, nk = chart.k, chart.n - chart.k
+    h = 1e-5
+    rng = np.random.default_rng(5)
+    for s in seeded_points(chart, 4, seed=3):
+        _, b, pivots = scalar_point_frame(chart, s)
+        expected = np.empty((k, nk, nk))
+        for a in range(k):
+            e = h * np.eye(k)[a]
+            _, b_plus, pivots_plus = scalar_point_frame(chart, s + e)
+            _, b_minus, pivots_minus = scalar_point_frame(chart, s - e)
+            assert np.array_equal(pivots_plus, pivots) and np.array_equal(pivots_minus, pivots)
+            expected[a] = b @ ((b_plus - b_minus) / (2 * h)).T
+        assert np.abs(expected).max() > 0.01  # the completion does rotate here
+        fr = adapted_frames(chart, s)
+        _, gtilde, _ = weingarten(chart, s, fr)
+        assert np.abs(gtilde - expected).max() <= 1e-8
+        # a constant rotation of the caller's normal frame conjugates it
+        lam = np.linalg.qr(rng.normal(size=(nk, nk)))[0]
+        turned = dataclasses.replace(fr, normal=lam @ fr.normal)
+        _, gtilde_turned, _ = weingarten(chart, s, turned)
+        assert np.abs(gtilde_turned - lam @ expected @ lam.T).max() <= 1e-8
+
+
 @pytest.mark.parametrize("name", ["clifford-torus-r4", "helix-curve"])
 def test_grid_build_calls_no_pointwise_kernel(monkeypatch, name):
     def pointwise(*args):
-        raise AssertionError("per-point kernel called from build_frame_field")
+        raise AssertionError("one-point kernel called from build_frame_field")
 
-    monkeypatch.setattr(geometry, "_complete_normals", pointwise)
-    monkeypatch.setattr(geometry, "_procrustes_align", pointwise)
+    monkeypatch.setattr(geometry, "_point_frame", pointwise)
+    monkeypatch.setattr(geometry, "_point_weingarten", pointwise)
     ff = build_frame_field(catalog_chart(name))
     assert np.isfinite(ff.normal).all()

@@ -263,6 +263,37 @@ def test_focal_distance_guard():
         tubular_metric(chart, mid(chart), [-1.0])  # offset through the center
 
 
+def test_focal_guard_past_the_sphere_center():
+    # det(1 + q Gamma) = (1 + q)^2 > 0 at q = -1.5; the offset sphere has
+    # turned inside out, which the trace of 1 + q Gamma shows
+    chart = catalog_chart("sphere", r=1.0)
+    s = mid(chart) + 0.1
+    with pytest.raises(FocalDistanceError):
+        tubular_metric(chart, s, [-1.5])
+    with pytest.raises(FocalDistanceError):
+        rho(chart, s, [-1.5])
+    with pytest.raises(FocalDistanceError):
+        build_frame_field(chart, shape=(9, 9)).rho_on_tube([-1.5])
+
+
+def test_focal_guard_between_the_focal_points():
+    # past the nearer focal point of the torus the tube factor turns negative
+    chart = catalog_chart("torus")
+    s = mid(chart) + 0.3
+    fr = adapted_frames(chart, s)
+    gamma, _, _ = weingarten(chart, s, fr)
+    kappa = np.linalg.eigvals(gamma[0]).real
+    near, far = kappa[np.argsort(-np.abs(kappa))]
+    q = -1.2 / near
+    assert 1 + q * far > 0
+    for g in (None, gamma):
+        with pytest.raises(FocalDistanceError):
+            rho(chart, s, [q], gamma=g)
+        with pytest.raises(FocalDistanceError):
+            tubular_metric(chart, s, [q], gamma=g)
+    assert rho(chart, s, [-0.8 / near], gamma=gamma) > 0
+
+
 def test_tubular_metric_matches_offset_surface_oracle():
     # independent route: numerically differentiate the offset immersion
     # x + q^d b_d(s) built from the parallel frame field and form its metric;
