@@ -1,8 +1,10 @@
 """Differential geometry of k-charts immersed in flat euclidean R^n.
 
-Charts are parametric maps on a rectangle with closed-form first and second
-derivatives (sympy-compiled for the catalogued surfaces, central finite
-differences for ad-hoc callables).  Frame fields carry an orthonormal
+Charts are parametric maps on a rectangle with exact first and second
+derivatives: numpy expressions (the catalogued surfaces, and callables
+given to from_callable) carry them through one pass of second-order jets,
+and sympy expressions have theirs compiled.  Callables that reject jets
+fall back to central finite differences.  Frame fields carry an orthonormal
 tangent frame from ordered Gram-Schmidt of the coordinate derivatives and a
 normal frame completed from the standard basis, smoothed across the grid
 and rotated into a parallel frame (vanishing normal-connection
@@ -18,12 +20,12 @@ exact normal connection from the completed frame's Gram-Schmidt factor.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 
 class ImmersionError(ValueError):
@@ -39,10 +41,278 @@ class IntegrabilityError(ValueError):
 
 
 # --------------------------------------------------------------------------
+# second-order jets
+
+
+class Jet:
+    """Second-order forward-mode jet: a value with its gradient and Hessian.
+
+    v has the value shape; the derivatives in the k parameters are stacked
+    in front, d as (k, *shape) and dd as (k, k, *shape), and dd None stands
+    for zero (constants and affine expressions).  The arithmetic operators,
+    constant powers and the ufuncs of _JET_FUNCTIONS follow the truncated
+    Taylor rules (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+    ch. 13), so a numpy expression in the parameters evaluated on
+    Jet.variables(s) carries the exact first and second derivatives along
+    with its value.  Indexing and np.stack shape the result.  Anything else
+    (math.sin, float(), comparisons, np.asarray, other numpy functions)
+    raises TypeError.
+    """
+
+    __slots__ = ("v", "d", "dd")
+
+    def __init__(self, v, d, dd=None):
+        self.v, self.d, self.dd = v, d, dd
+
+    @classmethod
+    def variables(cls, s):
+        """The parameter points s (..., k) as a jet: d[a, ..., b] = delta_ab."""
+        s = np.asarray(s, dtype=float)
+        k = s.shape[-1]
+        d = np.zeros((k,) + s.shape)
+        for a in range(k):
+            d[a, ..., a] = 1.0
+        return cls(s, d)
+
+    @property
+    def shape(self):
+        return np.shape(self.v)
+
+    def __getitem__(self, idx):
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        dd = None if self.dd is None else self.dd[(slice(None), slice(None)) + idx]
+        return Jet(self.v[idx], self.d[(slice(None),) + idx], dd)
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a jet has no plain array value")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _JET_FUNCTIONS:
+            (u,) = inputs
+            return u._chain(*_JET_FUNCTIONS[ufunc](u.v))
+        if ufunc in _JET_OPERATORS:
+            return _JET_OPERATORS[ufunc](*inputs)
+        return NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.stack:
+            return _jet_stack(*args, **kwargs)
+        return NotImplemented
+
+    def _chain(self, f, f1, f2):
+        """f(self) from f, f' and f'' at the value."""
+        d = self.d * f1
+        dd = self.d[:, None] * self.d[None] * f2
+        if self.dd is not None:
+            dd += self.dd * f1
+        return Jet(f, d, dd)
+
+    def _grown(self, ndim):
+        """(d, dd) with singleton value axes in front up to ndim value axes."""
+        extra = ndim - np.ndim(self.v)
+        if extra <= 0:
+            return self.d, self.dd
+        k = self.d.shape[0]
+        d = self.d.reshape((k,) + (1,) * extra + self.d.shape[1:])
+        dd = None if self.dd is None else self.dd.reshape((k, k) + (1,) * extra
+                                                         + self.dd.shape[2:])
+        return d, dd
+
+    def __add__(self, other):
+        return _jet_linear(np.add, self, other)
+
+    def __radd__(self, other):
+        return _jet_linear(np.add, other, self)
+
+    def __sub__(self, other):
+        return _jet_linear(np.subtract, self, other)
+
+    def __rsub__(self, other):
+        return _jet_linear(np.subtract, other, self)
+
+    def __mul__(self, other):
+        return _jet_multiply(self, other)
+
+    def __rmul__(self, other):
+        return _jet_multiply(other, self)
+
+    def __truediv__(self, other):
+        return _jet_divide(self, other)
+
+    def __rtruediv__(self, other):
+        return _jet_divide(other, self)
+
+    def __pow__(self, p):
+        return _jet_power(self, p)
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d, None if self.dd is None else -self.dd)
+
+
+def _jet_parts(u, ndim):
+    """(value, d, dd) of a jet or a constant, derivatives grown to ndim value axes."""
+    if isinstance(u, Jet):
+        return (u.v,) + u._grown(ndim)
+    return u, None, None
+
+
+def _jet_sum(op, a, b):
+    """op(a, b) for op add or subtract, None standing for zero."""
+    if b is None:
+        return a
+    if a is None:
+        return b if op is np.add else -b
+    return op(a, b)
+
+
+def _jet_linear(op, a, b):
+    av = a.v if isinstance(a, Jet) else a
+    bv = b.v if isinstance(b, Jet) else b
+    v = op(av, bv)
+    nd = np.ndim(v)
+    _, ad, add = _jet_parts(a, nd)
+    _, bd, bdd = _jet_parts(b, nd)
+    return Jet(v, _jet_sum(op, ad, bd), _jet_sum(op, add, bdd))
+
+
+def _jet_multiply(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a
+    if not isinstance(b, Jet):
+        v = a.v * b
+        d, dd = a._grown(np.ndim(v))
+        return Jet(v, d * b, None if dd is None else dd * b)
+    v = a.v * b.v
+    nd = np.ndim(v)
+    (ad, add), (bd, bdd) = a._grown(nd), b._grown(nd)
+    cross = ad[:, None] * bd[None]
+    dd = cross + np.swapaxes(cross, 0, 1)
+    if add is not None:
+        dd += add * b.v
+    if bdd is not None:
+        dd += a.v * bdd
+    return Jet(v, ad * b.v + a.v * bd, dd)
+
+
+def _jet_divide(a, b):
+    """q = a / b from a = q b: q' = (a' - q b') / b and
+    q'' = (a'' - q' b'^T - b' q'^T - q b'') / b."""
+    if not isinstance(b, Jet):
+        v = a.v / b
+        d, dd = a._grown(np.ndim(v))
+        return Jet(v, d / b, None if dd is None else dd / b)
+    av = a.v if isinstance(a, Jet) else a
+    q = av / b.v
+    nd = np.ndim(q)
+    _, ad, add = _jet_parts(a, nd)
+    bd, bdd = b._grown(nd)
+    d = _jet_sum(np.subtract, ad, q * bd) / b.v
+    cross = d[:, None] * bd[None]
+    dd = _jet_sum(np.subtract, add, cross + np.swapaxes(cross, 0, 1))
+    if bdd is not None:
+        dd -= q * bdd
+    return Jet(q, d, dd / b.v)
+
+
+def _jet_power(u, p):
+    """u ** p for a constant exponent p."""
+    if isinstance(p, Jet) or not isinstance(u, Jet) or np.ndim(p) != 0:
+        return NotImplemented
+    if p == 1:
+        return u
+    if p == 0:
+        return Jet(u.v ** 0, np.zeros_like(u.d))
+    return u._chain(u.v ** p, p * u.v ** (p - 1), p * (p - 1) * u.v ** (p - 2))
+
+
+def _jet_stack(arrays, axis=0):
+    """np.stack of jets and constants: each derivative stacks one axis further in."""
+    arrays = list(arrays)
+    k = next(a.d.shape[0] for a in arrays if isinstance(a, Jet))
+    shapes = {np.shape(a.v if isinstance(a, Jet) else a) for a in arrays}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    parts = [_jet_full(a, k, shape) for a in arrays]
+    v = np.stack([p[0] for p in parts], axis=axis)
+    axis = axis % v.ndim
+    d = np.stack([p[1] for p in parts], axis=axis + 1)
+    if all(p[2] is None for p in parts):
+        return Jet(v, d)
+    zero = np.zeros((k, k) + shape)
+    return Jet(v, d, np.stack([zero if p[2] is None else p[2] for p in parts], axis=axis + 2))
+
+
+def _jet_full(a, k, shape):
+    """(v, d, dd) of a jet or a constant at the value shape, dd None for zero."""
+    if not isinstance(a, Jet):
+        return np.broadcast_to(a, shape), np.zeros((k,) + shape), None
+    if np.shape(a.v) == shape:
+        return a.v, a.d, a.dd
+    d, dd = a._grown(len(shape))
+    return (np.broadcast_to(a.v, shape), np.broadcast_to(d, (k,) + shape),
+            None if dd is None else np.broadcast_to(dd, (k, k) + shape))
+
+
+def _sin(v):
+    s = np.sin(v)
+    return s, np.cos(v), -s
+
+
+def _cos(v):
+    c = np.cos(v)
+    return c, -np.sin(v), -c
+
+
+def _cosh(v):
+    c = np.cosh(v)
+    return c, np.sinh(v), c
+
+
+def _sqrt(v):
+    r = np.sqrt(v)
+    half = 0.5 / r
+    return r, half, -half / (2 * v)
+
+
+# ufuncs by the chain rule: value -> (f, f', f'')
+_JET_FUNCTIONS = {np.sin: _sin, np.cos: _cos, np.cosh: _cosh, np.sqrt: _sqrt}
+_JET_OPERATORS = {np.add: lambda a, b: _jet_linear(np.add, a, b),
+                  np.subtract: lambda a, b: _jet_linear(np.subtract, a, b),
+                  np.multiply: _jet_multiply, np.true_divide: _jet_divide,
+                  np.power: _jet_power, np.negative: Jet.__neg__}
+
+
+def _jet_pass(fn, s, n):
+    """(x, jacobian, hessian) of fn at the points s (..., k) from one jet pass.
+
+    Raises TypeError when fn does not return a jet (it computed on plain
+    arrays somewhere) and whatever fn raises on a jet.
+    """
+    s = np.asarray(s, dtype=float)
+    out = fn(Jet.variables(s))
+    if not isinstance(out, Jet):
+        raise TypeError("the chart callable did not return a jet")
+    shape, k = s.shape[:-1] + (n,), s.shape[-1]
+    d, dd = out._grown(len(shape))
+    lead = tuple(range(1, len(shape) + 1))  # the value axes of d
+    x = np.empty(shape)
+    x[...] = out.v
+    jac = np.empty(shape + (k,))
+    jac[...] = d.transpose(lead + (0,))
+    hess = np.zeros(shape + (k, k))
+    if dd is not None:
+        hess[...] = dd.transpose(tuple(a + 1 for a in lead) + (0, 1))
+    return x, jac, hess
+
+
+# --------------------------------------------------------------------------
 # charts
 
 
 def _compile_vector(exprs, syms) -> Callable:
+    import sympy as sp
+
     fns = [sp.lambdify(syms, e, modules="numpy") for e in exprs]
 
     def evaluate(s):
@@ -59,7 +329,11 @@ def _compile_vector(exprs, syms) -> Callable:
 
 @dataclass(frozen=True)
 class ImmersionChart:
-    """Parametric immersion of a k-rectangle into R^n with derivative access."""
+    """Parametric immersion of a k-rectangle into R^n with derivative access.
+
+    jet, when set, gives (x, jacobian, hessian) at the same points in one
+    pass; derivatives() falls back to the three callables without it.
+    """
 
     name: str
     k: int
@@ -71,15 +345,20 @@ class ImmersionChart:
     grid_shape: tuple = None
     h_fd: float = 1e-4
     params: dict = field(default_factory=dict)
+    jet: Callable = None  # (..., k) -> (x, jacobian, hessian)
 
     def __post_init__(self):
         if self.grid_shape is None:
             object.__setattr__(self, "grid_shape", (33,) * self.k)
         if len(self.rectangle) != self.k or len(self.grid_shape) != self.k:
             raise ValueError("rectangle/grid must have one entry per parameter")
+        lo, hi = np.array(self.rectangle, dtype=float).T
+        object.__setattr__(self, "_bounds", (lo, hi, np.maximum(hi - lo, 1.0)))
 
     @classmethod
     def from_sympy(cls, name, exprs, syms, rectangle, grid_shape=None, params=None):
+        import sympy as sp
+
         exprs = [sp.sympify(e) for e in exprs]
         n, k = len(exprs), len(syms)
         jac_exprs = [[sp.diff(e, s) for s in syms] for e in exprs]
@@ -104,13 +383,18 @@ class ImmersionChart:
 
     @classmethod
     def from_callable(cls, name, fn, k, n, rectangle, grid_shape=None, h_fd=1e-4):
-        """Chart from a plain callable; derivatives by central differences."""
+        """Chart from a plain callable (..., k) -> (..., n).
 
+        The derivatives are exact when fn is a numpy expression in s
+        (operators, np.sin, np.stack, ...): fn runs once on
+        Jet.variables(s).  From the first time fn rejects a jet (math.sin,
+        np.asarray, ... raise TypeError or AttributeError) the chart takes
+        central differences instead, with steps h_fd * max(1, span).
+        """
         def x(s):
-            s = np.asarray(s, dtype=float)
-            return np.asarray(fn(s), dtype=float)
+            return np.asarray(fn(np.asarray(s, dtype=float)), dtype=float)
 
-        def jacobian(s):
+        def jacobian_fd(s):
             s = np.asarray(s, dtype=float)
             out = np.empty(s.shape[:-1] + (n, k))
             for a in range(k):
@@ -120,18 +404,38 @@ class ImmersionChart:
                 out[..., :, a] = (x(s + e) - x(s - e)) / (2 * step)
             return out
 
-        def hessian(s):
+        def hessian_fd(s):
             s = np.asarray(s, dtype=float)
             out = np.empty(s.shape[:-1] + (n, k, k))
             for a in range(k):
                 step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
                 e = np.zeros(k)
                 e[a] = step
-                out[..., :, :, a] = (jacobian(s + e) - jacobian(s - e)) / (2 * step)
+                out[..., :, :, a] = (jacobian_fd(s + e) - jacobian_fd(s - e)) / (2 * step)
             return out
 
-        return cls(name, k, n, tuple(rectangle), x, jacobian, hessian,
-                   grid_shape=grid_shape, h_fd=h_fd)
+        takes_jets = True
+
+        def jet(s):
+            nonlocal takes_jets
+            if takes_jets:
+                try:
+                    return _jet_pass(fn, s, n)
+                except (TypeError, AttributeError):
+                    takes_jets = False
+            return x(s), jacobian_fd(s), hessian_fd(s)
+
+        def jacobian(s):
+            return jet(s)[1] if takes_jets else jacobian_fd(s)
+
+        return cls(name, k, n, tuple(rectangle), x, jacobian, lambda s: jet(s)[2],
+                   grid_shape=grid_shape, h_fd=h_fd, jet=jet)
+
+    def derivatives(self, s):
+        """(x, jacobian, hessian) at the points s (..., k)."""
+        if self.jet is not None:
+            return self.jet(s)
+        return self.x(s), self.jacobian(s), self.hessian(s)
 
     # -- grids ---------------------------------------------------------
 
@@ -158,12 +462,11 @@ class ImmersionChart:
         return [(hi - lo) / (nn - 1) for (lo, hi), nn in zip(self.rectangle, shape)]
 
     def contains(self, s, tol=1e-9) -> bool:
+        """Every point of s (..., k) within tol * max(span, 1) of the rectangle;
+        NaN and infinite coordinates are outside."""
+        lo, hi, span = self._bounds
         s = np.asarray(s, dtype=float)
-        for a, (lo, hi) in enumerate(self.rectangle):
-            span = max(hi - lo, 1.0)
-            if np.any(s[..., a] < lo - tol * span) or np.any(s[..., a] > hi + tol * span):
-                return False
-        return True
+        return bool(((s >= lo - tol * span) & (s <= hi + tol * span)).all())
 
     def base_point(self):
         return np.array([lo for lo, _ in self.rectangle])
@@ -177,65 +480,69 @@ def _require_inside(chart, s):
 # --------------------------------------------------------------------------
 # catalogue
 
-_S1, _S2 = sp.symbols("s1 s2")
-_T = sp.Symbol("t")
+
+def _numpy_chart(name, fn, k, n, rectangle, grid_shape=None, **params):
+    """from_callable chart of fn(*coordinates) -> components, a numpy expression."""
+    chart = ImmersionChart.from_callable(
+        name, lambda s: np.stack(fn(*(s[..., a] for a in range(k))), axis=-1), k, n,
+        rectangle, grid_shape)
+    return dataclasses.replace(chart, params=params)
 
 
 def _catalog_builders():
     def plane(**p):
-        return ImmersionChart.from_sympy(
-            "plane", [_S1, _S2, 0], [_S1, _S2], [(0.0, 1.0), (0.0, 1.0)], params=p)
+        return _numpy_chart("plane", lambda u, v: (u, v, 0 * u), 2, 3,
+                            [(0.0, 1.0), (0.0, 1.0)], **p)
 
     def graph(a=0.8, **p):
-        f = a * (_S1**2 - _S2**2) / 2
-        return ImmersionChart.from_sympy(
-            "graph", [_S1, _S2, f], [_S1, _S2], [(-0.75, 0.75), (-0.75, 0.75)],
-            params={"a": a, **p})
+        return _numpy_chart("graph", lambda u, v: (u, v, a * (u**2 - v**2) / 2), 2, 3,
+                            [(-0.75, 0.75), (-0.75, 0.75)], a=a, **p)
 
     def sphere(r=1.0, **p):
-        e = [r * sp.sin(_S1) * sp.cos(_S2), r * sp.sin(_S1) * sp.sin(_S2), r * sp.cos(_S1)]
-        return ImmersionChart.from_sympy(
-            "sphere", e, [_S1, _S2], [(0.45, math.pi - 0.45), (0.3, 5.9)], params={"r": r, **p})
+        def x(th, ph):
+            rs = r * np.sin(th)
+            return rs * np.cos(ph), rs * np.sin(ph), r * np.cos(th)
+
+        return _numpy_chart("sphere", x, 2, 3, [(0.45, math.pi - 0.45), (0.3, 5.9)], r=r, **p)
 
     def catenoid(c=1.0, **p):
-        e = [c * sp.cosh(_S2 / c) * sp.cos(_S1), c * sp.cosh(_S2 / c) * sp.sin(_S1), _S2]
-        return ImmersionChart.from_sympy(
-            "catenoid", e, [_S1, _S2], [(0.3, 5.9), (-0.75, 0.75)], params={"c": c, **p})
+        def x(u, v):
+            ch = c * np.cosh(v / c)
+            return ch * np.cos(u), ch * np.sin(u), v
+
+        return _numpy_chart("catenoid", x, 2, 3, [(0.3, 5.9), (-0.75, 0.75)], c=c, **p)
 
     def helicoid(c=0.8, **p):
-        e = [_S2 * sp.cos(_S1), _S2 * sp.sin(_S1), c * _S1]
-        return ImmersionChart.from_sympy(
-            "helicoid", e, [_S1, _S2], [(-1.2, 1.2), (-1.0, 1.0)], params={"c": c, **p})
+        return _numpy_chart("helicoid", lambda u, v: (v * np.cos(u), v * np.sin(u), c * u), 2, 3,
+                            [(-1.2, 1.2), (-1.0, 1.0)], c=c, **p)
 
     def enneper(**p):
-        e = [_S1 - _S1**3 / 3 + _S1 * _S2**2,
-             -_S2 + _S2**3 / 3 - _S2 * _S1**2,
-             _S1**2 - _S2**2]
-        return ImmersionChart.from_sympy(
-            "enneper", e, [_S1, _S2], [(-0.7, 0.7), (-0.7, 0.7)], params=p)
+        def x(u, v):
+            return u - u**3 / 3 + u * v**2, -v + v**3 / 3 - v * u**2, u**2 - v**2
+
+        return _numpy_chart("enneper", x, 2, 3, [(-0.7, 0.7), (-0.7, 0.7)], **p)
 
     def torus(R=2.0, r=0.7, **p):
-        e = [(R + r * sp.cos(_S2)) * sp.cos(_S1),
-             (R + r * sp.cos(_S2)) * sp.sin(_S1),
-             r * sp.sin(_S2)]
-        return ImmersionChart.from_sympy(
-            "torus", e, [_S1, _S2], [(0.25, 6.0), (0.25, 6.0)], params={"R": R, "r": r, **p})
+        def x(u, v):
+            w = R + r * np.cos(v)
+            return w * np.cos(u), w * np.sin(u), r * np.sin(v)
+
+        return _numpy_chart("torus", x, 2, 3, [(0.25, 6.0), (0.25, 6.0)], R=R, r=r, **p)
 
     def clifford_torus_r4(r=1.0, **p):
-        c = r / sp.sqrt(2)
-        e = [c * sp.cos(_S1), c * sp.sin(_S1), c * sp.cos(_S2), c * sp.sin(_S2)]
-        return ImmersionChart.from_sympy(
-            "clifford-torus-r4", e, [_S1, _S2], [(0.25, 6.0), (0.25, 6.0)], params={"r": r, **p})
+        c = r / math.sqrt(2)
+        return _numpy_chart(
+            "clifford-torus-r4",
+            lambda u, v: (c * np.cos(u), c * np.sin(u), c * np.cos(v), c * np.sin(v)), 2, 4,
+            [(0.25, 6.0), (0.25, 6.0)], r=r, **p)
 
     def helix_curve(a=1.0, b=0.5, **p):
-        e = [a * sp.cos(_T), a * sp.sin(_T), b * _T]
-        return ImmersionChart.from_sympy(
-            "helix-curve", e, [_T], [(0.0, 12.0)], grid_shape=(257,), params={"a": a, "b": b, **p})
+        return _numpy_chart("helix-curve", lambda t: (a * np.cos(t), a * np.sin(t), b * t), 1, 3,
+                            [(0.0, 12.0)], grid_shape=(257,), a=a, b=b, **p)
 
     def circle_curve(r=1.0, **p):
-        e = [r * sp.cos(_T), r * sp.sin(_T)]
-        return ImmersionChart.from_sympy(
-            "circle-curve", e, [_T], [(0.15, 6.1)], grid_shape=(257,), params={"r": r, **p})
+        return _numpy_chart("circle-curve", lambda t: (r * np.cos(t), r * np.sin(t)), 1, 2,
+                            [(0.15, 6.1)], grid_shape=(257,), r=r, **p)
 
     return {
         "plane": plane,
@@ -330,30 +637,34 @@ class PointFrame:
         return np.vstack([self.tangent, self.normal])
 
 
-def _point_frame(chart, s):
-    """The grid kernels on the one-point grid s: jac, tangent and r, and the
-    raw normal completion turned to det +1 with its pivots (_raw_normals)."""
+def _point_frame(chart, s, with_hessian=False):
+    """The grid kernels on the one-point grid s: jac (and hess, from the same
+    chart pass, if asked for; None otherwise), tangent and r, and the raw
+    normal completion turned to det +1 with its pivots (_raw_normals)."""
     _require_inside(chart, s)
-    jac = chart.jacobian(s)
+    if with_hessian:
+        _, jac, hess = chart.derivatives(s)
+    else:
+        jac, hess = chart.jacobian(s), None
     tangent, r = _tangent_frames(jac, chart.name)
     normal, pivots = _raw_normals(tangent)
     if pivots is not None and np.linalg.det(np.vstack([tangent, normal])) < 0:
         normal[-1] = -normal[-1]
-    return jac, tangent, r, normal, pivots
+    return jac, hess, tangent, r, normal, pivots
 
 
 def _point_weingarten(chart, s, frames):
     """jac and Gamma at s in frames.normal (the completion's if frames is None)."""
-    jac, _, r, normal, _ = _point_frame(chart, s)
+    jac, hess, _, r, normal, _ = _point_frame(chart, s, with_hessian=True)
     r_inv = _r_inverse(r)
     normal = normal if frames is None else frames.normal
-    return jac, _weingarten_from_arrays(jac, chart.hessian(s), r_inv @ r_inv.T, normal)
+    return jac, _weingarten_from_arrays(jac, hess, r_inv @ r_inv.T, normal)
 
 
 def adapted_frames(chart: ImmersionChart, s) -> PointFrame:
     """Tangent frame from ordered Gram-Schmidt, deterministic normal completion."""
     s = np.asarray(s, dtype=float)
-    _, tangent, _, normal, _ = _point_frame(chart, s)
+    _, _, tangent, _, normal, _ = _point_frame(chart, s)
     return PointFrame(s, tangent, normal)
 
 
@@ -379,8 +690,7 @@ def weingarten(chart: ImmersionChart, s, frames: PointFrame):
     = U - U^T, U the strict upper part of L^-1 [hess_alpha^T; 0] F^T; then
     Gammatilde_alpha = -K_alpha[k:, k:], which is 0 in codimension 1.
     """
-    jac, tangent, r, normal, pivots = _point_frame(chart, s)
-    hess = chart.hessian(s)
+    jac, hess, tangent, r, normal, pivots = _point_frame(chart, s, with_hessian=True)
     r_inv = _r_inverse(r)
     gamma = _weingarten_from_arrays(jac, hess, r_inv @ r_inv.T, frames.normal)
     mean = np.einsum("daa->d", gamma)  # trace over the coordinate/mixed pair
@@ -621,27 +931,56 @@ def _raw_normals(tangent):
     return b.reshape(lead + (n - k, n)), pivots.reshape(lead + (n - k,))
 
 
+def _polar_factor(m):
+    """Orthogonal polar factor of a stack of square matrices: the nearest
+    rotation or reflection, u vt of the SVD.
+
+    For 2 x 2 matrices it is closed-form: with m = [[a, b], [c, d]], the rotation
+    [[p, -q], [q, p]] with (p, q) along (a + d, c - b) when det m > 0, the
+    reflection [[p, q], [q, -p]] with (p, q) along (a - d, c + b) when
+    det m < 0.  Each maximises tr(P^T m) within its component, and the
+    length of (p, q) squared is |m|_F^2 + 2 |det m| > 0.  A step with
+    |det m| <= 1e-8 (or NaN) has no well-defined polar factor and raises
+    ImmersionError.
+    """
+    if m.shape[-1] != 2:
+        u, _, vt = np.linalg.svd(m)
+        return u @ vt
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    if not (np.abs(det) > 1e-8).all():  # a NaN fails too
+        raise ImmersionError("normal-frame smoothing met a singular alignment step")
+    sign = np.where(det > 0, 1.0, -1.0)
+    p, q = a + sign * d, c - sign * b
+    length = np.hypot(p, q)
+    p, q = p / length, q / length
+    return np.stack([np.stack([p, -sign * q], axis=-1), np.stack([q, sign * p], axis=-1)],
+                    axis=-2)
+
+
 def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
                       integrability_tol=None) -> FrameField:
     """Adapted frames, curvature and connection data on the chart grid.
 
-    The chart is evaluated once per derivative order (x, jac, hess), all on
-    the grid.  The tangent frame is the ordered Gram-Schmidt of the
-    coordinate derivatives, jac = tangent^T R with R = tangent jac upper
-    triangular (k <= 2, since the staircase covers curves and surfaces
-    only).  R gives the immersion guard, sigma_min(jac) = sigma_min(R) in
-    closed form, the frame coefficients e_coeff = R^-T and the metric
-    inverse g^-1 = R^-1 R^-T.
+    The chart is evaluated once on the grid, x, jac and hess together
+    (ImmersionChart.derivatives).  The tangent frame is the ordered
+    Gram-Schmidt of the coordinate derivatives, jac = tangent^T R with
+    R = tangent jac upper triangular (k <= 2, since the staircase covers
+    curves and surfaces only).  R gives the immersion guard,
+    sigma_min(jac) = sigma_min(R) in closed form, the frame coefficients
+    e_coeff = R^-T and the metric inverse g^-1 = R^-1 R^-T.
 
     Surfaces in R^3 and plane curves take their normal from the cross
     product and the quarter turn.  In higher codimension every point
     completes its tangent rows with standard basis vectors (_raw_normals,
     all points at once), and the completions b(s) are smoothed along the
-    staircase by Procrustes alignment to the predecessor.  As polar(Q M) = Q polar(M), the aligned frame is
-    Q(s) b(s) with Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one
-    stacked SVD and one staircase scan of the P^T.  P(s) can be a
-    reflection, so the order of that product matters.  The field is then
-    flipped to det +1 at the base corner.
+    staircase by Procrustes alignment to the predecessor.  As
+    polar(Q M) = Q polar(M), the aligned frame is Q(s) b(s) with
+    Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one stacked polar
+    factor (_polar_factor, closed-form in codimension 2) and one staircase
+    scan of the P^T.  P(s) can be a reflection, so the order of that
+    product matters.  The field is then flipped to det +1 at the base
+    corner.
 
     With parallel=True and codimension >= 2, the normal frame is rotated by
     the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the
@@ -658,9 +997,10 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     axes, fewer than 8 points per axis, or more than two axes; then
     ImmersionError when the Jacobian's smallest singular value is <= 1e-8
     somewhere on the grid (tested before any division by a Gram-Schmidt
-    norm), when a normal frame cannot be completed, or when smoothing
-    leaves frames of both orientations (a seam); then IntegrabilityError
-    when the normal connection stays above integrability_tol.
+    norm), when a normal frame cannot be completed, when a codimension-2
+    alignment step is singular, or when smoothing leaves frames of both
+    orientations (a seam); then IntegrabilityError when the normal
+    connection stays above integrability_tol.
     """
     shape = tuple(shape or chart.grid_shape)
     axes = chart.axes(shape)
@@ -668,9 +1008,7 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         raise ValueError("staircase traversal supports curve and surface grids only")
     hs = chart.spacings(shape)
     pts = chart.grid(shape)
-    x = chart.x(pts)
-    jac = chart.jacobian(pts)
-    hess = chart.hessian(pts)
+    x, jac, hess = chart.derivatives(pts)
     k, n = chart.k, chart.n
     nk = n - k
 
@@ -678,9 +1016,9 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     normal, pivots = _raw_normals(tangent)
     if pivots is not None:  # the closed forms need no smoothing
-        u, _, vt = np.linalg.svd(_staircase_previous(normal, len(shape))
-                                 @ np.swapaxes(normal, -1, -2))
-        q_t = _staircase_scan(np.swapaxes(u @ vt, -1, -2), np.eye(nk))
+        step = _polar_factor(_staircase_previous(normal, len(shape))
+                             @ np.swapaxes(normal, -1, -2))
+        q_t = _staircase_scan(np.swapaxes(step, -1, -2), np.eye(nk))
         normal = np.swapaxes(q_t, -1, -2) @ normal
         det = np.linalg.det(np.concatenate([tangent, normal], axis=-2))
         if det.max() - det.min() > 1.0:  # dets are +/-1; a mix means a seam

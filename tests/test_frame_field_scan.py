@@ -13,6 +13,7 @@ of the completed frame.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def test_chart_is_evaluated_inside_its_rectangle(name, shape):
         return evaluate
 
     wrapped = dataclasses.replace(chart, x=inside(chart.x), jacobian=inside(chart.jacobian),
-                                  hessian=inside(chart.hessian))
+                                  hessian=inside(chart.hessian), jet=inside(chart.jet))
     build_frame_field(wrapped, shape=shape)
     assert outside == []
 
@@ -292,6 +293,47 @@ def test_helix_steps_include_reflections():
     m = np.einsum("pdi,pei->pde", b[:-1], b[1:])
     u, _, vt = np.linalg.svd(m)
     assert (np.linalg.det(u @ vt) < 0).any()
+
+
+@st.composite
+def alignment_steps(draw):
+    """Random (P, 2, 2) matrices, both signs of det, singular values 1e-3..1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.integers(1, 6))
+    u = np.linalg.qr(rng.normal(size=(points, 2, 2)))[0]
+    v = np.linalg.qr(rng.normal(size=(points, 2, 2)))[0]
+    sigma = np.stack([rng.uniform(0.5, 1.0, points), 10.0 ** rng.uniform(-3, 0, points)], -1)
+    return u * sigma[:, None, :] @ np.swapaxes(v, -1, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alignment_steps())
+def test_closed_form_polar_factor_matches_svd(m):
+    u, _, vt = np.linalg.svd(m)
+    got = geometry._polar_factor(m)
+    assert np.abs(got - u @ vt).max() <= 1e-14
+    assert np.array_equal(np.sign(np.linalg.det(got)), np.sign(np.linalg.det(m)))
+
+
+def test_singular_alignment_step_raises():
+    eye = np.eye(2)
+    for bad in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2)),
+                np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImmersionError,
+                               match="normal-frame smoothing met a singular alignment step"):
+                geometry._polar_factor(np.stack([eye, bad]))
+    # a plane circle in R^3 whose tangent turns a quarter per grid step: the
+    # normal planes of neighbours meet at a right angle, det b(prev) b(s)^T = 0
+    circle = ImmersionChart.from_callable(
+        "quarter-turn-circle",
+        lambda s: np.stack([np.cos(4 * np.pi * s[..., 0]), np.sin(4 * np.pi * s[..., 0]),
+                            0 * s[..., 0]], axis=-1), 1, 3, [(0.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImmersionError, match="singular alignment step"):
+            build_frame_field(circle, shape=(9,))
 
 
 @st.composite

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdirac.geometry import (
     CATALOG,
@@ -56,6 +58,54 @@ def test_metric_scaling():
 def test_metric_outside_rectangle_rejected():
     with pytest.raises(ValueError):
         induced_metric(catalog_chart("plane"), [2.0, 0.5])
+
+
+@pytest.mark.parametrize("s", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]])
+def test_nonfinite_point_is_outside_the_rectangle(s):
+    chart = catalog_chart("sphere")
+    gamma = np.eye(2)[None]
+    for call in (lambda: adapted_frames(chart, s), lambda: rho(chart, s, [0.1]),
+                 lambda: rho(chart, s, [0.1], gamma=gamma), lambda: weingarten(
+                     chart, s, adapted_frames(chart, [1.0, 1.0]))):
+        with pytest.raises(ValueError, match="outside the chart rectangle of sphere") as exc:
+            call()
+        assert not isinstance(exc.value, ImmersionError)
+    assert not chart.contains(s)
+
+
+def old_contains(chart, s, tol=1e-9):
+    """The per-axis loop that contains() replaced."""
+    s = np.asarray(s, dtype=float)
+    for a, (lo, hi) in enumerate(chart.rectangle):
+        span = max(hi - lo, 1.0)
+        if np.any(s[..., a] < lo - tol * span) or np.any(s[..., a] > hi + tol * span):
+            return False
+    return True
+
+
+@st.composite
+def points_near_bounds(draw):
+    """A catalog chart and (P, k) points within 1e-12 of a bound of its
+    rectangle or of the tolerance band around it."""
+    chart = catalog_chart(draw(st.sampled_from(sorted(CATALOG))))
+    tol = draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = []
+        for lo, hi in chart.rectangle:
+            slack = tol * max(hi - lo, 1.0)
+            edge = draw(st.sampled_from([lo, hi, lo - slack, hi + slack]))
+            row.append(edge + draw(st.floats(-1e-12, 1e-12)))
+        rows.append(row)
+    return chart, np.array(rows), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_near_bounds())
+def test_contains_matches_the_axis_loop(case):
+    chart, s, tol = case
+    assert chart.contains(s, tol) == old_contains(chart, s, tol)
+    assert chart.contains(s[0], tol) == old_contains(chart, s[0], tol)
 
 
 # --- frames ------------------------------------------------------------------

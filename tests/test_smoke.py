@@ -1,5 +1,6 @@
 """Whole-program checks: every demo runs to completion, and importing the
-package leaves the heavy optional modules unloaded."""
+package, building catalog charts and their frame fields leaves the heavy
+optional modules unloaded."""
 
 import os
 import subprocess
@@ -29,3 +30,24 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+NO_SYMPY = """
+import sys
+import subdirac
+
+for name in sorted(subdirac.CATALOG):
+    chart = subdirac.catalog_chart(name)
+    subdirac.build_frame_field(chart, shape=(17,) * chart.k)
+    if "sympy" in sys.modules:
+        print(name)
+        break
+else:
+    print("none")
+"""
+
+
+def test_catalog_charts_leave_sympy_unloaded(tmp_path):
+    proc = run_python(["-c", NO_SYMPY], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "none"  # else the first chart that loaded sympy
