@@ -25,15 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import Multivector
 from .geometry import (
     FrameField,
     ImmersionChart,
     _diff_axis,
     _staircase_previous,
-    _staircase_scan,
+    _tube_factor,
     build_frame_field,
 )
-from .spinors import GammaRep, build_gamma_rep, spin_lift, spinor_dim
+from .spinors import (
+    GammaRep,
+    _rotation_minors,
+    _spin_lift_table,
+    build_gamma_rep,
+    rep_of,
+    spin_lift,
+    spinor_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -158,52 +167,26 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     return float(np.linalg.norm(vals, axis=-1).max())
 
 
-def _twirl(rotations: np.ndarray, rep: GammaRep, x: np.ndarray | None = None) -> np.ndarray:
-    """sum_I gamma'_I x gamma_I^{-1} over all 2^n blades I, gamma'_i = sum_j R[j, i] gamma_j.
-
-    x defaults to the identity.  For R in SO(n) with spin lift tau the sum
-    is tau (2^n / d) tr(tau^H x).  (For odd n the module identifies each odd
-    blade with an even one through the pseudoscalar, so the sum is twice the
-    one over the even blades.)  It factorises generator by generator: with
-    L_i(y) = y + gamma'_i y gamma_i^{-1} it is L_1(L_2(... L_n(x))), n
-    products per point instead of 2^n.
-    """
-    d, m = rep.dim, rep.m
-    gam = np.stack(rep.gammas)
-    r = rotations.reshape(-1, m, m)
-    points = r.shape[0]
-    # y[a, p, c] = y_p[a, c]: a constant gamma on either side of every y_p
-    # is then one matrix product
-    y = np.empty((d, points, d), dtype=complex)
-    y[...] = (np.eye(d)[:, None, :] if x is None
-              else x.reshape(points, d, d).transpose(1, 0, 2))
-    for i in reversed(range(m)):
-        prime_y = np.zeros_like(y)
-        for j in range(m):
-            term = (gam[j] @ y.reshape(d, -1)).reshape(y.shape)
-            term *= r[:, j, i, None]
-            prime_y += term
-        # gamma_i^{-1} = gamma_i: the gammas are hermitian and unitary
-        y += (prime_y.reshape(-1, d) @ gam[i]).reshape(y.shape)
-    return y.transpose(1, 0, 2).reshape(rotations.shape[:-2] + (d, d))
-
-
 def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
     """Spin lift tau(s) of the frame assembly at every grid point.
 
-    The lifted rotation has the frame vectors as matrix rows.  Signs follow
-    the staircase order (base column first, then along each row): a
-    point's rotation relative to its predecessor, R(s) R(prev)^T, stays
-    near the identity on a smooth field, and its lift sigma(s) is the twirl
-    over the Clifford basis normalised to Re tr sigma > 0.  As
-    Re tr(tau^H sigma tau) = Re tr sigma, that is the sign nearest to the
-    predecessor's lift.  The base corner takes spin_lift's default sign, and
-    the chain tau(s) = sigma(s) tau(prev) runs down the base column, then
-    across all rows at once.  Each chained lift is then twirled once more
-    against its own rotation, which keeps its sign and removes the rounding
-    the chain gathers along its length.
+    The lifted rotation has the frame vectors as matrix rows.  Each lift is
+    tau = sum_K c_K gamma_K over the even blades K with c real and |c| = 1,
+    and c_K c_L is a fixed signed sum of the minors of R (_spin_lift_table).
+    One real product of a point's minors against the table's diagonal
+    gives every c_K^2; the largest is at least 2^(1-m), and the table's row
+    for that blade, normalised, is c up to sign.
 
-    Every rotation must be in SO(n) to 1e-10, and |tr sigma| < 1e-6 (a
+    Signs follow the staircase order (base column first, then along each
+    row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
+    to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
+    The base corner takes spin_lift's default sign, and the +-1 steps are
+    chained by a cumulative product down the base column and then along
+    the rows, which gathers no rounding.  One product of the signed c
+    against the even blade products of the gamma system gives the matrices.
+
+    Every rotation must be finite with each entry of R^T R within 1e-10 of
+    the identity's and det R > 0, and d |c(s) . c(prev)| < 1e-6 (a
     half-turn between neighbours) raises, since the sign is then ambiguous.
     Shape (*grid, d, d).
     """
@@ -213,26 +196,42 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
     m, d = rep.m, rep.dim
     if rot.shape[-2:] != (m, m):
         raise ValueError(f"expected {m}x{m} rotation")
-    if not np.isclose(np.swapaxes(rot, -1, -2) @ rot, np.eye(m), atol=1e-10).all():
+    # entry-major (m, m, P): every product below runs over contiguous points
+    entries = np.ascontiguousarray(np.moveaxis(rot.reshape(-1, m, m), 0, -1))
+    if not np.isfinite(entries).all():
         raise ValueError("matrix is not orthogonal within tolerance")
-    if (np.linalg.det(rot) < 0).any():
+    gram = np.einsum("kip,kjp->ijp", entries, entries)
+    gram[np.diag_indices(m)] -= 1
+    if not np.abs(gram, out=gram).max() <= 1e-10:
+        raise ValueError("matrix is not orthogonal within tolerance")
+    grades = _rotation_minors(entries.reshape(m * m, -1), m)
+    if (grades[m] < 0).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
 
-    def scale(t):
-        """|c| for t = c tau with tau unitary, as ||tau||_F = sqrt(d)."""
-        return np.linalg.norm(t, axis=(-2, -1), keepdims=True) / np.sqrt(d)
+    blades, diagonal, rows = _spin_lift_table(m)
+    minors = np.concatenate(grades[: m // 2 + 1])
+    best = (diagonal @ minors).argmax(axis=0)
+    c = np.empty((len(blades), minors.shape[1]))
+    for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
+        at = best == k
+        c[:, at] = rows[k] @ minors[:, at]
+    c /= np.linalg.norm(c, axis=0)
+    c = c.T.reshape(shape + (len(blades),))
 
-    sigma = _twirl(rot @ np.swapaxes(_staircase_previous(rot, len(shape)), -1, -2), rep)
-    # sigma = tau_rel (2^m / d) tr(tau_rel^H), and that trace is real
-    sigma_scale = scale(sigma)
-    if (sigma_scale * d / 2 ** m < 1e-6).any():
+    overlap = np.einsum("...k,...k->...", c, _staircase_previous(c, len(shape)))
+    if (d * np.abs(overlap) < 1e-6).any():
         raise ValueError("double-cover sign is ambiguous relative to the anchor "
                          "(frame field discontinuity)")
-    sigma /= sigma_scale
-
-    taus = _staircase_scan(sigma, spin_lift(rot[(0,) * len(shape)], rep).matrix)
-    taus = _twirl(rot, rep, taus)
-    return taus / scale(taus)
+    products = np.stack([rep_of(Multivector(m, {mask: 1.0}), rep) for mask in blades])
+    base = (0,) * len(shape)
+    sign = np.sign(overlap)
+    tau_base = np.tensordot(c[base], products, axes=1)
+    sign[base] = np.sign(np.vdot(spin_lift(rot[base], rep).matrix, tau_base).real)
+    column = (slice(None),) + base[1:]
+    sign[column] = np.cumprod(sign[column])
+    if len(shape) == 2:
+        sign = np.cumprod(sign, axis=1)
+    return _combine(sign[..., None] * c, products)
 
 
 def frame_spinor_fields(frames: FrameField, rep: GammaRep | None = None) -> list:
@@ -295,8 +294,9 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     q = np.linspace(-q_max, q_max, q_points)
     hq = q[1] - q[0]
 
-    unit = np.eye(nk)[direction]
-    rho = np.stack([frames.rho_on_tube(qv * unit).ravel() for qv in q])  # (Nq, P)
+    # sqrt(rho) on the whole tube, (Nq, P), from the direction's Weingarten map
+    sqrt_rho = _tube_factor(frames.weingarten[..., direction:direction + 1, :, :],
+                            q[:, None]).reshape(q_points, -1)
     sqrt_gs = np.sqrt(np.linalg.det(frames.metric))
 
     # complex bump test functions on the tube, factor by factor
@@ -320,6 +320,6 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     u = (w_s * sqrt_gs * np.conj(f_s) * g_s).ravel()
     v = _trapezoid_weights(q, hq) * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
 
-    residual_without = abs((v @ np.sqrt(rho)) @ u)
+    residual_without = abs((v @ sqrt_rho) @ u)
     residual_with = abs(u.sum() * v.sum())
     return residual_without, residual_with

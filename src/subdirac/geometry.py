@@ -708,26 +708,36 @@ def weingarten(chart: ImmersionChart, s, frames: PointFrame):
 
 
 def _tube_factor(gamma, q):
-    """(q Gamma, det(1 + q Gamma)) over the leading shape of gamma, k <= 2.
+    """sqrt(rho) = det(1 + q Gamma) over the leading shape of gamma, k <= 2.
 
-    sqrt(rho) = det and g_q = (1 + q Gamma) g (1 + q Gamma)^T.  Raises
-    FocalDistanceError where the offset reaches the focal set, i.e. where
-    1 + q Gamma has an eigenvalue <= 0: det <= 0 or, for k = 2 (real
-    eigenvalues, Gamma being g-self-adjoint), trace <= 0, which catches the
-    sphere's det (1 + q/r)^2 touching 0 at q = -r without changing sign.
+    q is one normal offset (n-k,) or a stack of them (Nq, n-k); the result
+    has shape q.shape[:-1] + grid.  By the tube formula 1 + q Gamma has
+    trace k + q . tr Gamma and determinant 1 + q . tr Gamma (+ det(q Gamma)
+    = q^T X q with X_ab = Gamma_a[0, 0] Gamma_b[1, 1] - Gamma_a[0, 1]
+    Gamma_b[1, 0] for k = 2), so a stack of offsets costs those k + 1
+    coefficient fields once.  Raises FocalDistanceError where the offset
+    reaches the focal set, i.e. where 1 + q Gamma has an eigenvalue <= 0:
+    det <= 0 or, for k = 2 (real eigenvalues, Gamma being g-self-adjoint),
+    trace <= 0, which catches the sphere's det (1 + q/r)^2 touching 0 at
+    q = -r without changing sign.
     """
     k = np.shape(gamma)[-1]
     if k > 2:
         raise ValueError("tube factors support curve and surface charts only")
-    qg = np.tensordot(gamma, q, axes=([-3], [0]))  # row alpha, column beta
-    det = trace = 1 + qg[..., 0, 0]
+    q = np.asarray(q, dtype=float)
+    linear = np.tensordot(q, np.trace(gamma, axis1=-2, axis2=-1), axes=([-1], [-1]))
+    det = trace = k + linear
     if k == 2:
-        last = 1 + qg[..., 1, 1]
-        det, trace = det * last - qg[..., 0, 1] * qg[..., 1, 0], trace + last
+        cross = (gamma[..., :, None, 0, 0] * gamma[..., None, :, 1, 1]
+                 - gamma[..., :, None, 0, 1] * gamma[..., None, :, 1, 0])
+        stack = q.reshape(-1, q.shape[-1])
+        det = np.einsum("ia,...ab,ib->i...", stack, cross, stack).reshape(linear.shape)
+        det += linear
+        det += 1
     if not (det.min() > 0 and trace.min() > 0):  # a NaN fails too
         raise FocalDistanceError("normal offset reaches the focal set: 1 + q Gamma "
                                  "has an eigenvalue <= 0")
-    return qg, det
+    return det
 
 
 def _offset(chart, s, q):
@@ -751,7 +761,8 @@ def tubular_metric(chart: ImmersionChart, s, q, frames: PointFrame = None,
         jac, gamma = _point_weingarten(chart, s, frames)
     else:
         jac = chart.jacobian(s)
-    a = np.eye(chart.k) + _tube_factor(gamma, q)[0]
+    _tube_factor(gamma, q)  # the focal guard
+    a = np.eye(chart.k) + np.tensordot(gamma, q, axes=([-3], [0]))  # row alpha, column beta
     return a @ (jac.T @ jac) @ a.T
 
 
@@ -764,7 +775,7 @@ def rho(chart: ImmersionChart, s, q, frames: PointFrame = None, gamma=None) -> f
     q = _offset(chart, s, q)
     if gamma is None:
         _, gamma = _point_weingarten(chart, s, frames)
-    return float(_tube_factor(gamma, q)[1] ** 2)
+    return float(_tube_factor(gamma, q) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -829,7 +840,7 @@ class FrameField:
         Raises FocalDistanceError where the offset reaches the focal set
         (_tube_factor).
         """
-        return _tube_factor(self.weingarten, np.atleast_1d(np.asarray(q, dtype=float)))[1] ** 2
+        return _tube_factor(self.weingarten, np.atleast_1d(np.asarray(q, dtype=float))) ** 2
 
 
 def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:

@@ -43,7 +43,7 @@ class EmbeddingPair:
         iota = np.asarray(self.iota, dtype=float)
         if iota.shape != (self.n, self.k):
             raise ValueError(f"iota must be {self.n}x{self.k}")
-        if not np.allclose(iota.T @ iota, np.eye(self.k), atol=1e-12):
+        if not np.allclose(iota.T @ iota, np.eye(self.k), rtol=0, atol=1e-12):
             raise ValueError("iota must have orthonormal columns")
         object.__setattr__(self, "iota", iota)
 
@@ -120,13 +120,15 @@ def reference_intertwiner(k: int, n: int, rep_k: GammaRep | None = None,
 
     matrix = rep_n.basis_change @ m0 @ rep_k.basis_change.conj().T
 
-    # construction-time sanity: columns orthonormal and generators intertwine
-    assert np.allclose(matrix.conj().T @ matrix, np.eye(dk), atol=1e-12)
-    eye_cols = np.eye(n)[:, :k]
+    # a system whose gammas were conjugated without recording the basis
+    # change (or with a non-unitary one) fails one of these
+    if not np.allclose(matrix.conj().T @ matrix, np.eye(dk), rtol=0, atol=1e-12):
+        raise ValueError("intertwiner columns are not orthonormal: "
+                         "a recorded basis change is not unitary")
     for i in range(k):
-        lhs = matrix @ rep_k.gammas[i]
-        rhs = rep_n.gamma(eye_cols[:, i]) @ matrix
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        if not np.allclose(matrix @ rep_k.gammas[i], rep_n.gammas[i] @ matrix, rtol=0, atol=1e-12):
+            raise ValueError("gamma systems do not intertwine through their "
+                             "recorded basis changes")
     return Intertwiner(k, n, matrix, CliffordGroupElement.identity(n))
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .clifford import MAX_DIMENSION, Multivector
+from .clifford import MAX_DIMENSION, Multivector, _blade_product_sign, _popcount
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,7 +77,7 @@ class GammaRep:
     def conjugated(self, u: np.ndarray) -> "GammaRep":
         """Equivalent representation with gammas u gamma u^dagger."""
         u = np.asarray(u, dtype=complex)
-        if not np.allclose(u @ u.conj().T, np.eye(self.dim), atol=1e-12):
+        if not np.allclose(u @ u.conj().T, np.eye(self.dim), rtol=0, atol=1e-12):
             raise ValueError("basis change must be unitary")
         return GammaRep(
             self.m,
@@ -221,7 +222,8 @@ class CliffordGroupElement:
 
 def _assert_special_orthogonal(r: np.ndarray, tol: float):
     m = r.shape[0]
-    if r.shape != (m, m) or not np.allclose(r.T @ r, np.eye(m), atol=tol):
+    if (r.shape != (m, m) or not np.isfinite(r).all()
+            or not np.allclose(r.T @ r, np.eye(m), rtol=0, atol=tol)):
         raise ValueError("matrix is not orthogonal within tolerance")
     if np.linalg.det(r) < 0:
         raise ValueError("matrix has determinant -1 (not in SO)")
@@ -235,6 +237,92 @@ def _default_sign(tau: np.ndarray) -> np.ndarray:
     if z.real < -1e-14 or (abs(z.real) <= 1e-14 and z.imag < 0):
         return -tau
     return tau
+
+
+def _rotation_minors(entries: np.ndarray, m: int) -> list:
+    """Minors det R[J, I] over entries (m*m, P) holding R[j, i] at row j*m + i.
+
+    One (rows * columns, P) array per grade g = 0, ..., m, row subset J
+    major, subsets in itertools.combinations order (the order of
+    _spin_lift_table).  The columns I are every size-g subset; the rows J
+    are too up to g = m // 2, and above that only the last g rows, which is
+    all that the Laplace expansion along the first row needs on its way to
+    the last grade, det R.
+    """
+    def row_subsets(g):
+        return list(combinations(range(m), g)) if g <= m // 2 else [tuple(range(m - g, m))]
+
+    grades = [np.ones((1, entries.shape[1])), entries]
+    for g in range(2, m + 1):
+        lower_rows = {s: i for i, s in enumerate(row_subsets(g - 1))}
+        lower_cols = {s: i for i, s in enumerate(combinations(range(m), g - 1))}
+        pairs = [(rows, cols) for rows in row_subsets(g) for cols in combinations(range(m), g)]
+        minor = None
+        for t in range(g):
+            term = entries[[rows[0] * m + cols[t] for rows, cols in pairs]]
+            term *= grades[-1][[lower_rows[rows[1:]] * len(lower_cols)
+                                + lower_cols[cols[:t] + cols[t + 1:]] for rows, cols in pairs]]
+            if minor is None:
+                minor = term
+            elif t % 2:
+                minor -= term
+            else:
+                minor += term
+        grades.append(minor)
+    return grades
+
+
+@lru_cache(maxsize=None)
+def _spin_lift_table(m: int) -> tuple:
+    """Fixed table that reads the spin lift of R in SO(m) off the minors of R.
+
+    Write the lift as tau = sum_K c_K gamma_K over the even blades K, with
+    c real and |c| = 1, and take tau gamma_i tau^{-1} = sum_j R[j, i] gamma_j,
+    so that tau e_I tau^{-1} = sum_J det R[J, I] e_J.  Since
+    sum_I e_I A e_I^{-1} = 2^m <A>_0 over all blades I,
+
+        2^m c_K c_L = sum_{|J| = |I|} det R[J, I] <rev(e_K) e_J e_L e_I^{-1}>_0,
+
+    and that scalar part is +-1 where K ^ J ^ L ^ I = 0 and 0 otherwise.
+    For det R = 1, Jacobi's complementary-minor identity
+    det R[J, I] = (-1)^(sum J + sum I) det R[J^c, I^c] folds the grades
+    above m/2 into the lower ones (10 minors for m = 3, 53 for m = 4).
+
+    The minors enter grade by grade for g = 0, ..., m // 2, each grade with
+    its row subset J major and the size-g subsets in itertools.combinations
+    order.  Returns (blades, diagonal, rows): the even blade masks in
+    ascending order, diagonal (K, F) and rows (K, K, F) with
+    c_K^2 = diagonal[K] @ minors and c_K c_L = rows[K, L] @ minors.
+    """
+    blades = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
+    where = {mask: i for i, mask in enumerate(blades)}
+
+    def mask_of(subset):
+        return sum(1 << i for i in subset)
+
+    feature = {}  # (J mask, I mask) -> (minor index, sign)
+    for g in range(m // 2 + 1):
+        for row in combinations(range(m), g):
+            for col in combinations(range(m), g):
+                feature[mask_of(row), mask_of(col)] = (len(feature), 1)
+    count, full = len(feature), (1 << m) - 1
+    for g in range(m // 2 + 1, m + 1):
+        for row in combinations(range(m), g):
+            for col in combinations(range(m), g):
+                f, _ = feature[full ^ mask_of(row), full ^ mask_of(col)]
+                feature[mask_of(row), mask_of(col)] = (f, (-1) ** (sum(row) + sum(col)))
+
+    rows = np.zeros((len(blades), len(blades), count))
+    for (j, i), (f, sign) in feature.items():
+        for a, k in enumerate(blades):
+            l = k ^ j ^ i  # even, as |J| = |I|; e_K e_J e_L = +-e_I
+            reverse = -1 if _popcount(k) % 4 == 2 else 1
+            rows[a, where[l], f] += (sign * reverse * _blade_product_sign(k, j)
+                                     * _blade_product_sign(k ^ j, l))
+    rows /= 2 ** m
+    diagonal = rows[np.arange(len(blades)), np.arange(len(blades))]
+    rows.flags.writeable = diagonal.flags.writeable = False  # shared by every caller
+    return blades, diagonal, rows
 
 
 def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = None,

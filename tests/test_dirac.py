@@ -23,6 +23,7 @@ from subdirac.geometry import (
     FrameField,
     ImmersionChart,
     _diff_axis,
+    _tube_factor,
     build_frame_field,
     catalog_chart,
 )
@@ -348,3 +349,44 @@ def test_selfadjointization_matches_dense_reference(case):
                                                   direction=direction)
         assert abs(without - expected[0]) <= 1e-12 * expected[0]
         assert abs(with_ - expected[1]) <= 1e-14
+
+
+# --- the tube polynomial against the per-q loop ------------------------------------
+
+def tube_dense(frames, offsets):
+    """det(1 + q Gamma) per offset from the dense (*grid, k, k) matrices."""
+    eye = np.eye(frames.chart.k)
+    return np.stack([np.linalg.det(eye + np.einsum("d,...dab->...ab", qv, frames.weingarten))
+                     for qv in offsets])
+
+
+@pytest.mark.parametrize("case", ["sphere-65", "torus-33", "catenoid-33"])
+def test_tube_polynomial_matches_per_q_loop(case):
+    frames = oracle_frames(case)
+    q = np.linspace(-0.25, 0.25, 33)
+    batched = _tube_factor(frames.weingarten[..., 0:1, :, :], q[:, None])
+    loop = np.stack([np.sqrt(frames.rho_on_tube([qv])) for qv in q])
+    assert batched.shape == (33,) + frames.grid_shape
+    assert np.abs(batched - loop).max() <= 1e-14
+    assert np.abs(batched - tube_dense(frames, q[:, None])).max() <= 1e-14
+
+
+def test_tube_polynomial_over_a_stack_of_normal_offsets():
+    # codimension 2: the q^T X q cross term mixes the two normal directions
+    frames = oracle_frames("clifford-torus-r4-33")
+    offsets = np.random.default_rng(7).uniform(-0.2, 0.2, size=(9, 2))
+    batched = _tube_factor(frames.weingarten, offsets)
+    loop = np.stack([np.sqrt(frames.rho_on_tube(qv)) for qv in offsets])
+    assert np.abs(batched - loop).max() <= 1e-14
+    assert np.abs(batched - tube_dense(frames, offsets)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("q_max", [1.0, 1.5])
+def test_tube_check_and_per_q_loop_reject_the_same_focal_tube(q_max):
+    # q_max = 1 puts a sample on the unit sphere's centre, 1.5 goes past it
+    frames = build_frame_field(catalog_chart("sphere"), shape=(17, 17))
+    with pytest.raises(FocalDistanceError) as loop:
+        reference_selfadjointization(frames, q_max=q_max)
+    with pytest.raises(FocalDistanceError) as batched:
+        selfadjointization_check(frames.chart, frames=frames, q_max=q_max)
+    assert str(batched.value) == str(loop.value)

@@ -12,9 +12,16 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from subdirac.clifford import Multivector
 from subdirac.dirac import frame_lift_field
 from subdirac.geometry import build_frame_field, catalog_chart
-from subdirac.spinors import build_gamma_rep, spin_lift
+from subdirac.spinors import (
+    _rotation_minors,
+    _spin_lift_table,
+    build_gamma_rep,
+    rep_of,
+    spin_lift,
+)
 
 
 def staircase_indices(shape):
@@ -140,6 +147,21 @@ def test_non_orthogonal_entry_rejected():
     assert "not orthogonal" in assert_same_error(rot)
 
 
+def test_orthogonality_guard_is_absolute():
+    # R^T R = diag(1 + 8e-6, 1, 1): inside a relative 1e-5 band, outside 1e-10
+    rot = np.broadcast_to(np.eye(3), (9, 9, 3, 3)).copy()
+    rot[4, 2] = np.diag([1 + 4e-6, 1.0, 1.0])
+    assert "not orthogonal" in assert_same_error(rot)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(9,), (9, 9)])
+def test_non_finite_entry_rejected(bad, shape):
+    rot = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+    rot[(3,) * len(shape) + (1, 2)] = bad
+    assert "not orthogonal" in assert_same_error(rot)
+
+
 def test_reflection_entry_rejected():
     rot = np.broadcast_to(np.eye(3), (9, 9, 3, 3)).copy()
     rot[2, 7] = np.diag([-1.0, 1.0, 1.0])
@@ -149,3 +171,75 @@ def test_reflection_entry_rejected():
 def test_three_axis_grid_rejected():
     rot = np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy()
     assert "curve and surface grids only" in assert_same_error(rot)
+
+
+def _turn(n, angle):
+    """Rotation by angle in the (e_1, e_2) plane of R^n."""
+    rot = np.eye(n)
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return rot
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("trace, ambiguous", [(2e-6, False), (5e-7, True)])
+def test_ambiguity_guard_at_its_threshold(n, trace, ambiguous):
+    # the lift of a turn by t has trace d cos(t/2) against the identity's
+    rep = build_gamma_rep(n)
+    rot = np.stack([np.eye(n), _turn(n, 2 * np.arccos(trace / rep.dim)), np.eye(n)])
+    if ambiguous:
+        assert "ambiguous" in assert_same_error(rot)
+    else:
+        expected = reference_lift(rot, rep)
+        assert np.abs(np.trace(expected[1])) == pytest.approx(trace, rel=1e-6)
+        assert np.abs(frame_lift_field(rotation_field(rot), rep) - expected).max() <= 1e-12
+
+
+# --- the fixed minor table against spin_lift's blade coefficients ---------------
+
+def _even_blades(n):
+    return [mask for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
+
+
+def blade_coefficients(tau, rep):
+    """c_K of tau = sum_K c_K gamma_K, from tr(gamma_K^H gamma_L) = d delta_KL."""
+    return np.array([np.trace(rep_of(Multivector(rep.m, {mask: 1.0}), rep).conj().T @ tau).real
+                     for mask in _even_blades(rep.m)]) / rep.dim
+
+
+def table_outer(rot):
+    """c c^T read off the table from the minors of one rotation."""
+    n = rot.shape[-1]
+    blades, _, rows = _spin_lift_table(n)
+    assert blades == _even_blades(n)
+    grades = _rotation_minors(rot.reshape(n * n, 1), n)
+    return rows @ np.concatenate(grades[: n // 2 + 1])[:, 0]
+
+
+def _near_half_turns(rng, n):
+    """A random conjugate of turns by nearly pi in every coordinate plane pair."""
+    gen = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        gen[i, i + 1] = -(np.pi - 10.0 ** rng.uniform(-6, -2))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ scipy.linalg.expm(gen - gen.T) @ q.T
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_table_matches_spin_lift(n):
+    rng = np.random.default_rng(100 + n)
+    rep = build_gamma_rep(n)
+    for draw in range(12):
+        if draw % 2:
+            rot = _near_half_turns(rng, n)
+        else:
+            rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            rot[:, 0] *= np.sign(np.linalg.det(rot))
+        c = blade_coefficients(spin_lift(rot, rep).matrix, rep)
+        assert np.abs(table_outer(rot) - np.outer(c, c)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_last_minor_is_the_determinant(n):
+    rot = np.random.default_rng(n).normal(size=(5, n, n))
+    grades = _rotation_minors(np.moveaxis(rot, 0, -1).reshape(n * n, -1), n)
+    assert np.abs(grades[n][0] - np.linalg.det(rot)).max() <= 1e-12

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from subdirac.reciprocity import (
     restrict,
 )
 from subdirac.spinors import (
+    GammaRep,
     Spinor,
     build_gamma_rep,
     conjugate,
@@ -56,6 +62,13 @@ def test_embedding_pair_requires_k_lt_n():
         EmbeddingPair(3, 3, np.eye(3))
 
 
+def test_embedding_pair_orthonormality_guard_is_absolute():
+    iota = np.eye(3)[:, :2]
+    iota[0, 0] = 1 + 4e-6  # iota^T iota = diag(1 + 8e-6, 1)
+    with pytest.raises(ValueError, match="orthonormal columns"):
+        EmbeddingPair(2, 3, iota)
+
+
 # --- reference intertwiners -----------------------------------------------------
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -72,6 +85,51 @@ def test_intertwining_identity_all_pairs(k):
 def test_k_must_be_less_than_n():
     with pytest.raises(ValueError):
         reference_intertwiner(3, 3)
+
+
+def hand_conjugated_rep(n, seed=0):
+    """build_gamma_rep(n) conjugated by a random unitary without recording it."""
+    rep = build_gamma_rep(n)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(rep.dim,) * 2) + 1j * rng.normal(size=(rep.dim,) * 2))
+    return GammaRep(n, tuple(u @ g @ u.conj().T for g in rep.gammas))
+
+
+def test_unrecorded_basis_change_rejected():
+    with pytest.raises(ValueError, match="do not intertwine"):
+        reference_intertwiner(2, 4, rep_n=hand_conjugated_rep(4))
+
+
+def test_non_unitary_basis_change_rejected():
+    rep = build_gamma_rep(4)
+    skewed = GammaRep(4, rep.gammas, np.diag([1 + 4e-6, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        reference_intertwiner(2, 4, rep_n=skewed)
+
+
+UNRECORDED = """
+import numpy as np
+from subdirac.reciprocity import reference_intertwiner
+from subdirac.spinors import GammaRep, build_gamma_rep
+
+rep = build_gamma_rep(4)
+rng = np.random.default_rng(0)
+u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+try:
+    reference_intertwiner(2, 4, rep_n=GammaRep(4, tuple(u @ g @ u.conj().T for g in rep.gammas)))
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_unrecorded_basis_change_rejected_under_optimize(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", UNRECORDED], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "do not intertwine" in proc.stdout
 
 
 def test_k2_n4_explicit():

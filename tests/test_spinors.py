@@ -342,6 +342,15 @@ def test_recover_rotation_row_scaling():
 
 # --- conjugated representations --------------------------------------------------
 
+def test_unitarity_and_orthogonality_guards_are_absolute():
+    # u u^H = diag(1 + 8e-6, 1) and R^T R = diag(1 + 8e-6, 1, 1) lie inside a
+    # relative 1e-5 band around the identity but outside the absolute tolerances
+    with pytest.raises(ValueError, match="unitary"):
+        build_gamma_rep(3).conjugated(np.diag([1 + 4e-6, 1.0]))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        spin_lift(np.diag([1 + 4e-6, 1.0, 1.0]), build_gamma_rep(3))
+
+
 def test_conjugated_rep_equivalence():
     rng = np.random.default_rng(50)
     rep = build_gamma_rep(3)
