@@ -35,6 +35,7 @@ from .geometry import (
     build_frame_field,
 )
 from .spinors import (
+    LIFT_TABLE_MAX_DIMENSION,
     GammaRep,
     _rotation_minors,
     _spin_lift_table,
@@ -167,6 +168,29 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     return float(np.linalg.norm(vals, axis=-1).max())
 
 
+def _sign_chain(overlap: np.ndarray, base_sign: float) -> np.ndarray:
+    """+-1 per grid point from neighbour overlaps tr(tau(s) tau(prev)^H).
+
+    A point keeps the sign that makes its overlap with its staircase
+    predecessor positive, the one nearest to the predecessor's lift; the
+    base corner takes base_sign.  The steps are chained by a cumulative
+    product down the base column and then along the rows, which gathers no
+    rounding.  |overlap| < 1e-6 (a half-turn between neighbours) raises,
+    since the sign is then ambiguous.
+    """
+    if (np.abs(overlap) < 1e-6).any():
+        raise ValueError("double-cover sign is ambiguous relative to the anchor "
+                         "(frame field discontinuity)")
+    base = (0,) * overlap.ndim
+    sign = np.sign(overlap)
+    sign[base] = base_sign
+    column = (slice(None),) + base[1:]
+    sign[column] = np.cumprod(sign[column])
+    if overlap.ndim == 2:
+        sign = np.cumprod(sign, axis=1)
+    return sign
+
+
 def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
     """Spin lift tau(s) of the frame assembly at every grid point.
 
@@ -175,15 +199,17 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
     and c_K c_L is a fixed signed sum of the minors of R (_spin_lift_table).
     One real product of a point's minors against the table's diagonal
     gives every c_K^2; the largest is at least 2^(1-m), and the table's row
-    for that blade, normalised, is c up to sign.
+    for that blade, normalised, is c up to sign.  The table grows as 4^m,
+    so above LIFT_TABLE_MAX_DIMENSION each point is lifted by spin_lift
+    instead, and the same sign chain follows.
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
     to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
     The base corner takes spin_lift's default sign, and the +-1 steps are
-    chained by a cumulative product down the base column and then along
-    the rows, which gathers no rounding.  One product of the signed c
-    against the even blade products of the gamma system gives the matrices.
+    chained by a cumulative product (_sign_chain).  One product of the
+    signed c against the even blade products of the gamma system gives the
+    matrices.
 
     Every rotation must be finite with each entry of R^T R within 1e-10 of
     the identity's and det R > 0, and d |c(s) . c(prev)| < 1e-6 (a
@@ -204,34 +230,35 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
     gram[np.diag_indices(m)] -= 1
     if not np.abs(gram, out=gram).max() <= 1e-10:
         raise ValueError("matrix is not orthogonal within tolerance")
+    if m > LIFT_TABLE_MAX_DIMENSION:
+        if (np.linalg.det(rot.reshape(-1, m, m)) < 0).any():
+            raise ValueError("matrix has determinant -1 (not in SO)")
+        taus = np.stack([spin_lift(r, rep).matrix for r in rot.reshape(-1, m, m)])
+        taus = taus.reshape(shape + (d, d))
+        overlap = np.einsum("...ij,...ij->...", taus,
+                            _staircase_previous(taus, len(shape)).conj()).real
+        return _sign_chain(overlap, 1.0)[..., None, None] * taus
     grades = _rotation_minors(entries.reshape(m * m, -1), m)
     if (grades[m] < 0).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
 
-    blades, diagonal, rows = _spin_lift_table(m)
+    blades, diagonal, partner, weight = _spin_lift_table(m)
     minors = np.concatenate(grades[: m // 2 + 1])
     best = (diagonal @ minors).argmax(axis=0)
     c = np.empty((len(blades), minors.shape[1]))
     for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
         at = best == k
-        c[:, at] = rows[k] @ minors[:, at]
+        row = np.zeros((len(blades), len(minors)))
+        row[partner[k], np.arange(len(minors))] = weight[k]
+        c[:, at] = row @ minors[:, at]
     c /= np.linalg.norm(c, axis=0)
     c = c.T.reshape(shape + (len(blades),))
 
-    overlap = np.einsum("...k,...k->...", c, _staircase_previous(c, len(shape)))
-    if (d * np.abs(overlap) < 1e-6).any():
-        raise ValueError("double-cover sign is ambiguous relative to the anchor "
-                         "(frame field discontinuity)")
+    overlap = d * np.einsum("...k,...k->...", c, _staircase_previous(c, len(shape)))
     products = np.stack([rep_of(Multivector(m, {mask: 1.0}), rep) for mask in blades])
-    base = (0,) * len(shape)
-    sign = np.sign(overlap)
-    tau_base = np.tensordot(c[base], products, axes=1)
-    sign[base] = np.sign(np.vdot(spin_lift(rot[base], rep).matrix, tau_base).real)
-    column = (slice(None),) + base[1:]
-    sign[column] = np.cumprod(sign[column])
-    if len(shape) == 2:
-        sign = np.cumprod(sign, axis=1)
-    return _combine(sign[..., None] * c, products)
+    tau_base = np.tensordot(c[(0,) * len(shape)], products, axes=1)
+    base_sign = np.sign(np.vdot(spin_lift(rot[(0,) * len(shape)], rep).matrix, tau_base).real)
+    return _combine(_sign_chain(overlap, base_sign)[..., None] * c, products)
 
 
 def frame_spinor_fields(frames: FrameField, rep: GammaRep | None = None) -> list:

@@ -272,6 +272,12 @@ def _rotation_minors(entries: np.ndarray, m: int) -> list:
     return grades
 
 
+# Largest m for which _spin_lift_table is built: it holds 2^(m-1) *
+# sum_{g <= m/2} C(m, g)^2 entries (21 184 for m = 6, 1.1 M for m = 8), and a
+# point's minors number that sum (662 for m = 6, 8 885 for m = 8).
+LIFT_TABLE_MAX_DIMENSION = 6
+
+
 @lru_cache(maxsize=None)
 def _spin_lift_table(m: int) -> tuple:
     """Fixed table that reads the spin lift of R in SO(m) off the minors of R.
@@ -286,43 +292,48 @@ def _spin_lift_table(m: int) -> tuple:
     and that scalar part is +-1 where K ^ J ^ L ^ I = 0 and 0 otherwise.
     For det R = 1, Jacobi's complementary-minor identity
     det R[J, I] = (-1)^(sum J + sum I) det R[J^c, I^c] folds the grades
-    above m/2 into the lower ones (10 minors for m = 3, 53 for m = 4).
+    above m/2 into the lower ones (10 minors for m = 3, 53 for m = 4); a
+    folded pair (J, I), (J^c, I^c) meets the same L = K ^ J ^ I.
 
-    The minors enter grade by grade for g = 0, ..., m // 2, each grade with
-    its row subset J major and the size-g subsets in itertools.combinations
-    order.  Returns (blades, diagonal, rows): the even blade masks in
-    ascending order, diagonal (K, F) and rows (K, K, F) with
-    c_K^2 = diagonal[K] @ minors and c_K c_L = rows[K, L] @ minors.
+    So for each K every minor enters exactly one c_K c_L, and the table is
+    stored sparsely.  The minors enter grade by grade for g = 0, ..., m // 2,
+    each grade with its row subset J major and the size-g subsets in
+    itertools.combinations order.  Returns (blades, diagonal, partner,
+    weight): the even blade masks in ascending order; diagonal (K, F) with
+    c_K^2 = diagonal[K] @ minors; and partner, weight (K, F) with
+    c_K c_L = sum of weight[K, f] minors[f] over the f with
+    partner[K, f] = L.  Raises ValueError above LIFT_TABLE_MAX_DIMENSION.
     """
+    if not 1 <= m <= LIFT_TABLE_MAX_DIMENSION:
+        raise ValueError(f"spin lift table covers dimensions 1..{LIFT_TABLE_MAX_DIMENSION}, "
+                         f"got {m}")
     blades = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
-    where = {mask: i for i, mask in enumerate(blades)}
+    where = np.full(1 << m, -1)
+    where[blades] = np.arange(len(blades))
+    sign = np.array([[_blade_product_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
 
     def mask_of(subset):
         return sum(1 << i for i in subset)
 
-    feature = {}  # (J mask, I mask) -> (minor index, sign)
+    rows, cols, folded = [], [], []
     for g in range(m // 2 + 1):
         for row in combinations(range(m), g):
             for col in combinations(range(m), g):
-                feature[mask_of(row), mask_of(col)] = (len(feature), 1)
-    count, full = len(feature), (1 << m) - 1
-    for g in range(m // 2 + 1, m + 1):
-        for row in combinations(range(m), g):
-            for col in combinations(range(m), g):
-                f, _ = feature[full ^ mask_of(row), full ^ mask_of(col)]
-                feature[mask_of(row), mask_of(col)] = (f, (-1) ** (sum(row) + sum(col)))
-
-    rows = np.zeros((len(blades), len(blades), count))
-    for (j, i), (f, sign) in feature.items():
-        for a, k in enumerate(blades):
-            l = k ^ j ^ i  # even, as |J| = |I|; e_K e_J e_L = +-e_I
-            reverse = -1 if _popcount(k) % 4 == 2 else 1
-            rows[a, where[l], f] += (sign * reverse * _blade_product_sign(k, j)
-                                     * _blade_product_sign(k ^ j, l))
-    rows /= 2 ** m
-    diagonal = rows[np.arange(len(blades)), np.arange(len(blades))]
-    rows.flags.writeable = diagonal.flags.writeable = False  # shared by every caller
-    return blades, diagonal, rows
+                rows.append(mask_of(row))
+                cols.append(mask_of(col))
+                folded.append((-1) ** (sum(row) + sum(col)) if 2 * g < m else 0)
+    j, i, folded = np.array(rows), np.array(cols), np.array(folded)
+    k = np.array(blades)[:, None]
+    l = k ^ j ^ i  # even, as |J| = |I|; e_K e_J e_L = +-e_I
+    reverse = np.where(np.vectorize(_popcount)(k) % 4 == 2, -1, 1)
+    full = (1 << m) - 1
+    weight = reverse * (sign[k, j] * sign[k ^ j, l]
+                        + folded * sign[k, full ^ j] * sign[k ^ full ^ j, l]) / 2 ** m
+    partner = where[l]
+    diagonal = np.where(partner == np.arange(len(blades))[:, None], weight, 0.0)
+    for table in (diagonal, partner, weight):
+        table.flags.writeable = False  # shared by every caller
+    return blades, diagonal, partner, weight
 
 
 def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = None,

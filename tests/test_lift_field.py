@@ -16,6 +16,7 @@ from subdirac.clifford import Multivector
 from subdirac.dirac import frame_lift_field
 from subdirac.geometry import build_frame_field, catalog_chart
 from subdirac.spinors import (
+    LIFT_TABLE_MAX_DIMENSION,
     _rotation_minors,
     _spin_lift_table,
     build_gamma_rep,
@@ -77,19 +78,14 @@ def _antisymmetric(rng, n):
     return a - a.T
 
 
-@st.composite
-def smooth_fields(draw):
-    """Smooth SO(n) fields whose rotations pass close to angle pi.
+def _smooth_field(n, shape, seed):
+    """Smooth SO(n) field on the grid shape whose rotations pass close to angle pi.
 
     R(s) = Q expm(A0 + s . B) Q^T where A0 turns one plane by nearly pi and
     B drifts that angle across pi over the grid; neighbouring rotations
     differ by well under a half-turn.
     """
-    n = draw(st.integers(2, 6))
-    two_d = draw(st.booleans())
-    shape = ((draw(st.integers(8, 12)), draw(st.integers(8, 12))) if two_d
-             else (draw(st.integers(8, 40)),))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     a0 = 0.3 * _antisymmetric(rng, n)
     a0[0, 1], a0[1, 0] = -(np.pi - 0.2), np.pi - 0.2
     drifts = [0.5 * _antisymmetric(rng, n) for _ in shape]
@@ -100,6 +96,15 @@ def smooth_fields(draw):
         gen = a0 + sum(g[idx] * b for g, b in zip(grids, drifts))
         rot[idx] = q @ scipy.linalg.expm(gen) @ q.T
     return rot
+
+
+@st.composite
+def smooth_fields(draw):
+    n = draw(st.integers(2, LIFT_TABLE_MAX_DIMENSION))
+    two_d = draw(st.booleans())
+    shape = ((draw(st.integers(8, 12)), draw(st.integers(8, 12))) if two_d
+             else (draw(st.integers(8, 40)),))
+    return _smooth_field(n, shape, draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -129,9 +134,9 @@ def test_matches_reference_in_conjugated_rep():
     assert np.abs(frame_lift_field(frames, rep) - expected).max() <= 1e-12
 
 
-def _half_turn_jump(shape):
-    rot = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-    rot[..., 4:, :, :] = np.diag([-1.0, -1.0, 1.0])  # along the last grid axis
+def _half_turn_jump(shape, n=3):
+    rot = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
+    rot[..., 4:, :, :] = np.diag([-1.0, -1.0] + [1.0] * (n - 2))  # along the last grid axis
     return rot
 
 
@@ -209,10 +214,13 @@ def blade_coefficients(tau, rep):
 def table_outer(rot):
     """c c^T read off the table from the minors of one rotation."""
     n = rot.shape[-1]
-    blades, _, rows = _spin_lift_table(n)
+    blades, _, partner, weight = _spin_lift_table(n)
     assert blades == _even_blades(n)
-    grades = _rotation_minors(rot.reshape(n * n, 1), n)
-    return rows @ np.concatenate(grades[: n // 2 + 1])[:, 0]
+    minors = np.concatenate(_rotation_minors(rot.reshape(n * n, 1), n)[: n // 2 + 1])[:, 0]
+    outer = np.zeros((len(blades), len(blades)))
+    for k in range(len(blades)):
+        np.add.at(outer[k], partner[k], weight[k] * minors)
+    return outer
 
 
 def _near_half_turns(rng, n):
@@ -243,3 +251,34 @@ def test_last_minor_is_the_determinant(n):
     rot = np.random.default_rng(n).normal(size=(5, n, n))
     grades = _rotation_minors(np.moveaxis(rot, 0, -1).reshape(n * n, -1), n)
     assert np.abs(grades[n][0] - np.linalg.det(rot)).max() <= 1e-12
+
+
+def test_minor_table_is_sparse_and_bounded():
+    # one (partner, weight) pair per blade and minor: 32 x 662 at m = 6
+    blades, diagonal, partner, weight = _spin_lift_table(LIFT_TABLE_MAX_DIMENSION)
+    assert diagonal.shape == partner.shape == weight.shape == (32, 662)
+    with pytest.raises(ValueError, match="spin lift table covers dimensions 1..6"):
+        _spin_lift_table(LIFT_TABLE_MAX_DIMENSION + 1)
+
+
+# --- above the table: every point lifted by spin_lift, the same sign chain ------
+
+@pytest.mark.parametrize("n, shape", [(7, (24,)), (7, (6, 5)), (8, (5, 6)), (12, (3, 3))])
+def test_matches_reference_above_the_table(n, shape):
+    rot = _smooth_field(n, shape, seed=n)
+    rep = build_gamma_rep(n)
+    expected = reference_lift(rot, rep)
+    assert np.abs(frame_lift_field(rotation_field(rot), rep) - expected).max() <= 1e-12
+
+
+def test_errors_above_the_table():
+    n = LIFT_TABLE_MAX_DIMENSION + 1
+    identity = np.broadcast_to(np.eye(n), (6, 6, n, n))
+    non_orthogonal, reflection, non_finite = identity.copy(), identity.copy(), identity.copy()
+    non_orthogonal[4, 2] = np.diag([1 + 4e-6] + [1.0] * (n - 1))
+    reflection[2, 5] = np.diag([-1.0] + [1.0] * (n - 1))
+    non_finite[3, 3, 1, 2] = np.nan
+    assert "not orthogonal" in assert_same_error(non_orthogonal)
+    assert "determinant -1" in assert_same_error(reflection)
+    assert "not orthogonal" in assert_same_error(non_finite)
+    assert "ambiguous" in assert_same_error(_half_turn_jump((6, 6), n))
