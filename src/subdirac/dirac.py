@@ -274,9 +274,17 @@ def frame_spinor_fields(frames: FrameField, rep: GammaRep | None = None) -> list
 
 
 def pointwise_pairings(fields: list) -> np.ndarray:
-    """Gram matrix field <conj(psi^a), psi^b> over the grid, shape (*grid, d, d)."""
-    stack = np.stack([f.values for f in fields], axis=-2)  # (*grid, d, comp)
-    return np.einsum("...ac,...bc->...ab", np.conj(stack), stack)
+    """Gram matrix field <conj(psi^a), psi^b> over the grid, shape (*grid, d, d).
+
+    One entry-major product: the components as planes (d, comp, P), each
+    holding one component of one field at all P grid points, contracted
+    over comp at every point at once.
+    """
+    stack = np.stack([f.values for f in fields])  # (d, *grid, comp)
+    d, grid = len(fields), stack.shape[1:-1]
+    planes = np.moveaxis(stack.reshape(d, -1, stack.shape[-1]), -1, 1)
+    gram = np.einsum("acp,bcp->abp", planes.conj(), planes)
+    return np.moveaxis(gram, -1, 0).reshape(grid + (d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,27 @@ tangent frame from ordered Gram-Schmidt of the coordinate derivatives and a
 normal frame completed from the standard basis, smoothed across the grid
 and rotated into a parallel frame (vanishing normal-connection
 coefficients) by staircase path integration.  The Gram-Schmidt triangular
-factor R also gives the immersion guard, the metric inverse, the frame
-coefficients and the exact spin connection (from the Hessian, with no
-evaluation off the grid).  All of it runs on the whole grid at once: the
-per-point work is batched, and the staircase products are one scan
-(_staircase_scan) down the base column and then across all rows together.
-The pointwise functions run the same kernels on a one-point grid, with an
-exact normal connection from the completed frame's Gram-Schmidt factor.
+factor R also gives the immersion guard, the metric and its inverse, the
+frame coefficients and the exact spin connection (from the Hessian, with
+no evaluation off the grid).
+
+All of it runs on the whole grid at once, on entry-major planes: a field of
+small matrices, (*grid, p, q) in the public FrameField, is held as
+(p, q, *grid), one contiguous plane per matrix entry, so that every
+per-point step is elementwise arithmetic on whole planes and the Python
+loops run over the 2-4 entry indices only.  The staircase products are one
+scan (_staircase_scan) down the base column and then across all rows
+together, or in codimension 2 one cumsum of rotation angles.  The
+pointwise functions run the same plane kernels on one point (planes with
+no grid axes), with an exact normal connection from the completed frame's
+Gram-Schmidt factor.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -568,6 +577,78 @@ def catalog_chart(name: str, **params) -> ImmersionChart:
 
 
 # --------------------------------------------------------------------------
+# entry-major planes
+
+
+def _to_planes(a, entry_ndim):
+    """(*grid, *entry) -> contiguous planes (*entry, *grid)."""
+    grid_ndim = a.ndim - entry_ndim
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(grid_ndim)),
+                                            tuple(range(entry_ndim, a.ndim))))
+
+
+def _from_planes(planes, entry_ndim):
+    """Planes (*entry, *grid) -> contiguous (*grid, *entry)."""
+    return np.ascontiguousarray(np.moveaxis(planes, tuple(range(entry_ndim)),
+                                            tuple(range(planes.ndim - entry_ndim, planes.ndim))))
+
+
+def _plane_dot(a, b):
+    """sum_i a[i] b[i] over the leading axis, in the order of numpy's einsum
+    kernel for a contiguous float64 dot product (the even and the odd terms
+    in two running sums, added last), so that a plane Gram-Schmidt step
+    rounds as a per-point one written with np.einsum does."""
+    ab = a * b
+    return np.add.reduce(ab[0::2]) + np.add.reduce(ab[1::2])
+
+
+def _plane_matmul(a, b):
+    """Matrix product of planes a (p, q, *grid) and b (q, r, *grid)."""
+    out = a[:, 0, None] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[j]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_schedule(n):
+    """The Laplace expansion of an n x n determinant one row at a time.
+
+    For each row r >= 1, one entry per (r+1)-subset S of the columns (only
+    the full set at r = n-1): S and its terms (S[p], S without S[p],
+    negative), p = r, ..., 0, negative when r - p is odd, so that
+    minor(S) = sum of +-a[r, S[p]] minor(S without S[p]) with the first
+    term positive.
+    """
+    levels = []
+    for r in range(1, n):
+        subsets = itertools.combinations(range(n), r + 1) if r < n - 1 else [tuple(range(n))]
+        levels.append([(s, [(s[p], s[:p] + s[p + 1:], (r - p) % 2 == 1)
+                            for p in range(r, -1, -1)]) for s in subsets])
+    return levels
+
+
+def _plane_det(a):
+    """Determinants of planes a (n, n, *grid) as the wedge of the rows: the
+    minors on the first r rows, one plane per r-subset of the columns,
+    extended one row at a time (_wedge_schedule)."""
+    minors = {(j,): a[0, j] for j in range(len(a))}
+    for row, level in zip(a[1:], _wedge_schedule(len(a))):
+        extended = {}
+        for cols, terms in level:
+            (col, rest, _), *others = terms
+            total = row[col] * minors[rest]
+            for col, rest, negative in others:
+                if negative:
+                    total -= row[col] * minors[rest]
+                else:
+                    total += row[col] * minors[rest]
+            extended[cols] = total
+        minors = extended
+    return minors[tuple(range(len(a)))]
+
+
+# --------------------------------------------------------------------------
 # pointwise operations
 
 
@@ -575,52 +656,69 @@ def induced_metric(chart: ImmersionChart, s) -> np.ndarray:
     """g_ab = sum_i d_a x^i d_b x^i, symmetric positive definite."""
     _require_inside(chart, s)
     jac = chart.jacobian(s)
-    return np.einsum("...ia,...ib->...ab", jac, jac)
+    return np.swapaxes(jac, -1, -2) @ jac
 
 
 def _tangent_frames(jac, name):
-    """Ordered Gram-Schmidt of curve or surface Jacobians on a grid (any leading shape).
+    """Ordered Gram-Schmidt of Jacobian planes (n, k, *grid), k <= 2.
 
-    Returns the tangent frames (*grid, k, n) and the upper-triangular factor
-    r = tangent @ jac (*grid, k, k), so that jac = tangent^T r and
-    sigma_min(jac) = sigma_min(r).  The 1e-8 immersion guard is tested on r
-    before each division by a Gram-Schmidt norm: sigma_min <= r11, and for
-    k = 2 sigma_min = r11 r22 / sigma_max with
+    Returns the tangent frame planes (k, n, *grid) and the upper-triangular
+    factor r = tangent jac as planes (k, k, *grid), so that jac = tangent^T r
+    and sigma_min(jac) = sigma_min(r).  The 1e-8 immersion guard rejects a
+    non-finite Jacobian and is tested on r before each division by a
+    Gram-Schmidt norm: sigma_min <= r11, and for k = 2
+    sigma_min = r11 r22 / sigma_max with
     sigma_max = (|(r11 + r22, r12)| + |(r11 - r22, r12)|) / 2, which keeps a
     small singular value to full relative accuracy (the eigenvalues of
     jac^T jac would not).  Raises ValueError for k > 2.
     """
 
-    def guard(sigma_min):
-        if not (sigma_min > 1e-8).all():  # a NaN fails too
+    def guard(ok):
+        if not ok.all():
             raise ImmersionError(f"immersion condition violated on the grid of {name}")
 
-    k = jac.shape[-1]
+    n, k = jac.shape[:2]
     if k > 2:
         raise ValueError("tangent frames support curve and surface grids only")
-    cols = np.moveaxis(jac, -1, 0).copy()  # contiguous columns
-    r = np.zeros(jac.shape[:-2] + (k, k))
-    tangent = np.empty(jac.shape[:-2] + (k, jac.shape[-2]))
-    r11 = r[..., 0, 0] = np.linalg.norm(cols[0], axis=-1)
-    guard(r11)
-    tangent[..., 0, :] = t1 = cols[0] / r11[..., None]
+    guard(np.isfinite(jac))
+    r = np.zeros((k, k) + jac.shape[2:])
+    tangent = np.empty((k, n) + jac.shape[2:])
+    col = jac[:, 0]
+    r11 = r[0, 0] = np.sqrt((col * col).sum(axis=0))
+    guard(r11 > 1e-8)
+    tangent[0] = t1 = col / r11
     if k == 2:
-        r12 = r[..., 0, 1] = np.einsum("...i,...i->...", t1, cols[1])
-        w = cols[1] - r12[..., None] * t1
-        r22 = r[..., 1, 1] = np.linalg.norm(w, axis=-1)
-        guard(r11 * r22 / (0.5 * (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12))))
-        tangent[..., 1, :] = w / r22[..., None]
+        col = jac[:, 1]
+        r12 = r[0, 1] = _plane_dot(t1, col)
+        w = col - r12 * t1
+        r22 = r[1, 1] = np.sqrt((w * w).sum(axis=0))
+        guard(r11 * r22 / (0.5 * (np.hypot(r11 + r22, r12) + np.hypot(r11 - r22, r12))) > 1e-8)
+        tangent[1] = w / r22
     return tangent, r
 
 
 def _r_inverse(r):
-    """r^-1 written out (k <= 2): e_a = x_alpha (r^-1)^alpha_a, g^-1 = r^-1 r^-T."""
+    """r^-1 planes written out (k <= 2), e_a = x_alpha (r^-1)^alpha_a, and the
+    metric inverse g^-1 = r^-1 r^-T."""
     r_inv = np.zeros_like(r)
-    r_inv[..., 0, 0] = 1 / r[..., 0, 0]
-    if r.shape[-1] == 2:
-        r_inv[..., 1, 1] = 1 / r[..., 1, 1]
-        r_inv[..., 0, 1] = -r[..., 0, 1] * r_inv[..., 0, 0] * r_inv[..., 1, 1]
-    return r_inv
+    r_inv[0, 0] = 1 / r[0, 0]
+    if len(r) == 2:
+        r_inv[1, 1] = 1 / r[1, 1]
+        r_inv[0, 1] = -r[0, 1] * r_inv[0, 0] * r_inv[1, 1]
+    return r_inv, _plane_matmul(r_inv, np.swapaxes(r_inv, 0, 1))
+
+
+def _weingarten_planes(hess, metric_inv, normal):
+    """Tangential Weingarten planes (n-k, k, k, *grid) from hess (n, k, k, *grid),
+    g^-1 (k, k, *grid) and normal (n-k, n, *grid).
+
+    Gamma^beta_{adot alpha} = -(g^{-1})^{beta gamma} (b_adot . x_{gamma alpha});
+    flat-ambient identity (d_alpha b) . x_beta = -b . x_{alpha beta}.
+    """
+    n, k = hess.shape[:2]
+    ii = _plane_matmul(normal, hess.reshape((n, k * k) + hess.shape[3:]))
+    ii = ii.reshape((len(normal), k, k) + hess.shape[3:])  # second fundamental form
+    return -np.stack([_plane_matmul(np.swapaxes(ii_d, 0, 1), metric_inv) for ii_d in ii])
 
 
 @dataclass(frozen=True)
@@ -638,9 +736,10 @@ class PointFrame:
 
 
 def _point_frame(chart, s, with_hessian=False):
-    """The grid kernels on the one-point grid s: jac (and hess, from the same
-    chart pass, if asked for; None otherwise), tangent and r, and the raw
-    normal completion turned to det +1 with its pivots (_raw_normals)."""
+    """The grid kernels at the one point s, as planes with no grid axes: jac
+    (n, k) (and hess (n, k, k), from the same chart pass, if asked for; None
+    otherwise), tangent (k, n) and r (k, k), and the raw normal completion
+    (n-k, n) turned to det +1 with its pivots (_raw_normals)."""
     _require_inside(chart, s)
     if with_hessian:
         _, jac, hess = chart.derivatives(s)
@@ -648,7 +747,7 @@ def _point_frame(chart, s, with_hessian=False):
         jac, hess = chart.jacobian(s), None
     tangent, r = _tangent_frames(jac, chart.name)
     normal, pivots = _raw_normals(tangent)
-    if pivots is not None and np.linalg.det(np.vstack([tangent, normal])) < 0:
+    if pivots is not None and _plane_det(np.concatenate([tangent, normal])) < 0:
         normal[-1] = -normal[-1]
     return jac, hess, tangent, r, normal, pivots
 
@@ -656,9 +755,8 @@ def _point_frame(chart, s, with_hessian=False):
 def _point_weingarten(chart, s, frames):
     """jac and Gamma at s in frames.normal (the completion's if frames is None)."""
     jac, hess, _, r, normal, _ = _point_frame(chart, s, with_hessian=True)
-    r_inv = _r_inverse(r)
     normal = normal if frames is None else frames.normal
-    return jac, _weingarten_from_arrays(jac, hess, r_inv @ r_inv.T, normal)
+    return jac, _weingarten_planes(hess, _r_inverse(r)[1], normal)
 
 
 def adapted_frames(chart: ImmersionChart, s) -> PointFrame:
@@ -666,16 +764,6 @@ def adapted_frames(chart: ImmersionChart, s) -> PointFrame:
     s = np.asarray(s, dtype=float)
     _, _, tangent, _, normal, _ = _point_frame(chart, s)
     return PointFrame(s, tangent, normal)
-
-
-def _weingarten_from_arrays(jac, hess, metric_inv, normal):
-    """Tangential Weingarten coefficients from second derivatives.
-
-    Gamma^beta_{adot alpha} = -(g^{-1})^{beta gamma} (b_adot . x_{gamma alpha});
-    flat-ambient identity (d_alpha b) . x_beta = -b . x_{alpha beta}.
-    """
-    ii = np.einsum("...di,...iab->...dab", normal, hess)  # second fundamental form
-    return -np.einsum("...bg,...dga->...dab", metric_inv, ii)
 
 
 def weingarten(chart: ImmersionChart, s, frames: PointFrame):
@@ -691,8 +779,7 @@ def weingarten(chart: ImmersionChart, s, frames: PointFrame):
     Gammatilde_alpha = -K_alpha[k:, k:], which is 0 in codimension 1.
     """
     jac, hess, tangent, r, normal, pivots = _point_frame(chart, s, with_hessian=True)
-    r_inv = _r_inverse(r)
-    gamma = _weingarten_from_arrays(jac, hess, r_inv @ r_inv.T, frames.normal)
+    gamma = _weingarten_planes(hess, _r_inverse(r)[1], frames.normal)
     mean = np.einsum("daa->d", gamma)  # trace over the coordinate/mixed pair
 
     k, n = chart.k, chart.n
@@ -731,7 +818,8 @@ def _tube_factor(gamma, q):
         cross = (gamma[..., :, None, 0, 0] * gamma[..., None, :, 1, 1]
                  - gamma[..., :, None, 0, 1] * gamma[..., None, :, 1, 0])
         stack = q.reshape(-1, q.shape[-1])
-        det = np.einsum("ia,...ab,ib->i...", stack, cross, stack).reshape(linear.shape)
+        pairs = (stack[:, :, None] * stack[:, None, :]).reshape(len(stack), -1)
+        det = (pairs @ cross.reshape(-1, pairs.shape[-1]).T).reshape(linear.shape)
         det += linear
         det += 1
     if not (det.min() > 0 and trace.min() > 0):  # a NaN fails too
@@ -862,6 +950,13 @@ def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
     raise ValueError("staircase traversal supports curve and surface grids only")
 
 
+def _previous_planes(planes: np.ndarray, ndim: int) -> np.ndarray:
+    """_staircase_previous of planes whose grid is the trailing ndim axes."""
+    grid = tuple(range(planes.ndim - ndim, planes.ndim))
+    prev = _staircase_previous(np.moveaxis(planes, grid, range(ndim)), ndim)
+    return np.moveaxis(prev, range(ndim), grid)
+
+
 def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Chained products out(s) = steps(s) @ out(prev(s)) along the staircase.
 
@@ -886,87 +981,124 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
+def _staircase_cumsum(edges: np.ndarray, ndim: int) -> np.ndarray:
+    """Sums out(s) = edges(s) + out(prev(s)) along the staircase, 0 at the base
+    corner, for planes whose grid is the trailing ndim (<= 2) axes: a cumsum
+    down the base column, then one along every row."""
+    out = edges.copy()
+    out[(Ellipsis,) + (0,) * ndim] = 0.0
+    if ndim == 2:
+        out[..., 0] = np.cumsum(out[..., 0], axis=-1)
+    return np.cumsum(out, axis=-1)
+
+
+def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
+    """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
+    base corner, for antisymmetric generator planes gen (d, d, *grid).
+
+    SO(2) steps commute, so for d = 2 y is the plane rotation by the
+    staircase cumsum of the angles gen[1, 0]; otherwise the batched expm
+    steps are chained by _staircase_scan.
+    """
+    if len(gen) == 2:
+        angle = _staircase_cumsum(gen[1, 0], ndim)
+        cos, sin = np.cos(angle), np.sin(angle)
+        return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
+    import scipy.linalg
+
+    steps = scipy.linalg.expm(_from_planes(gen, 2))
+    return _to_planes(_staircase_scan(steps, np.eye(len(gen))), 2)
+
+
 def _complete_normal_stack(tangent):
-    """Gram-Schmidt completion of (P, k, n) tangent frames with ascending
+    """Gram-Schmidt completion of tangent planes (k, n, P) with ascending
     standard basis vectors, skipping residuals <= 0.5 (<= 1e-8 in a second
     pass for the points still short).
 
-    Each point keeps a zero-padded (n, n) stack of rows, tangent rows first;
-    a candidate is projected against the filled slots in order (an empty
-    slot would be an exact no-op), the arithmetic of a per-point loop.
-    Returns the normals (P, n-k, n) and the accepted basis indices (P, n-k).
+    Every candidate e_j is first projected against the tangent rows, all
+    candidates at once, then one after another against the normal slots a
+    point has filled, in order (an empty slot is an exact no-op): the
+    arithmetic of a per-point loop.  Returns the normal planes (n-k, n, P)
+    and the accepted basis indices (n-k, P).  Raises ImmersionError for a
+    non-finite tangent.
     """
-    points, k, n = tangent.shape
-    rows = np.zeros((points, n, n))
-    rows[:, :k] = tangent
-    pivots = np.zeros((points, n), dtype=int)
-    count = np.full(points, k)
-    short = np.arange(points)
+    k, n, points = tangent.shape
+    if not np.isfinite(tangent).all():
+        raise ImmersionError("could not complete the normal frame")
+    # cand[i, j]: entry i of e_j; against the first row t that is e_j - t[j] t
+    t = tangent[0]
+    cand = np.eye(n)[:, :, None] - t[None] * t[:, None]
+    for t in tangent[1:, :, None]:
+        cand -= _plane_dot(t, cand) * t
+    normal = np.zeros((n - k, n, points))
+    pivots = np.zeros((n - k, points), dtype=int)
+    filled = np.zeros(points, dtype=int)
+    short = slice(None)
     for thr in (0.5, 1e-8):
-        sub, piv, filled = rows[short], pivots[short], count[short]
+        slots, piv, count = normal[:, :, short], pivots[:, short], filled[short]
         for j in range(n):
-            w = np.zeros((len(short), n))
-            w[:, j] = 1.0
-            for slot in range(filled.max()):
-                u = sub[:, slot]
-                w -= np.einsum("pi,pi->p", u, w)[:, None] * u
-            norm = np.linalg.norm(w, axis=-1)
-            hit = np.flatnonzero((norm > thr) & (filled < n))
-            sub[hit, filled[hit]] = w[hit] / norm[hit, None]
-            piv[hit, filled[hit]] = j
-            filled[hit] += 1
-            if filled.min() == n:
-                break
-        rows[short], pivots[short], count[short] = sub, piv, filled
-        short = short[filled < n]
+            w = cand[:, j, short]
+            for u in slots[:count.max()]:
+                w = w - _plane_dot(u, w) * u
+            norm = np.sqrt(np.add.reduce(w * w))
+            hit = np.flatnonzero((norm > thr) & (count < n - k))
+            if len(hit):
+                slots[count[hit], :, hit] = (w[:, hit] / norm[hit]).T
+                piv[count[hit], hit] = j
+                count[hit] += 1
+                if count.min() == n - k:
+                    break
+        normal[:, :, short], pivots[:, short], filled[short] = slots, piv, count
+        short = np.flatnonzero(filled < n - k)
         if not len(short):
-            return rows[:, k:], pivots[:, k:]
+            return normal, pivots
     raise ImmersionError("could not complete the normal frame")
 
 
 def _raw_normals(tangent):
-    """Unsmoothed normal frames (*grid, n-k, n) and completion pivots.
+    """Unsmoothed normal planes (n-k, n, *grid) and completion pivots.
 
     Surfaces in R^3 take the cross product and plane curves the quarter
     turn, both det +1, with pivots None; codimension >= 2 completes with
     standard basis vectors (_complete_normal_stack).
     """
-    lead, (k, n) = tangent.shape[:-2], tangent.shape[-2:]
+    (k, n), grid = tangent.shape[:2], tangent.shape[2:]
     if (k, n) == (2, 3):
-        nrm = np.cross(tangent[..., 0, :], tangent[..., 1, :])[..., None, :]
-        return nrm / np.linalg.norm(nrm, axis=-1)[..., None], None
+        a, b = tangent
+        nrm = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                        a[0] * b[1] - a[1] * b[0]])
+        return (nrm / np.sqrt((nrm * nrm).sum(axis=0)))[None], None
     if (k, n) == (1, 2):
-        t = tangent[..., 0, :]
-        return np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None, :], None
-    b, pivots = _complete_normal_stack(tangent.reshape(-1, k, n))
-    return b.reshape(lead + (n - k, n)), pivots.reshape(lead + (n - k,))
+        t = tangent[0]
+        return np.stack([-t[1], t[0]])[None], None
+    b, pivots = _complete_normal_stack(tangent.reshape(k, n, -1))
+    return b.reshape((n - k, n) + grid), pivots.reshape((n - k,) + grid)
 
 
 def _polar_factor(m):
-    """Orthogonal polar factor of a stack of square matrices: the nearest
-    rotation or reflection, u vt of the SVD.
+    """Orthogonal polar factor of square-matrix planes m (d, d, *grid): the
+    nearest rotation or reflection, u vt of the SVD.
 
     For 2 x 2 matrices it is closed-form: with m = [[a, b], [c, d]], the rotation
     [[p, -q], [q, p]] with (p, q) along (a + d, c - b) when det m > 0, the
     reflection [[p, q], [q, -p]] with (p, q) along (a - d, c + b) when
     det m < 0.  Each maximises tr(P^T m) within its component, and the
     length of (p, q) squared is |m|_F^2 + 2 |det m| > 0.  A step with
-    |det m| <= 1e-8 (or NaN) has no well-defined polar factor and raises
-    ImmersionError.
+    |det m| <= 1e-8 or a non-finite entry has no well-defined polar factor
+    and raises ImmersionError.
     """
-    if m.shape[-1] != 2:
-        u, _, vt = np.linalg.svd(m)
-        return u @ vt
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    det = a * d - b * c
+    if len(m) != 2:
+        u, _, vt = np.linalg.svd(_from_planes(m, 2))
+        return _to_planes(u @ vt, 2)
+    (a, b), (c, d) = m
+    det = a * d - b * c if np.isfinite(m).all() else np.nan
     if not (np.abs(det) > 1e-8).all():  # a NaN fails too
         raise ImmersionError("normal-frame smoothing met a singular alignment step")
     sign = np.where(det > 0, 1.0, -1.0)
     p, q = a + sign * d, c - sign * b
     length = np.hypot(p, q)
     p, q = p / length, q / length
-    return np.stack([np.stack([p, -sign * q], axis=-1), np.stack([q, sign * p], axis=-1)],
-                    axis=-2)
+    return np.stack([np.stack([p, -sign * q]), np.stack([q, sign * p])])
 
 
 def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
@@ -974,12 +1106,20 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     """Adapted frames, curvature and connection data on the chart grid.
 
     The chart is evaluated once on the grid, x, jac and hess together
-    (ImmersionChart.derivatives).  The tangent frame is the ordered
-    Gram-Schmidt of the coordinate derivatives, jac = tangent^T R with
-    R = tangent jac upper triangular (k <= 2, since the staircase covers
-    curves and surfaces only).  R gives the immersion guard,
-    sigma_min(jac) = sigma_min(R) in closed form, the frame coefficients
-    e_coeff = R^-T and the metric inverse g^-1 = R^-1 R^-T.
+    (ImmersionChart.derivatives).  jac and hess are then transposed once
+    into entry-major planes, (n, k, *grid) and (n, k, k, *grid): every
+    per-point quantity is a stack of planes, one per matrix entry, each
+    holding that entry at all grid points contiguously.  Every step below
+    is plane arithmetic over the whole grid, with Python loops over the
+    2-4 entry indices only, and the FrameField fields are transposed back
+    to (*grid, ...) once at the end.
+
+    The tangent frame is the ordered Gram-Schmidt of the coordinate
+    derivatives, jac = tangent^T R with R = tangent jac upper triangular
+    (k <= 2, since the staircase covers curves and surfaces only).  R gives
+    the immersion guard, sigma_min(jac) = sigma_min(R) in closed form, the
+    metric g = R^T R, the frame coefficients e_coeff = R^-T and the metric
+    inverse g^-1 = R^-1 R^-T.
 
     Surfaces in R^3 and plane curves take their normal from the cross
     product and the quarter turn.  In higher codimension every point
@@ -987,17 +1127,18 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     all points at once), and the completions b(s) are smoothed along the
     staircase by Procrustes alignment to the predecessor.  As
     polar(Q M) = Q polar(M), the aligned frame is Q(s) b(s) with
-    Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one stacked polar
-    factor (_polar_factor, closed-form in codimension 2) and one staircase
-    scan of the P^T.  P(s) can be a reflection, so the order of that
-    product matters.  The field is then flipped to det +1 at the base
+    Q(s) = Q(prev) P(s), P(s) = polar(b(prev) b(s)^T): one polar factor of
+    all steps (_polar_factor, closed-form in codimension 2) and one
+    staircase scan of the P^T.  P(s) can be a reflection, so the order of
+    that product matters.  The field is then flipped to det +1 at the base
     corner.
 
     With parallel=True and codimension >= 2, the normal frame is rotated by
     the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the
-    staircase: one exponential exp(-h Mbar) per edge, a closed-form plane
-    rotation in codimension 2 and a batched expm otherwise, chained by the
-    same scan.  On a curve this is the Bishop frame.
+    staircase: one exponential exp(-h Mbar) per edge (_transport), which in
+    codimension 2 is a cumsum of rotation angles and one plane rotation,
+    and otherwise a batched expm chained by the same scan.  On a curve this
+    is the Bishop frame.
 
     The spin connection is exact: differentiating jac = tangent^T R gives
     tangent d_alpha(jac) R^-1 = tangent d_alpha(tangent^T) + d_alpha(R) R^-1,
@@ -1006,12 +1147,12 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     Raises, in this order: ValueError for a shape with the wrong number of
     axes, fewer than 8 points per axis, or more than two axes; then
-    ImmersionError when the Jacobian's smallest singular value is <= 1e-8
-    somewhere on the grid (tested before any division by a Gram-Schmidt
-    norm), when a normal frame cannot be completed, when a codimension-2
-    alignment step is singular, or when smoothing leaves frames of both
-    orientations (a seam); then IntegrabilityError when the normal
-    connection stays above integrability_tol.
+    ImmersionError when the Jacobian is not finite or its smallest singular
+    value is <= 1e-8 somewhere on the grid (tested before any division by a
+    Gram-Schmidt norm), when a normal frame cannot be completed, when a
+    codimension-2 alignment step is singular, or when smoothing leaves
+    frames of both orientations (a seam); then IntegrabilityError when the
+    normal connection stays above integrability_tol.
     """
     shape = tuple(shape or chart.grid_shape)
     axes = chart.axes(shape)
@@ -1022,34 +1163,33 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     x, jac, hess = chart.derivatives(pts)
     k, n = chart.k, chart.n
     nk = n - k
+    dims = len(shape)
+    jac_p, hess_p = _to_planes(jac, 2), _to_planes(hess, 3)
 
-    tangent, r = _tangent_frames(jac, chart.name)
+    tangent, r = _tangent_frames(jac_p, chart.name)
 
     normal, pivots = _raw_normals(tangent)
     if pivots is not None:  # the closed forms need no smoothing
-        step = _polar_factor(_staircase_previous(normal, len(shape))
-                             @ np.swapaxes(normal, -1, -2))
-        q_t = _staircase_scan(np.swapaxes(step, -1, -2), np.eye(nk))
-        normal = np.swapaxes(q_t, -1, -2) @ normal
-        det = np.linalg.det(np.concatenate([tangent, normal], axis=-2))
+        step = _polar_factor(_plane_matmul(_previous_planes(normal, dims),
+                                           np.swapaxes(normal, 0, 1)))
+        q_t = _staircase_scan(_from_planes(np.swapaxes(step, 0, 1), 2), np.eye(nk))
+        normal = _plane_matmul(np.swapaxes(_to_planes(q_t, 2), 0, 1), normal)
+        det = _plane_det(np.concatenate([tangent, normal]))
         if det.max() - det.min() > 1.0:  # dets are +/-1; a mix means a seam
             raise ImmersionError("normal-frame smoothing left an orientation seam")
         if det.flat[0] < 0:
-            normal[..., -1, :] = -normal[..., -1, :]
+            normal[-1] = -normal[-1]
 
-    r_inv = _r_inverse(r)
-    e_coeff = np.swapaxes(r_inv, -1, -2)
-    metric = np.einsum("...ia,...ib->...ab", jac, jac)
-    metric_inv = r_inv @ e_coeff
-    wein = _weingarten_from_arrays(jac, hess, metric_inv, normal)
+    r_inv, metric_inv = _r_inverse(r)
+    metric = _plane_matmul(np.swapaxes(r, 0, 1), r)
+    wein = _weingarten_planes(hess_p, metric_inv, normal)
 
     # normal-connection coefficients of the completed field
-    def gtilde_of(nrm_field):
-        gt = np.empty(shape + (k, nk, nk))
+    def gtilde_of(nrm):
+        gt = np.empty((k, nk, nk) + shape)
         for a in range(k):
-            db = _diff_axis(nrm_field, a, hs[a])
-            m = np.einsum("...di,...ei->...de", nrm_field, db)
-            gt[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
+            m = _plane_matmul(nrm, np.swapaxes(_diff_axis(nrm, a - dims, hs[a]), 0, 1))
+            gt[a] = 0.5 * (m - np.swapaxes(m, 0, 1))
         return gt
 
     gtilde = gtilde_of(normal)
@@ -1058,22 +1198,13 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase;
         # the edge into s along axis alpha steps by exp(-h_alpha Mbar), Mbar
         # the mean of M_alpha at s and at its predecessor
-        mbar = 0.5 * (_staircase_previous(gtilde, len(shape)) + gtilde)
-        column = (slice(None),) + (0,) * (len(shape) - 1)
-        gen = -hs[-1] * mbar[..., -1, :, :]
-        gen[column] = -hs[0] * mbar[column][..., 0, :, :]
-        if nk == 2:
-            cos, sin = np.cos(gen[..., 1, 0]), np.sin(gen[..., 1, 0])
-            step = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)],
-                            axis=-2)
-        else:
-            import scipy.linalg
-
-            step = scipy.linalg.expm(gen)
-        y = _staircase_scan(step, np.eye(nk))
-        lam = np.swapaxes(y, -1, -2)
-        normal = np.einsum("...de,...ei->...di", lam, normal)
-        wein = np.einsum("...de,...eab->...dab", lam, wein)
+        mbar = 0.5 * (_previous_planes(gtilde, dims) + gtilde)
+        gen = -hs[-1] * mbar[-1]
+        if dims == 2:  # the base column steps along axis 0
+            gen[..., 0] = -hs[0] * mbar[0][..., 0]
+        lam = np.swapaxes(_transport(gen, dims), 0, 1)
+        normal = _plane_matmul(lam, normal)
+        wein = _plane_matmul(lam, wein.reshape((nk, k * k) + shape)).reshape(wein.shape)
         gtilde = gtilde_of(normal)
 
     gtilde_residual = float(np.abs(gtilde).max()) if nk >= 1 else 0.0
@@ -1081,18 +1212,21 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         raise IntegrabilityError(
             f"normal connection residual {gtilde_residual:.3e} above {integrability_tol:.3e}")
 
-    mean = np.einsum("...daa->...d", wein)
     # omega_alpha = L - L^T with L the strict-lower part of tangent hess_alpha
     # R^-1; for k = 2 that is the one entry L[1, 0] = e_1 . d_alpha d_0 x / R[0, 0]
     # (0-based), and a curve has no spin connection
-    omega = np.zeros(shape + (k, k, k))
+    omega = np.zeros((k, k, k) + shape)
     if k == 2:
-        low = np.einsum("...i,...ia->...a", tangent[..., 1, :], hess[..., :, 0, :])
-        low *= r_inv[..., :1, 0]
-        omega[..., 1, 0], omega[..., 0, 1] = low, -low
+        low = _plane_matmul(tangent[1:], hess_p[:, 0])[0] * r_inv[0, 0]
+        omega[:, 1, 0], omega[:, 0, 1] = low, -low
 
-    return FrameField(chart, axes, hs, pts, x, jac, metric, metric_inv, tangent,
-                      normal, wein, mean, gtilde, gtilde_residual, e_coeff, omega)
+    return FrameField(chart, axes, hs, pts, x, jac, _from_planes(metric, 2),
+                      _from_planes(metric_inv, 2), _from_planes(tangent, 2),
+                      _from_planes(normal, 2), _from_planes(wein, 3),
+                      _from_planes(np.trace(wein, axis1=1, axis2=2), 1),
+                      _from_planes(gtilde, 3), gtilde_residual,
+                      _from_planes(np.swapaxes(r_inv, 0, 1), 2),
+                      _from_planes(omega, 3))
 
 
 def parallel_normal_frame(chart: ImmersionChart, shape=None) -> FrameField:

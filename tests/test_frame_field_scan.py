@@ -9,7 +9,12 @@ the tangent frames at s +- h_fd.  The closed-form immersion guard is
 checked against the SVD.  The pointwise functions, one-point calls into
 the grid kernels, are checked against the scalar per-point path they
 replaced and their exact normal connection against central differences
-of the completed frame.
+of the completed frame; the plane kernels on a one-point grid against the
+pointwise functions.  Each guard of the plane kernels (non-finite or
+nearly singular Jacobians, uncompletable normal fields, singular alignment
+steps) is driven by random inputs near its threshold and must raise its
+named error, never a numpy warning.  The codimension-2 transport, one
+rotation by a cumsum of angles, is pinned against the matrix scan.
 """
 
 import dataclasses
@@ -31,7 +36,6 @@ from subdirac.geometry import (
     _complete_normal_stack,
     _diff_axis,
     _tangent_frames,
-    _weingarten_from_arrays,
     adapted_frames,
     build_frame_field,
     catalog_chart,
@@ -51,6 +55,12 @@ def gram_schmidt_rows(vectors):
             raise ImmersionError("rank-deficient derivative set")
         out.append(w / norm)
     return np.array(out)
+
+
+def weingarten_from_arrays(jac, hess, metric_inv, normal):
+    """Gamma^beta_{adot alpha} = -(g^{-1})^{beta gamma} (b_adot . x_{gamma alpha})."""
+    ii = np.einsum("...di,...iab->...dab", normal, hess)  # second fundamental form
+    return -np.einsum("...bg,...dga->...dab", metric_inv, ii)
 
 
 def complete_normals_with_pivots(tangent, threshold=0.5):
@@ -138,7 +148,8 @@ def finite_difference_omega(chart, shape):
 
 
 def reference_frame_field(chart, shape):
-    """The per-point loops of build_frame_field in codimension >= 2."""
+    """The per-point loops of build_frame_field in codimension >= 2; in
+    codimension 1 they reduce to sign alignment and the identity transport."""
     hs = chart.spacings(shape)
     pts = chart.grid(shape)
     jac, hess = chart.jacobian(pts), chart.hessian(pts)
@@ -161,7 +172,7 @@ def reference_frame_field(chart, shape):
         normal[..., -1, :] = -normal[..., -1, :]
 
     metric_inv = np.linalg.inv(np.einsum("...ia,...ib->...ab", jac, jac))
-    wein = _weingarten_from_arrays(jac, hess, metric_inv, normal)
+    wein = weingarten_from_arrays(jac, hess, metric_inv, normal)
 
     def gtilde_of(nrm_field):
         gt = np.empty(shape + (k, nk, nk))
@@ -186,6 +197,7 @@ def reference_frame_field(chart, shape):
 
     proj = np.einsum("...ai,...ib->...ab", tangent, jac)
     return {"tangent": tangent, "normal": normal, "weingarten": wein,
+            "metric": np.einsum("...ia,...ib->...ab", jac, jac), "metric_inv": metric_inv,
             "mean_curvature": np.einsum("...daa->...d", wein), "gtilde": gtilde,
             "gtilde_residual": float(np.abs(gtilde).max()),
             "e_coeff": np.einsum("...gb,...ab->...ag", metric_inv, proj),
@@ -208,12 +220,15 @@ def surface_in_r5():
     (catalog_chart("helix-curve"), (257,)),  # its Procrustes steps include reflections
     (catalog_chart("helix-curve"), (513,)),
     (surface_in_r5(), (33, 33)),  # batched expm transport
-], ids=["torus-33", "torus-65", "helix-257", "helix-513", "surface-r5-33"])
+    (catalog_chart("sphere"), (65, 65)),  # cross-product normal, nothing to transport
+], ids=["torus-33", "torus-65", "helix-257", "helix-513", "surface-r5-33", "sphere-65"])
 def test_matches_reference_loops(chart, shape):
     ff = build_frame_field(chart, shape=shape)
     expected = reference_frame_field(chart, shape)
     assert np.array_equal(ff.tangent, expected["tangent"])
     assert np.abs(ff.e_coeff - expected["e_coeff"]).max() <= 1e-14
+    assert np.abs(ff.metric - expected["metric"]).max() <= 1e-12
+    assert np.abs(ff.metric_inv - expected["metric_inv"]).max() <= 1e-12
     # the reference omega carries the O(h_fd^2) error of its central differences
     assert np.abs(ff.omega - expected["omega"]).max() <= 1e-7
     for name in ("normal", "weingarten", "mean_curvature", "gtilde", "gtilde_residual"):
@@ -256,13 +271,32 @@ def jacobian_stacks(draw):
 def test_immersion_guard_matches_svd(jac):
     sigma_min = np.linalg.svd(jac, compute_uv=False)[..., -1].min()
     try:
-        _tangent_frames(jac, "random")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _tangent_frames(np.moveaxis(jac, 0, -1), "random")
         raised = False
     except ImmersionError as exc:
         assert str(exc) == "immersion condition violated on the grid of random"
         raised = True
     if abs(sigma_min - 1e-8) > 1e-14:
         assert raised == (sigma_min <= 1e-8)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(jacobian_stacks(), st.sampled_from(NON_FINITE), st.data())
+def test_non_finite_jacobian_raises_immersion_error(jac, bad, data):
+    points, n, k = jac.shape
+    jac = jac.copy()
+    jac[data.draw(st.integers(0, points - 1)), data.draw(st.integers(0, n - 1)),
+        data.draw(st.integers(0, k - 1))] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImmersionError) as exc:
+            _tangent_frames(np.moveaxis(jac, 0, -1), "random")
+    assert str(exc.value) == "immersion condition violated on the grid of random"
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -289,7 +323,7 @@ def test_helix_steps_include_reflections():
     # the relative Procrustes chain multiplies on the right, which matters
     # only when some step is a reflection
     ff = build_frame_field(catalog_chart("helix-curve"), shape=(257,))
-    b, _ = _complete_normal_stack(ff.tangent)
+    b = np.moveaxis(_complete_normal_stack(np.moveaxis(ff.tangent, 0, -1))[0], -1, 0)
     m = np.einsum("pdi,pei->pde", b[:-1], b[1:])
     u, _, vt = np.linalg.svd(m)
     assert (np.linalg.det(u @ vt) < 0).any()
@@ -310,9 +344,50 @@ def alignment_steps(draw):
 @given(alignment_steps())
 def test_closed_form_polar_factor_matches_svd(m):
     u, _, vt = np.linalg.svd(m)
-    got = geometry._polar_factor(m)
+    got = np.moveaxis(geometry._polar_factor(np.moveaxis(m, 0, -1)), -1, 0)
     assert np.abs(got - u @ vt).max() <= 1e-14
     assert np.array_equal(np.sign(np.linalg.det(got)), np.sign(np.linalg.det(m)))
+
+
+@st.composite
+def near_singular_alignment_steps(draw):
+    """Step planes (2, 2, P) from alignment_steps with one point changed: its
+    |det| within 1e-12 of the 1e-8 guard (either side), or one entry
+    non-finite.  The other points stay clear of the guard."""
+    m = np.moveaxis(draw(alignment_steps()), 0, -1).copy()
+    point = draw(st.integers(0, m.shape[-1] - 1))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u, v = np.linalg.qr(rng.normal(size=(2, 2, 2)))[0]
+        first = rng.uniform(0.5, 1.0)
+        sigma = np.array([first, (1e-8 + draw(st.floats(-1e-12, 1e-12))) / first])
+        m[..., point] = u * sigma @ v.T
+    else:
+        m[draw(st.integers(0, 1)), draw(st.integers(0, 1)), point] = draw(
+            st.sampled_from(NON_FINITE))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_singular_alignment_steps())
+def test_singular_alignment_guard(m):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometry._polar_factor(m)
+        raised = False
+    except ImmersionError as exc:
+        assert str(exc) == "normal-frame smoothing met a singular alignment step"
+        raised = True
+    if not np.isfinite(m).all():
+        assert raised
+        return
+    det = np.abs(np.linalg.det(np.moveaxis(m, -1, 0)))
+    if np.abs(det - 1e-8).min() > 1e-14:
+        assert raised == (det <= 1e-8).any()
+    if not raised:
+        got = np.moveaxis(got, -1, 0)
+        assert np.abs(got @ np.swapaxes(got, -1, -2) - np.eye(2)).max() <= 1e-14
 
 
 def test_singular_alignment_step_raises():
@@ -323,7 +398,7 @@ def test_singular_alignment_step_raises():
             warnings.simplefilter("error")
             with pytest.raises(ImmersionError,
                                match="normal-frame smoothing met a singular alignment step"):
-                geometry._polar_factor(np.stack([eye, bad]))
+                geometry._polar_factor(np.stack([eye, bad], axis=-1))
     # a plane circle in R^3 whose tangent turns a quarter per grid step: the
     # normal planes of neighbours meet at a right angle, det b(prev) b(s)^T = 0
     circle = ImmersionChart.from_callable(
@@ -362,9 +437,9 @@ def tangent_stacks(draw):
 @given(tangent_stacks())
 def test_grid_completion_matches_scalar(tangent):
     expected = [complete_normals_with_pivots(t) for t in tangent]
-    b, pivots = _complete_normal_stack(tangent)
-    assert np.abs(b - np.stack([e[0] for e in expected])).max() <= 1e-14
-    assert np.array_equal(pivots, np.stack([e[1] for e in expected]))
+    b, pivots = _complete_normal_stack(np.moveaxis(tangent, 0, -1))
+    assert np.abs(np.moveaxis(b, -1, 0) - np.stack([e[0] for e in expected])).max() <= 1e-14
+    assert np.array_equal(pivots.T, np.stack([e[1] for e in expected]))
 
 
 def test_grid_completion_takes_the_relaxed_pass():
@@ -375,7 +450,32 @@ def test_grid_completion_takes_the_relaxed_pass():
     residuals = np.linalg.norm(np.eye(n) - spread.T @ spread, axis=-1)
     assert (residuals <= 0.5).all()  # the first pass accepts nothing
     expected = np.stack([complete_normals(t) for t in tangent])
-    assert np.abs(_complete_normal_stack(tangent)[0] - expected).max() <= 1e-14
+    got = np.moveaxis(_complete_normal_stack(np.moveaxis(tangent, 0, -1))[0], -1, 0)
+    assert np.abs(got - expected).max() <= 1e-14
+
+
+@st.composite
+def uncompletable_stacks(draw):
+    """Random orthonormal codimension-2 tangent planes (k, k + 2, P), k <= 2,
+    with one entry at one point made non-finite."""
+    k = draw(st.integers(1, 2))
+    n, points = k + 2, draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = np.linalg.qr(rng.normal(size=(points, n, n)))[0]
+    tangent = np.moveaxis(np.swapaxes(frames, -1, -2)[:, :k], 0, -1).copy()
+    tangent[draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1)),
+            draw(st.integers(0, points - 1))] = draw(st.sampled_from(NON_FINITE))
+    return tangent
+
+
+@settings(max_examples=100, deadline=None)
+@given(uncompletable_stacks())
+def test_uncompletable_normal_field_raises(tangent):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImmersionError) as exc:
+            geometry._raw_normals(tangent)
+    assert str(exc.value) == "could not complete the normal frame"
 
 
 def test_grid_completion_failure_message():
@@ -383,8 +483,22 @@ def test_grid_completion_failure_message():
     with pytest.raises(ImmersionError) as scalar:
         complete_normals(tangent[1])
     with pytest.raises(ImmersionError) as grid:
-        _complete_normal_stack(tangent)
+        _complete_normal_stack(np.moveaxis(tangent, 0, -1))
     assert str(grid.value) == str(scalar.value) == "could not complete the normal frame"
+
+
+@pytest.mark.parametrize("shape", [(257,), (65, 65), (9, 12)])
+def test_angle_cumsum_transport_matches_scan(shape):
+    """Codimension-2 transport: one rotation by the staircase cumsum of the
+    edge angles equals the chained product of the edge rotations."""
+    angle = np.random.default_rng(len(shape)).uniform(-0.2, 0.2, size=shape)
+    zero = np.zeros(shape)
+    gen = np.stack([np.stack([zero, -angle]), np.stack([angle, zero])])
+    got = np.moveaxis(geometry._transport(gen, len(shape)), (0, 1), (-2, -1))
+    cos, sin = np.cos(angle), np.sin(angle)
+    steps = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    expected = geometry._staircase_scan(steps, np.eye(2))
+    assert np.abs(got - expected).max() <= 1e-13
 
 
 def test_orientation_seam_is_reported():
@@ -459,10 +573,31 @@ def test_pointwise_matches_scalar_path(name):
         assert np.abs(fr.tangent - tangent).max() <= 1e-14
         assert np.abs(fr.normal - normal).max() <= 1e-14
         jac, hess = chart.jacobian(s), chart.hessian(s)
-        gamma = _weingarten_from_arrays(jac, hess, np.linalg.inv(jac.T @ jac), normal)
+        gamma = weingarten_from_arrays(jac, hess, np.linalg.inv(jac.T @ jac), normal)
         got, _, mean = weingarten(chart, s, fr)
         assert np.abs(got - gamma).max() <= 1e-12
         assert np.abs(mean - np.einsum("daa->d", gamma)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", POINTWISE_CHARTS)
+def test_one_point_grid_matches_pointwise(name):
+    """The plane kernels on a one-point grid (planes with a trailing axis of
+    length 1) give what adapted_frames and weingarten give at that point."""
+    chart = pointwise_chart(name)
+    for s in seeded_points(chart, 3, seed=17):
+        _, jac, hess = chart.derivatives(s[None])
+        jac, hess = np.moveaxis(jac, 0, -1), np.moveaxis(hess, 0, -1)
+        tangent, r = _tangent_frames(jac, chart.name)
+        normal, pivots = geometry._raw_normals(tangent)
+        if pivots is not None and geometry._plane_det(np.concatenate([tangent, normal]))[0] < 0:
+            normal[-1] = -normal[-1]
+        fr = adapted_frames(chart, s)
+        assert np.array_equal(tangent[..., 0], fr.tangent)
+        assert np.array_equal(normal[..., 0], fr.normal)
+        gamma = geometry._weingarten_planes(hess, geometry._r_inverse(r)[1], normal)[..., 0]
+        expected, _, mean = weingarten(chart, s, fr)
+        assert np.abs(gamma - expected).max() <= 1e-12
+        assert np.abs(np.einsum("daa->d", gamma) - mean).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["surface-r5", "helix-curve"])

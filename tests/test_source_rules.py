@@ -14,3 +14,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"assert statements at lines {lines}; raise a named error instead"
+
+
+def test_geometry_has_no_ellipsis_einsum():
+    # an np.einsum over "..." runs its small inner axes one point at a time;
+    # geometry.py works on entry-major planes instead
+    path = next(p for p in SOURCES if p.name == "geometry.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "einsum" and node.args
+             and isinstance(node.args[0], ast.Constant) and "..." in str(node.args[0].value)]
+    assert not lines, f"np.einsum with '...' subscripts at lines {lines}"
