@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Multivector
 from .geometry import (
     FrameField,
     ImmersionChart,
@@ -37,11 +36,11 @@ from .geometry import (
 from .spinors import (
     LIFT_TABLE_MAX_DIMENSION,
     GammaRep,
-    _rotation_minors,
-    _spin_lift_table,
+    _assert_orthogonal,
+    _default_sign,
+    _schur_lift,
+    _table_lift,
     build_gamma_rep,
-    rep_of,
-    spin_lift,
     spinor_dim,
 )
 
@@ -196,20 +195,19 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
 
     The lifted rotation has the frame vectors as matrix rows.  Each lift is
     tau = sum_K c_K gamma_K over the even blades K with c real and |c| = 1,
-    and c_K c_L is a fixed signed sum of the minors of R (_spin_lift_table).
-    One real product of a point's minors against the table's diagonal
-    gives every c_K^2; the largest is at least 2^(1-m), and the table's row
-    for that blade, normalised, is c up to sign.  The table grows as 4^m,
-    so above LIFT_TABLE_MAX_DIMENSION each point is lifted by spin_lift
-    instead, and the same sign chain follows.
+    read off the minors of R by the fixed table of spinors._table_lift, the
+    kernel that spin_lift runs on one point.  The table grows as 4^m, so
+    above LIFT_TABLE_MAX_DIMENSION each point is lifted from a real Schur
+    decomposition (spinors._schur_lift) instead, and the same sign chain
+    follows.
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
     to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
-    The base corner takes spin_lift's default sign, and the +-1 steps are
-    chained by a cumulative product (_sign_chain).  One product of the
-    signed c against the even blade products of the gamma system gives the
-    matrices.
+    The base corner takes spin_lift's default sign rule, applied to its own
+    lift, and the +-1 steps are chained by a cumulative product
+    (_sign_chain).  One product of the signed c against the even blade
+    products of the gamma system gives the matrices.
 
     Every rotation must be finite with each entry of R^T R within 1e-10 of
     the identity's and det R > 0, and d |c(s) . c(prev)| < 1e-6 (a
@@ -222,42 +220,24 @@ def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndar
     m, d = rep.m, rep.dim
     if rot.shape[-2:] != (m, m):
         raise ValueError(f"expected {m}x{m} rotation")
-    # entry-major (m, m, P): every product below runs over contiguous points
-    entries = np.ascontiguousarray(np.moveaxis(rot.reshape(-1, m, m), 0, -1))
-    if not np.isfinite(entries).all():
-        raise ValueError("matrix is not orthogonal within tolerance")
-    gram = np.einsum("kip,kjp->ijp", entries, entries)
-    gram[np.diag_indices(m)] -= 1
-    if not np.abs(gram, out=gram).max() <= 1e-10:
-        raise ValueError("matrix is not orthogonal within tolerance")
+    # entry-major (m*m, P): every product below runs over contiguous points
+    entries = np.ascontiguousarray(np.moveaxis(rot.reshape(-1, m, m), 0, -1)).reshape(m * m, -1)
+    base = (0,) * len(shape)
     if m > LIFT_TABLE_MAX_DIMENSION:
+        _assert_orthogonal(entries, m, 1e-10)
         if (np.linalg.det(rot.reshape(-1, m, m)) < 0).any():
             raise ValueError("matrix has determinant -1 (not in SO)")
-        taus = np.stack([spin_lift(r, rep).matrix for r in rot.reshape(-1, m, m)])
+        taus = np.stack([_schur_lift(r, rep) for r in rot.reshape(-1, m, m)])
         taus = taus.reshape(shape + (d, d))
         overlap = np.einsum("...ij,...ij->...", taus,
                             _staircase_previous(taus, len(shape)).conj()).real
-        return _sign_chain(overlap, 1.0)[..., None, None] * taus
-    grades = _rotation_minors(entries.reshape(m * m, -1), m)
-    if (grades[m] < 0).any():
-        raise ValueError("matrix has determinant -1 (not in SO)")
+        return _sign_chain(overlap, _default_sign(taus[base]))[..., None, None] * taus
 
-    blades, diagonal, partner, weight = _spin_lift_table(m)
-    minors = np.concatenate(grades[: m // 2 + 1])
-    best = (diagonal @ minors).argmax(axis=0)
-    c = np.empty((len(blades), minors.shape[1]))
-    for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
-        at = best == k
-        row = np.zeros((len(blades), len(minors)))
-        row[partner[k], np.arange(len(minors))] = weight[k]
-        c[:, at] = row @ minors[:, at]
-    c /= np.linalg.norm(c, axis=0)
-    c = c.T.reshape(shape + (len(blades),))
-
+    c = _table_lift(entries, m, 1e-10)
+    c = c.T.reshape(shape + (len(c),))
     overlap = d * np.einsum("...k,...k->...", c, _staircase_previous(c, len(shape)))
-    products = np.stack([rep_of(Multivector(m, {mask: 1.0}), rep) for mask in blades])
-    tau_base = np.tensordot(c[(0,) * len(shape)], products, axes=1)
-    base_sign = np.sign(np.vdot(spin_lift(rot[(0,) * len(shape)], rep).matrix, tau_base).real)
+    products = rep.even_products
+    base_sign = _default_sign(np.tensordot(c[base], products, axes=1))
     return _combine(_sign_chain(overlap, base_sign)[..., None] * c, products)
 
 

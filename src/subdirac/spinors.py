@@ -10,7 +10,7 @@ components realizes the algebra's reversion involution on matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -66,6 +66,18 @@ class GammaRep:
     @property
     def dim(self) -> int:
         return spinor_dim(self.m)
+
+    @cached_property
+    def even_products(self) -> np.ndarray:
+        """gamma_K for the even blades K in ascending mask order, shape (K, d, d).
+
+        The order of _spin_lift_table's blades, so tau = sum_K c_K gamma_K is
+        one product against this stack.  Built on first use and read-only.
+        """
+        products = np.stack([rep_of(Multivector(self.m, {mask: 1.0}), self)
+                             for mask in range(1 << self.m) if _popcount(mask) % 2 == 0])
+        products.flags.writeable = False
+        return products
 
     def gamma(self, v) -> np.ndarray:
         """Matrix of gamma(v) for a vector v in R^m (complex coefficients allowed)."""
@@ -220,23 +232,53 @@ class CliffordGroupElement:
         return CliffordGroupElement(self.m, self.matrix @ other.matrix, self.rotation @ other.rotation)
 
 
-def _assert_special_orthogonal(r: np.ndarray, tol: float):
-    m = r.shape[0]
-    if (r.shape != (m, m) or not np.isfinite(r).all()
-            or not np.allclose(r.T @ r, np.eye(m), rtol=0, atol=tol)):
+def _assert_orthogonal(entries: np.ndarray, m: int, tol: float):
+    """Raise unless every R in entries (m*m, P), R[j, i] at row j*m + i, is
+    finite with each entry of R^T R within tol (absolute) of the identity's."""
+    if not np.isfinite(entries).all():
         raise ValueError("matrix is not orthogonal within tolerance")
-    if np.linalg.det(r) < 0:
-        raise ValueError("matrix has determinant -1 (not in SO)")
+    planes = entries.reshape(m, m, -1)
+    gram = np.einsum("kip,kjp->ijp", planes, planes)
+    gram[np.diag_indices(m)] -= 1
+    if not np.abs(gram, out=gram).max() <= tol:
+        raise ValueError("matrix is not orthogonal within tolerance")
 
 
-def _default_sign(tau: np.ndarray) -> np.ndarray:
-    """Deterministic global sign: largest-|entry| coefficient made 'positive'."""
+def _default_sign(tau: np.ndarray) -> float:
+    """Deterministic global sign: +-1 that makes the largest-|entry| coefficient 'positive'."""
     flat = np.abs(tau).ravel()
     j = int(np.argmax(flat > flat.max() - 1e-12))
     z = tau.ravel()[j]
     if z.real < -1e-14 or (abs(z.real) <= 1e-14 and z.imag < 0):
-        return -tau
-    return tau
+        return -1.0
+    return 1.0
+
+
+@lru_cache(maxsize=None)
+def _minor_schedule(m: int) -> tuple:
+    """Index arrays of _rotation_minors' Laplace expansion, built once per m.
+
+    For each grade g = 2, ..., m, one pair per t < g: the entry rows of
+    R[J[0], I[t]] and the grade g - 1 rows of det R[J[1:], I without I[t]],
+    over the grade's (J, I) pairs in order.
+    """
+    def row_subsets(g):
+        return list(combinations(range(m), g)) if g <= m // 2 else [tuple(range(m - g, m))]
+
+    schedule = []
+    for g in range(2, m + 1):
+        lower_rows = {s: i for i, s in enumerate(row_subsets(g - 1))}
+        lower_cols = {s: i for i, s in enumerate(combinations(range(m), g - 1))}
+        pairs = [(rows, cols) for rows in row_subsets(g) for cols in combinations(range(m), g)]
+        steps = []
+        for t in range(g):
+            entry = np.array([rows[0] * m + cols[t] for rows, cols in pairs])
+            lower = np.array([lower_rows[rows[1:]] * len(lower_cols)
+                              + lower_cols[cols[:t] + cols[t + 1:]] for rows, cols in pairs])
+            entry.flags.writeable = lower.flags.writeable = False  # shared by every caller
+            steps.append((entry, lower))
+        schedule.append(tuple(steps))
+    return tuple(schedule)
 
 
 def _rotation_minors(entries: np.ndarray, m: int) -> list:
@@ -247,21 +289,14 @@ def _rotation_minors(entries: np.ndarray, m: int) -> list:
     _spin_lift_table).  The columns I are every size-g subset; the rows J
     are too up to g = m // 2, and above that only the last g rows, which is
     all that the Laplace expansion along the first row needs on its way to
-    the last grade, det R.
+    the last grade, det R.  The index arrays come from _minor_schedule.
     """
-    def row_subsets(g):
-        return list(combinations(range(m), g)) if g <= m // 2 else [tuple(range(m - g, m))]
-
     grades = [np.ones((1, entries.shape[1])), entries]
-    for g in range(2, m + 1):
-        lower_rows = {s: i for i, s in enumerate(row_subsets(g - 1))}
-        lower_cols = {s: i for i, s in enumerate(combinations(range(m), g - 1))}
-        pairs = [(rows, cols) for rows in row_subsets(g) for cols in combinations(range(m), g)]
+    for steps in _minor_schedule(m):
         minor = None
-        for t in range(g):
-            term = entries[[rows[0] * m + cols[t] for rows, cols in pairs]]
-            term *= grades[-1][[lower_rows[rows[1:]] * len(lower_cols)
-                                + lower_cols[cols[:t] + cols[t + 1:]] for rows, cols in pairs]]
+        for t, (entry_rows, lower_rows) in enumerate(steps):
+            term = entries[entry_rows]
+            term *= grades[-1][lower_rows]
             if minor is None:
                 minor = term
             elif t % 2:
@@ -336,20 +371,43 @@ def _spin_lift_table(m: int) -> tuple:
     return blades, diagonal, partner, weight
 
 
-def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = None,
-              tol: float = 1e-10) -> CliffordGroupElement:
-    """Unitary tau with tau gamma(v) tau^{-1} = gamma(R v) for all v.
+def _table_lift(entries: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """Even-blade coefficients c (K, P) of the spin lifts of P rotations, up to sign.
 
-    The rotation is split into planar blocks by a real Schur decomposition
-    and lifted plane by plane as cos(t/2) - sin(t/2) gamma(u) gamma(w).
-    The double-cover sign is chosen nearest to the anchor when given,
-    otherwise by a fixed deterministic rule.
+    entries (m*m, P) holds R[j, i] at row j*m + i.  One real product of
+    each rotation's minors against _spin_lift_table's diagonal gives every
+    c_K^2; the largest is at least 2^(1-m), and the table's row for that
+    blade, normalised, is c up to sign.  Raises ValueError unless every R
+    is finite with R^T R within tol of the identity (absolute, entrywise)
+    and det R, the last grade of the minors, is positive.
     """
-    r = np.asarray(rotation, dtype=float)
-    if r.shape != (rep.m, rep.m):
-        raise ValueError(f"expected {rep.m}x{rep.m} rotation")
-    _assert_special_orthogonal(r, tol)
+    _assert_orthogonal(entries, m, tol)
+    grades = _rotation_minors(entries, m)
+    if (grades[m] < 0).any():
+        raise ValueError("matrix has determinant -1 (not in SO)")
 
+    blades, diagonal, partner, weight = _spin_lift_table(m)
+    minors = np.concatenate(grades[: m // 2 + 1])
+    best = (diagonal @ minors).argmax(axis=0)
+    c = np.empty((len(blades), minors.shape[1]))
+    for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
+        at = best == k
+        row = np.zeros((len(blades), len(minors)))
+        row[partner[k], np.arange(len(minors))] = weight[k]
+        c[:, at] = row @ minors[:, at]
+    c /= np.linalg.norm(c, axis=0)
+    return c
+
+
+def _schur_lift(r: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """Spin lift of R in SO(m) from a real Schur decomposition, sign as it falls.
+
+    R is split into planar blocks and lifted plane by plane as
+    cos(t/2) - sin(t/2) gamma(u) gamma(w).  R is not checked, beyond an odd
+    number of -1 eigenvalues raising.  Lifts above LIFT_TABLE_MAX_DIMENSION
+    use it, and the tests hold the table against it; it is the only lift
+    that loads scipy.linalg.
+    """
     import scipy.linalg
 
     t, z = scipy.linalg.schur(r, output="real")
@@ -374,6 +432,34 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
             i += 1
     if pending_flip is not None:
         raise ValueError("odd number of -1 eigenvalues; determinant is -1")
+    return tau
+
+
+def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = None,
+              tol: float = 1e-10) -> CliffordGroupElement:
+    """Unitary tau with tau gamma(v) tau^{-1} = gamma(R v) for all v.
+
+    Up to LIFT_TABLE_MAX_DIMENSION, tau = sum_K c_K gamma_K is read off the
+    minors of R by the fixed table that frame_lift_field applies to a whole
+    grid (_table_lift on one point); above it, R is lifted from a real Schur
+    decomposition (_schur_lift, which loads scipy.linalg).  R must be finite
+    with each entry of R^T R within tol of the identity's and det R > 0.
+    The double-cover sign is chosen nearest to the anchor when given,
+    otherwise by a fixed deterministic rule.
+    """
+    r = np.asarray(rotation, dtype=float)
+    m = rep.m
+    if r.shape != (m, m):
+        raise ValueError(f"expected {m}x{m} rotation")
+    entries = r.reshape(m * m, 1)
+    if m <= LIFT_TABLE_MAX_DIMENSION:
+        c = _table_lift(entries, m, tol)[:, 0]
+        tau = (c @ rep.even_products.reshape(len(c), -1)).reshape(rep.dim, rep.dim)
+    else:
+        _assert_orthogonal(entries, m, tol)
+        if np.linalg.det(r) < 0:
+            raise ValueError("matrix has determinant -1 (not in SO)")
+        tau = _schur_lift(r, rep)
 
     if anchor is not None:
         overlap = np.real(np.trace(anchor.matrix.conj().T @ tau))
@@ -383,8 +469,8 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
         if overlap < 0:
             tau = -tau
     else:
-        tau = _default_sign(tau)
-    return CliffordGroupElement(rep.m, tau, r)
+        tau = _default_sign(tau) * tau
+    return CliffordGroupElement(m, tau, r)
 
 
 def recover_rotation(tau: CliffordGroupElement, rep: GammaRep, frame=None) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,17 @@ def test_reconstruct_writes_meshes(tmp_path):
     report = json.loads((tmp_path / "report-reconstruct.json").read_text())
     names = [c["name"] for c in report["checks"]]
     assert "reconstruction-order" in names
+
+
+@pytest.mark.parametrize("chart", ["plane", "graph"])
+def test_reconstruct_exact_charts_skip_the_order(tmp_path, chart):
+    # the trapezoid rule rebuilds these charts to rounding at both resolutions
+    assert run_cli(["--command", "reconstruct", "--chart", chart, "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "report-reconstruct.json").read_text())["checks"]
+    names = {c["name"]: c for c in checks}
+    assert "reconstruction-order" not in names
+    for name in ("reconstruction-error-coarse", "reconstruction-error-fine"):
+        assert names[name]["tolerance"] == 1e-13 and names[name]["pass"]
 
 
 def test_reconstruct_projects_r4_chart(tmp_path):
@@ -322,3 +337,47 @@ def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
     assert run_cli(["--config", json.dumps(cfg)]) == 2
     assert called == []
     assert not (tmp_path / "report-dirac.json").exists()
+
+
+# --- scipy.linalg stays unloaded ------------------------------------------------
+
+NO_SCIPY_LINALG = """
+import sys
+
+import numpy as np
+
+import subdirac as sd
+from subdirac import cli
+
+status = [cli.main(["--command", command, "--chart", chart, "--grid", grid, "--out", sys.argv[1]])
+          for chart, grid in (("sphere", "17"), ("clifford-torus-r4", "9"), ("helix-curve", "17"))
+          for command in ("dirac", "reconstruct")]
+rng = np.random.default_rng(5)
+for name in ("sphere", "clifford-torus-r4"):
+    chart = sd.catalog_chart(name)
+    k, n = chart.k, chart.n
+    s = np.array([lo + 0.4 * (hi - lo) for lo, hi in chart.rectangle])
+    frame = sd.adapted_frames(chart, s)
+    gamma, _, _ = sd.weingarten(chart, s, frame)
+    sd.rho(chart, s, np.full(n - k, 1e-3), gamma=gamma)
+    rep = sd.build_gamma_rep(n)
+    tau = sd.spin_lift(frame.rotation, rep)
+    status.append(int(np.abs(sd.recover_rotation(tau, rep) - frame.rotation).max() > 1e-12))
+    psi = sd.Spinor(n, rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim))
+    phi = sd.Spinor(k, rng.normal(size=1 << k // 2) + 1j * rng.normal(size=1 << k // 2))
+    intw = sd.reference_intertwiner(k, n).with_tau(tau)
+    status.append(int(sd.check_reciprocity(psi, phi, intw) > 1e-12))
+print(status, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_catalog_commands_and_queries_leave_scipy_linalg_unloaded(tmp_path):
+    # scipy.linalg serves only lifts above the minor table (m > 6) and transport
+    # in codimension >= 3, which no catalog chart reaches
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG, str(tmp_path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * 10} False"

@@ -1,7 +1,10 @@
-"""The batched frame_lift_field against a per-point spin_lift reference.
+"""The minor-table spin lift against the Schur-decomposition lift.
 
-The reference walks the staircase order point by point and anchors each
-Schur lift to its predecessor's, the way the grid lift used to be computed.
+frame_lift_field and, up to LIFT_TABLE_MAX_DIMENSION, spin_lift read the
+lift off one fixed table of rotation minors.  The oracle lifts each point
+from a real Schur decomposition (spinors._schur_lift) with spin_lift's
+checks and sign rules, and the grid reference walks the staircase order
+point by point, anchoring each lift to its predecessor's.
 """
 
 from types import SimpleNamespace
@@ -17,11 +20,15 @@ from subdirac.dirac import frame_lift_field
 from subdirac.geometry import build_frame_field, catalog_chart
 from subdirac.spinors import (
     LIFT_TABLE_MAX_DIMENSION,
+    CliffordGroupElement,
+    _default_sign,
     _rotation_minors,
+    _schur_lift,
     _spin_lift_table,
     build_gamma_rep,
     rep_of,
     spin_lift,
+    spinor_dim,
 )
 
 
@@ -41,15 +48,28 @@ def staircase_indices(shape):
         raise ValueError("staircase traversal supports curve and surface grids only")
 
 
+def schur_spin_lift(rot, rep, anchor=None):
+    """spin_lift by the Schur decomposition: the same checks, messages and sign rules."""
+    n = rep.m
+    if not (np.isfinite(rot).all() and np.allclose(rot.T @ rot, np.eye(n), rtol=0, atol=1e-10)):
+        raise ValueError("matrix is not orthogonal within tolerance")
+    if np.linalg.det(rot) < 0:
+        raise ValueError("matrix has determinant -1 (not in SO)")
+    tau = _schur_lift(rot, rep)
+    if anchor is None:
+        return _default_sign(tau) * tau
+    overlap = np.trace(anchor.conj().T @ tau).real
+    if abs(overlap) < 1e-6:
+        raise ValueError("double-cover sign is ambiguous relative to the anchor "
+                         "(frame field discontinuity)")
+    return np.sign(overlap) * tau
+
+
 def reference_lift(rot, rep):
     shape = rot.shape[:-2]
     taus = np.empty(shape + (rep.dim, rep.dim), dtype=complex)
-    cache = {}
     for idx, prev in staircase_indices(shape):
-        anchor = cache[prev] if prev is not None else None
-        tau = spin_lift(rot[idx], rep, anchor=anchor)
-        cache[idx] = tau
-        taus[idx] = tau.matrix
+        taus[idx] = schur_spin_lift(rot[idx], rep, anchor=None if prev is None else taus[prev])
     return taus
 
 
@@ -199,7 +219,7 @@ def test_ambiguity_guard_at_its_threshold(n, trace, ambiguous):
         assert np.abs(frame_lift_field(rotation_field(rot), rep) - expected).max() <= 1e-12
 
 
-# --- the fixed minor table against spin_lift's blade coefficients ---------------
+# --- the fixed minor table against the Schur lift's blade coefficients ----------
 
 def _even_blades(n):
     return [mask for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
@@ -242,7 +262,7 @@ def test_minor_table_matches_spin_lift(n):
         else:
             rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
             rot[:, 0] *= np.sign(np.linalg.det(rot))
-        c = blade_coefficients(spin_lift(rot, rep).matrix, rep)
+        c = blade_coefficients(_schur_lift(rot, rep), rep)
         assert np.abs(table_outer(rot) - np.outer(c, c)).max() <= 1e-14
 
 
@@ -261,7 +281,7 @@ def test_minor_table_is_sparse_and_bounded():
         _spin_lift_table(LIFT_TABLE_MAX_DIMENSION + 1)
 
 
-# --- above the table: every point lifted by spin_lift, the same sign chain ------
+# --- above the table: every point lifted by _schur_lift, the same sign chain ----
 
 @pytest.mark.parametrize("n, shape", [(7, (24,)), (7, (6, 5)), (8, (5, 6)), (12, (3, 3))])
 def test_matches_reference_above_the_table(n, shape):
@@ -282,3 +302,82 @@ def test_errors_above_the_table():
     assert "determinant -1" in assert_same_error(reflection)
     assert "not orthogonal" in assert_same_error(non_finite)
     assert "ambiguous" in assert_same_error(_half_turn_jump((6, 6), n))
+
+
+# --- spin_lift on one point: the table kernel against the Schur lift ------------
+
+def _turns(q, angles):
+    """q diag(turn by angles[0], turn by angles[1], ..., 1) q^T."""
+    n = len(q)
+    block = np.eye(n)
+    for i, angle in enumerate(angles):
+        c, s = np.cos(angle), np.sin(angle)
+        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
+    return q @ block @ q.T
+
+
+@st.composite
+def point_lifts(draw):
+    """(rotation, anchor or None): random, half-turn, near-half-turn and identity
+    rotations of R^1..R^6; anchors are +-lifts of nearby rotations or the identity."""
+    n = draw(st.integers(1, LIFT_TABLE_MAX_DIMENSION))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "half-turns", "near-half-turns", "mixed", "identity"]))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    planes = n // 2
+    if kind == "identity":
+        rot = np.eye(n)
+    elif kind == "random":
+        rot = q.copy()
+        rot[:, 0] *= np.sign(np.linalg.det(q))
+    else:
+        near = np.pi - 10.0 ** rng.uniform(-8, -2, size=planes)
+        angles = {"half-turns": np.full(planes, np.pi), "near-half-turns": near,
+                  "mixed": np.where(rng.random(planes) < 0.5, np.pi,
+                                    rng.uniform(-np.pi, np.pi, planes))}[kind]
+        rot = _turns(q, angles)
+    anchor_kind = draw(st.sampled_from([None, "nearby", "identity"]))
+    if anchor_kind is None:
+        return rot, None
+    if anchor_kind == "identity":
+        return rot, np.eye(spinor_dim(n), dtype=complex)
+    nudge = _turns(np.linalg.qr(rng.normal(size=(n, n)))[0], rng.uniform(-0.3, 0.3, planes))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return rot, sign * schur_spin_lift(rot @ nudge, build_gamma_rep(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_lifts())
+def test_spin_lift_matches_schur_lift(case):
+    # with no anchor the oracle is default-signed, so 1e-14 also pins the sign
+    rot, anchor = case
+    rep = build_gamma_rep(rot.shape[-1])
+    element = None if anchor is None else CliffordGroupElement(rep.m, anchor, rot)
+    try:
+        expected = schur_spin_lift(rot, rep, anchor)
+    except ValueError as exc:  # an anchor a quarter-turn of the spinors away
+        assert raised(spin_lift, rot, rep, element) == str(exc)
+        return
+    tau = spin_lift(rot, rep, element)
+    assert np.abs(tau.matrix - expected).max() <= 1e-14
+    assert np.array_equal(tau.rotation, rot)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8])
+def test_spin_lift_error_messages(n):
+    rep = build_gamma_rep(n)
+    eye = np.eye(n)
+    non_orthogonal = np.diag([1 + 4e-6] + [1.0] * (n - 1))
+    reflection = np.diag([-1.0] + [1.0] * (n - 1))
+    cases = [(np.eye(n + 1), f"expected {n}x{n} rotation"),
+             (eye[:, :-1] if n > 1 else np.ones(2), f"expected {n}x{n} rotation"),
+             (non_orthogonal, "matrix is not orthogonal within tolerance"),
+             (reflection, "matrix has determinant -1 (not in SO)")]
+    for bad in (np.nan, np.inf, -np.inf):
+        rot = eye.copy()
+        rot[n - 1, 0] = bad
+        cases.append((rot, "matrix is not orthogonal within tolerance"))
+    for rot, message in cases:
+        assert raised(spin_lift, rot, rep) == message
+        if rot.shape == (n, n):
+            assert raised(schur_spin_lift, rot, rep) == message
