@@ -22,11 +22,15 @@ from .dirac import (
     GridSpinorField,
     apply_operator,
     dirac_residual,
+    frame_lift_coefficients,
     frame_lift_field,
     frame_spinor_fields,
     intrinsic_dirac,
+    lift_gram,
+    lift_residuals,
     pointwise_pairings,
     selfadjointization_check,
+    selfadjointization_limit,
     submanifold_dirac,
 )
 from .geometry import (

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import clifford
 from .dirac import (
-    dirac_residual,
-    frame_spinor_fields,
-    intrinsic_dirac,
-    pointwise_pairings,
+    frame_lift_coefficients,
+    lift_gram,
+    lift_residuals,
     selfadjointization_check,
-    submanifold_dirac,
+    selfadjointization_limit,
 )
 from .geometry import CATALOG, adapted_frames, build_frame_field, catalog_chart, rho, weingarten
 from .meshio import export_obj
@@ -293,8 +292,38 @@ def _chart_for(cfg):
     return chart
 
 
-def suite_geometry(cfg, checks: Checks, chart, shape):
-    ff = build_frame_field(chart, shape=shape)
+class GridFields:
+    """Frame fields and lift coefficients of one chart, built once per grid shape.
+
+    The grid suites of one run share them, so `--command all` builds each
+    (chart, shape) frame field and its lift once.  A build that raises is
+    not kept, and raises again in the next suite that asks for it.
+    """
+
+    def __init__(self, chart):
+        self.chart = chart
+        self.rep = build_gamma_rep(chart.n)
+        self._frames = {}
+        self._coeffs = {}
+
+    def frames(self, shape):
+        if shape not in self._frames:
+            self._frames[shape] = build_frame_field(self.chart, shape=shape)
+        return self._frames[shape]
+
+    def coeffs(self, shape):
+        if shape not in self._coeffs:
+            self._coeffs[shape] = frame_lift_coefficients(self.frames(shape), self.rep)
+        return self._coeffs[shape]
+
+
+def _fine(cfg, shape):
+    return tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
+
+
+def suite_geometry(cfg, checks: Checks, fields: GridFields, shape):
+    chart = fields.chart
+    ff = fields.frames(shape)
 
     rot = ff.frame_rotation
     eye = np.eye(chart.n)
@@ -338,21 +367,14 @@ def suite_geometry(cfg, checks: Checks, chart, shape):
         checks.run("sphere-rho-closed-form", sphere_rho, 1e-10)
 
 
-def suite_dirac(cfg, checks: Checks, chart, shape):
-    fine = tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
-
+def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
+    chart, rep = fields.chart, fields.rep
     residuals = []
     orth = 0.0
-    ff_coarse = fields_coarse = None
-    for sh in (shape, fine):
-        ff = build_frame_field(chart, shape=sh)
-        op = submanifold_dirac(ff)
-        fields = frame_spinor_fields(ff)
-        residuals.append(max(dirac_residual(op, f) for f in fields))
-        gram = pointwise_pairings(fields)
-        orth = max(orth, np.abs(gram - np.eye(gram.shape[-1])).max())
-        if ff_coarse is None:
-            ff_coarse, fields_coarse = ff, fields
+    for sh in (shape, _fine(cfg, shape)):
+        ff, coeffs = fields.frames(sh), fields.coeffs(sh)
+        residuals.append(float(lift_residuals(ff, coeffs, rep).max()))
+        orth = max(orth, np.abs(lift_gram(coeffs, rep) - np.eye(rep.dim)).max())
     checks.add("kernel-orthonormality", orth, 1e-10)
     if residuals[1] < 1e-13:
         checks.add("kernel-residual-fine", residuals[1], 1e-12)
@@ -360,20 +382,24 @@ def suite_dirac(cfg, checks: Checks, chart, shape):
         checks.add("kernel-convergence-ratio", residuals[0] / residuals[1], 0.5, center=4.0)
 
     if chart.n - chart.k == 1 and np.abs(ff.mean_curvature).max() > 1e-6:
-        op0 = intrinsic_dirac(ff_coarse)
-        control = min(dirac_residual(op0, f) for f in fields_coarse)
+        ff_coarse = fields.frames(shape)
+        control = float(lift_residuals(ff_coarse, fields.coeffs(shape), rep, with_mean=False).min())
         floor = 0.4 * float(np.abs(ff_coarse.mean_curvature).min())
         checks.add_floor("curvature-term-necessity", control, floor)
 
+        # the geometric-measure defect against its limit, the flattened one against zero
         without, with_ = selfadjointization_check(chart, frames=ff_coarse)
-        checks.add_floor("selfadjointization-defect-geometric-measure", without, 1e-2)
+        limit = selfadjointization_limit(chart, frames=ff_coarse)
+        checks.run("selfadjointization-defect-geometric-measure", lambda: without / limit,
+                   0.05, center=1.0)
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)
 
 
-def suite_reconstruct(cfg, checks: Checks, chart, shape, out_dir: Path):
-    fine = tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
-    ff = build_frame_field(chart, shape=shape)
-    report, coords = _reconstruction_study([ff, build_frame_field(chart, shape=fine)])
+def suite_reconstruct(cfg, checks: Checks, fields: GridFields, shape, out_dir: Path):
+    chart = fields.chart
+    shapes = (shape, _fine(cfg, shape))
+    report, coords = _reconstruction_study([fields.frames(sh) for sh in shapes], fields.rep,
+                                           coeffs=[fields.coeffs(sh) for sh in shapes])
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
     errs = report.extras["errors_by_resolution"]
     if max(errs) > 1e-13:
@@ -391,7 +417,8 @@ def suite_reconstruct(cfg, checks: Checks, chart, shape, out_dir: Path):
             checks.add("path-independence-residual", paths[1], 1e-13)
 
     if chart.n in (3, 4) or chart.k == 1:
-        export_obj(ff.x, out_dir / f"{chart.name}-source.obj", chart_id=f"{chart.name} source")
+        export_obj(fields.frames(shape).x, out_dir / f"{chart.name}-source.obj",
+                   chart_id=f"{chart.name} source")
         export_obj(coords[0], out_dir / f"{chart.name}-reconstructed.obj",
                    chart_id=f"{chart.name} reconstructed")
 
@@ -468,7 +495,8 @@ def run(cfg: dict) -> int:
     """Execute one suite; returns the process exit status.
 
     The grid commands compile the chart and check the grid and refined grid
-    dimensions and n <= 6 before the first suite runs, and share that chart.
+    dimensions and n <= 6 before the first suite runs, and share that chart
+    and its frame fields and lift coefficients (GridFields).
     """
     t0 = time.perf_counter()
     validate(cfg)
@@ -480,7 +508,7 @@ def run(cfg: dict) -> int:
     grid_args = ()
     if command in GRID_COMMANDS:
         chart = _chart_for(cfg)
-        grid_args = (chart, _grid_for(chart, cfg))
+        grid_args = (GridFields(chart), _grid_for(chart, cfg))
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),
               ("geometry", suite_geometry, grid_args),

@@ -12,24 +12,35 @@ differences for d_alpha.  The optional zeroth-order term is the
 mean-curvature correction that distinguishes the submanifold operator from
 the intrinsic one.
 
-Every coefficient of D is a few real fields of the frame times fixed gamma
-products: the tangent gammas gamma_a, the triple products
-gamma_a gamma_b gamma_c and the normal gammas gamma_adot.  Assembly builds
-these tables once from the gamma system and forms each coefficient as one
-real matrix product of a coefficient field against a table.
+Everything is kept in the Clifford algebra, as real coefficient planes
+over the grid.  gamma_a gamma_K = s(a, K) gamma_{a ^ K} for blades
+(bitmasks) with s from clifford._blade_product_sign, so the potential
+sum_abc C_abc gamma_a gamma_b gamma_c + (1/2) H_adot gamma_adot is
+sum_J v_J gamma_J over a few odd blades J, and the operator is the e_a^alpha
+planes plus the v_J planes.  The frame spin lift is tau = sum_K c_K gamma_K
+with real c on the even blades K (frame_lift_coefficients), and D tau is
+sum_L b_L gamma_L over the odd blades L, whose b is a fixed signed
+permutation of the difference planes d_alpha c weighted by e_a^alpha, plus
+one of the products v_J c_K.  The kernel check (lift_residuals), the
+orthonormality of the lift (lift_gram) and, in weierstrass, the immersion
+bilinears are fixed real quadratic forms of these planes; gamma matrices
+enter only as those tables, and apply_operator applies the planes to an
+arbitrary spinor field through the fixed gammas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .clifford import _blade_product_sign, _popcount
 from .geometry import (
     FrameField,
     ImmersionChart,
     _diff_axis,
-    _staircase_previous,
+    _previous_planes,
     _tube_factor,
     build_frame_field,
 )
@@ -66,19 +77,22 @@ class GridSpinorField:
 
 @dataclass(frozen=True)
 class DiracOperator:
-    """First-order operator assembled over a frame field.
+    """First-order operator assembled over a frame field, as coefficient planes.
 
-    axis_matrices[alpha] = sum_a e_a^alpha gamma_a multiplies the alpha-th
-    central difference; potential collects the spin-connection term
-    sum_{abc} C_abc gamma_a gamma_b gamma_c and (optionally) the
-    mean-curvature term (1/2) H_adot gamma_adot.  Both are stored dense per
-    grid point, as assembled from the gamma tables.
+    D = sum_alpha A_alpha d_alpha + V with A_alpha = sum_a e_a^alpha gamma_a
+    and V = sum_J v_J gamma_J over odd blades J.  axis_coeff[alpha, a] is
+    the e_a^alpha plane and potential_coeff[j] the v_J plane of
+    J = potential_blades[j]: the blades of the spin-connection term
+    sum_abc C_abc gamma_a gamma_b gamma_c, then the normal vectors, which
+    carry (1/2) H_adot (zero planes for the intrinsic operator).  The gamma
+    matrices enter only when the operator is applied.
     """
 
     frames: FrameField
     rep: GammaRep
-    axis_matrices: np.ndarray  # (*grid, k, d, d)
-    potential: np.ndarray  # (*grid, d, d)
+    axis_coeff: np.ndarray  # (k, k, *grid)
+    potential_blades: tuple
+    potential_coeff: np.ndarray  # (J, *grid)
     includes_mean_curvature: bool
 
     @property
@@ -102,36 +116,82 @@ def _combine(coeff: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(coeff.shape[:-1] + (d, d))
 
 
-def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperator:
-    """Coefficient fields of the frame times fixed gamma tables.
+def _odd_masks(m: int) -> list:
+    return [mask for mask in range(1 << m) if _popcount(mask) % 2]
 
-    A_alpha = sum_a e_a^alpha gamma_a is the transposed e_coeff against the
-    table of tangent gammas.  The spin connection contracted with A_alpha is
-    sum_{abc} C_abc gamma_a gamma_b gamma_c with
-    C_abc = (1/4) sum_alpha e_a^alpha omega_{alpha b c}, one product against
-    the table of tangent triple products, and the mean-curvature term is
-    (1/2) H_adot against the table of normal gammas.
+
+@lru_cache(maxsize=None)
+def _potential_blades(k: int, n: int) -> tuple:
+    """The odd blades of the potential and the fold of C_abc onto them.
+
+    gamma_a gamma_b gamma_c = s(a, b) s(a ^ b, c) gamma_{a ^ b ^ c}, so
+    sum_abc C_abc gamma_a gamma_b gamma_c = sum_J v_J gamma_J with v = C @ fold,
+    C flattened over (a, b, c).  The blades are the connection's in
+    ascending order (the tangent vectors, and for k >= 3 the tangent
+    trivectors), then the normal vectors e_{k + adot}.  Returns (blades,
+    fold of shape (k^3, connection blades)).
+    """
+    triples = [(1 << a, 1 << b, 1 << c) for a in range(k) for b in range(k) for c in range(k)]
+    connection = sorted({a ^ b ^ c for a, b, c in triples})
+    fold = np.zeros((len(triples), len(connection)))
+    for row, (a, b, c) in enumerate(triples):
+        sign = _blade_product_sign(a, b) * _blade_product_sign(a ^ b, c)
+        fold[row, connection.index(a ^ b ^ c)] = sign
+    fold.flags.writeable = False
+    return tuple(connection) + tuple(1 << j for j in range(k, n)), fold
+
+
+@lru_cache(maxsize=None)
+def _residual_table(k: int, m: int) -> np.ndarray:
+    """Signed permutations taking even-blade planes to the odd coefficients of D tau.
+
+    With g_aK = sum_alpha e_a^alpha d_alpha c_K and the potential's v_J,
+    D tau = sum_L b_L gamma_L with b = table @ [g; v c], the operand
+    stacked as (a, K) rows then (J, K) rows: gamma_a gamma_K =
+    s(a, K) gamma_{a ^ K} and gamma_J gamma_K = s(J, K) gamma_{J ^ K}.
+    The normal blades come last, so the intrinsic operator uses the leading
+    columns only.  Shape (odd blades, (k + J) * even blades).
+    """
+    even = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
+    odd = {mask: i for i, mask in enumerate(_odd_masks(m))}
+    sources = [1 << a for a in range(k)] + list(_potential_blades(k, m)[0])
+    table = np.zeros((len(odd), len(sources) * len(even)))
+    for s, source in enumerate(sources):
+        for i, mask in enumerate(even):
+            table[odd[source ^ mask], s * len(even) + i] = _blade_product_sign(source, mask)
+    table.flags.writeable = False
+    return table
+
+
+def _operator_planes(frames: FrameField, rep: GammaRep, with_mean: bool) -> tuple:
+    """(axis_coeff (k, k, *grid), potential_coeff (J, *grid)) of the frame field.
+
+    axis_coeff[alpha, a] = e_a^alpha.  The spin connection contracted with
+    the axis gammas is sum_abc C_abc gamma_a gamma_b gamma_c with
+    C_abc = (1/4) sum_alpha e_a^alpha omega_{alpha b c}, folded onto its
+    blades by _potential_blades; (1/2) H_adot sits on the normal vectors.
     """
     chart = frames.chart
     k, n = chart.k, chart.n
     if rep.m != n:
         raise ValueError(f"gamma system of dimension {rep.m} does not match ambient {n}")
-    gam = np.stack(rep.gammas)  # (n, d, d)
-    d = rep.dim
-
     if np.abs(frames.omega + np.swapaxes(frames.omega, -1, -2)).max() > 1e-8:
         raise ValueError("spin connection coefficients are not antisymmetric")
-
-    tangent = gam[:k]
-    triple = np.einsum("aij,bjl,clm->abcim", tangent, tangent, tangent).reshape(-1, d, d)
     grid = frames.grid_shape
-
-    axis = _combine(np.swapaxes(frames.e_coeff, -1, -2), tangent)
+    blades, fold = _potential_blades(k, n)
+    axis = np.ascontiguousarray(np.moveaxis(frames.e_coeff, (-1, -2), (0, 1)))
     conn = 0.25 * (frames.e_coeff @ frames.omega.reshape(grid + (k, k * k)))
-    potential = _combine(conn.reshape(grid + (k ** 3,)), triple)
+    potential = np.zeros((len(blades),) + grid)
+    potential[: fold.shape[1]] = np.moveaxis(conn.reshape(grid + (k ** 3,)) @ fold, -1, 0)
     if with_mean:
-        potential += _combine(0.5 * frames.mean_curvature, gam[k:])
-    return DiracOperator(frames, rep, axis, potential, with_mean)
+        potential[fold.shape[1]:] = 0.5 * np.moveaxis(frames.mean_curvature, -1, 0)
+    return axis, potential
+
+
+def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperator:
+    axis, potential = _operator_planes(frames, rep, with_mean)
+    blades = _potential_blades(frames.chart.k, frames.chart.n)[0]
+    return DiracOperator(frames, rep, axis, blades, potential, with_mean)
 
 
 def intrinsic_dirac(frames: FrameField, rep: GammaRep | None = None) -> DiracOperator:
@@ -146,15 +206,31 @@ def submanifold_dirac(frames: FrameField, rep: GammaRep | None = None) -> DiracO
     return _assemble(frames, rep, with_mean=True)
 
 
+def _weighted_images(psi: np.ndarray, mats: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights[r] mats[r] psi at every point, psi (P, d), weights (r, P).
+
+    table[c, r d + i] = mats[r][i, c], so psi @ table stacks every mats[r] psi.
+    """
+    r, d = mats.shape[:2]
+    table = np.ascontiguousarray(mats.transpose(2, 0, 1)).reshape(d, r * d)
+    images = (psi @ table).reshape(len(psi), r, d)
+    return np.einsum("rp,pri->pi", weights.reshape(r, -1), images)
+
+
 def apply_operator(op: DiracOperator, field: GridSpinorField) -> GridSpinorField:
+    """D psi from the operator's coefficient planes and the fixed gammas."""
     if field.grid_shape != op.frames.grid_shape:
         raise ValueError("field grid does not match operator grid")
+    rep = op.rep
+    odd = {mask: i for i, mask in enumerate(_odd_masks(rep.m))}
+    potential = rep.odd_products[[odd[mask] for mask in op.potential_blades]]
+    tangent = np.stack(rep.gammas[: op.chart.k])
     psi = field.values
-    out = np.einsum("...ij,...j->...i", op.potential, psi)
+    out = _weighted_images(psi.reshape(-1, rep.dim), potential, op.potential_coeff)
     for alpha, h in enumerate(op.frames.spacings):
-        dpsi = _diff_axis(psi, alpha, h)
-        out = out + np.einsum("...ij,...j->...i", op.axis_matrices[..., alpha, :, :], dpsi)
-    return GridSpinorField(field.chart, out, field.spacings)
+        dpsi = _diff_axis(psi, alpha, h).reshape(-1, rep.dim)
+        out += _weighted_images(dpsi, tangent, op.axis_coeff[alpha])
+    return GridSpinorField(field.chart, out.reshape(psi.shape), field.spacings)
 
 
 def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
@@ -165,6 +241,117 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     if vals.size == 0:
         return 0.0
     return float(np.linalg.norm(vals, axis=-1).max())
+
+
+def _interior_differences(planes: np.ndarray, spacings) -> list:
+    """Central differences of planes (r, *grid) along each grid axis, at the
+    interior points only: the interior of geometry._diff_axis, (r, *interior)."""
+    inner = [slice(None)] + [slice(1, -1)] * len(spacings)
+    out = []
+    for alpha, h in enumerate(spacings):
+        plus, minus = list(inner), list(inner)
+        plus[1 + alpha], minus[1 + alpha] = slice(2, None), slice(None, -2)
+        out.append((planes[tuple(plus)] - planes[tuple(minus)]) / (2 * h))
+    return out
+
+
+def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None = None,
+                   with_mean: bool = True) -> np.ndarray:
+    """Largest interior norm of each column of D tau, for the lift tau = sum_K c_K gamma_K.
+
+    coeffs (K, *grid) are frame_lift_coefficients; D is the submanifold
+    operator, or the intrinsic one for with_mean=False.  The odd
+    coefficients b_L = sum_alpha sum_a e_a^alpha s(a, K) d_alpha c_K
+    + sum_J v_J s(J, K) c_K (L = a ^ K and J ^ K) come from one product
+    against _residual_table, and the squared column norms from one
+    quadratic form of b against the fixed odd-blade table
+    Re (gamma_L^H gamma_L')_aa, which also covers odd m, where odd blades
+    are multiples of even ones.  Column a is the field psi^a of
+    frame_spinor_fields, so the result is dirac_residual of each (shape
+    (d,)): its max is the kernel residual.
+    """
+    rep = rep or build_gamma_rep(frames.chart.n)
+    k, d = frames.chart.k, rep.dim
+    axis, potential = _operator_planes(frames, rep, with_mean)
+    inner = (slice(None),) + (slice(1, -1),) * k
+    c = coeffs[inner].reshape(len(coeffs), -1)
+    if c.shape[1] == 0:
+        return np.zeros(d)
+    blades = len(potential) if with_mean else len(potential) - (rep.m - k)  # no normal planes
+    operand = np.empty((k + blades,) + c.shape)
+    e = axis[(slice(None),) + inner].reshape(k, k, 1, -1)
+    for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings)):
+        term = e[alpha] * dc.reshape(1, *c.shape)
+        if alpha:
+            operand[:k] += term
+        else:
+            operand[:k] = term
+    operand[k:] = potential[:blades][inner].reshape(blades, 1, -1) * c
+    table = _residual_table(k, rep.m)
+    b = table[:, : operand.shape[0] * len(c)] @ operand.reshape(-1, c.shape[1])
+    odd = rep.odd_products
+    form = np.einsum("lca,mca->alm", odd.conj(), odd).real.reshape(d * len(odd), len(odd))
+    squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(odd), -1), b)
+    return np.sqrt(np.maximum(squares.max(axis=1), 0.0))
+
+
+def _pair_products(coeffs: np.ndarray) -> np.ndarray:
+    """c_K c_L over the pairs K <= L of np.triu_indices, shape (pairs, *grid)."""
+    upper = np.triu_indices(len(coeffs))
+    return coeffs[upper[0]] * coeffs[upper[1]]
+
+
+def _pair_table(form: np.ndarray) -> np.ndarray:
+    """A fixed table for quadratic forms of c over _pair_products.
+
+    form[K, L, ...] weights c_K c_L; the pair (K, L) with K < L carries
+    form[K, L] + form[L, K] and the diagonal form[K, K].
+    """
+    upper = np.triu_indices(len(form))
+    table = form + np.swapaxes(form, 0, 1)
+    diagonal = np.arange(len(form))
+    table[diagonal, diagonal] = form[diagonal, diagonal]
+    return table[upper]
+
+
+def lift_gram(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """tau^H tau of the lift tau = sum_K c_K gamma_K at every point, shape (*grid, d, d).
+
+    Entry (a, b) is the pairing <conj(psi^a), psi^b> of the fields of
+    frame_spinor_fields (pointwise_pairings): a quadratic form of c against
+    the fixed table gamma_K^H gamma_L over the pairs K <= L.
+    """
+    products = rep.even_products
+    form = np.einsum("kca,lcb->klab", products.conj(), products)
+    table = _pair_table(form).reshape(-1, rep.dim ** 2)
+    pairs = _pair_products(coeffs).reshape(len(table), -1)
+    gram = np.ascontiguousarray((table.view(float).T @ pairs).T).view(complex)
+    return gram.reshape(coeffs.shape[1:] + (rep.dim, rep.dim))
+
+
+def _unsigned_coefficients(rotations: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """Even-blade coefficients c (K, P) of the spin lifts of rotations (P, m, m), up to sign.
+
+    Up to LIFT_TABLE_MAX_DIMENSION the minor table (spinors._table_lift)
+    gives c.  Above it each point is lifted from a real Schur decomposition
+    (spinors._schur_lift) and projected onto the even blades,
+    c_K = Re tr(gamma_K^H tau) / d, since tr(gamma_K^H gamma_L) = d delta_KL.
+    Every rotation must be finite with each entry of R^T R within 1e-10 of
+    the identity's and det R > 0.
+    """
+    m = rep.m
+    if rotations.shape[-2:] != (m, m):
+        raise ValueError(f"expected {m}x{m} rotation")
+    # entry-major (m*m, P): every product below runs over contiguous points
+    entries = np.ascontiguousarray(np.moveaxis(rotations, 0, -1)).reshape(m * m, -1)
+    if m <= LIFT_TABLE_MAX_DIMENSION:
+        return _table_lift(entries, m, 1e-10)
+    _assert_orthogonal(entries, m, 1e-10)
+    if (np.linalg.det(rotations) < 0).any():
+        raise ValueError("matrix has determinant -1 (not in SO)")
+    taus = np.stack([_schur_lift(r, rep) for r in rotations])
+    blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
+    return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
 
 
 def _sign_chain(overlap: np.ndarray, base_sign: float) -> np.ndarray:
@@ -190,55 +377,50 @@ def _sign_chain(overlap: np.ndarray, base_sign: float) -> np.ndarray:
     return sign
 
 
-def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
-    """Spin lift tau(s) of the frame assembly at every grid point.
+def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
+    """Signed even-blade coefficients c (K, *grid) of the frame spin lift.
 
-    The lifted rotation has the frame vectors as matrix rows.  Each lift is
-    tau = sum_K c_K gamma_K over the even blades K with c real and |c| = 1,
-    read off the minors of R by the fixed table of spinors._table_lift, the
-    kernel that spin_lift runs on one point.  The table grows as 4^m, so
-    above LIFT_TABLE_MAX_DIMENSION each point is lifted from a real Schur
-    decomposition (spinors._schur_lift) instead, and the same sign chain
-    follows.
+    The lifted rotation has the frame vectors as matrix rows, and its lift
+    is tau = sum_K c_K gamma_K over the even blades K in ascending mask
+    order (the order of GammaRep.even_products), with c real and |c| = 1.
+    Up to LIFT_TABLE_MAX_DIMENSION c is read off the minors of R by the
+    fixed table of spinors._table_lift, the kernel that spin_lift runs on
+    one point.  The table grows as 4^m, so above it each point is lifted
+    from a real Schur decomposition and projected onto the even blades
+    (_unsigned_coefficients).
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
     to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
     The base corner takes spin_lift's default sign rule, applied to its own
     lift, and the +-1 steps are chained by a cumulative product
-    (_sign_chain).  One product of the signed c against the even blade
-    products of the gamma system gives the matrices.
+    (_sign_chain).
 
     Every rotation must be finite with each entry of R^T R within 1e-10 of
     the identity's and det R > 0, and d |c(s) . c(prev)| < 1e-6 (a
     half-turn between neighbours) raises, since the sign is then ambiguous.
-    Shape (*grid, d, d).
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     rot = frames.frame_rotation
     shape = frames.grid_shape
-    m, d = rep.m, rep.dim
-    if rot.shape[-2:] != (m, m):
-        raise ValueError(f"expected {m}x{m} rotation")
-    # entry-major (m*m, P): every product below runs over contiguous points
-    entries = np.ascontiguousarray(np.moveaxis(rot.reshape(-1, m, m), 0, -1)).reshape(m * m, -1)
-    base = (0,) * len(shape)
-    if m > LIFT_TABLE_MAX_DIMENSION:
-        _assert_orthogonal(entries, m, 1e-10)
-        if (np.linalg.det(rot.reshape(-1, m, m)) < 0).any():
-            raise ValueError("matrix has determinant -1 (not in SO)")
-        taus = np.stack([_schur_lift(r, rep) for r in rot.reshape(-1, m, m)])
-        taus = taus.reshape(shape + (d, d))
-        overlap = np.einsum("...ij,...ij->...", taus,
-                            _staircase_previous(taus, len(shape)).conj()).real
-        return _sign_chain(overlap, _default_sign(taus[base]))[..., None, None] * taus
+    c = _unsigned_coefficients(rot.reshape((-1,) + rot.shape[-2:]), rep)
+    c = c.reshape((len(c),) + shape)
+    overlap = rep.dim * (c * _previous_planes(c, len(shape))).sum(axis=0)
+    base = (slice(None),) + (0,) * len(shape)
+    base_sign = _default_sign(np.tensordot(c[base], rep.even_products, axes=1))
+    return _sign_chain(overlap, base_sign) * c
 
-    c = _table_lift(entries, m, 1e-10)
-    c = c.T.reshape(shape + (len(c),))
-    overlap = d * np.einsum("...k,...k->...", c, _staircase_previous(c, len(shape)))
-    products = rep.even_products
-    base_sign = _default_sign(np.tensordot(c[base], products, axes=1))
-    return _combine(_sign_chain(overlap, base_sign)[..., None] * c, products)
+
+def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
+    """Spin lift tau(s) of the frame assembly at every grid point, shape (*grid, d, d).
+
+    tau = sum_K c_K gamma_K: the signed frame_lift_coefficients against the
+    even blade products of the gamma system, in one real product.  The
+    checks and errors are frame_lift_coefficients'.
+    """
+    rep = rep or build_gamma_rep(frames.chart.n)
+    coeffs = frame_lift_coefficients(frames, rep)
+    return _combine(np.moveaxis(coeffs, 0, -1), rep.even_products)
 
 
 def frame_spinor_fields(frames: FrameField, rep: GammaRep | None = None) -> list:
@@ -282,36 +464,18 @@ def _trapezoid_weights(axis: np.ndarray, h: float) -> np.ndarray:
     return w
 
 
-def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
-                             q_max=0.25, direction=0, frames: FrameField | None = None):
-    """Adjoint defect of p = i d/dq on the tube, before and after the
-    half-density move.
+def _tube_pairing(frames: FrameField, q_points: int, q_max: float, direction: int):
+    """The separable pieces of the tube pairing of the two bump test functions.
 
-    residual_without pairs with the geometric measure rho^{1/2} (det g_S)^{1/2};
-    residual_with uses the flattened measure (det g_S)^{1/2} that the
-    rho^{1/4} conjugation of vectors induces.  The defect with the geometric
-    measure converges to |integral conj(f) g d_q(rho^{1/2}) sqrt(g_S)| > 0
-    whenever the mean curvature along the chosen direction is nonzero; the
-    flattened one is pure discretization error, O(h^2).
-
-    The complex bump test functions factor as f = f_s(s) f_q(q) and
-    g = g_s(s) g_q(q), so p acts on f_q and g_q alone and the trapezoid sum
-    of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
-    u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
-    - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
-    Raises FocalDistanceError when the tube reaches the focal set.
+    f = f_s(s) f_q(q) and g = g_s(s) g_q(q); returns (q, hq, u, w_q, f_q,
+    g_q) with u = w_s sqrt(g_S) conj(f_s) g_s over the flattened grid and
+    w_q the trapezoid weights along q.
     """
-    frames = frames or build_frame_field(chart, shape=s_shape)
-    nk = chart.n - chart.k
+    nk = frames.chart.n - frames.chart.k
     if not 0 <= direction < nk:
         raise ValueError("normal direction out of range")
-
     q = np.linspace(-q_max, q_max, q_points)
     hq = q[1] - q[0]
-
-    # sqrt(rho) on the whole tube, (Nq, P), from the direction's Weingarten map
-    sqrt_rho = _tube_factor(frames.weingarten[..., direction:direction + 1, :, :],
-                            q[:, None]).reshape(q_points, -1)
     sqrt_gs = np.sqrt(np.linalg.det(frames.metric))
 
     # complex bump test functions on the tube, factor by factor
@@ -326,15 +490,68 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     f_q = _bump(qu) * np.exp(2j * qu)
     g_q = _bump(qu) * np.exp(-1j * qu)
 
-    def p(field):
-        return 1j * _diff_axis(field, 0, hq)
-
     w_s = _trapezoid_weights(frames.axes[0], frames.spacings[0])
     for ax, h in zip(frames.axes[1:], frames.spacings[1:]):
         w_s = np.multiply.outer(w_s, _trapezoid_weights(ax, h))
     u = (w_s * sqrt_gs * np.conj(f_s) * g_s).ravel()
-    v = _trapezoid_weights(q, hq) * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
+    return q, hq, u, _trapezoid_weights(q, hq), f_q, g_q
 
+
+def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
+                             q_max=0.25, direction=0, frames: FrameField | None = None):
+    """Adjoint defect of p = i d/dq on the tube, before and after the
+    half-density move.
+
+    residual_without pairs with the geometric measure rho^{1/2} (det g_S)^{1/2};
+    residual_with uses the flattened measure (det g_S)^{1/2} that the
+    rho^{1/4} conjugation of vectors induces.  Summed by parts in q, the
+    defect with the geometric measure tends to
+    |integral conj(f) g d_q(rho^{1/2}) sqrt(g_S)| as the q step shrinks,
+    where d_q(rho^{1/2}) = tr Gamma + 2 q det Gamma along the chosen
+    direction (tr Gamma alone for curves): the mean curvature and, for
+    surfaces, the Gauss-curvature term, so minimal surfaces have a defect
+    too, and a mean curvature that changes sign can nearly cancel it
+    (selfadjointization_limit gives that limit).  The flattened one is pure
+    discretization error, O(h^2).
+
+    The complex bump test functions factor as f = f_s(s) f_q(q) and
+    g = g_s(s) g_q(q), so p acts on f_q and g_q alone and the trapezoid sum
+    of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
+    u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
+    - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
+    Raises FocalDistanceError when the tube reaches the focal set.
+    """
+    frames = frames or build_frame_field(chart, shape=s_shape)
+    q, hq, u, w_q, f_q, g_q = _tube_pairing(frames, q_points, q_max, direction)
+    # sqrt(rho) on the whole tube, (Nq, P), from the direction's Weingarten map
+    sqrt_rho = _tube_factor(frames.weingarten[..., direction:direction + 1, :, :],
+                            q[:, None]).reshape(q_points, -1)
+
+    def p(field):
+        return 1j * _diff_axis(field, 0, hq)
+
+    v = w_q * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
     residual_without = abs((v @ sqrt_rho) @ u)
     residual_with = abs(u.sum() * v.sum())
     return residual_without, residual_with
+
+
+def selfadjointization_limit(chart: ImmersionChart, s_shape=None, q_points=33,
+                             q_max=0.25, direction=0, frames: FrameField | None = None):
+    """Predicted limit of selfadjointization_check's geometric-measure defect.
+
+    |sum_s u_s sum_q w_q conj(f_q) g_q d_q sqrt(rho)(s, q)| with
+    sqrt(rho) = det(1 + q Gamma), so d_q sqrt(rho) = tr Gamma + 2 q det Gamma
+    for surfaces and tr Gamma for curves: the same quadratures and test
+    functions as the check, with the q derivative taken exactly.  The check
+    differs from it by the q-quadrature's O(h_q^2).
+    """
+    frames = frames or build_frame_field(chart, shape=s_shape)
+    q, _, u, w_q, f_q, g_q = _tube_pairing(frames, q_points, q_max, direction)
+    gamma = frames.weingarten[..., direction, :, :]
+    weight = w_q * np.conj(f_q) * g_q
+    slope = weight.sum() * (np.trace(gamma, axis1=-2, axis2=-1).ravel() @ u)
+    if frames.chart.k == 2:
+        det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
+        slope += 2 * (weight @ q) * (det.ravel() @ u)
+    return abs(slope)

@@ -74,8 +74,20 @@ class GammaRep:
         The order of _spin_lift_table's blades, so tau = sum_K c_K gamma_K is
         one product against this stack.  Built on first use and read-only.
         """
+        return self._blade_products(0)
+
+    @cached_property
+    def odd_products(self) -> np.ndarray:
+        """gamma_J for the odd blades J in ascending mask order, shape (J, d, d).
+
+        A first-order operator maps an even-blade spinor to one on these
+        blades.  Built on first use and read-only.
+        """
+        return self._blade_products(1)
+
+    def _blade_products(self, parity: int) -> np.ndarray:
         products = np.stack([rep_of(Multivector(self.m, {mask: 1.0}), self)
-                             for mask in range(1 << self.m) if _popcount(mask) % 2 == 0])
+                             for mask in range(1 << self.m) if _popcount(mask) % 2 == parity])
         products.flags.writeable = False
         return products
 

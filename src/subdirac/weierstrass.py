@@ -9,7 +9,11 @@ every partial derivative of the immersion,
                  = d_alpha x^i(s),
 
 and trapezoid path integration of that exact 1-form rebuilds the chart up
-to the anchored base-corner translation.
+to the anchored base-corner translation.  The lift enters as its real
+even-blade coefficients c (dirac.frame_lift_coefficients): with
+tau = sum_K c_K gamma_K, every W_ia = Re <conj(psi_i), gamma_a psi_i> is
+one quadratic form of c against a fixed table, so no complex lift matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import (
-    dirac_residual,
-    frame_lift_field,
-    frame_spinor_fields,
+    _pair_products,
+    _pair_table,
+    _unsigned_coefficients,
+    frame_lift_coefficients,
     intrinsic_dirac,
+    lift_residuals,
     submanifold_dirac,
 )
 from .geometry import FrameField, ImmersionChart, build_frame_field
-from .spinors import GammaRep, build_gamma_rep, primitive_spinor, spin_lift
+from .spinors import GammaRep, build_gamma_rep, primitive_spinor
 
 
 class MisclassificationError(ValueError):
@@ -49,54 +55,60 @@ class ReconstructionReport:
             raise ValueError("report entries must be nonnegative")
 
 
-def _bilinear_kernel(taus: np.ndarray, tangent: np.ndarray, jac: np.ndarray,
-                     rep: GammaRep) -> np.ndarray:
-    """B^i_alpha from lifts taus (*grid, d, d) and the frame data at the same points.
+def _bilinear_table(rep: GammaRep, k: int) -> np.ndarray:
+    """Fixed table (pairs, n k) with W_ia = table.T @ dirac._pair_products(c).
 
-    B^i_alpha = sum_a (tangent jac)_{a alpha} W_ia with
-    W_ia = Re <conj(psi_i), gamma_a psi_i> and psi_i = tau psi_{e_i}: the
-    stacked psi_i of every point go through one product against the table
-    of the k tangent gammas.  B is quadratic in tau, so the sign of the lift
-    does not enter.
+    psi_i = tau psi_{e_i} = sum_K c_K gamma_K psi_{e_i}, so
+    W_ia = sum_{K, L} c_K c_L Re <conj(gamma_K psi_{e_i}), gamma_a gamma_L psi_{e_i}>.
     """
-    grid = taus.shape[:-2]
+    n, d = rep.m, rep.dim
+    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components for i in range(n)])
+    lifted = rep.even_products @ prim.T  # (K, d, n): column i is gamma_K psi_{e_i}
+    form = np.einsum("kci,acd,ldi->klia", lifted.conj(), np.stack(rep.gammas[:k]), lifted).real
+    return _pair_table(form).reshape(-1, n * k)
+
+
+def _bilinear_kernel(coeffs: np.ndarray, tangent: np.ndarray, jac: np.ndarray,
+                     rep: GammaRep) -> np.ndarray:
+    """B^i_alpha from lift coefficients c (K, *grid) and the frame data at the same points.
+
+    B^i_alpha = sum_a (tangent jac)_{a alpha} W_ia, with W a quadratic form
+    of c (_bilinear_table), so the sign of the lift does not enter.
+    """
+    grid = coeffs.shape[1:]
     n, k = jac.shape[-2:]
-    d = rep.dim
-    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components
-                     for i in range(n)])  # (n, d)
-    psi = (taus.reshape(-1, d) @ prim.T).reshape(grid + (d, n))
-    psi = np.ascontiguousarray(np.swapaxes(psi, -1, -2)).reshape(-1, d)  # (P n, d)
-    # table[c, a d + e] = gamma_a[e, c], so psi @ table stacks the gamma_a psi
-    table = np.stack(rep.gammas[:k]).transpose(2, 0, 1).reshape(d, k * d)
-    gamma_psi = (psi @ table).reshape(-1, k, d)
-    # Re <conj(psi), gamma_a psi> is the dot product of the float views
-    w = np.einsum("pc,pac->pa", psi.view(float), gamma_psi.view(float))
-    return w.reshape(grid + (n, k)) @ (tangent @ jac)
+    table = _bilinear_table(rep, k)
+    w = table.T @ _pair_products(coeffs).reshape(len(table), -1)  # (n k, P)
+    return np.ascontiguousarray(w.T).reshape(grid + (n, k)) @ (tangent @ jac)
 
 
 def immersion_bilinears(frames: FrameField, rep: GammaRep | None = None,
-                        taus: np.ndarray | None = None) -> np.ndarray:
-    """B^i_alpha over the grid, shape (*grid, n, k); equals the Jacobian."""
+                        coeffs: np.ndarray | None = None) -> np.ndarray:
+    """B^i_alpha over the grid, shape (*grid, n, k); equals the Jacobian.
+
+    coeffs are the frame lift's frame_lift_coefficients, computed when not given.
+    """
     rep = rep or build_gamma_rep(frames.chart.n)
-    if taus is None:
-        taus = frame_lift_field(frames, rep)
-    return _bilinear_kernel(taus, frames.tangent, frames.jac, rep)
+    if coeffs is None:
+        coeffs = frame_lift_coefficients(frames, rep)
+    return _bilinear_kernel(coeffs, frames.tangent, frames.jac, rep)
 
 
 def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
                        rep: GammaRep | None = None) -> float:
     """Single bilinear B^i_alpha at one grid index; equals d_alpha x^i there.
 
-    Lifts only that point's frame rotation: the bilinear does not depend on
-    the lift's sign, so no staircase chain is needed.
+    Lifts only that point's frame rotation to its even-blade coefficients:
+    the bilinear does not depend on the lift's sign, so no staircase chain
+    is needed.
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     index = tuple(np.atleast_1d(index))
     if len(index) != len(frames.grid_shape):
         raise IndexError(f"grid index {index} does not match grid {frames.grid_shape}")
     tangent, normal, jac = frames.tangent[index], frames.normal[index], frames.jac[index]
-    tau = spin_lift(np.concatenate([tangent, normal]), rep).matrix
-    return float(_bilinear_kernel(tau, tangent, jac, rep)[i, alpha])
+    coeffs = _unsigned_coefficients(np.concatenate([tangent, normal])[None], rep)[:, 0]
+    return float(_bilinear_kernel(coeffs, tangent, jac, rep)[i, alpha])
 
 
 def _cumtrapz(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -179,10 +191,11 @@ def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
 
 
 def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
-                          extras: dict | None = None):
+                          extras: dict | None = None, coeffs=None):
     """reconstruction_report over a coarse and a fine frame field of one chart.
 
-    Also returns the reconstructed coordinate grid of each field.
+    coeffs, when given, holds each field's frame_lift_coefficients.  Also
+    returns the reconstructed coordinate grid of each field.
     """
     errors = []
     path_residuals = []
@@ -191,8 +204,8 @@ def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
     sizes = []
     bilinear_dev = 0.0
     per_coord = None
-    for frames in frame_fields:
-        b = immersion_bilinears(frames, rep)
+    for j, frames in enumerate(frame_fields):
+        b = immersion_bilinears(frames, rep, coeffs=None if coeffs is None else coeffs[j])
         bilinear_dev = max(bilinear_dev, float(np.abs(b - frames.jac).max()))
         coords, path_res = reconstruct_immersion(frames, rep, bilinears=b)
         err = np.abs(coords - frames.x)
@@ -222,7 +235,8 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
 
     Checks that the mean curvature vanishes on the grid, that the
     submanifold operator coincides with the intrinsic one (the curvature
-    term carries no weight), then runs the reconstruction study.
+    term carries no weight: their coefficient planes agree), then runs the
+    reconstruction study.
     """
     frames = build_frame_field(chart, shape=shapes[0])
     mean_max = float(np.abs(frames.mean_curvature).max())
@@ -231,7 +245,8 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
             f"{chart.name} has mean curvature {mean_max:.3e}, not minimal")
     op_sub = submanifold_dirac(frames, rep)
     op_intr = intrinsic_dirac(frames, rep)
-    op_diff = float(np.abs(op_sub.potential - op_intr.potential).max())
+    op_diff = float(max(np.abs(op_sub.axis_coeff - op_intr.axis_coeff).max(),
+                        np.abs(op_sub.potential_coeff - op_intr.potential_coeff).max()))
     return reconstruction_report(chart, shapes, rep, extras={
         "mean_curvature_max": mean_max,
         "operator_difference": op_diff,
@@ -244,22 +259,21 @@ def frenet_serret_case(chart: ImmersionChart, shapes=((257,), (513,)),
 
     The operator is gamma_1 e_1^s d/ds + (1/2) gamma_adot kappa_adot with
     kappa the curvature components in the parallel normal frame; the frame
-    spinor field must lie in its kernel to O(h^2).
+    spinor field must lie in its kernel to O(h^2).  Each resolution's frame
+    field and lift coefficients serve both the kernel check and the
+    reconstruction.
     """
     if chart.k != 1 or chart.n not in (2, 3):
         raise ValueError("Frenet-Serret case needs a curve in R^2 or R^3")
-    residuals = []
-    curvature_norm = None
-    for shape in shapes:
-        frames = build_frame_field(chart, shape=shape)
-        op = submanifold_dirac(frames, rep)
-        fields = frame_spinor_fields(frames, rep)
-        residuals.append(max(dirac_residual(op, f) for f in fields))
-        curvature_norm = np.linalg.norm(frames.mean_curvature, axis=-1)
-    report = reconstruction_report(chart, shapes, rep, extras={
+    rep = rep or build_gamma_rep(chart.n)
+    frame_fields = [build_frame_field(chart, shape=shape) for shape in shapes]
+    coeffs = [frame_lift_coefficients(frames, rep) for frames in frame_fields]
+    residuals = [float(lift_residuals(frames, c, rep).max())
+                 for frames, c in zip(frame_fields, coeffs)]
+    report, _ = _reconstruction_study(frame_fields, rep, extras={
         "kernel_residuals": tuple(residuals),
         "kernel_order": float(np.log2(residuals[0] / residuals[1])
                               / np.log2((shapes[1][0] - 1) / (shapes[0][0] - 1))),
-        "curvature_norm": curvature_norm,
-    })
+        "curvature_norm": np.linalg.norm(frame_fields[-1].mean_curvature, axis=-1),
+    }, coeffs=coeffs)
     return report

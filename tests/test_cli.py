@@ -181,6 +181,35 @@ def test_reconstruct_projects_r4_chart(tmp_path):
     assert "orthographic projection" in text
 
 
+def test_dirac_tube_check_passes_on_the_saddle(tmp_path):
+    # the graph's mean curvature changes sign, so its geometric-measure defect is
+    # small (about 0.002); it is held against its predicted limit, not a fixed floor
+    assert run_cli(["--command", "dirac", "--chart", "graph", "--grid", "17", "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "report-dirac.json").read_text())["checks"]
+    entry = next(c for c in checks if c["name"] == "selfadjointization-defect-geometric-measure")
+    assert entry["pass"] and entry["tolerance"] == 0.05 and entry["value"] < 0.02
+
+
+@pytest.mark.parametrize("chart, grid", [("sphere", "17"), ("clifford-torus-r4", "9"),
+                                         ("helix-curve", "17")])
+def test_all_shares_frame_fields_with_the_single_commands_checks(tmp_path, monkeypatch,
+                                                                chart, grid):
+    built = []
+    build = cli.build_frame_field
+    monkeypatch.setattr(cli, "build_frame_field",
+                        lambda chart, shape: built.append(shape) or build(chart, shape=shape))
+    common = ["--chart", chart, "--grid", grid, "--seed", "7"]
+    assert run_cli(["--command", "all", *common, "--out", str(tmp_path / "all")]) == 0
+    assert len(built) == len(set(built)) == 2  # the coarse and the fine field, once each
+    report = json.loads((tmp_path / "all" / "report-all.json").read_text())
+    single = []
+    for command in ("geometry", "dirac", "reconstruct"):
+        assert run_cli(["--command", command, *common, "--out", str(tmp_path / command)]) == 0
+        single += json.loads((tmp_path / command / f"report-{command}.json").read_text())["checks"]
+    assert report["checks"][-len(single):] == single
+
+
 def test_inline_json_config(tmp_path):
     cfg = json.dumps({"command": "geometry", "chart": "graph", "grid": [17, 17],
                       "out": str(tmp_path)})
@@ -381,3 +410,40 @@ def test_catalog_commands_and_queries_leave_scipy_linalg_unloaded(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * 10} False"
+
+
+# --- the CLI kernels run on lift coefficients -------------------------------------
+
+NO_DENSE_OPERATOR = """
+import sys
+
+import subdirac
+from subdirac import cli, dirac
+
+def forbidden(*args, **kwargs):
+    raise RuntimeError("dense operator or complex lift built on the CLI path")
+
+names = ("submanifold_dirac", "intrinsic_dirac", "frame_lift_field", "frame_spinor_fields",
+         "apply_operator", "dirac_residual", "pointwise_pairings")
+for module in [m for key, m in sys.modules.items() if key.startswith("subdirac")]:
+    for name in names:
+        if hasattr(module, name):
+            setattr(module, name, forbidden)
+dirac.DiracOperator.__init__ = forbidden
+status = [cli.main(["--command", command, "--chart", chart, "--grid", grid, "--seed", "7",
+                    "--out", sys.argv[1]])
+          for chart, grid in (("sphere", "17"), ("graph", "17"), ("clifford-torus-r4", "9"),
+                              ("helix-curve", "17"), ("circle-curve", "17"))
+          for command in ("dirac", "reconstruct")]
+print(status)
+"""
+
+
+def test_dirac_and_reconstruct_build_no_operator_and_no_complex_lift(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_DENSE_OPERATOR, str(tmp_path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([0] * 10), proc.stdout

@@ -4,21 +4,29 @@ import types
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_frame_field_scan import surface_in_r5
 
+from subdirac.clifford import Multivector
 from subdirac.dirac import (
-    DiracOperator,
     GridSpinorField,
     apply_operator,
     dirac_residual,
+    frame_lift_coefficients,
+    frame_lift_field,
     frame_spinor_fields,
     intrinsic_dirac,
+    lift_gram,
+    lift_residuals,
     pointwise_pairings,
     selfadjointization_check,
+    selfadjointization_limit,
     submanifold_dirac,
 )
 from subdirac.dirac import _assemble
 from subdirac.geometry import (
+    CATALOG,
     FocalDistanceError,
     FrameField,
     ImmersionChart,
@@ -27,7 +35,7 @@ from subdirac.geometry import (
     build_frame_field,
     catalog_chart,
 )
-from subdirac.spinors import build_gamma_rep
+from subdirac.spinors import build_gamma_rep, rep_of
 
 S1, S2 = sp.symbols("s1 s2")
 
@@ -39,12 +47,24 @@ def kernel_residual(name, shape, rep=None, with_mean=True, **params):
     return max(dirac_residual(op, f) for f in fields)
 
 
+def densify(op):
+    """Dense (*grid, k, d, d) axis matrices and (*grid, d, d) potential of an
+    operator's coefficient planes, through the gamma homomorphism rep_of."""
+    rep = op.rep
+    gam = np.stack(rep.gammas)
+    blades = np.stack([rep_of(Multivector(rep.m, {mask: 1.0}), rep)
+                       for mask in op.potential_blades])
+    axis = np.einsum("ga...,aij->...gij", op.axis_coeff, gam[:op.chart.k])
+    potential = np.einsum("j...,jab->...ab", op.potential_coeff, blades)
+    return axis, potential
+
+
 # --- assembly basics ---------------------------------------------------------
 
 def test_plane_operator_annihilates_constants():
     ff = build_frame_field(catalog_chart("plane"), shape=(17, 17))
     op = submanifold_dirac(ff)
-    assert np.abs(op.potential).max() < 1e-12  # no connection, no curvature term
+    assert np.abs(densify(op)[1]).max() < 1e-12  # no connection, no curvature term
     const = GridSpinorField(ff.chart, np.ones((17, 17, 2), dtype=complex), tuple(ff.spacings))
     assert dirac_residual(op, const) == 0.0
 
@@ -54,19 +74,20 @@ def test_intrinsic_equals_submanifold_without_curvature():
     a = intrinsic_dirac(ff)
     b = submanifold_dirac(ff)
     rep = build_gamma_rep(3)
+    (axis_a, potential_a), (axis_b, potential_b) = densify(a), densify(b)
     expected = 0.5 * np.einsum("...m,mij->...ij", ff.mean_curvature, np.stack(rep.gammas)[2:])
-    assert np.allclose(b.potential - a.potential, expected, atol=1e-14)
-    assert np.allclose(a.axis_matrices, b.axis_matrices, atol=1e-14)
+    assert np.allclose(potential_b - potential_a, expected, atol=1e-14)
+    assert np.allclose(axis_a, axis_b, atol=1e-14)
 
 
 def test_circle_operator_form():
     r = 1.5
     ff = build_frame_field(catalog_chart("circle-curve", r=r), shape=(129,))
     rep = build_gamma_rep(2)
-    op = submanifold_dirac(ff)
+    axis, potential = densify(submanifold_dirac(ff))
     # first-order coefficient: gamma_1 / |x'| ; zeroth-order: +/- gamma_2 / (2r)
-    assert np.allclose(op.axis_matrices[..., 0, :, :], np.stack([rep.gammas[0] / r] * 129), atol=1e-12)
-    mag = np.abs(op.potential - 0).reshape(129, -1).max(axis=-1)
+    assert np.allclose(axis[..., 0, :, :], np.stack([rep.gammas[0] / r] * 129), atol=1e-12)
+    mag = np.abs(potential).reshape(129, -1).max(axis=-1)
     assert np.allclose(mag, 1 / (2 * r), atol=1e-12)
 
 
@@ -325,12 +346,12 @@ def test_assembly_matches_einsum_reference(case, kind):
     frames = random_frames() if case == "random-k3" else oracle_frames(case)
     rep = oracle_rep(frames.chart.n, kind)
     for with_mean in (False, True):
-        op = _assemble(frames, rep, with_mean)
-        axis, potential = reference_assemble(frames, rep, with_mean)
-        assert op.axis_matrices.shape == axis.shape
-        assert op.potential.shape == potential.shape
-        assert np.abs(op.axis_matrices - axis).max() <= 1e-14
-        assert np.abs(op.potential - potential).max() <= 1e-14
+        axis, potential = densify(_assemble(frames, rep, with_mean))
+        expected_axis, expected_potential = reference_assemble(frames, rep, with_mean)
+        assert axis.shape == expected_axis.shape
+        assert potential.shape == expected_potential.shape
+        assert np.abs(axis - expected_axis).max() <= 1e-14
+        assert np.abs(potential - expected_potential).max() <= 1e-14
 
 
 def test_assembly_rejects_non_antisymmetric_omega():
@@ -390,3 +411,129 @@ def test_tube_check_and_per_q_loop_reject_the_same_focal_tube(q_max):
     with pytest.raises(FocalDistanceError) as batched:
         selfadjointization_check(frames.chart, frames=frames, q_max=q_max)
     assert str(batched.value) == str(loop.value)
+
+
+# --- the coefficient planes against the dense operator ------------------------------
+#
+# apply_operator and lift_residuals run on the operator's coefficient planes;
+# the dense per-point matrices of reference_assemble, applied by einsum, are
+# the oracle.
+
+def reference_apply(axis, potential, frames, psi):
+    """D psi from dense (*grid, k, d, d) axis matrices and (*grid, d, d) potential."""
+    out = np.einsum("...ij,...j->...i", potential, psi)
+    for alpha, h in enumerate(frames.spacings):
+        out = out + np.einsum("...ij,...j->...i", axis[..., alpha, :, :], _diff_axis(psi, alpha, h))
+    return out
+
+
+APPLY_CASES = sorted(CATALOG) + ["surface-in-r5", "random-k3"]
+
+
+@functools.lru_cache(maxsize=None)
+def apply_frames(case):
+    if case == "random-k3":
+        frames = random_frames()
+        frames.spacings = [0.1, 0.2, 0.3]
+        return frames
+    chart = surface_in_r5() if case == "surface-in-r5" else catalog_chart(case)
+    return build_frame_field(chart, shape=(17, 17) if chart.k == 2 else (33,))
+
+
+@pytest.mark.parametrize("case", APPLY_CASES)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), with_mean=st.booleans(),
+       kind=st.sampled_from(["standard", "conjugated"]))
+def test_apply_operator_matches_dense_reference(case, seed, with_mean, kind):
+    frames = apply_frames(case)
+    rep = oracle_rep(frames.chart.n, kind)
+    rng = np.random.default_rng(seed)
+    size = frames.grid_shape + (rep.dim,)
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    op = _assemble(frames, rep, with_mean)
+    image = apply_operator(op, GridSpinorField(frames.chart, psi, tuple(frames.spacings)))
+    expected = reference_apply(*reference_assemble(frames, rep, with_mean), frames, psi)
+    assert np.abs(image.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def dense_kernel_residuals(frames, rep, with_mean):
+    axis, potential = reference_assemble(frames, rep, with_mean)
+    taus = frame_lift_field(frames, rep)
+    interior = tuple(slice(1, -1) for _ in frames.grid_shape)
+    return np.array([np.linalg.norm(reference_apply(axis, potential, frames, taus[..., :, a])
+                                    [interior], axis=-1).max() for a in range(rep.dim)])
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_frames(name, level):
+    chart = catalog_chart(name)
+    shape = [(17, 17), (33, 33)][level] if chart.k == 2 else [(65,), (129,)][level]
+    return build_frame_field(chart, shape=shape)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_lift_residuals_match_dense_residuals(name, level):
+    frames = catalog_frames(name, level)
+    rep = build_gamma_rep(frames.chart.n)
+    coeffs = frame_lift_coefficients(frames, rep)
+    for with_mean in (True, False):
+        expected = dense_kernel_residuals(frames, rep, with_mean)
+        got = lift_residuals(frames, coeffs, rep, with_mean)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-10 * expected.max()
+
+
+def test_lift_residuals_are_the_operator_residuals_of_the_frame_fields():
+    frames = oracle_frames("clifford-torus-r4-33")
+    rep = oracle_rep(4, "conjugated")
+    fields = frame_spinor_fields(frames, rep)
+    got = lift_residuals(frames, frame_lift_coefficients(frames, rep), rep)
+    expected = [dirac_residual(submanifold_dirac(frames, rep), f) for f in fields]
+    assert np.abs(got - expected).max() <= 1e-10 * max(expected)
+
+
+def test_lift_residuals_reject_a_mismatched_rep():
+    frames = catalog_frames("sphere", 0)
+    with pytest.raises(ValueError, match="does not match ambient"):
+        lift_residuals(frames, frame_lift_coefficients(frames), build_gamma_rep(4))
+
+
+@pytest.mark.parametrize("kind", ["standard", "conjugated"])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_lift_gram_matches_pointwise_pairings(case, kind):
+    frames = oracle_frames(case)
+    rep = oracle_rep(frames.chart.n, kind)
+    gram = lift_gram(frame_lift_coefficients(frames, rep), rep)
+    expected = pointwise_pairings(frame_spinor_fields(frames, rep))
+    assert gram.shape == expected.shape
+    assert np.abs(gram - expected).max() <= 1e-14
+
+
+# --- the geometric-measure defect against its predicted limit --------------------------
+
+TUBE_CHARTS = ["graph", "sphere", "catenoid", "helicoid", "enneper", "torus", "circle-curve"]
+
+
+@pytest.mark.parametrize("name", TUBE_CHARTS)
+def test_geometric_defect_tends_to_its_limit(name):
+    # the gap is the q-quadrature's O(h_q^2): it quarters when the q step halves,
+    # and the limit holds both the tr Gamma and the 2 q det Gamma term (the
+    # catenoid, helicoid and enneper have tr Gamma = 0, the sphere and torus both)
+    chart = catalog_chart(name)
+    frames = build_frame_field(chart, shape=(33, 33) if chart.k == 2 else (129,))
+    gaps = []
+    for q_points in (33, 65):
+        without, _ = selfadjointization_check(chart, frames=frames, q_points=q_points)
+        limit = selfadjointization_limit(chart, frames=frames, q_points=q_points)
+        assert limit > 1e-3
+        gaps.append(abs(without / limit - 1))
+    assert gaps[0] <= 0.02
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+def test_geometric_defect_limit_vanishes_on_the_plane():
+    flat = build_frame_field(catalog_chart("plane"), shape=(17, 17))
+    assert selfadjointization_limit(flat.chart, frames=flat) == 0.0
+    with pytest.raises(ValueError, match="direction out of range"):
+        selfadjointization_limit(flat.chart, frames=flat, direction=1)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subdirac.clifford import Multivector
-from subdirac.dirac import frame_lift_field
+from subdirac.dirac import frame_lift_coefficients, frame_lift_field
 from subdirac.geometry import build_frame_field, catalog_chart
 from subdirac.spinors import (
     LIFT_TABLE_MAX_DIMENSION,
@@ -289,6 +289,24 @@ def test_matches_reference_above_the_table(n, shape):
     rep = build_gamma_rep(n)
     expected = reference_lift(rot, rep)
     assert np.abs(frame_lift_field(rotation_field(rot), rep) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, shape", [(7, (24,)), (8, (5, 6))])
+def test_projection_above_the_table(n, shape):
+    # above the table the Schur lifts are projected onto the even blades; the
+    # signed coefficients are those of the staircase reference, and the lift
+    # field is their product against the even blade products
+    rot = _smooth_field(n, shape, seed=n)
+    rep = build_gamma_rep(n)
+    expected = reference_lift(rot, rep).reshape(-1, rep.dim, rep.dim)
+    blades = np.stack([rep_of(Multivector(n, {mask: 1.0}), rep) for mask in _even_blades(n)])
+    expected_c = np.einsum("kij,pij->kp", blades.conj(), expected).real / rep.dim
+    coeffs = frame_lift_coefficients(rotation_field(rot), rep)
+    assert coeffs.shape == (len(blades),) + shape
+    assert np.abs(coeffs.reshape(len(blades), -1) - expected_c).max() <= 1e-12
+    assert np.abs(np.linalg.norm(coeffs, axis=0) - 1).max() <= 1e-12
+    lifted = np.tensordot(np.moveaxis(coeffs, 0, -1), blades, axes=1)
+    assert np.abs(frame_lift_field(rotation_field(rot), rep) - lifted).max() <= 1e-13
 
 
 def test_errors_above_the_table():

@@ -16,13 +16,24 @@ def test_no_assert_statements(path):
     assert not lines, f"assert statements at lines {lines}; raise a named error instead"
 
 
+def ellipsis_einsum_lines(name):
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum" and node.args
+            and isinstance(node.args[0], ast.Constant) and "..." in str(node.args[0].value)]
+
+
 def test_geometry_has_no_ellipsis_einsum():
     # an np.einsum over "..." runs its small inner axes one point at a time;
     # geometry.py works on entry-major planes instead
-    path = next(p for p in SOURCES if p.name == "geometry.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "einsum" and node.args
-             and isinstance(node.args[0], ast.Constant) and "..." in str(node.args[0].value)]
+    lines = ellipsis_einsum_lines("geometry.py")
     assert not lines, f"np.einsum with '...' subscripts at lines {lines}"
+
+
+def test_spinor_layers_have_no_ellipsis_einsum():
+    # the operator, the lift checks and the bilinears run on coefficient
+    # planes against fixed tables, not on per-point matrices
+    lines = {name: ellipsis_einsum_lines(name) for name in ("dirac.py", "weierstrass.py")}
+    assert not any(lines.values()), f"np.einsum with '...' subscripts at lines {lines}"

@@ -5,6 +5,7 @@ from test_dirac import ORACLE_CASES, oracle_frames, oracle_rep
 
 from subdirac.dirac import (
     dirac_residual,
+    frame_lift_coefficients,
     frame_lift_field,
     frame_spinor_fields,
     submanifold_dirac,
@@ -54,15 +55,33 @@ def reference_bilinears(frames, rep, taus):
     return np.real(np.einsum("...ic,...bcd,...id->...ib", np.conj(psi), mats, psi))
 
 
+def complex_bilinear_kernel(taus, tangent, jac, rep):
+    """B^i_alpha from complex lifts taus (*grid, d, d): the stacked psi_i of
+    every point through one product against the table of the tangent gammas,
+    the kernel that the quadratic form of the blade coefficients replaced."""
+    grid = taus.shape[:-2]
+    n, k = jac.shape[-2:]
+    d = rep.dim
+    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components for i in range(n)])
+    psi = (taus.reshape(-1, d) @ prim.T).reshape(grid + (d, n))
+    psi = np.ascontiguousarray(np.swapaxes(psi, -1, -2)).reshape(-1, d)  # (P n, d)
+    table = np.stack(rep.gammas[:k]).transpose(2, 0, 1).reshape(d, k * d)
+    gamma_psi = (psi @ table).reshape(-1, k, d)
+    w = np.einsum("pc,pac->pa", psi.view(float), gamma_psi.view(float))
+    return w.reshape(grid + (n, k)) @ (tangent @ jac)
+
+
 @pytest.mark.parametrize("kind", ["standard", "conjugated"])
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_bilinears_match_einsum_reference(case, kind):
     frames = oracle_frames(case)
     rep = oracle_rep(frames.chart.n, kind)
     taus = frame_lift_field(frames, rep)
-    b = immersion_bilinears(frames, rep, taus=taus)
+    b = immersion_bilinears(frames, rep, coeffs=frame_lift_coefficients(frames, rep))
     assert b.shape == frames.jac.shape
     assert np.abs(b - reference_bilinears(frames, rep, taus)).max() <= 1e-14
+    complex_kernel = complex_bilinear_kernel(taus, frames.tangent, frames.jac, rep)
+    assert np.abs(b - complex_kernel).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name, shape", [("sphere", (17, 17)),
