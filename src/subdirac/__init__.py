@@ -45,7 +45,6 @@ from .geometry import (
     build_frame_field,
     catalog_chart,
     induced_metric,
-    parallel_normal_frame,
     rho,
     tubular_metric,
     weingarten,

@@ -25,7 +25,6 @@ from .dirac import (
     lift_gram,
     lift_residuals,
     selfadjointization_check,
-    selfadjointization_limit,
 )
 from .geometry import CATALOG, adapted_frames, build_frame_field, catalog_chart, rho, weingarten
 from .meshio import export_obj
@@ -388,8 +387,7 @@ def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
         checks.add_floor("curvature-term-necessity", control, floor)
 
         # the geometric-measure defect against its limit, the flattened one against zero
-        without, with_ = selfadjointization_check(chart, frames=ff_coarse)
-        limit = selfadjointization_limit(chart, frames=ff_coarse)
+        without, with_, limit = selfadjointization_check(chart, frames=ff_coarse, with_limit=True)
         checks.run("selfadjointization-defect-geometric-measure", lambda: without / limit,
                    0.05, center=1.0)
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)

@@ -40,6 +40,7 @@ from .geometry import (
     FrameField,
     ImmersionChart,
     _diff_axis,
+    _plane_matmul,
     _previous_planes,
     _tube_factor,
     build_frame_field,
@@ -175,17 +176,17 @@ def _operator_planes(frames: FrameField, rep: GammaRep, with_mean: bool) -> tupl
     k, n = chart.k, chart.n
     if rep.m != n:
         raise ValueError(f"gamma system of dimension {rep.m} does not match ambient {n}")
-    if np.abs(frames.omega + np.swapaxes(frames.omega, -1, -2)).max() > 1e-8:
+    omega, e_coeff = frames.omega_planes, frames.e_coeff_planes
+    if np.abs(omega + np.swapaxes(omega, 1, 2)).max() > 1e-8:
         raise ValueError("spin connection coefficients are not antisymmetric")
-    grid = frames.grid_shape
+    grid = omega.shape[3:]
     blades, fold = _potential_blades(k, n)
-    axis = np.ascontiguousarray(np.moveaxis(frames.e_coeff, (-1, -2), (0, 1)))
-    conn = 0.25 * (frames.e_coeff @ frames.omega.reshape(grid + (k, k * k)))
+    conn = 0.25 * _plane_matmul(e_coeff, omega.reshape((k, k * k) + grid))
     potential = np.zeros((len(blades),) + grid)
-    potential[: fold.shape[1]] = np.moveaxis(conn.reshape(grid + (k ** 3,)) @ fold, -1, 0)
+    potential[: fold.shape[1]] = np.tensordot(fold, conn.reshape((k ** 3,) + grid), axes=(0, 0))
     if with_mean:
-        potential[fold.shape[1]:] = 0.5 * np.moveaxis(frames.mean_curvature, -1, 0)
-    return axis, potential
+        potential[fold.shape[1]:] = 0.5 * frames.mean_curvature_planes
+    return np.swapaxes(e_coeff, 0, 1), potential
 
 
 def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperator:
@@ -329,8 +330,11 @@ def lift_gram(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
     return gram.reshape(coeffs.shape[1:] + (rep.dim, rep.dim))
 
 
-def _unsigned_coefficients(rotations: np.ndarray, rep: GammaRep) -> np.ndarray:
-    """Even-blade coefficients c (K, P) of the spin lifts of rotations (P, m, m), up to sign.
+def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """Even-blade coefficients c (K, P) of the spin lifts of rotations, up to sign.
+
+    entries (m * m, P) holds the rotations entry-major: row i m + j is the
+    plane of entry (i, j).
 
     Up to LIFT_TABLE_MAX_DIMENSION the minor table (spinors._table_lift)
     gives c.  Above it each point is lifted from a real Schur decomposition
@@ -340,13 +344,12 @@ def _unsigned_coefficients(rotations: np.ndarray, rep: GammaRep) -> np.ndarray:
     the identity's and det R > 0.
     """
     m = rep.m
-    if rotations.shape[-2:] != (m, m):
+    if len(entries) != m * m:
         raise ValueError(f"expected {m}x{m} rotation")
-    # entry-major (m*m, P): every product below runs over contiguous points
-    entries = np.ascontiguousarray(np.moveaxis(rotations, 0, -1)).reshape(m * m, -1)
     if m <= LIFT_TABLE_MAX_DIMENSION:
         return _table_lift(entries, m, 1e-10)
     _assert_orthogonal(entries, m, 1e-10)
+    rotations = np.moveaxis(entries.reshape(m, m, -1), -1, 0)
     if (np.linalg.det(rotations) < 0).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
     taus = np.stack([_schur_lift(r, rep) for r in rotations])
@@ -401,9 +404,11 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     half-turn between neighbours) raises, since the sign is then ambiguous.
     """
     rep = rep or build_gamma_rep(frames.chart.n)
-    rot = frames.frame_rotation
-    shape = frames.grid_shape
-    c = _unsigned_coefficients(rot.reshape((-1,) + rot.shape[-2:]), rep)
+    # the rotation's rows are the tangent then the normal vectors: its entry
+    # planes are the two plane stacks one after the other
+    rot = np.concatenate([frames.tangent_planes, frames.normal_planes])
+    shape = rot.shape[2:]
+    c = _unsigned_coefficients(rot.reshape(len(rot) * rot.shape[1], -1), rep)
     c = c.reshape((len(c),) + shape)
     overlap = rep.dim * (c * _previous_planes(c, len(shape))).sum(axis=0)
     base = (slice(None),) + (0,) * len(shape)
@@ -469,14 +474,16 @@ def _tube_pairing(frames: FrameField, q_points: int, q_max: float, direction: in
 
     f = f_s(s) f_q(q) and g = g_s(s) g_q(q); returns (q, hq, u, w_q, f_q,
     g_q) with u = w_s sqrt(g_S) conj(f_s) g_s over the flattened grid and
-    w_q the trapezoid weights along q.
+    w_q the trapezoid weights along q.  det g_S comes from the metric planes
+    in closed form (k <= 2).
     """
     nk = frames.chart.n - frames.chart.k
     if not 0 <= direction < nk:
         raise ValueError("normal direction out of range")
     q = np.linspace(-q_max, q_max, q_points)
     hq = q[1] - q[0]
-    sqrt_gs = np.sqrt(np.linalg.det(frames.metric))
+    g = frames.metric_planes
+    sqrt_gs = np.sqrt(g[0, 0] if len(g) == 1 else g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
     # complex bump test functions on the tube, factor by factor
     su = [(ax - ax[0]) / (ax[-1] - ax[0]) for ax in frames.axes]
@@ -498,7 +505,8 @@ def _tube_pairing(frames: FrameField, q_points: int, q_max: float, direction: in
 
 
 def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
-                             q_max=0.25, direction=0, frames: FrameField | None = None):
+                             q_max=0.25, direction=0, frames: FrameField | None = None,
+                             with_limit: bool = False):
     """Adjoint defect of p = i d/dq on the tube, before and after the
     half-density move.
 
@@ -519,12 +527,15 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
     u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
     - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
-    Raises FocalDistanceError when the tube reaches the focal set.
+    With with_limit=True selfadjointization_limit's value follows as a third
+    entry, from the same test functions and quadratures.  Raises
+    FocalDistanceError when the tube reaches the focal set.
     """
     frames = frames or build_frame_field(chart, shape=s_shape)
-    q, hq, u, w_q, f_q, g_q = _tube_pairing(frames, q_points, q_max, direction)
+    pairing = _tube_pairing(frames, q_points, q_max, direction)
+    q, hq, u, w_q, f_q, g_q = pairing
     # sqrt(rho) on the whole tube, (Nq, P), from the direction's Weingarten map
-    sqrt_rho = _tube_factor(frames.weingarten[..., direction:direction + 1, :, :],
+    sqrt_rho = _tube_factor(frames.weingarten_planes[direction:direction + 1],
                             q[:, None]).reshape(q_points, -1)
 
     def p(field):
@@ -533,6 +544,8 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     v = w_q * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
     residual_without = abs((v @ sqrt_rho) @ u)
     residual_with = abs(u.sum() * v.sum())
+    if with_limit:
+        return residual_without, residual_with, _tube_limit(frames, pairing, direction)
     return residual_without, residual_with
 
 
@@ -547,11 +560,16 @@ def selfadjointization_limit(chart: ImmersionChart, s_shape=None, q_points=33,
     differs from it by the q-quadrature's O(h_q^2).
     """
     frames = frames or build_frame_field(chart, shape=s_shape)
-    q, _, u, w_q, f_q, g_q = _tube_pairing(frames, q_points, q_max, direction)
-    gamma = frames.weingarten[..., direction, :, :]
+    return _tube_limit(frames, _tube_pairing(frames, q_points, q_max, direction), direction)
+
+
+def _tube_limit(frames: FrameField, pairing, direction: int) -> float:
+    """selfadjointization_limit from the pieces of _tube_pairing."""
+    q, _, u, w_q, f_q, g_q = pairing
+    gamma = frames.weingarten_planes[direction]
     weight = w_q * np.conj(f_q) * g_q
-    slope = weight.sum() * (np.trace(gamma, axis1=-2, axis2=-1).ravel() @ u)
+    slope = weight.sum() * (np.trace(gamma).ravel() @ u)
     if frames.chart.k == 2:
-        det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
+        det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
         slope += 2 * (weight @ q) * (det.ravel() @ u)
     return abs(slope)

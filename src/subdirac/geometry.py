@@ -2,27 +2,29 @@
 
 Charts are parametric maps on a rectangle with exact first and second
 derivatives: numpy expressions (the catalogued surfaces, and callables
-given to from_callable) carry them through one pass of second-order jets,
-and sympy expressions have theirs compiled.  Callables that reject jets
-fall back to central finite differences.  Frame fields carry an orthonormal
-tangent frame from ordered Gram-Schmidt of the coordinate derivatives and a
-normal frame completed from the standard basis, smoothed across the grid
-and rotated into a parallel frame (vanishing normal-connection
-coefficients) by staircase path integration.  The Gram-Schmidt triangular
-factor R also gives the immersion guard, the metric and its inverse, the
-frame coefficients and the exact spin connection (from the Hessian, with
-no evaluation off the grid).
+given to from_callable) carry them through one pass of sparse symmetric
+second-order jets, and sympy expressions have theirs compiled.  Callables
+that reject jets fall back to central finite differences.  Frame fields
+carry an orthonormal tangent frame from ordered Gram-Schmidt of the
+coordinate derivatives and a normal frame completed from the standard
+basis, smoothed across the grid and rotated into a parallel frame
+(vanishing normal-connection coefficients) by staircase path integration.
+The Gram-Schmidt triangular factor R also gives the immersion guard, the
+metric and its inverse, the frame coefficients and the exact spin
+connection (from the Hessian, with no evaluation off the grid).
 
-All of it runs on the whole grid at once, on entry-major planes: a field of
-small matrices, (*grid, p, q) in the public FrameField, is held as
-(p, q, *grid), one contiguous plane per matrix entry, so that every
-per-point step is elementwise arithmetic on whole planes and the Python
-loops run over the 2-4 entry indices only.  The staircase products are one
-scan (_staircase_scan) down the base column and then across all rows
-together, or in codimension 2 one cumsum of rotation angles.  The
-pointwise functions run the same plane kernels on one point (planes with
-no grid axes), with an exact normal connection from the completed frame's
-Gram-Schmidt factor.
+One layout runs from the chart pass to the consumers: entry-major planes.
+A field of small matrices, (*grid, p, q) to the reader, is held as
+(p, q, *grid), one contiguous plane per matrix entry.  The jet pass writes
+x, the Jacobian and the Hessian in that layout, every per-point step of a
+frame field is elementwise arithmetic on whole planes with Python loops
+over the 2-4 entry indices only, and the FrameField stores the planes; its
+(*grid, ...) attributes are read-only np.moveaxis views of them.  The
+staircase products are one scan (_staircase_scan) down the base column and
+then across all rows together, or in codimension 2 one cumsum of rotation
+angles.  The pointwise functions run the same plane kernels on one point
+(planes with no grid axes, where the two layouts agree), with an exact
+normal connection from the completed frame's Gram-Schmidt factor.
 """
 
 from __future__ import annotations
@@ -53,44 +55,102 @@ class IntegrabilityError(ValueError):
 # second-order jets
 
 
-class Jet:
-    """Second-order forward-mode jet: a value with its gradient and Hessian.
+@functools.lru_cache(maxsize=None)
+def _hessian_pairs(k):
+    """The k(k+1)/2 index pairs a <= b of a symmetric Hessian, in storage order."""
+    return tuple((a, b) for a in range(k) for b in range(a, k))
 
-    v has the value shape; the derivatives in the k parameters are stacked
-    in front, d as (k, *shape) and dd as (k, k, *shape), and dd None stands
-    for zero (constants and affine expressions).  The arithmetic operators,
-    constant powers and the ufuncs of _JET_FUNCTIONS follow the truncated
-    Taylor rules (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-    ch. 13), so a numpy expression in the parameters evaluated on
-    Jet.variables(s) carries the exact first and second derivatives along
-    with its value.  Indexing and np.stack shape the result.  Anything else
-    (math.sin, float(), comparisons, np.asarray, other numpy functions)
-    raises TypeError.
+
+def _add(a, b):
+    """a + b, None standing for zero."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _sub(a, b):
+    """a - b, None standing for zero."""
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _mul(a, b):
+    """a * b, None standing for zero in either factor."""
+    return None if a is None or b is None else a * b
+
+
+def _div(a, b):
+    """a / b, None standing for zero in a."""
+    return None if a is None else a / b
+
+
+class Jet:
+    """Second-order forward-mode jet: a value with its gradient and Hessian
+    in the k parameters, held as sparse symmetric planes.
+
+    g holds the k gradient planes d_a v and h the k(k+1)/2 Hessian planes
+    d_a d_b v with a <= b, in the order of _hessian_pairs.  Each plane
+    broadcasts against the value and is None where it is structurally zero:
+    a parameter the expression does not depend on, a constant, the Hessian
+    of an affine expression.  h is None for a first-order jet, which carries
+    no Hessian at all.  The arithmetic operators, constant powers and the
+    ufuncs of _JET_FUNCTIONS follow the truncated Taylor rules (Griewank &
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13) on the nonzero planes,
+    adding the remaining terms in the order a dense jet adds all of them, so
+    skipping the zero planes changes no bit but the sign of a zero.  A numpy
+    expression in the parameters evaluated on Jet.variables(s) carries the
+    exact first and second derivatives along with its value.  Indexing and
+    np.stack shape the result.  Anything else (math.sin, float(),
+    comparisons, np.asarray, other numpy functions) raises TypeError.
+
+    d and dd read the planes as dense arrays, d (k, *shape) and dd
+    (k, k, *shape) or None for a zero Hessian.
     """
 
-    __slots__ = ("v", "d", "dd")
+    __slots__ = ("v", "g", "h")
 
-    def __init__(self, v, d, dd=None):
-        self.v, self.d, self.dd = v, d, dd
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
 
     @classmethod
-    def variables(cls, s):
-        """The parameter points s (..., k) as a jet: d[a, ..., b] = delta_ab."""
+    def variables(cls, s, order=2):
+        """The parameter points s (..., k) as a jet: gradient plane a is the
+        indicator of entry a of the last axis, and the Hessian is zero (not
+        propagated at all for order 1)."""
         s = np.asarray(s, dtype=float)
         k = s.shape[-1]
-        d = np.zeros((k,) + s.shape)
-        for a in range(k):
-            d[a, ..., a] = 1.0
-        return cls(s, d)
+        eye = np.eye(k)
+        return _Parameters(s, tuple(eye), None if order == 1 else (None,) * len(_hessian_pairs(k)))
 
     @property
     def shape(self):
         return np.shape(self.v)
 
+    @property
+    def d(self):
+        shape = self.shape
+        return np.stack([np.broadcast_to(0.0 if p is None else p, shape) for p in self.g])
+
+    @property
+    def dd(self):
+        if self.h is None or all(p is None for p in self.h):
+            return None
+        k = len(self.g)
+        out = np.zeros((k, k) + self.shape)
+        for (a, b), p in zip(_hessian_pairs(k), self.h):
+            if p is not None:
+                out[a, b] = out[b, a] = p
+        return out
+
     def __getitem__(self, idx):
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        dd = None if self.dd is None else self.dd[(slice(None), slice(None)) + idx]
-        return Jet(self.v[idx], self.d[(slice(None),) + idx], dd)
+        shape = self.shape
+
+        def pick(p):
+            return None if p is None else np.broadcast_to(p, shape)[idx]
+
+        return Jet(self.v[idx], tuple(map(pick, self.g)),
+                   None if self.h is None else tuple(map(pick, self.h)))
 
     def __array__(self, dtype=None, copy=None):
         raise TypeError("a jet has no plain array value")
@@ -111,23 +171,12 @@ class Jet:
         return NotImplemented
 
     def _chain(self, f, f1, f2):
-        """f(self) from f, f' and f'' at the value."""
-        d = self.d * f1
-        dd = self.d[:, None] * self.d[None] * f2
-        if self.dd is not None:
-            dd += self.dd * f1
-        return Jet(f, d, dd)
-
-    def _grown(self, ndim):
-        """(d, dd) with singleton value axes in front up to ndim value axes."""
-        extra = ndim - np.ndim(self.v)
-        if extra <= 0:
-            return self.d, self.dd
-        k = self.d.shape[0]
-        d = self.d.reshape((k,) + (1,) * extra + self.d.shape[1:])
-        dd = None if self.dd is None else self.dd.reshape((k, k) + (1,) * extra
-                                                         + self.dd.shape[2:])
-        return d, dd
+        """f(self) from f, f' and f'' at the value (f'' unused by a first-order jet)."""
+        g = tuple(_mul(p, f1) for p in self.g)
+        if self.h is None:
+            return Jet(f, g, None)
+        return Jet(f, g, tuple(_add(_mul(_mul(self.g[a], self.g[b]), f2), _mul(p, f1))
+                               for (a, b), p in zip(_hessian_pairs(len(g)), self.h)))
 
     def __add__(self, other):
         return _jet_linear(np.add, self, other)
@@ -157,72 +206,78 @@ class Jet:
         return _jet_power(self, p)
 
     def __neg__(self):
-        return Jet(-self.v, -self.d, None if self.dd is None else -self.dd)
+        return Jet(-self.v, _scaled(np.negative, self.g), _scaled(np.negative, self.h))
 
 
-def _jet_parts(u, ndim):
-    """(value, d, dd) of a jet or a constant, derivatives grown to ndim value axes."""
+class _Parameters(Jet):
+    """Jet.variables: s[..., a] gives a jet whose one nonzero gradient plane is
+    the unit plane of parameter a.  Other indices keep the indicator planes,
+    zero where they pick no parameter a."""
+
+    __slots__ = ()
+
+    def __getitem__(self, idx):
+        k = len(self.g)
+        if not (type(idx) is tuple and len(idx) == 2 and idx[0] is Ellipsis
+                and isinstance(idx[1], int) and -k <= idx[1] < k):
+            return super().__getitem__(idx)
+        a = idx[1] % k
+        return Jet(self.v[idx], tuple(1.0 if b == a else None for b in range(k)), self.h)
+
+
+def _scaled(op, planes, *args):
+    """op(plane, *args) on every nonzero plane; None for a first-order Hessian."""
+    if planes is None:
+        return None
+    return tuple(None if p is None else op(p, *args) for p in planes)
+
+
+def _value(u):
+    return u.v if isinstance(u, Jet) else u
+
+
+def _planes_of(u, like):
+    """(g, h) of a jet, or the structurally zero planes of a constant beside the jet like."""
     if isinstance(u, Jet):
-        return (u.v,) + u._grown(ndim)
-    return u, None, None
-
-
-def _jet_sum(op, a, b):
-    """op(a, b) for op add or subtract, None standing for zero."""
-    if b is None:
-        return a
-    if a is None:
-        return b if op is np.add else -b
-    return op(a, b)
+        return u.g, u.h
+    return (None,) * len(like.g), None if like.h is None else (None,) * len(like.h)
 
 
 def _jet_linear(op, a, b):
-    av = a.v if isinstance(a, Jet) else a
-    bv = b.v if isinstance(b, Jet) else b
-    v = op(av, bv)
-    nd = np.ndim(v)
-    _, ad, add = _jet_parts(a, nd)
-    _, bd, bdd = _jet_parts(b, nd)
-    return Jet(v, _jet_sum(op, ad, bd), _jet_sum(op, add, bdd))
+    like = a if isinstance(a, Jet) else b
+    (ag, ah), (bg, bh) = _planes_of(a, like), _planes_of(b, like)
+    combine = _add if op is np.add else _sub
+    return Jet(op(_value(a), _value(b)), tuple(map(combine, ag, bg)),
+               None if ah is None else tuple(map(combine, ah, bh)))
 
 
 def _jet_multiply(a, b):
     if not isinstance(a, Jet):
         a, b = b, a
     if not isinstance(b, Jet):
-        v = a.v * b
-        d, dd = a._grown(np.ndim(v))
-        return Jet(v, d * b, None if dd is None else dd * b)
-    v = a.v * b.v
-    nd = np.ndim(v)
-    (ad, add), (bd, bdd) = a._grown(nd), b._grown(nd)
-    cross = ad[:, None] * bd[None]
-    dd = cross + np.swapaxes(cross, 0, 1)
-    if add is not None:
-        dd += add * b.v
-    if bdd is not None:
-        dd += a.v * bdd
-    return Jet(v, ad * b.v + a.v * bd, dd)
+        return Jet(a.v * b, _scaled(np.multiply, a.g, b), _scaled(np.multiply, a.h, b))
+    av, bv, ag, bg = a.v, b.v, a.g, b.g
+    g = tuple(_add(_mul(p, bv), _mul(av, r)) for p, r in zip(ag, bg))
+    h = None
+    if a.h is not None:
+        h = tuple(_add(_add(_add(_mul(ag[x], bg[y]), _mul(ag[y], bg[x])), _mul(p, bv)), _mul(av, r))
+                  for (x, y), p, r in zip(_hessian_pairs(len(g)), a.h, b.h))
+    return Jet(av * bv, g, h)
 
 
 def _jet_divide(a, b):
     """q = a / b from a = q b: q' = (a' - q b') / b and
     q'' = (a'' - q' b'^T - b' q'^T - q b'') / b."""
     if not isinstance(b, Jet):
-        v = a.v / b
-        d, dd = a._grown(np.ndim(v))
-        return Jet(v, d / b, None if dd is None else dd / b)
-    av = a.v if isinstance(a, Jet) else a
-    q = av / b.v
-    nd = np.ndim(q)
-    _, ad, add = _jet_parts(a, nd)
-    bd, bdd = b._grown(nd)
-    d = _jet_sum(np.subtract, ad, q * bd) / b.v
-    cross = d[:, None] * bd[None]
-    dd = _jet_sum(np.subtract, add, cross + np.swapaxes(cross, 0, 1))
-    if bdd is not None:
-        dd -= q * bdd
-    return Jet(q, d, dd / b.v)
+        return Jet(a.v / b, _scaled(np.true_divide, a.g, b), _scaled(np.true_divide, a.h, b))
+    q, bv, bg = _value(a) / b.v, b.v, b.g
+    ag, ah = _planes_of(a, b)
+    g = tuple(_div(_sub(p, _mul(q, r)), bv) for p, r in zip(ag, bg))
+    h = None
+    if b.h is not None:
+        h = tuple(_div(_sub(_sub(p, _add(_mul(g[x], bg[y]), _mul(g[y], bg[x]))), _mul(q, r)), bv)
+                  for (x, y), p, r in zip(_hessian_pairs(len(g)), ah, b.h))
+    return Jet(q, g, h)
 
 
 def _jet_power(u, p):
@@ -232,35 +287,28 @@ def _jet_power(u, p):
     if p == 1:
         return u
     if p == 0:
-        return Jet(u.v ** 0, np.zeros_like(u.d))
+        return Jet(u.v ** 0, (None,) * len(u.g), None if u.h is None else (None,) * len(u.h))
     return u._chain(u.v ** p, p * u.v ** (p - 1), p * (p - 1) * u.v ** (p - 2))
 
 
 def _jet_stack(arrays, axis=0):
-    """np.stack of jets and constants: each derivative stacks one axis further in."""
+    """np.stack of jets and constants, plane by plane."""
     arrays = list(arrays)
-    k = next(a.d.shape[0] for a in arrays if isinstance(a, Jet))
-    shapes = {np.shape(a.v if isinstance(a, Jet) else a) for a in arrays}
+    like = next(a for a in arrays if isinstance(a, Jet))
+    shapes = {np.shape(_value(a)) for a in arrays}
     shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    parts = [_jet_full(a, k, shape) for a in arrays]
-    v = np.stack([p[0] for p in parts], axis=axis)
-    axis = axis % v.ndim
-    d = np.stack([p[1] for p in parts], axis=axis + 1)
-    if all(p[2] is None for p in parts):
-        return Jet(v, d)
-    zero = np.zeros((k, k) + shape)
-    return Jet(v, d, np.stack([zero if p[2] is None else p[2] for p in parts], axis=axis + 2))
 
+    def stacked(parts):
+        if all(p is None for p in parts):
+            return None
+        return np.stack([np.broadcast_to(0.0 if p is None else p, shape) for p in parts],
+                        axis=axis)
 
-def _jet_full(a, k, shape):
-    """(v, d, dd) of a jet or a constant at the value shape, dd None for zero."""
-    if not isinstance(a, Jet):
-        return np.broadcast_to(a, shape), np.zeros((k,) + shape), None
-    if np.shape(a.v) == shape:
-        return a.v, a.d, a.dd
-    d, dd = a._grown(len(shape))
-    return (np.broadcast_to(a.v, shape), np.broadcast_to(d, (k,) + shape),
-            None if dd is None else np.broadcast_to(dd, (k, k) + shape))
+    planes = [_planes_of(a, like) for a in arrays]
+    v = np.stack([np.broadcast_to(_value(a), shape) for a in arrays], axis=axis)
+    g = tuple(map(stacked, zip(*(g for g, _ in planes))))
+    h = None if like.h is None else tuple(map(stacked, zip(*(h for _, h in planes))))
+    return Jet(v, g, h)
 
 
 def _sin(v):
@@ -292,26 +340,42 @@ _JET_OPERATORS = {np.add: lambda a, b: _jet_linear(np.add, a, b),
                   np.power: _jet_power, np.negative: Jet.__neg__}
 
 
-def _jet_pass(fn, s, n):
-    """(x, jacobian, hessian) of fn at the points s (..., k) from one jet pass.
+def _jet_pass(fn, s, n, order=2):
+    """Planes of fn at the points s (*grid, k) from one jet pass: x (n, *grid),
+    jac (n, k, *grid) and hess (n, k, k, *grid).
 
-    Raises TypeError when fn does not return a jet (it computed on plain
-    arrays somewhere) and whatever fn raises on a jet.
+    order=1 propagates no Hessian planes and returns hess None; its jac is
+    the second-order pass's, bit for bit.  fn returns one jet (*grid, n), or
+    the sequence of its n components (jets or constants), whose planes are
+    written into the entry-major arrays directly.  Raises TypeError when fn
+    does not return a jet (it computed on plain arrays somewhere) and
+    whatever fn raises on a jet.
     """
     s = np.asarray(s, dtype=float)
-    out = fn(Jet.variables(s))
-    if not isinstance(out, Jet):
+    grid, k = s.shape[:-1], s.shape[-1]
+    out = fn(Jet.variables(s, order))
+    if isinstance(out, Jet):
+        if out.shape[-1:] != (n,):
+            raise ValueError(f"the chart callable returned shape {out.shape}, expected (..., {n})")
+        out = [out[..., i] for i in range(n)]
+    elif not (isinstance(out, (tuple, list)) and len(out) == n
+              and any(isinstance(c, Jet) for c in out)):
         raise TypeError("the chart callable did not return a jet")
-    shape, k = s.shape[:-1] + (n,), s.shape[-1]
-    d, dd = out._grown(len(shape))
-    lead = tuple(range(1, len(shape) + 1))  # the value axes of d
-    x = np.empty(shape)
-    x[...] = out.v
-    jac = np.empty(shape + (k,))
-    jac[...] = d.transpose(lead + (0,))
-    hess = np.zeros(shape + (k, k))
-    if dd is not None:
-        hess[...] = dd.transpose(tuple(a + 1 for a in lead) + (0, 1))
+    x = np.empty((n,) + grid)
+    jac = np.zeros((n, k) + grid)
+    hess = None if order == 1 else np.zeros((n, k, k) + grid)
+    for i, c in enumerate(out):
+        if not isinstance(c, Jet):
+            x[i] = c
+            continue
+        x[i] = c.v
+        for a, p in enumerate(c.g):
+            if p is not None:
+                jac[i, a] = p
+        if hess is not None:
+            for (a, b), p in zip(_hessian_pairs(k), c.h):
+                if p is not None:
+                    hess[i, a, b] = hess[i, b, a] = p
     return x, jac, hess
 
 
@@ -340,8 +404,10 @@ def _compile_vector(exprs, syms) -> Callable:
 class ImmersionChart:
     """Parametric immersion of a k-rectangle into R^n with derivative access.
 
-    jet, when set, gives (x, jacobian, hessian) at the same points in one
-    pass; derivatives() falls back to the three callables without it.
+    jet, when set, gives x, the jacobian and the hessian at the same points
+    in one pass, as entry-major planes (n, *grid), (n, k, *grid) and
+    (n, k, k, *grid); derivatives() reads them as (*grid, ...) views, and
+    falls back to the three callables without a jet.
     """
 
     name: str
@@ -354,7 +420,7 @@ class ImmersionChart:
     grid_shape: tuple = None
     h_fd: float = 1e-4
     params: dict = field(default_factory=dict)
-    jet: Callable = None  # (..., k) -> (x, jacobian, hessian)
+    jet: Callable = None  # (*grid, k) -> planes of (x, jacobian, hessian)
 
     def __post_init__(self):
         if self.grid_shape is None:
@@ -425,26 +491,41 @@ class ImmersionChart:
 
         takes_jets = True
 
-        def jet(s):
+        def jet(s, order=2):
             nonlocal takes_jets
             if takes_jets:
                 try:
-                    return _jet_pass(fn, s, n)
+                    return _jet_pass(fn, s, n, order)
                 except (TypeError, AttributeError):
                     takes_jets = False
-            return x(s), jacobian_fd(s), hessian_fd(s)
+            return (_entry_major(x(s), 1), _entry_major(jacobian_fd(s), 2),
+                    None if order == 1 else _entry_major(hessian_fd(s), 3))
 
         def jacobian(s):
-            return jet(s)[1] if takes_jets else jacobian_fd(s)
+            # a first-order pass: the Jacobian alone needs no Hessian planes
+            return _grid_major(jet(s, order=1)[1], 2) if takes_jets else jacobian_fd(s)
 
-        return cls(name, k, n, tuple(rectangle), x, jacobian, lambda s: jet(s)[2],
-                   grid_shape=grid_shape, h_fd=h_fd, jet=jet)
+        return cls(name, k, n, tuple(rectangle), x, jacobian,
+                   lambda s: _grid_major(jet(s)[2], 3), grid_shape=grid_shape, h_fd=h_fd,
+                   jet=jet)
 
     def derivatives(self, s):
-        """(x, jacobian, hessian) at the points s (..., k)."""
+        """(x, jacobian, hessian) at the points s (..., k), shapes (..., n),
+        (..., n, k) and (..., n, k, k): np.moveaxis views of the jet's planes
+        when the chart has a jet (for one point the two layouts agree)."""
+        if self.jet is None:
+            return self.x(s), self.jacobian(s), self.hessian(s)
+        x, jac, hess = self.jet(s)
+        return _grid_major(x, 1), _grid_major(jac, 2), _grid_major(hess, 3)
+
+    def _planes(self, s):
+        """Entry-major planes x (n, *grid), jac (n, k, *grid) and hess
+        (n, k, k, *grid) at the points s (*grid, k): the jet's, or for a chart
+        without one the three callables' results, transposed once."""
         if self.jet is not None:
             return self.jet(s)
-        return self.x(s), self.jacobian(s), self.hessian(s)
+        return (_entry_major(self.x(s), 1), _entry_major(self.jacobian(s), 2),
+                _entry_major(self.hessian(s), 3))
 
     # -- grids ---------------------------------------------------------
 
@@ -491,10 +572,16 @@ def _require_inside(chart, s):
 
 
 def _numpy_chart(name, fn, k, n, rectangle, grid_shape=None, **params):
-    """from_callable chart of fn(*coordinates) -> components, a numpy expression."""
-    chart = ImmersionChart.from_callable(
-        name, lambda s: np.stack(fn(*(s[..., a] for a in range(k))), axis=-1), k, n,
-        rectangle, grid_shape)
+    """from_callable chart of fn(*coordinates) -> components, a numpy expression.
+
+    On jets the components go to the jet pass unstacked, which writes each
+    one's planes in place (_jet_pass).
+    """
+    def evaluate(s):
+        components = fn(*(s[..., a] for a in range(k)))
+        return components if isinstance(s, Jet) else np.stack(components, axis=-1)
+
+    chart = ImmersionChart.from_callable(name, evaluate, k, n, rectangle, grid_shape)
     return dataclasses.replace(chart, params=params)
 
 
@@ -580,17 +667,25 @@ def catalog_chart(name: str, **params) -> ImmersionChart:
 # entry-major planes
 
 
-def _to_planes(a, entry_ndim):
-    """(*grid, *entry) -> contiguous planes (*entry, *grid)."""
+def _grid_major(planes, entry_ndim):
+    """Planes (*entry, *grid) viewed as (*grid, *entry), without a copy: the
+    np.moveaxis of the entry axes to the end."""
+    return planes.transpose(tuple(range(entry_ndim, planes.ndim)) + tuple(range(entry_ndim)))
+
+
+def _plane_view(a, entry_ndim):
+    """(*grid, *entry) viewed as planes (*entry, *grid), without a copy."""
     grid_ndim = a.ndim - entry_ndim
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(grid_ndim)),
-                                            tuple(range(entry_ndim, a.ndim))))
+    return a.transpose(tuple(range(grid_ndim, a.ndim)) + tuple(range(grid_ndim)))
 
 
-def _from_planes(planes, entry_ndim):
-    """Planes (*entry, *grid) -> contiguous (*grid, *entry)."""
-    return np.ascontiguousarray(np.moveaxis(planes, tuple(range(entry_ndim)),
-                                            tuple(range(planes.ndim - entry_ndim, planes.ndim))))
+def _entry_major(a, entry_ndim):
+    """(*grid, *entry) copied into contiguous planes (*entry, *grid): the one
+    transposition of a chart that evaluates grid-major (from_sympy, direct
+    construction, the finite-difference fallback)."""
+    planes = np.empty(a.shape[a.ndim - entry_ndim:] + a.shape[:a.ndim - entry_ndim])
+    planes[...] = _plane_view(a, entry_ndim)
+    return planes
 
 
 def _plane_dot(a, b):
@@ -795,7 +890,8 @@ def weingarten(chart: ImmersionChart, s, frames: PointFrame):
 
 
 def _tube_factor(gamma, q):
-    """sqrt(rho) = det(1 + q Gamma) over the leading shape of gamma, k <= 2.
+    """sqrt(rho) = det(1 + q Gamma) from Weingarten planes gamma
+    (n-k, k, k, *grid), k <= 2 (one point: no grid axes).
 
     q is one normal offset (n-k,) or a stack of them (Nq, n-k); the result
     has shape q.shape[:-1] + grid.  By the tube formula 1 + q Gamma has
@@ -808,18 +904,18 @@ def _tube_factor(gamma, q):
     trace <= 0, which catches the sphere's det (1 + q/r)^2 touching 0 at
     q = -r without changing sign.
     """
-    k = np.shape(gamma)[-1]
+    nk, k = np.shape(gamma)[:2]
     if k > 2:
         raise ValueError("tube factors support curve and surface charts only")
     q = np.asarray(q, dtype=float)
-    linear = np.tensordot(q, np.trace(gamma, axis1=-2, axis2=-1), axes=([-1], [-1]))
+    linear = np.tensordot(q, np.trace(gamma, axis1=1, axis2=2), axes=([-1], [0]))
     det = trace = k + linear
     if k == 2:
-        cross = (gamma[..., :, None, 0, 0] * gamma[..., None, :, 1, 1]
-                 - gamma[..., :, None, 0, 1] * gamma[..., None, :, 1, 0])
-        stack = q.reshape(-1, q.shape[-1])
+        cross = (gamma[:, None, 0, 0] * gamma[None, :, 1, 1]
+                 - gamma[:, None, 0, 1] * gamma[None, :, 1, 0])
+        stack = q.reshape(-1, nk)
         pairs = (stack[:, :, None] * stack[:, None, :]).reshape(len(stack), -1)
-        det = (pairs @ cross.reshape(-1, pairs.shape[-1]).T).reshape(linear.shape)
+        det = (pairs @ cross.reshape(nk * nk, -1)).reshape(linear.shape)
         det += linear
         det += 1
     if not (det.min() > 0 and trace.min() > 0):  # a NaN fails too
@@ -892,30 +988,78 @@ def _diff_axis(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+class _GridMajor:
+    """The (*grid, *entry) view of the FrameField planes field of the same
+    name with the suffix _planes; assigning a (*grid, *entry) array stores
+    its planes view there, read-only like the rest."""
+
+    def __init__(self, entry_ndim):
+        self.entry_ndim = entry_ndim
+
+    def __set_name__(self, owner, name):
+        self.planes = name + "_planes"
+
+    def __get__(self, frames, owner=None):
+        if frames is None:
+            return self
+        return _grid_major(getattr(frames, self.planes), self.entry_ndim)
+
+    def __set__(self, frames, value):
+        planes = _plane_view(np.asarray(value), self.entry_ndim)
+        planes.flags.writeable = False
+        setattr(frames, self.planes, planes)
+
+
 @dataclass
 class FrameField:
-    """Adapted frames and derived curvature data on a full parameter grid."""
+    """Adapted frames and derived curvature data on a full parameter grid.
+
+    Every per-point quantity is stored as entry-major planes (*entry, *grid),
+    one contiguous plane per matrix entry, which the consumers read directly;
+    the planes are read-only.  points, x, jac, metric, metric_inv, tangent,
+    normal, weingarten, mean_curvature, gtilde, e_coeff and omega are the
+    same data as (*grid, *entry) np.moveaxis views, read-only too.
+    """
 
     chart: ImmersionChart
     axes: list
     spacings: list
-    points: np.ndarray  # (*grid, k)
-    x: np.ndarray  # (*grid, n)
-    jac: np.ndarray  # (*grid, n, k)
-    metric: np.ndarray  # (*grid, k, k)
-    metric_inv: np.ndarray
-    tangent: np.ndarray  # (*grid, k, n)
-    normal: np.ndarray  # (*grid, n-k, n)
-    weingarten: np.ndarray  # (*grid, n-k, k, k): Gamma^beta_{adot alpha}
-    mean_curvature: np.ndarray  # (*grid, n-k)
-    gtilde: np.ndarray  # (*grid, k, n-k, n-k) after parallelization
+    points_planes: np.ndarray  # (k, *grid)
+    x_planes: np.ndarray  # (n, *grid)
+    jac_planes: np.ndarray  # (n, k, *grid)
+    metric_planes: np.ndarray  # (k, k, *grid)
+    metric_inv_planes: np.ndarray
+    tangent_planes: np.ndarray  # (k, n, *grid)
+    normal_planes: np.ndarray  # (n-k, n, *grid)
+    weingarten_planes: np.ndarray  # (n-k, k, k, *grid): Gamma^beta_{adot alpha}
+    mean_curvature_planes: np.ndarray  # (n-k, *grid)
+    gtilde_planes: np.ndarray  # (k, n-k, n-k, *grid) after parallelization
     gtilde_residual: float
-    e_coeff: np.ndarray  # (*grid, k, k): e_a = e_a^alpha d_alpha
-    omega: np.ndarray  # (*grid, k, k, k): omega[alpha, b, c] = e_b . d_alpha e_c
+    e_coeff_planes: np.ndarray  # (k, k, *grid): e_a = e_a^alpha d_alpha at [a, alpha]
+    omega_planes: np.ndarray  # (k, k, k, *grid): omega[alpha, b, c] = e_b . d_alpha e_c
+
+    points = _GridMajor(1)
+    x = _GridMajor(1)
+    jac = _GridMajor(2)
+    metric = _GridMajor(2)
+    metric_inv = _GridMajor(2)
+    tangent = _GridMajor(2)
+    normal = _GridMajor(2)
+    weingarten = _GridMajor(3)
+    mean_curvature = _GridMajor(1)
+    gtilde = _GridMajor(3)
+    e_coeff = _GridMajor(2)
+    omega = _GridMajor(3)
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_planes") and isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def grid_shape(self):
-        return self.points.shape[:-1]
+        return self.points_planes.shape[1:]
 
     @property
     def frame_rotation(self) -> np.ndarray:
@@ -928,7 +1072,8 @@ class FrameField:
         Raises FocalDistanceError where the offset reaches the focal set
         (_tube_factor).
         """
-        return _tube_factor(self.weingarten, np.atleast_1d(np.asarray(q, dtype=float))) ** 2
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        return _tube_factor(self.weingarten_planes, q) ** 2
 
 
 def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -963,13 +1108,16 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     The grid is the leading axes of steps that first lacks; out is first at
     the base corner, where steps is not read.  The chain runs down the base
     column one point at a time, then across all rows at once, so the Python
-    loop has N0 + N1 steps rather than N0 * N1.
+    loop has N0 + N1 steps rather than N0 * N1.  out is a (*grid, ...) view
+    of contiguous planes (..., *grid), which _plane_view reads back without a
+    copy.
     """
     first = np.asarray(first)
     ndim = steps.ndim - first.ndim
     if ndim > 2:
         raise ValueError("staircase traversal supports curve and surface grids only")
-    out = np.empty(steps.shape[:ndim] + first.shape, dtype=np.result_type(steps, first))
+    planes = np.empty(first.shape + steps.shape[:ndim], dtype=np.result_type(steps, first))
+    out = _grid_major(planes, first.ndim)
     column = (slice(None),) + (0,) * (ndim - 1)
     chain, chain_steps = out[column], steps[column]
     chain[0] = first
@@ -1006,8 +1154,8 @@ def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
         return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
     import scipy.linalg
 
-    steps = scipy.linalg.expm(_from_planes(gen, 2))
-    return _to_planes(_staircase_scan(steps, np.eye(len(gen))), 2)
+    steps = scipy.linalg.expm(_grid_major(gen, 2))
+    return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
 
 
 def _complete_normal_stack(tangent):
@@ -1088,8 +1236,8 @@ def _polar_factor(m):
     and raises ImmersionError.
     """
     if len(m) != 2:
-        u, _, vt = np.linalg.svd(_from_planes(m, 2))
-        return _to_planes(u @ vt, 2)
+        u, _, vt = np.linalg.svd(_grid_major(m, 2))
+        return _plane_view(u @ vt, 2)
     (a, b), (c, d) = m
     det = a * d - b * c if np.isfinite(m).all() else np.nan
     if not (np.abs(det) > 1e-8).all():  # a NaN fails too
@@ -1105,14 +1253,14 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
                       integrability_tol=None) -> FrameField:
     """Adapted frames, curvature and connection data on the chart grid.
 
-    The chart is evaluated once on the grid, x, jac and hess together
-    (ImmersionChart.derivatives).  jac and hess are then transposed once
-    into entry-major planes, (n, k, *grid) and (n, k, k, *grid): every
+    The chart is evaluated once on the grid, x, jac and hess together, as
+    entry-major planes (n, *grid), (n, k, *grid) and (n, k, k, *grid)
+    (a jet pass writes them so; other charts are transposed once): every
     per-point quantity is a stack of planes, one per matrix entry, each
     holding that entry at all grid points contiguously.  Every step below
     is plane arithmetic over the whole grid, with Python loops over the
-    2-4 entry indices only, and the FrameField fields are transposed back
-    to (*grid, ...) once at the end.
+    2-4 entry indices only, and the FrameField keeps the planes as they
+    are, so nothing is transposed back.
 
     The tangent frame is the ordered Gram-Schmidt of the coordinate
     derivatives, jac = tangent^T R with R = tangent jac upper triangular
@@ -1159,21 +1307,21 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     if len(shape) > 2:
         raise ValueError("staircase traversal supports curve and surface grids only")
     hs = chart.spacings(shape)
-    pts = chart.grid(shape)
-    x, jac, hess = chart.derivatives(pts)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"))
+    x, jac, hess = chart._planes(_grid_major(points, 1))
     k, n = chart.k, chart.n
     nk = n - k
     dims = len(shape)
-    jac_p, hess_p = _to_planes(jac, 2), _to_planes(hess, 3)
 
-    tangent, r = _tangent_frames(jac_p, chart.name)
+    tangent, r = _tangent_frames(jac, chart.name)
 
     normal, pivots = _raw_normals(tangent)
     if pivots is not None:  # the closed forms need no smoothing
         step = _polar_factor(_plane_matmul(_previous_planes(normal, dims),
                                            np.swapaxes(normal, 0, 1)))
-        q_t = _staircase_scan(_from_planes(np.swapaxes(step, 0, 1), 2), np.eye(nk))
-        normal = _plane_matmul(np.swapaxes(_to_planes(q_t, 2), 0, 1), normal)
+        # the scan chains per-point matrices, so it runs on (*grid, d, d) views
+        q_t = _staircase_scan(_grid_major(np.swapaxes(step, 0, 1), 2), np.eye(nk))
+        normal = _plane_matmul(np.swapaxes(_plane_view(q_t, 2), 0, 1), normal)
         det = _plane_det(np.concatenate([tangent, normal]))
         if det.max() - det.min() > 1.0:  # dets are +/-1; a mix means a seam
             raise ImmersionError("normal-frame smoothing left an orientation seam")
@@ -1182,7 +1330,7 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     r_inv, metric_inv = _r_inverse(r)
     metric = _plane_matmul(np.swapaxes(r, 0, 1), r)
-    wein = _weingarten_planes(hess_p, metric_inv, normal)
+    wein = _weingarten_planes(hess, metric_inv, normal)
 
     # normal-connection coefficients of the completed field
     def gtilde_of(nrm):
@@ -1217,18 +1365,9 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     # (0-based), and a curve has no spin connection
     omega = np.zeros((k, k, k) + shape)
     if k == 2:
-        low = _plane_matmul(tangent[1:], hess_p[:, 0])[0] * r_inv[0, 0]
+        low = _plane_matmul(tangent[1:], hess[:, 0])[0] * r_inv[0, 0]
         omega[:, 1, 0], omega[:, 0, 1] = low, -low
 
-    return FrameField(chart, axes, hs, pts, x, jac, _from_planes(metric, 2),
-                      _from_planes(metric_inv, 2), _from_planes(tangent, 2),
-                      _from_planes(normal, 2), _from_planes(wein, 3),
-                      _from_planes(np.trace(wein, axis1=1, axis2=2), 1),
-                      _from_planes(gtilde, 3), gtilde_residual,
-                      _from_planes(np.swapaxes(r_inv, 0, 1), 2),
-                      _from_planes(omega, 3))
-
-
-def parallel_normal_frame(chart: ImmersionChart, shape=None) -> FrameField:
-    """Frame field on the chart grid with the normal connection flattened."""
-    return build_frame_field(chart, shape=shape, parallel=True)
+    return FrameField(chart, axes, hs, points, x, jac, metric, metric_inv, tangent, normal, wein,
+                      np.trace(wein, axis1=1, axis2=2), gtilde, gtilde_residual,
+                      np.swapaxes(r_inv, 0, 1), omega)

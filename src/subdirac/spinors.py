@@ -28,22 +28,26 @@ def spinor_dim(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _standard_gammas(m: int) -> tuple:
+    """The recursive gamma matrices of R^m: cached and read-only, shared by every caller."""
     if m == 1:
-        return (np.array([[1.0 + 0j]]),)
-    if m == 2:
-        return (_SIGMA1.copy(), _SIGMA2.copy())
-    if m % 2 == 1:
+        gammas = (np.array([[1.0 + 0j]]),)
+    elif m == 2:
+        gammas = (_SIGMA1.copy(), _SIGMA2.copy())
+    elif m % 2 == 1:
         even = _standard_gammas(m - 1)
         r = (m - 1) // 2
         chi = np.eye(spinor_dim(m), dtype=complex)
         for g in even:
             chi = chi @ g
-        chi = (-1j) ** r * chi
-        return even + (chi,)
-    lower = _standard_gammas(m - 2)
-    eye = np.eye(spinor_dim(m - 2), dtype=complex)
-    gammas = tuple(np.kron(g, _SIGMA3) for g in lower)
-    return gammas + (np.kron(eye, _SIGMA1), np.kron(eye, _SIGMA2))
+        gammas = even + ((-1j) ** r * chi,)
+    else:
+        lower = _standard_gammas(m - 2)
+        eye = np.eye(spinor_dim(m - 2), dtype=complex)
+        gammas = tuple(np.kron(g, _SIGMA3) for g in lower)
+        gammas += (np.kron(eye, _SIGMA1), np.kron(eye, _SIGMA2))
+    for g in gammas:
+        g.flags.writeable = False
+    return gammas
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,17 @@ class GammaRep:
         """
         return self._blade_products(1)
 
+    @cached_property
+    def axis_primitives(self) -> np.ndarray:
+        """The primitive spinors psi_{e_i} of the m axes as rows, shape (m, d).
+
+        The immersion bilinears' table is built on them.  Built on first
+        use and read-only.
+        """
+        prim = np.stack([primitive_spinor(axis, self).components for axis in np.eye(self.m)])
+        prim.flags.writeable = False
+        return prim
+
     def _blade_products(self, parity: int) -> np.ndarray:
         products = np.stack([rep_of(Multivector(self.m, {mask: 1.0}), self)
                              for mask in range(1 << self.m) if _popcount(mask) % 2 == parity])
@@ -111,10 +126,21 @@ class GammaRep:
 
 
 def build_gamma_rep(m: int) -> GammaRep:
-    """Deterministic recursive gamma system for R^m, m <= 12."""
+    """Deterministic recursive gamma system for R^m, m <= 12.
+
+    One shared instance per m, with read-only gammas and basis_change, so
+    its cached blade products and axis primitives are built once per process.
+    """
     if not 1 <= m <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {m}")
-    return GammaRep(m, _standard_gammas(m))
+    return _shared_gamma_rep(m)
+
+
+@lru_cache(maxsize=None)
+def _shared_gamma_rep(m: int) -> GammaRep:
+    rep = GammaRep(m, _standard_gammas(m))
+    rep.basis_change.flags.writeable = False
+    return rep
 
 
 def rep_of(a: Multivector, rep: GammaRep) -> np.ndarray:

@@ -31,8 +31,8 @@ from .dirac import (
     lift_residuals,
     submanifold_dirac,
 )
-from .geometry import FrameField, ImmersionChart, build_frame_field
-from .spinors import GammaRep, build_gamma_rep, primitive_spinor
+from .geometry import FrameField, ImmersionChart, _grid_major, _plane_matmul, build_frame_field
+from .spinors import GammaRep, build_gamma_rep
 
 
 class MisclassificationError(ValueError):
@@ -61,25 +61,25 @@ def _bilinear_table(rep: GammaRep, k: int) -> np.ndarray:
     psi_i = tau psi_{e_i} = sum_K c_K gamma_K psi_{e_i}, so
     W_ia = sum_{K, L} c_K c_L Re <conj(gamma_K psi_{e_i}), gamma_a gamma_L psi_{e_i}>.
     """
-    n, d = rep.m, rep.dim
-    prim = np.stack([primitive_spinor(np.eye(n)[i], rep).components for i in range(n)])
-    lifted = rep.even_products @ prim.T  # (K, d, n): column i is gamma_K psi_{e_i}
+    n = rep.m
+    lifted = rep.even_products @ rep.axis_primitives.T  # (K, d, n): column i is gamma_K psi_{e_i}
     form = np.einsum("kci,acd,ldi->klia", lifted.conj(), np.stack(rep.gammas[:k]), lifted).real
     return _pair_table(form).reshape(-1, n * k)
 
 
 def _bilinear_kernel(coeffs: np.ndarray, tangent: np.ndarray, jac: np.ndarray,
                      rep: GammaRep) -> np.ndarray:
-    """B^i_alpha from lift coefficients c (K, *grid) and the frame data at the same points.
+    """Planes B (n, k, *grid) of B^i_alpha from lift coefficients c (K, *grid)
+    and the tangent (k, n, *grid) and jac (n, k, *grid) planes at the same points.
 
     B^i_alpha = sum_a (tangent jac)_{a alpha} W_ia, with W a quadratic form
     of c (_bilinear_table), so the sign of the lift does not enter.
     """
     grid = coeffs.shape[1:]
-    n, k = jac.shape[-2:]
+    n, k = jac.shape[:2]
     table = _bilinear_table(rep, k)
-    w = table.T @ _pair_products(coeffs).reshape(len(table), -1)  # (n k, P)
-    return np.ascontiguousarray(w.T).reshape(grid + (n, k)) @ (tangent @ jac)
+    w = table.T @ _pair_products(coeffs).reshape(len(table), -1)  # (n k, P): the W_ia planes
+    return _plane_matmul(w.reshape((n, k) + grid), _plane_matmul(tangent, jac))
 
 
 def immersion_bilinears(frames: FrameField, rep: GammaRep | None = None,
@@ -91,7 +91,7 @@ def immersion_bilinears(frames: FrameField, rep: GammaRep | None = None,
     rep = rep or build_gamma_rep(frames.chart.n)
     if coeffs is None:
         coeffs = frame_lift_coefficients(frames, rep)
-    return _bilinear_kernel(coeffs, frames.tangent, frames.jac, rep)
+    return _grid_major(_bilinear_kernel(coeffs, frames.tangent_planes, frames.jac_planes, rep), 2)
 
 
 def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
@@ -106,8 +106,10 @@ def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
     index = tuple(np.atleast_1d(index))
     if len(index) != len(frames.grid_shape):
         raise IndexError(f"grid index {index} does not match grid {frames.grid_shape}")
-    tangent, normal, jac = frames.tangent[index], frames.normal[index], frames.jac[index]
-    coeffs = _unsigned_coefficients(np.concatenate([tangent, normal])[None], rep)[:, 0]
+    at = (Ellipsis,) + index
+    tangent, normal = frames.tangent_planes[at], frames.normal_planes[at]
+    jac = frames.jac_planes[at]
+    coeffs = _unsigned_coefficients(np.concatenate([tangent, normal]).reshape(-1, 1), rep)[:, 0]
     return float(_bilinear_kernel(coeffs, tangent, jac, rep)[i, alpha])
 
 

@@ -333,10 +333,12 @@ def random_frames(k=3, n=5, shape=(4, 3, 5), seed=11):
     rng = np.random.default_rng(seed)
     omega = rng.normal(size=shape + (k, k, k))
     fields = dict.fromkeys(f.name for f in FrameField.__dataclass_fields__.values())
-    fields.update(chart=types.SimpleNamespace(k=k, n=n), points=np.zeros(shape + (k,)),
-                  e_coeff=rng.normal(size=shape + (k, k)),
-                  omega=omega - np.swapaxes(omega, -1, -2),
-                  mean_curvature=rng.normal(size=shape + (n - k,)))
+    # FrameField stores entry-major planes; draw grid-major and view as planes
+    fields.update(chart=types.SimpleNamespace(k=k, n=n), points_planes=np.zeros((k,) + shape),
+                  e_coeff_planes=np.moveaxis(rng.normal(size=shape + (k, k)), (-2, -1), (0, 1)),
+                  omega_planes=np.moveaxis(omega - np.swapaxes(omega, -1, -2), (-3, -2, -1),
+                                           (0, 1, 2)),
+                  mean_curvature_planes=np.moveaxis(rng.normal(size=shape + (n - k,)), -1, 0))
     return FrameField(**fields)
 
 
@@ -385,7 +387,7 @@ def tube_dense(frames, offsets):
 def test_tube_polynomial_matches_per_q_loop(case):
     frames = oracle_frames(case)
     q = np.linspace(-0.25, 0.25, 33)
-    batched = _tube_factor(frames.weingarten[..., 0:1, :, :], q[:, None])
+    batched = _tube_factor(frames.weingarten_planes[0:1], q[:, None])
     loop = np.stack([np.sqrt(frames.rho_on_tube([qv])) for qv in q])
     assert batched.shape == (33,) + frames.grid_shape
     assert np.abs(batched - loop).max() <= 1e-14
@@ -396,7 +398,7 @@ def test_tube_polynomial_over_a_stack_of_normal_offsets():
     # codimension 2: the q^T X q cross term mixes the two normal directions
     frames = oracle_frames("clifford-torus-r4-33")
     offsets = np.random.default_rng(7).uniform(-0.2, 0.2, size=(9, 2))
-    batched = _tube_factor(frames.weingarten, offsets)
+    batched = _tube_factor(frames.weingarten_planes, offsets)
     loop = np.stack([np.sqrt(frames.rho_on_tube(qv)) for qv in offsets])
     assert np.abs(batched - loop).max() <= 1e-14
     assert np.abs(batched - tube_dense(frames, offsets)).max() <= 1e-14
@@ -537,3 +539,14 @@ def test_geometric_defect_limit_vanishes_on_the_plane():
     assert selfadjointization_limit(flat.chart, frames=flat) == 0.0
     with pytest.raises(ValueError, match="direction out of range"):
         selfadjointization_limit(flat.chart, frames=flat, direction=1)
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus", "circle-curve"])
+def test_check_with_limit_shares_the_test_functions(name):
+    # one tube pairing serves the check and its limit; the values are the
+    # separate calls'
+    chart = catalog_chart(name)
+    frames = build_frame_field(chart, shape=(17, 17) if chart.k == 2 else (65,))
+    without, with_, limit = selfadjointization_check(chart, frames=frames, with_limit=True)
+    assert (without, with_) == selfadjointization_check(chart, frames=frames)
+    assert limit == selfadjointization_limit(chart, frames=frames)

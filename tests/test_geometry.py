@@ -15,7 +15,6 @@ from subdirac.geometry import (
     build_frame_field,
     catalog_chart,
     induced_metric,
-    parallel_normal_frame,
     rho,
     tubular_metric,
     weingarten,
@@ -191,7 +190,7 @@ def test_circle_curvature_magnitude():
 # --- parallel normal frames ----------------------------------------------------
 
 def test_parallel_frame_plane_trivial():
-    ff = parallel_normal_frame(catalog_chart("plane"))
+    ff = build_frame_field(catalog_chart("plane"), parallel=True)
     assert ff.gtilde_residual < 1e-12
 
 
@@ -470,3 +469,29 @@ def test_grid_shape_needs_one_entry_per_parameter(name, shape):
                   lambda shape: build_frame_field(chart, shape)):
         with pytest.raises(ValueError, match="rectangle/grid must have one entry per parameter"):
             build(shape)
+
+
+# --- frame fields hold entry-major planes ----------------------------------------------
+
+GRID_MAJOR_FIELDS = {"points": 1, "x": 1, "jac": 2, "metric": 2, "metric_inv": 2, "tangent": 2,
+                     "normal": 2, "weingarten": 3, "mean_curvature": 1, "gtilde": 3,
+                     "e_coeff": 2, "omega": 3}
+
+
+@pytest.mark.parametrize("name, shape", [("sphere", (129, 129)), ("clifford-torus-r4", (65, 65))])
+def test_frame_field_attributes_are_read_only_views_of_planes(name, shape):
+    ff = build_frame_field(catalog_chart(name), shape=shape)
+    assert ff.grid_shape == shape
+    for attr, entry_ndim in GRID_MAJOR_FIELDS.items():
+        view, planes = getattr(ff, attr), getattr(ff, attr + "_planes")
+        assert view.shape == shape + planes.shape[:entry_ndim], attr
+        assert planes.shape[entry_ndim:] == shape, attr
+        assert np.shares_memory(view, planes), attr
+        assert not view.flags.writeable and not planes.flags.writeable, attr
+        assert np.array_equal(view, np.moveaxis(planes, range(entry_ndim),
+                                                range(-entry_ndim, 0))), attr
+        # one contiguous plane per entry
+        assert planes.strides[-1] == planes.itemsize, attr
+        assert planes.strides[-2] == planes.itemsize * shape[-1], attr
+    with pytest.raises(ValueError):
+        ff.tangent[0, 0, 0, 0] = 1.0

@@ -1,5 +1,6 @@
-"""Second-order jets: each rule against sympy, the catalog against its
-sympy oracle (tests/sympy_catalog.py), and from_callable on numpy
+"""Second-order jets: each rule against sympy, the sparse jet against the
+dense one (tests/dense_jet.py) on random expressions, the catalog against
+its sympy oracle (tests/sympy_catalog.py), and from_callable on numpy
 callables and on callables that reject jets."""
 
 import dataclasses
@@ -8,6 +9,9 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from dense_jet import DenseJet
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy_catalog import SYMPY_CATALOG
 
 from subdirac.geometry import (
@@ -116,6 +120,126 @@ def test_jet_stack_and_indexing(points):
     assert grown.shape == (3,) + lead
     assert np.array_equal(grown.d[0], scale * np.ones(lead))
     assert not grown.d[1].any()
+
+
+# --- the sparse jet against the dense oracle ---------------------------------------
+#
+# Random expression trees over every rule.  The arguments of sqrt, the
+# negative and fractional powers and cosh are kept in range, so that the
+# values stay finite and the two jets must agree bit for bit (up to the
+# sign of a zero, which np.array_equal ignores).
+
+UNARY = {
+    "negation": lambda x: -x,
+    "np-negative": np.negative,
+    "sin": np.sin,
+    "cos": np.cos,
+    "cosh": lambda x: np.cosh(np.sin(x)),
+    "sqrt": lambda x: np.sqrt(1.5 + np.sin(x)),
+    "power-0": lambda x: x ** 0,
+    "power-1": lambda x: x ** 1,
+    "power-2": lambda x: x ** 2,
+    "np-power-3": lambda x: np.power(x, 3),
+    "power-minus-2": lambda x: (2 + np.cos(x)) ** -2,
+    "power-half": lambda x: (2 + np.cos(x)) ** 0.5,
+    "plus-constant": lambda x: x + 0.7,
+    "constant-minus": lambda x: 1.25 - x,
+    "constant-times": lambda x: 2.5 * x,
+    "array-times": lambda x: np.array(0.5) * x,
+    "over-constant": lambda x: x / 7.0,
+    "constant-over": lambda x: 3.0 / (2.5 + np.sin(x)),
+    "broadcast-constant": lambda x: x * np.array([1.0, -2.0]).reshape(2, 1, 1),
+    "broadcast-sum": lambda x: np.array([0.5, 1.5]).reshape(2, 1, 1) - x,
+}
+
+
+def _stack_first(x, y):
+    t = np.stack([x, 0.5, y])
+    return t[0] * t[2] - t[1]
+
+
+def _stack_last(x, y):
+    t = np.stack([x, y, np.float64(1.5)], axis=-1)
+    return t[..., 1] / (2 + np.cos(t[..., 0])) + t[..., 2]
+
+
+BINARY = {
+    "sum": lambda x, y: x + y,
+    "difference": lambda x, y: x - y,
+    "product": lambda x, y: x * y,
+    "quotient": lambda x, y: x / (1.75 + np.sin(y)),
+    "stack-first": _stack_first,
+    "stack-last": _stack_last,
+}
+
+
+def evaluate(tree, s):
+    """The expression tree on the parameter jet s (..., k)."""
+    op = tree[0]
+    if op == "parameter":
+        _, a, sliced = tree
+        # s[..., a:][..., 0] indexes twice, through a general slice first
+        return s[..., a:][..., 0] if sliced else s[..., a]
+    if op in UNARY:
+        return UNARY[op](evaluate(tree[1], s))
+    return BINARY[op](evaluate(tree[1], s), evaluate(tree[2], s))
+
+
+@st.composite
+def jet_cases(draw):
+    k = draw(st.integers(1, 3))
+    leaves = st.tuples(st.just("parameter"), st.integers(0, k - 1), st.booleans())
+    tree = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(sorted(UNARY)), kids),
+        st.tuples(st.sampled_from(sorted(BINARY)), kids, kids)), max_leaves=10))
+    lead = draw(st.sampled_from([(), (5,), (3, 4)]))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, lead + (k,))
+    return tree, points
+
+
+def dense_parts(jet, shape):
+    k = len(jet.d)
+    dd = np.zeros((k, k) + shape) if jet.dd is None else np.broadcast_to(jet.dd, (k, k) + shape)
+    return jet.v, np.broadcast_to(jet.d, (k,) + shape), dd
+
+
+@settings(max_examples=400, deadline=None)
+@given(jet_cases())
+def test_sparse_jet_matches_dense_oracle(case):
+    tree, points = case
+    with np.errstate(all="ignore"):
+        dense = evaluate(tree, DenseJet.variables(points))
+        sparse = evaluate(tree, Jet.variables(points))
+        first = evaluate(tree, Jet.variables(points, order=1))
+    shape = np.shape(dense.v)
+    expected = dense_parts(dense, shape)
+    assume(all(np.isfinite(part).all() for part in expected))
+    assert sparse.shape == first.shape == shape
+    for got, want in zip(dense_parts(sparse, shape), expected):
+        assert np.array_equal(got, want)
+    # a first-order pass carries no Hessian and the same value and gradient
+    assert first.h is None and first.dd is None
+    assert np.array_equal(first.v, sparse.v) and np.array_equal(first.d, sparse.d)
+
+
+def test_jets_skip_structural_zeros():
+    # sin(theta) depends on theta alone: one gradient plane, one Hessian plane
+    s = Jet.variables(np.random.default_rng(0).uniform(size=(4, 3, 2)))
+    out = np.sin(s[..., 0]) * 2.0
+    assert out.g[1] is None and out.h[1] is None and out.h[2] is None
+    assert out.g[0].shape == out.h[0].shape == (4, 3)
+    assert Jet.variables(np.zeros(2), order=1)[..., 1].h is None
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_first_order_pass_gives_the_second_order_jacobian(name):
+    chart = catalog_chart(name)
+    for s in seeded_points(chart, 4, seed=29) + [chart.grid((17,) * chart.k)]:
+        x1, jac1, hess1 = chart.jet(s, order=1)
+        x2, jac2, hess2 = chart.jet(s)
+        assert hess1 is None and hess2 is not None
+        assert np.array_equal(x1, x2) and np.array_equal(jac1, jac2)
+        assert np.array_equal(chart.jacobian(s), np.moveaxis(jac2, (0, 1), (-2, -1)))
 
 
 # --- the catalog against its sympy oracle --------------------------------------

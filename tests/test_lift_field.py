@@ -74,10 +74,15 @@ def reference_lift(rot, rep):
 
 
 def rotation_field(rot):
-    """Stand-in for a FrameField: frame_lift_field reads only these fields."""
+    """Stand-in for a FrameField: frame_lift_field reads only these fields.
+
+    The rotation's first row stands for the tangent planes and the rest for
+    the normal planes, entry-major (rows, n, *grid), as a FrameField holds them.
+    """
     rot = np.asarray(rot, dtype=float)
-    return SimpleNamespace(frame_rotation=rot, grid_shape=rot.shape[:-2],
-                           chart=SimpleNamespace(n=rot.shape[-1]))
+    planes = np.moveaxis(rot, (-2, -1), (0, 1))
+    return SimpleNamespace(tangent_planes=planes[:1], normal_planes=planes[1:],
+                           grid_shape=rot.shape[:-2], chart=SimpleNamespace(n=rot.shape[-1]))
 
 
 def raised(fn, *args):

@@ -37,3 +37,19 @@ def test_spinor_layers_have_no_ellipsis_einsum():
     # planes against fixed tables, not on per-point matrices
     lines = {name: ellipsis_einsum_lines(name) for name in ("dirac.py", "weierstrass.py")}
     assert not any(lines.values()), f"np.einsum with '...' subscripts at lines {lines}"
+
+
+def _called_name(func):
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_contiguous_copy_of_moved_axes(path):
+    # per-point data stays in entry-major planes from the chart pass to the
+    # consumers; a contiguous copy of an np.moveaxis view is a layout round trip
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called_name(node.func) == "ascontiguousarray"
+             and node.args and isinstance(node.args[0], ast.Call)
+             and _called_name(node.args[0].func) == "moveaxis"]
+    assert not lines, f"np.ascontiguousarray(np.moveaxis(...)) at lines {lines}"

@@ -34,6 +34,22 @@ def random_multivector(rng, m, nnz=5):
 
 # --- gamma systems ---------------------------------------------------------
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_build_gamma_rep_is_shared_and_read_only(m):
+    rep = build_gamma_rep(m)
+    assert build_gamma_rep(m) is rep
+    for g in rep.gammas + (rep.basis_change,):
+        assert not g.flags.writeable
+    prim = np.stack([primitive_spinor(np.eye(m)[i], rep).components for i in range(m)])
+    assert np.array_equal(rep.axis_primitives, prim)
+    assert not rep.axis_primitives.flags.writeable
+    assert rep.axis_primitives is rep.axis_primitives
+    # a conjugated system is a new instance with its own tables
+    u = np.linalg.qr(np.random.default_rng(m).normal(size=(rep.dim,) * 2) + 0j)[0]
+    other = rep.conjugated(u)
+    assert other is not rep and np.allclose(other.gammas[0], u @ rep.gammas[0] @ u.conj().T)
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_gamma_invariants(m):
     rep = build_gamma_rep(m)
