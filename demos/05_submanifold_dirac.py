@@ -21,7 +21,6 @@ from subdirac import (
     lift_gram,
     lift_residuals,
     selfadjointization_check,
-    selfadjointization_limit,
     submanifold_dirac,
 )
 from subdirac.clifford import blade_label
@@ -61,9 +60,8 @@ print("sphere residual without the curvature term:", round(res0, 6), " (about 1/
 # the curvature term exists because the normal momenta must be self-adjoint:
 # pairing with the geometric measure rho^(1/2) sqrt(g) breaks symmetry,
 # the half-density-flattened measure restores it
-without, with_ = selfadjointization_check(catalog_chart("sphere"), frames=ffs)
-limit = selfadjointization_limit(catalog_chart("sphere"), frames=ffs)
+without, with_, limit = selfadjointization_check(catalog_chart("sphere"), frames=ffs)
 print(f"\nadjoint defect of i d/dq on the sphere tube: "
       f"geometric measure {without:.3f} (limit {limit:.3f}), flattened measure {with_:.1e}")
-without, with_ = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17))
+without, with_, _ = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17))
 print(f"plane control: {without:.1e} / {with_:.1e}")

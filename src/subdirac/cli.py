@@ -387,7 +387,7 @@ def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
         checks.add_floor("curvature-term-necessity", control, floor)
 
         # the geometric-measure defect against its limit, the flattened one against zero
-        without, with_, limit = selfadjointization_check(chart, frames=ff_coarse, with_limit=True)
+        without, with_, limit = selfadjointization_check(chart, frames=ff_coarse)
         checks.run("selfadjointization-defect-geometric-measure", lambda: without / limit,
                    0.05, center=1.0)
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)

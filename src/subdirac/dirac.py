@@ -505,10 +505,10 @@ def _tube_pairing(frames: FrameField, q_points: int, q_max: float, direction: in
 
 
 def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
-                             q_max=0.25, direction=0, frames: FrameField | None = None,
-                             with_limit: bool = False):
+                             q_max=0.25, direction=0, frames: FrameField | None = None):
     """Adjoint defect of p = i d/dq on the tube, before and after the
-    half-density move.
+    half-density move, and its predicted limit: (residual_without,
+    residual_with, limit).
 
     residual_without pairs with the geometric measure rho^{1/2} (det g_S)^{1/2};
     residual_with uses the flattened measure (det g_S)^{1/2} that the
@@ -527,9 +527,9 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     of (conj(p f) g - conj(f) p g) m sqrt(g_S) is u^T m v, with
     u = w_s sqrt(g_S) conj(f_s) g_s over the grid, v = w_q (conj(p f_q) g_q
     - conj(f_q) p g_q) over q, and m = rho^{1/2} (geometric) or 1 (flattened).
-    With with_limit=True selfadjointization_limit's value follows as a third
-    entry, from the same test functions and quadratures.  Raises
-    FocalDistanceError when the tube reaches the focal set.
+    limit is selfadjointization_limit's value, from the same test functions
+    and quadratures.  Raises FocalDistanceError when the tube reaches the
+    focal set.
     """
     frames = frames or build_frame_field(chart, shape=s_shape)
     pairing = _tube_pairing(frames, q_points, q_max, direction)
@@ -544,9 +544,7 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
     v = w_q * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
     residual_without = abs((v @ sqrt_rho) @ u)
     residual_with = abs(u.sum() * v.sum())
-    if with_limit:
-        return residual_without, residual_with, _tube_limit(frames, pairing, direction)
-    return residual_without, residual_with
+    return residual_without, residual_with, _tube_limit(frames, pairing, direction)
 
 
 def selfadjointization_limit(chart: ImmersionChart, s_shape=None, q_points=33,

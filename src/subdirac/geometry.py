@@ -171,10 +171,12 @@ class Jet:
         return NotImplemented
 
     def _chain(self, f, f1, f2):
-        """f(self) from f, f' and f'' at the value (f'' unused by a first-order jet)."""
+        """f(self) from f and f' at the value and f'', a callable returning it,
+        which a first-order jet never calls."""
         g = tuple(_mul(p, f1) for p in self.g)
         if self.h is None:
             return Jet(f, g, None)
+        f2 = f2()
         return Jet(f, g, tuple(_add(_mul(_mul(self.g[a], self.g[b]), f2), _mul(p, f1))
                                for (a, b), p in zip(_hessian_pairs(len(g)), self.h)))
 
@@ -288,7 +290,7 @@ def _jet_power(u, p):
         return u
     if p == 0:
         return Jet(u.v ** 0, (None,) * len(u.g), None if u.h is None else (None,) * len(u.h))
-    return u._chain(u.v ** p, p * u.v ** (p - 1), p * (p - 1) * u.v ** (p - 2))
+    return u._chain(u.v ** p, p * u.v ** (p - 1), lambda: p * (p - 1) * u.v ** (p - 2))
 
 
 def _jet_stack(arrays, axis=0):
@@ -313,26 +315,26 @@ def _jet_stack(arrays, axis=0):
 
 def _sin(v):
     s = np.sin(v)
-    return s, np.cos(v), -s
+    return s, np.cos(v), lambda: -s
 
 
 def _cos(v):
     c = np.cos(v)
-    return c, -np.sin(v), -c
+    return c, -np.sin(v), lambda: -c
 
 
 def _cosh(v):
     c = np.cosh(v)
-    return c, np.sinh(v), c
+    return c, np.sinh(v), lambda: c
 
 
 def _sqrt(v):
     r = np.sqrt(v)
     half = 0.5 / r
-    return r, half, -half / (2 * v)
+    return r, half, lambda: -half / (2 * v)
 
 
-# ufuncs by the chain rule: value -> (f, f', f'')
+# ufuncs by the chain rule: value -> (f, f', a callable giving f'')
 _JET_FUNCTIONS = {np.sin: _sin, np.cos: _cos, np.cosh: _cosh, np.sqrt: _sqrt}
 _JET_OPERATORS = {np.add: lambda a, b: _jet_linear(np.add, a, b),
                   np.subtract: lambda a, b: _jet_linear(np.subtract, a, b),
@@ -406,8 +408,9 @@ class ImmersionChart:
 
     jet, when set, gives x, the jacobian and the hessian at the same points
     in one pass, as entry-major planes (n, *grid), (n, k, *grid) and
-    (n, k, k, *grid); derivatives() reads them as (*grid, ...) views, and
-    falls back to the three callables without a jet.
+    (n, k, k, *grid); without a jet the three callables' results are
+    transposed into planes once (_planes).  derivatives() reads the planes
+    as (*grid, ...) views.
     """
 
     name: str
@@ -511,11 +514,9 @@ class ImmersionChart:
 
     def derivatives(self, s):
         """(x, jacobian, hessian) at the points s (..., k), shapes (..., n),
-        (..., n, k) and (..., n, k, k): np.moveaxis views of the jet's planes
-        when the chart has a jet (for one point the two layouts agree)."""
-        if self.jet is None:
-            return self.x(s), self.jacobian(s), self.hessian(s)
-        x, jac, hess = self.jet(s)
+        (..., n, k) and (..., n, k, k): np.moveaxis views of _planes (for one
+        point the two layouts agree)."""
+        x, jac, hess = self._planes(s)
         return _grid_major(x, 1), _grid_major(jac, 2), _grid_major(hess, 3)
 
     def _planes(self, s):
@@ -542,10 +543,9 @@ class ImmersionChart:
         return [np.linspace(lo, hi, nn) for (lo, hi), nn in zip(self.rectangle, shape)]
 
     def grid(self, shape=None):
-        """Meshgrid of parameter points, shape (*shape, k)."""
-        axs = self.axes(shape)
-        mesh = np.meshgrid(*axs, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Meshgrid of parameter points, shape (*shape, k): a view of the
+        entry-major mesh (k, *shape), one contiguous plane per parameter."""
+        return _grid_major(np.stack(np.meshgrid(*self.axes(shape), indexing="ij")), 1)
 
     def spacings(self, shape=None):
         shape = self._shape(shape)
@@ -989,9 +989,10 @@ def _diff_axis(f: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 class _GridMajor:
-    """The (*grid, *entry) view of the FrameField planes field of the same
-    name with the suffix _planes; assigning a (*grid, *entry) array stores
-    its planes view there, read-only like the rest."""
+    """The read-only (*grid, *entry) view of the FrameField planes field of
+    the same name with the suffix _planes.  Assignment raises
+    AttributeError: a changed field is a new FrameField with new planes
+    (dataclasses.replace)."""
 
     def __init__(self, entry_ndim):
         self.entry_ndim = entry_ndim
@@ -1005,9 +1006,7 @@ class _GridMajor:
         return _grid_major(getattr(frames, self.planes), self.entry_ndim)
 
     def __set__(self, frames, value):
-        planes = _plane_view(np.asarray(value), self.entry_ndim)
-        planes.flags.writeable = False
-        setattr(frames, self.planes, planes)
+        raise AttributeError(f"a view of {self.planes}; replace the planes instead")
 
 
 @dataclass
@@ -1307,8 +1306,8 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     if len(shape) > 2:
         raise ValueError("staircase traversal supports curve and surface grids only")
     hs = chart.spacings(shape)
-    points = np.stack(np.meshgrid(*axes, indexing="ij"))
-    x, jac, hess = chart._planes(_grid_major(points, 1))
+    points = chart.grid(shape)
+    x, jac, hess = chart._planes(points)
     k, n = chart.k, chart.n
     nk = n - k
     dims = len(shape)
@@ -1368,6 +1367,6 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
         low = _plane_matmul(tangent[1:], hess[:, 0])[0] * r_inv[0, 0]
         omega[:, 1, 0], omega[:, 0, 1] = low, -low
 
-    return FrameField(chart, axes, hs, points, x, jac, metric, metric_inv, tangent, normal, wein,
-                      np.trace(wein, axis1=1, axis2=2), gtilde, gtilde_residual,
-                      np.swapaxes(r_inv, 0, 1), omega)
+    return FrameField(chart, axes, hs, _plane_view(points, 1), x, jac, metric, metric_inv,
+                      tangent, normal, wein, np.trace(wein, axis1=1, axis2=2), gtilde,
+                      gtilde_residual, np.swapaxes(r_inv, 0, 1), omega)

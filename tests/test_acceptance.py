@@ -229,12 +229,12 @@ def test_criterion_10_selfadjointization():
     ok = True
     details = []
     for s_shape, q_points in [((17, 17), 17), ((33, 33), 33)]:
-        without, with_ = selfadjointization_check(catalog_chart("sphere"),
-                                                  s_shape=s_shape, q_points=q_points)
+        without, with_, _ = selfadjointization_check(catalog_chart("sphere"),
+                                                     s_shape=s_shape, q_points=q_points)
         h = 0.5 / (q_points - 1)
         ok &= without >= 1e-2 and with_ <= h**2
         details.append(f"sphere {s_shape}: without={without:.3f}, with={with_:.1e}")
-    pw, pw2 = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17), q_points=17)
+    pw, pw2, _ = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17), q_points=17)
     ok &= pw <= (0.5 / 16) ** 2 and pw2 <= (0.5 / 16) ** 2
     details.append(f"plane: without={pw:.1e}, with={pw2:.1e}")
     announce(10, "half-density self-adjointization", ok, "; ".join(details))

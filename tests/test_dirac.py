@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import types
 
 import numpy as np
@@ -211,8 +213,8 @@ def test_operator_commutes_with_q_evaluation():
 # --- self-adjointization -----------------------------------------------------------
 
 def test_selfadjointization_plane_control():
-    without, with_ = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17),
-                                              q_points=17)
+    without, with_, _ = selfadjointization_check(catalog_chart("plane"), s_shape=(17, 17),
+                                                 q_points=17)
     assert without < 1e-12
     assert with_ < 1e-12
 
@@ -220,8 +222,8 @@ def test_selfadjointization_plane_control():
 def test_selfadjointization_sphere():
     prev = None
     for s_shape, q_points in [((17, 17), 17), ((33, 33), 33)]:
-        without, with_ = selfadjointization_check(catalog_chart("sphere"),
-                                                  s_shape=s_shape, q_points=q_points)
+        without, with_, _ = selfadjointization_check(catalog_chart("sphere"),
+                                                     s_shape=s_shape, q_points=q_points)
         assert without > 1e-2
         # flattened-measure defect is exact summation-by-parts cancellation
         # for interior-supported bumps: bounded by h^2 with margin
@@ -358,7 +360,7 @@ def test_assembly_matches_einsum_reference(case, kind):
 
 def test_assembly_rejects_non_antisymmetric_omega():
     frames = random_frames()
-    frames.omega = frames.omega + 1e-6
+    frames = dataclasses.replace(frames, omega_planes=frames.omega_planes + 1e-6)
     with pytest.raises(ValueError, match="not antisymmetric"):
         _assemble(frames, build_gamma_rep(5), True)
 
@@ -368,8 +370,8 @@ def test_selfadjointization_matches_dense_reference(case):
     frames = oracle_frames(case)
     for direction in range(frames.chart.n - frames.chart.k):
         expected = reference_selfadjointization(frames, direction=direction)
-        without, with_ = selfadjointization_check(frames.chart, frames=frames,
-                                                  direction=direction)
+        without, with_, _ = selfadjointization_check(frames.chart, frames=frames,
+                                                     direction=direction)
         assert abs(without - expected[0]) <= 1e-12 * expected[0]
         assert abs(with_ - expected[1]) <= 1e-14
 
@@ -526,8 +528,7 @@ def test_geometric_defect_tends_to_its_limit(name):
     frames = build_frame_field(chart, shape=(33, 33) if chart.k == 2 else (129,))
     gaps = []
     for q_points in (33, 65):
-        without, _ = selfadjointization_check(chart, frames=frames, q_points=q_points)
-        limit = selfadjointization_limit(chart, frames=frames, q_points=q_points)
+        without, _, limit = selfadjointization_check(chart, frames=frames, q_points=q_points)
         assert limit > 1e-3
         gaps.append(abs(without / limit - 1))
     assert gaps[0] <= 0.02
@@ -541,12 +542,14 @@ def test_geometric_defect_limit_vanishes_on_the_plane():
         selfadjointization_limit(flat.chart, frames=flat, direction=1)
 
 
-@pytest.mark.parametrize("name", ["sphere", "torus", "circle-curve"])
+@pytest.mark.parametrize("name", ["sphere", "torus", "circle-curve", "clifford-torus-r4"])
 def test_check_with_limit_shares_the_test_functions(name):
-    # one tube pairing serves the check and its limit; the values are the
-    # separate calls'
+    # one tube pairing serves the check and its limit; the limit is the
+    # standalone call's
     chart = catalog_chart(name)
     frames = build_frame_field(chart, shape=(17, 17) if chart.k == 2 else (65,))
-    without, with_, limit = selfadjointization_check(chart, frames=frames, with_limit=True)
-    assert (without, with_) == selfadjointization_check(chart, frames=frames)
-    assert limit == selfadjointization_limit(chart, frames=frames)
+    for q_points, direction in itertools.product((17, 33), range(chart.n - chart.k)):
+        _, _, limit = selfadjointization_check(chart, frames=frames, q_points=q_points,
+                                               direction=direction)
+        assert limit == selfadjointization_limit(chart, frames=frames, q_points=q_points,
+                                                 direction=direction)

@@ -495,3 +495,5 @@ def test_frame_field_attributes_are_read_only_views_of_planes(name, shape):
         assert planes.strides[-2] == planes.itemsize * shape[-1], attr
     with pytest.raises(ValueError):
         ff.tangent[0, 0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        ff.omega = ff.omega

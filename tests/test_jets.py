@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy_catalog import SYMPY_CATALOG
 
+from subdirac import geometry
 from subdirac.geometry import (
     CATALOG,
     ImmersionChart,
@@ -229,6 +230,25 @@ def test_jets_skip_structural_zeros():
     assert out.g[1] is None and out.h[1] is None and out.h[2] is None
     assert out.g[0].shape == out.h[0].shape == (4, 3)
     assert Jet.variables(np.zeros(2), order=1)[..., 1].h is None
+
+
+def test_first_order_jet_computes_no_second_derivative(monkeypatch):
+    calls = []
+
+    def counted(rule):
+        def wrapped(v):
+            f, f1, f2 = rule(v)
+            return f, f1, lambda: calls.append(rule) or f2()
+        return wrapped
+
+    monkeypatch.setattr(geometry, "_JET_FUNCTIONS",
+                        {u: counted(rule) for u, rule in geometry._JET_FUNCTIONS.items()})
+    s = np.array([[0.7, 1.1], [1.3, 2.0]])
+    for name in ("sphere", "catenoid", "clifford-torus-r4"):
+        catalog_chart(name).jacobian(s)
+    assert calls == []
+    catalog_chart("sphere").derivatives(s)
+    assert calls
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
