@@ -225,7 +225,7 @@ def apply_operator(op: DiracOperator, field: GridSpinorField) -> GridSpinorField
     rep = op.rep
     odd = {mask: i for i, mask in enumerate(_odd_masks(rep.m))}
     potential = rep.odd_products[[odd[mask] for mask in op.potential_blades]]
-    tangent = np.stack(rep.gammas[: op.chart.k])
+    tangent = rep.gamma_stack[: op.chart.k]
     psi = field.values
     out = _weighted_images(psi.reshape(-1, rep.dim), potential, op.potential_coeff)
     for alpha, h in enumerate(op.frames.spacings):
@@ -290,10 +290,15 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     operand[k:] = potential[:blades][inner].reshape(blades, 1, -1) * c
     table = _residual_table(k, rep.m)
     b = table[:, : operand.shape[0] * len(c)] @ operand.reshape(-1, c.shape[1])
-    odd = rep.odd_products
-    form = np.einsum("lca,mca->alm", odd.conj(), odd).real.reshape(d * len(odd), len(odd))
-    squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(odd), -1), b)
+    form = rep.cached_table("odd_form", _odd_form)
+    squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(b), -1), b)
     return np.sqrt(np.maximum(squares.max(axis=1), 0.0))
+
+
+def _odd_form(rep: GammaRep) -> np.ndarray:
+    """lift_residuals' table Re (gamma_L^H gamma_L')_aa, shape (d * odd blades, odd blades)."""
+    odd = rep.odd_products
+    return np.einsum("lca,mca->alm", odd.conj(), odd).real.reshape(rep.dim * len(odd), len(odd))
 
 
 def _pair_products(coeffs: np.ndarray) -> np.ndarray:
@@ -322,12 +327,17 @@ def lift_gram(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
     frame_spinor_fields (pointwise_pairings): a quadratic form of c against
     the fixed table gamma_K^H gamma_L over the pairs K <= L.
     """
-    products = rep.even_products
-    form = np.einsum("kca,lcb->klab", products.conj(), products)
-    table = _pair_table(form).reshape(-1, rep.dim ** 2)
+    table = rep.cached_table("lift_gram", _gram_table)
     pairs = _pair_products(coeffs).reshape(len(table), -1)
     gram = np.ascontiguousarray((table.view(float).T @ pairs).T).view(complex)
     return gram.reshape(coeffs.shape[1:] + (rep.dim, rep.dim))
+
+
+def _gram_table(rep: GammaRep) -> np.ndarray:
+    """lift_gram's table gamma_K^H gamma_L over the pairs K <= L, shape (pairs, d^2)."""
+    products = rep.even_products
+    form = np.einsum("kca,lcb->klab", products.conj(), products)
+    return _pair_table(form).reshape(-1, rep.dim ** 2)
 
 
 def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep) -> np.ndarray:

@@ -13,6 +13,7 @@ rescale because the projected halves are orthogonal to the original copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,14 +92,29 @@ def reference_intertwiner(k: int, n: int, rep_k: GammaRep | None = None,
     """Intertwiner with matrix . gamma_k(v) = gamma_n(iota_o v) . matrix, tau = id.
 
     rep_k / rep_n default to the standard recursive systems; conjugated
-    systems are supported through their recorded basis change.
+    systems are supported through their recorded basis change.  With both
+    left at the default, the intertwiner is built and verified once per
+    (k, n) and shared: its matrix and its tau are read-only.  Explicit
+    systems are verified on every call.
     """
     if not k < n:
         raise ValueError("restriction requires k < n")
     if n > 12:
         raise ValueError("dimension capped at 12")
-    rep_k = rep_k or build_gamma_rep(k)
-    rep_n = rep_n or build_gamma_rep(n)
+    if rep_k is None and rep_n is None:
+        return _standard_intertwiner(k, n)
+    return _build_intertwiner(k, n, rep_k or build_gamma_rep(k), rep_n or build_gamma_rep(n))
+
+
+@lru_cache(maxsize=None)
+def _standard_intertwiner(k: int, n: int) -> Intertwiner:
+    intw = _build_intertwiner(k, n, build_gamma_rep(k), build_gamma_rep(n))
+    for array in (intw.matrix, intw.tau.matrix, intw.tau.rotation):
+        array.flags.writeable = False
+    return intw
+
+
+def _build_intertwiner(k: int, n: int, rep_k: GammaRep, rep_n: GammaRep) -> Intertwiner:
     if rep_k.m != k or rep_n.m != n:
         raise ValueError("representation dimensions disagree with (k, n)")
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clifford import MAX_DIMENSION, Multivector, _blade_product_sign, _popcount
+from .clifford import MAX_DIMENSION, Multivector, _blade_product_signs, _popcount
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,18 +100,39 @@ class GammaRep:
         prim.flags.writeable = False
         return prim
 
+    def cached_table(self, key, build) -> np.ndarray:
+        """The array build(self), built on the first call per rep and key and read-only.
+
+        For the fixed tables that depend on the gamma system alone (the lift
+        Gram and residual forms, the immersion bilinears' table).  The cache
+        lives on this instance, so a conjugated system builds its own.
+        """
+        tables = self.__dict__.setdefault("_tables", {})
+        if key not in tables:
+            table = build(self)
+            table.flags.writeable = False
+            tables[key] = table
+        return tables[key]
+
     def _blade_products(self, parity: int) -> np.ndarray:
         products = np.stack([rep_of(Multivector(self.m, {mask: 1.0}), self)
                              for mask in range(1 << self.m) if _popcount(mask) % 2 == parity])
         products.flags.writeable = False
         return products
 
+    @cached_property
+    def gamma_stack(self) -> np.ndarray:
+        """The gammas stacked as one (m, d, d) array.  Built on first use and read-only."""
+        stack = np.stack(self.gammas)
+        stack.flags.writeable = False
+        return stack
+
     def gamma(self, v) -> np.ndarray:
         """Matrix of gamma(v) for a vector v in R^m (complex coefficients allowed)."""
         v = np.asarray(v)
         if v.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}, got shape {v.shape}")
-        return np.einsum("i,ijk->jk", v.astype(complex), np.stack(self.gammas))
+        return np.einsum("i,ijk->jk", v.astype(complex), self.gamma_stack)
 
     def conjugated(self, u: np.ndarray) -> "GammaRep":
         """Equivalent representation with gammas u gamma u^dagger."""
@@ -383,7 +404,8 @@ def _spin_lift_table(m: int) -> tuple:
     blades = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
     where = np.full(1 << m, -1)
     where[blades] = np.arange(len(blades))
-    sign = np.array([[_blade_product_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
+    masks = np.arange(1 << m)
+    sign = _blade_product_signs(masks[:, None], masks)
 
     def mask_of(subset):
         return sum(1 << i for i in subset)
@@ -398,7 +420,7 @@ def _spin_lift_table(m: int) -> tuple:
     j, i, folded = np.array(rows), np.array(cols), np.array(folded)
     k = np.array(blades)[:, None]
     l = k ^ j ^ i  # even, as |J| = |I|; e_K e_J e_L = +-e_I
-    reverse = np.where(np.vectorize(_popcount)(k) % 4 == 2, -1, 1)
+    reverse = np.array([-1 if _popcount(mask) % 4 == 2 else 1 for mask in blades])[:, None]
     full = (1 << m) - 1
     weight = reverse * (sign[k, j] * sign[k ^ j, l]
                         + folded * sign[k, full ^ j] * sign[k ^ full ^ j, l]) / 2 ** m
@@ -517,16 +539,19 @@ def recover_rotation(tau: CliffordGroupElement, rep: GammaRep, frame=None) -> np
     Entry (i, l) is <conj(psi_l), gamma(b^i) psi_l> with
     psi_l = tau . primitive_spinor(e_l).  For the standard frame this
     reproduces tau's rotation; for tau = identity and frame rows
-    b^i = sum_j L[i, j] e_j it reproduces L.
+    b^i = sum_j L[i, j] e_j it reproduces L.  One batched product: the rows
+    psi_l = rep.axis_primitives @ tau^T, the pairings
+    Re <conj(psi_l), gamma_j psi_l> of every l and j as one einsum, then
+    frame @ pairings^T.
     """
     m = rep.m
+    if tau.m != m:
+        raise ValueError(f"dimension mismatch: group element {tau.m} vs rep {m}")
+    psi = rep.axis_primitives @ tau.matrix.T
+    pairs = np.einsum("lc,jcd,ld->lj", psi.conj(), rep.gamma_stack, psi).real
     if frame is None:
-        frame = np.eye(m)
+        return pairs.T
     frame = np.asarray(frame, dtype=float)
-    out = np.empty((frame.shape[0], m))
-    for ell in range(m):
-        base = primitive_spinor(np.eye(m)[ell], rep)
-        psi = Spinor(m, tau.matrix @ base.components)
-        for i in range(frame.shape[0]):
-            out[i, ell] = np.real(vector_pairing(psi, frame[i], rep))
-    return out
+    if frame.ndim != 2 or frame.shape[1] != m:
+        raise ValueError(f"frame rows must have length {m}, got shape {frame.shape}")
+    return frame @ pairs.T

@@ -60,11 +60,14 @@ def _bilinear_table(rep: GammaRep, k: int) -> np.ndarray:
 
     psi_i = tau psi_{e_i} = sum_K c_K gamma_K psi_{e_i}, so
     W_ia = sum_{K, L} c_K c_L Re <conj(gamma_K psi_{e_i}), gamma_a gamma_L psi_{e_i}>.
+    Built once per rep and k, read-only.
     """
-    n = rep.m
-    lifted = rep.even_products @ rep.axis_primitives.T  # (K, d, n): column i is gamma_K psi_{e_i}
-    form = np.einsum("kci,acd,ldi->klia", lifted.conj(), np.stack(rep.gammas[:k]), lifted).real
-    return _pair_table(form).reshape(-1, n * k)
+    def build(rep):
+        lifted = rep.even_products @ rep.axis_primitives.T  # (K, d, n): column i is gamma_K psi_{e_i}
+        form = np.einsum("kci,acd,ldi->klia", lifted.conj(), rep.gamma_stack[:k], lifted).real
+        return _pair_table(form).reshape(-1, rep.m * k)
+
+    return rep.cached_table(("bilinear", k), build)
 
 
 def _bilinear_kernel(coeffs: np.ndarray, tangent: np.ndarray, jac: np.ndarray,

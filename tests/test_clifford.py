@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subdirac.clifford import (
+    MAX_DIMENSION,
     Multivector,
+    _blade_product_sign,
+    _blade_product_signs,
+    _left_mult_matrix,
     adjoint_rotation,
     geometric_product,
     grade_involution,
@@ -56,6 +60,26 @@ def oracle_product(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(a.m, out)
 
 
+def oracle_blade_sign(a: int, b: int) -> int:
+    """The per-bit transposition count: shift a down one generator at a time."""
+    a >>= 1
+    swaps = 0
+    while a:
+        swaps += bin(a & b).count("1")
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def oracle_left_mult_matrix(a: Multivector) -> np.ndarray:
+    """x -> a*x over the blade basis, one entry at a time."""
+    dim = 1 << a.m
+    L = np.zeros((dim, dim))
+    for ka, ca in a.coeffs.items():
+        for kb in range(dim):
+            L[ka ^ kb, kb] += oracle_blade_sign(ka, kb) * ca
+    return L
+
+
 def random_multivector(rng, m, integer=True, nnz=5):
     coeffs = {}
     for _ in range(nnz):
@@ -102,6 +126,66 @@ def test_product_matches_oracle_on_random_inputs():
         a = random_multivector(rng, m)
         b = random_multivector(rng, m)
         assert geometric_product(a, b) == oracle_product(a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_blade_sign_matches_per_bit_loop_on_every_pair(m):
+    masks = np.arange(1 << m)
+    expected = np.array([[oracle_blade_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
+    got = np.array([[_blade_product_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(_blade_product_signs(masks[:, None], masks), expected)
+
+
+def test_blade_sign_matches_per_bit_loop_up_to_max_dimension():
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, 1 << MAX_DIMENSION, size=4000)
+    b = rng.integers(0, 1 << MAX_DIMENSION, size=4000)
+    expected = np.array([oracle_blade_sign(int(x), int(y)) for x, y in zip(a, b)])
+    assert [_blade_product_sign(int(x), int(y)) for x, y in zip(a, b)] == expected.tolist()
+    assert np.array_equal(_blade_product_signs(a, b), expected)
+
+
+def random_coefficient(rng, kind):
+    if kind == "int":
+        return int(rng.integers(-9, 10))
+    if kind == "float":
+        return float(rng.normal())
+    return complex(rng.normal(), rng.normal())
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "complex"])
+@pytest.mark.parametrize("m", range(1, MAX_DIMENSION + 1))
+def test_product_equals_oracle_in_every_dimension(m, kind):
+    rng = np.random.default_rng(100 * m + len(kind))
+    for _ in range(6):
+        a, b = (Multivector(m, {int(rng.integers(0, 1 << m)): random_coefficient(rng, kind)
+                                for _ in range(8)}) for _ in range(2))
+        assert geometric_product(a, b) == oracle_product(a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_left_mult_matrix_matches_per_entry_loop(m):
+    rng = np.random.default_rng(30 + m)
+    a = random_multivector(rng, m, integer=False, nnz=6)
+    assert np.array_equal(_left_mult_matrix(a), oracle_left_mult_matrix(a))
+
+
+def test_from_vector_keeps_integers_exact():
+    v = Multivector.from_vector(np.array([3037000500, 1, 0]))
+    assert all(type(c) is int for c in v.coeffs.values())
+    assert v * v == Multivector.scalar(3037000500**2 + 1, 3)
+    assert (v * v).scalar_part() == 9223372037000250001
+
+
+def test_from_vector_holds_python_numbers():
+    v = Multivector.from_vector(np.array([0.5, 0.0, -2.0]))
+    assert v.coeffs == {0b001: 0.5, 0b100: -2.0}
+    assert all(type(c) is float for c in v.coeffs.values())
+    z = Multivector.from_vector(np.array([1j, 2.0]))
+    assert all(type(c) is complex for c in z.coeffs.values())
+    with pytest.raises(ValueError, match="expected a vector"):
+        Multivector.from_vector(np.eye(2))
 
 
 def test_dimension_mismatch_rejected():

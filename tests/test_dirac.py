@@ -26,7 +26,7 @@ from subdirac.dirac import (
     selfadjointization_limit,
     submanifold_dirac,
 )
-from subdirac.dirac import _assemble
+from subdirac.dirac import _assemble, _gram_table, _odd_form, _pair_table
 from subdirac.geometry import (
     CATALOG,
     FocalDistanceError,
@@ -38,6 +38,7 @@ from subdirac.geometry import (
     catalog_chart,
 )
 from subdirac.spinors import build_gamma_rep, rep_of
+from subdirac.weierstrass import _bilinear_table, immersion_bilinears
 
 S1, S2 = sp.symbols("s1 s2")
 
@@ -512,6 +513,40 @@ def test_lift_gram_matches_pointwise_pairings(case, kind):
     expected = pointwise_pairings(frame_spinor_fields(frames, rep))
     assert gram.shape == expected.shape
     assert np.abs(gram - expected).max() <= 1e-14
+
+
+def test_rep_tables_are_cached_per_rep_and_read_only():
+    """The lift Gram, residual and bilinear tables are built once per gamma
+    system and read-only; a system conjugated after the standard one's tables
+    exist builds its own from its own gammas."""
+    frames = oracle_frames("clifford-torus-r4-33")
+    coeffs = frame_lift_coefficients(frames)
+    standard = build_gamma_rep(4)
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gram = lift_gram(coeffs, standard)
+    lift_residuals(frames, coeffs, standard)
+    immersion_bilinears(frames, standard, coeffs)
+    conj = standard.conjugated(u)
+    assert np.abs(lift_gram(coeffs, conj) - u @ gram @ u.conj().T).max() <= 1e-14
+
+    def not_rebuilt(rep):
+        raise AssertionError("table rebuilt")
+
+    lift_residuals(frames, coeffs, conj)
+    for key, build in (("lift_gram", _gram_table), ("odd_form", _odd_form)):
+        cached = [rep.cached_table(key, not_rebuilt) for rep in (standard, conj)]
+        for rep, table in zip((standard, conj), cached):
+            assert not table.flags.writeable
+            assert np.array_equal(table, build(rep))
+        assert not np.allclose(cached[0], cached[1])
+
+    for k in (1, 2, 3):
+        table = _bilinear_table(conj, k)
+        assert _bilinear_table(conj, k) is table and not table.flags.writeable
+        lifted = conj.even_products @ conj.axis_primitives.T
+        form = np.einsum("kci,acd,ldi->klia", lifted.conj(), np.stack(conj.gammas[:k]), lifted).real
+        assert np.array_equal(table, _pair_table(form).reshape(-1, 4 * k))
 
 
 # --- the geometric-measure defect against its predicted limit --------------------------

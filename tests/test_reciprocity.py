@@ -82,6 +82,25 @@ def test_intertwining_identity_all_pairs(k):
             assert np.abs(resid).max() < 1e-14
 
 
+def test_standard_intertwiner_is_cached_and_read_only():
+    intw = reference_intertwiner(2, 4)
+    assert reference_intertwiner(2, 4) is intw
+    for array in (intw.matrix, intw.tau.matrix, intw.tau.rotation):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+    tau = spin_lift(random_so(np.random.default_rng(3), 4), build_gamma_rep(4))
+    assert intw.with_tau(tau).matrix is intw.matrix
+    assert intw.with_tau(tau).tau is tau
+
+
+@pytest.mark.parametrize("k, n", PAIRS)
+def test_explicit_systems_rebuild_the_cached_intertwiner(k, n):
+    cached = reference_intertwiner(k, n)
+    explicit = reference_intertwiner(k, n, build_gamma_rep(k), build_gamma_rep(n))
+    assert explicit is not cached and explicit.matrix.flags.writeable
+    assert np.array_equal(explicit.matrix, cached.matrix)
+
+
 def test_k_must_be_less_than_n():
     with pytest.raises(ValueError):
         reference_intertwiner(3, 3)
@@ -96,15 +115,19 @@ def hand_conjugated_rep(n, seed=0):
 
 
 def test_unrecorded_basis_change_rejected():
-    with pytest.raises(ValueError, match="do not intertwine"):
-        reference_intertwiner(2, 4, rep_n=hand_conjugated_rep(4))
+    reference_intertwiner(2, 4)  # the cached standard case is not consulted
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not intertwine"):
+            reference_intertwiner(2, 4, rep_n=hand_conjugated_rep(4))
 
 
 def test_non_unitary_basis_change_rejected():
     rep = build_gamma_rep(4)
     skewed = GammaRep(4, rep.gammas, np.diag([1 + 4e-6, 1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="not orthonormal"):
-        reference_intertwiner(2, 4, rep_n=skewed)
+    reference_intertwiner(2, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            reference_intertwiner(2, 4, rep_n=skewed)
 
 
 UNRECORDED = """

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_clifford import oracle_blade_sign
 
+from subdirac import spinors
 from subdirac.clifford import Multivector, reversion
 from subdirac.spinors import (
     CliffordGroupElement,
@@ -354,6 +356,52 @@ def test_recover_rotation_row_scaling():
     base = recover_rotation(CliffordGroupElement.identity(3), rep, frame=frame)
     scaled = recover_rotation(CliffordGroupElement.identity(3), rep, frame=3.5 * frame)
     assert np.allclose(scaled, 3.5 * base)
+
+
+def oracle_recover_rotation(tau, rep, frame=None):
+    """recover_rotation one entry at a time: a primitive spinor per column, a
+    vector pairing per entry."""
+    m = rep.m
+    frame = np.eye(m) if frame is None else np.asarray(frame, dtype=float)
+    out = np.empty((frame.shape[0], m))
+    for ell in range(m):
+        psi = Spinor(m, tau.matrix @ primitive_spinor(np.eye(m)[ell], rep).components)
+        for i in range(frame.shape[0]):
+            out[i, ell] = np.real(vector_pairing(psi, frame[i], rep))
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_recover_rotation_matches_per_entry_loop(m):
+    rng = np.random.default_rng(60 + m)
+    rep = build_gamma_rep(m)
+    tau = spin_lift(random_so(rng, m), rep)
+    frame = rng.normal(size=(m, m))
+    for args in ((), (frame,), (frame[: max(m - 1, 1)],)):
+        got = recover_rotation(tau, rep, *args)
+        expected = oracle_recover_rotation(tau, rep, *args)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-14
+
+
+def test_recover_rotation_rejects_mismatched_dimensions():
+    rep = build_gamma_rep(3)
+    with pytest.raises(ValueError, match="frame rows"):
+        recover_rotation(CliffordGroupElement.identity(3), rep, frame=np.eye(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        recover_rotation(CliffordGroupElement.identity(4), rep)
+
+
+@pytest.mark.parametrize("m", range(1, spinors.LIFT_TABLE_MAX_DIMENSION + 1))
+def test_spin_lift_table_matches_loop_signs(m, monkeypatch):
+    """The table's sign matrix is the closed form on mask arrays; built from
+    the per-bit loop instead, every array of the table is bit-identical."""
+    expected = spinors._spin_lift_table(m)
+    monkeypatch.setattr(spinors, "_blade_product_signs", np.vectorize(oracle_blade_sign))
+    got = spinors._spin_lift_table.__wrapped__(m)
+    assert got[0] == expected[0]
+    for a, b in zip(got[1:], expected[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- conjugated representations --------------------------------------------------
