@@ -41,17 +41,15 @@ from .geometry import (
     ImmersionChart,
     _diff_axis,
     _plane_matmul,
-    _previous_planes,
+    _staircase_accumulate,
+    _staircase_previous,
     _tube_factor,
     build_frame_field,
 )
 from .spinors import (
-    LIFT_TABLE_MAX_DIMENSION,
     GammaRep,
-    _assert_orthogonal,
     _default_sign,
-    _schur_lift,
-    _table_lift,
+    _unsigned_coefficients,
     build_gamma_rep,
     spinor_dim,
 )
@@ -340,54 +338,22 @@ def _gram_table(rep: GammaRep) -> np.ndarray:
     return _pair_table(form).reshape(-1, rep.dim ** 2)
 
 
-def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep) -> np.ndarray:
-    """Even-blade coefficients c (K, P) of the spin lifts of rotations, up to sign.
-
-    entries (m * m, P) holds the rotations entry-major: row i m + j is the
-    plane of entry (i, j).
-
-    Up to LIFT_TABLE_MAX_DIMENSION the minor table (spinors._table_lift)
-    gives c.  Above it each point is lifted from a real Schur decomposition
-    (spinors._schur_lift) and projected onto the even blades,
-    c_K = Re tr(gamma_K^H tau) / d, since tr(gamma_K^H gamma_L) = d delta_KL.
-    Every rotation must be finite with each entry of R^T R within 1e-10 of
-    the identity's and det R > 0.
-    """
-    m = rep.m
-    if len(entries) != m * m:
-        raise ValueError(f"expected {m}x{m} rotation")
-    if m <= LIFT_TABLE_MAX_DIMENSION:
-        return _table_lift(entries, m, 1e-10)
-    _assert_orthogonal(entries, m, 1e-10)
-    rotations = np.moveaxis(entries.reshape(m, m, -1), -1, 0)
-    if (np.linalg.det(rotations) < 0).any():
-        raise ValueError("matrix has determinant -1 (not in SO)")
-    taus = np.stack([_schur_lift(r, rep) for r in rotations])
-    blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
-    return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
-
-
 def _sign_chain(overlap: np.ndarray, base_sign: float) -> np.ndarray:
     """+-1 per grid point from neighbour overlaps tr(tau(s) tau(prev)^H).
 
     A point keeps the sign that makes its overlap with its staircase
     predecessor positive, the one nearest to the predecessor's lift; the
-    base corner takes base_sign.  The steps are chained by a cumulative
-    product down the base column and then along the rows, which gathers no
-    rounding.  |overlap| < 1e-6 (a half-turn between neighbours) raises,
-    since the sign is then ambiguous.
+    base corner takes base_sign.  The steps are chained by a staircase
+    product (geometry._staircase_accumulate), which gathers no rounding.
+    |overlap| < 1e-6 (a half-turn between neighbours) raises, since the
+    sign is then ambiguous.
     """
     if (np.abs(overlap) < 1e-6).any():
         raise ValueError("double-cover sign is ambiguous relative to the anchor "
                          "(frame field discontinuity)")
-    base = (0,) * overlap.ndim
     sign = np.sign(overlap)
-    sign[base] = base_sign
-    column = (slice(None),) + base[1:]
-    sign[column] = np.cumprod(sign[column])
-    if overlap.ndim == 2:
-        sign = np.cumprod(sign, axis=1)
-    return sign
+    sign[(0,) * overlap.ndim] = base_sign
+    return _staircase_accumulate(np.multiply, sign, overlap.ndim)
 
 
 def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:
@@ -400,13 +366,13 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     fixed table of spinors._table_lift, the kernel that spin_lift runs on
     one point.  The table grows as 4^m, so above it each point is lifted
     from a real Schur decomposition and projected onto the even blades
-    (_unsigned_coefficients).
+    (spinors._unsigned_coefficients).
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
     to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
     The base corner takes spin_lift's default sign rule, applied to its own
-    lift, and the +-1 steps are chained by a cumulative product
+    lift, and the +-1 steps are chained by a staircase product
     (_sign_chain).
 
     Every rotation must be finite with each entry of R^T R within 1e-10 of
@@ -420,7 +386,7 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     shape = rot.shape[2:]
     c = _unsigned_coefficients(rot.reshape(len(rot) * rot.shape[1], -1), rep)
     c = c.reshape((len(c),) + shape)
-    overlap = rep.dim * (c * _previous_planes(c, len(shape))).sum(axis=0)
+    overlap = rep.dim * (c * _staircase_previous(c, len(shape))).sum(axis=0)
     base = (slice(None),) + (0,) * len(shape)
     base_sign = _default_sign(np.tensordot(c[base], rep.even_products, axes=1))
     return _sign_chain(overlap, base_sign) * c

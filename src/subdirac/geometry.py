@@ -19,12 +19,17 @@ A field of small matrices, (*grid, p, q) to the reader, is held as
 x, the Jacobian and the Hessian in that layout, every per-point step of a
 frame field is elementwise arithmetic on whole planes with Python loops
 over the 2-4 entry indices only, and the FrameField stores the planes; its
-(*grid, ...) attributes are read-only np.moveaxis views of them.  The
-staircase products are one scan (_staircase_scan) down the base column and
-then across all rows together, or in codimension 2 one cumsum of rotation
-angles.  The pointwise functions run the same plane kernels on one point
-(planes with no grid axes, where the two layouts agree), with an exact
-normal connection from the completed frame's Gram-Schmidt factor.
+(*grid, ...) attributes are read-only np.moveaxis views of them.
+
+Every walk from the base corner (the normal frame's smoothing and
+transport here, the lift's sign chain in dirac, the path integral in
+weierstrass) follows one staircase, down the base column and then along
+every row, coded once in the _staircase_* kernels: predecessors, trapezoid
+edge increments, ufunc.accumulate sums and products, and matrix scans.
+
+The pointwise functions run the same plane kernels on one point (planes
+with no grid axes, where the two layouts agree), with an exact normal
+connection from the completed frame's Gram-Schmidt factor.
 """
 
 from __future__ import annotations
@@ -963,6 +968,106 @@ def rho(chart: ImmersionChart, s, q, frames: PointFrame = None, gamma=None) -> f
 
 
 # --------------------------------------------------------------------------
+# the staircase: the one traversal order of the normal transport, the lift's
+# sign chain and the path integral
+
+
+def _staircase_ndim(ndim: int) -> int:
+    """ndim grid axes, checked: the staircase runs down the base column
+    (axis 0 at index 0 of the last axis), then along every row (the last
+    axis), so it covers curve and surface grids only.  A point's predecessor
+    is the one before it in its column or row; the base corner is its own."""
+    if ndim > 2:
+        raise ValueError("staircase traversal supports curve and surface grids only")
+    return ndim
+
+
+def _staircase_previous(planes: np.ndarray, ndim: int) -> np.ndarray:
+    """planes at each grid point's staircase predecessor, for planes whose
+    grid is the trailing ndim axes."""
+    base = (Ellipsis,) + (0,) * _staircase_ndim(ndim)
+    prev = np.empty_like(planes)
+    prev[..., 1:] = planes[..., :-1]
+    if ndim == 2:
+        prev[..., 1:, 0] = planes[..., :-1, 0]
+    prev[base] = planes[base]
+    return prev
+
+
+def _staircase_edges(per_axis_planes: np.ndarray, spacings) -> np.ndarray:
+    """Trapezoid increments h_alpha (f_alpha(s) + f_alpha(prev s)) / 2 along
+    each grid point's incoming staircase edge, 0 at the base corner, for
+    per_axis_planes (ndim, ..., *grid) holding f_alpha at index alpha with
+    the grid on the trailing ndim = len(spacings) axes."""
+    ndim = _staircase_ndim(len(spacings))
+    f = per_axis_planes[-1]
+    edges = np.empty_like(f)
+    edges[..., 1:] = spacings[-1] * (0.5 * (f[..., 1:] + f[..., :-1]))
+    if ndim == 2:
+        f = per_axis_planes[0][..., 0]
+        edges[..., 1:, 0] = spacings[0] * (0.5 * (f[..., 1:] + f[..., :-1]))
+    edges[(Ellipsis,) + (0,) * ndim] = 0.0
+    return edges
+
+
+def _staircase_accumulate(ufunc, steps: np.ndarray, ndim: int) -> np.ndarray:
+    """out(s) = ufunc(out(prev s), steps(s)) along the staircase, with
+    out = steps at the base corner, for planes whose grid is the trailing
+    ndim axes: ufunc.accumulate down the base column, then along every row.
+    Each point takes one ufunc step from its predecessor, the arithmetic of
+    a point-by-point walk.
+    """
+    out = steps.copy()
+    if _staircase_ndim(ndim) == 2:
+        out[..., 0] = ufunc.accumulate(out[..., 0], axis=-1)
+    return ufunc.accumulate(out, axis=-1)
+
+
+def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Chained products out(s) = steps(s) @ out(prev(s)) along the staircase.
+
+    The grid is the leading axes of steps that first lacks; out is first at
+    the base corner, where steps is not read.  The chain runs down the base
+    column one point at a time, then across all rows at once, so the Python
+    loop has N0 + N1 steps rather than N0 * N1.  out is a (*grid, ...) view
+    of contiguous planes (..., *grid), which _plane_view reads back without a
+    copy.
+    """
+    first = np.asarray(first)
+    ndim = _staircase_ndim(steps.ndim - first.ndim)
+    planes = np.empty(first.shape + steps.shape[:ndim], dtype=np.result_type(steps, first))
+    out = _grid_major(planes, first.ndim)
+    column = (slice(None),) + (0,) * (ndim - 1)
+    chain, chain_steps = out[column], steps[column]
+    chain[0] = first
+    for i in range(1, len(chain)):
+        chain[i] = chain_steps[i] @ chain[i - 1]
+    if ndim == 2:
+        for j in range(1, out.shape[1]):
+            out[:, j] = steps[:, j] @ out[:, j - 1]
+    return out
+
+
+def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
+    """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
+    base corner, for antisymmetric generator planes gen (d, d, *grid) that
+    vanish at the base corner, as _staircase_edges leaves them.
+
+    SO(2) steps commute, so for d = 2 y is the plane rotation by the
+    staircase sum of the angles gen[1, 0]; otherwise the batched expm
+    steps are chained by _staircase_scan.
+    """
+    if len(gen) == 2:
+        angle = _staircase_accumulate(np.add, gen[1, 0], ndim)
+        cos, sin = np.cos(angle), np.sin(angle)
+        return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
+    import scipy.linalg
+
+    steps = scipy.linalg.expm(_grid_major(gen, 2))
+    return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
+
+
+# --------------------------------------------------------------------------
 # grid frame fields
 
 
@@ -1075,88 +1180,6 @@ class FrameField:
         return _tube_factor(self.weingarten_planes, q) ** 2
 
 
-def _staircase_previous(values: np.ndarray, ndim: int) -> np.ndarray:
-    """values at each grid point's staircase predecessor.
-
-    The grid is the leading ndim axes of values.  The staircase runs down
-    the first-axis chain of the base column, then along every row; a
-    point's predecessor is the one before it in that chain or row, and the
-    base corner maps to itself.
-    """
-    if ndim == 1:
-        return np.concatenate([values[:1], values[:-1]])
-    if ndim == 2:
-        prev = np.empty_like(values)
-        prev[:, 1:] = values[:, :-1]
-        prev[1:, 0] = values[:-1, 0]
-        prev[0, 0] = values[0, 0]
-        return prev
-    raise ValueError("staircase traversal supports curve and surface grids only")
-
-
-def _previous_planes(planes: np.ndarray, ndim: int) -> np.ndarray:
-    """_staircase_previous of planes whose grid is the trailing ndim axes."""
-    grid = tuple(range(planes.ndim - ndim, planes.ndim))
-    prev = _staircase_previous(np.moveaxis(planes, grid, range(ndim)), ndim)
-    return np.moveaxis(prev, range(ndim), grid)
-
-
-def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Chained products out(s) = steps(s) @ out(prev(s)) along the staircase.
-
-    The grid is the leading axes of steps that first lacks; out is first at
-    the base corner, where steps is not read.  The chain runs down the base
-    column one point at a time, then across all rows at once, so the Python
-    loop has N0 + N1 steps rather than N0 * N1.  out is a (*grid, ...) view
-    of contiguous planes (..., *grid), which _plane_view reads back without a
-    copy.
-    """
-    first = np.asarray(first)
-    ndim = steps.ndim - first.ndim
-    if ndim > 2:
-        raise ValueError("staircase traversal supports curve and surface grids only")
-    planes = np.empty(first.shape + steps.shape[:ndim], dtype=np.result_type(steps, first))
-    out = _grid_major(planes, first.ndim)
-    column = (slice(None),) + (0,) * (ndim - 1)
-    chain, chain_steps = out[column], steps[column]
-    chain[0] = first
-    for i in range(1, len(chain)):
-        chain[i] = chain_steps[i] @ chain[i - 1]
-    if ndim == 2:
-        for j in range(1, out.shape[1]):
-            out[:, j] = steps[:, j] @ out[:, j - 1]
-    return out
-
-
-def _staircase_cumsum(edges: np.ndarray, ndim: int) -> np.ndarray:
-    """Sums out(s) = edges(s) + out(prev(s)) along the staircase, 0 at the base
-    corner, for planes whose grid is the trailing ndim (<= 2) axes: a cumsum
-    down the base column, then one along every row."""
-    out = edges.copy()
-    out[(Ellipsis,) + (0,) * ndim] = 0.0
-    if ndim == 2:
-        out[..., 0] = np.cumsum(out[..., 0], axis=-1)
-    return np.cumsum(out, axis=-1)
-
-
-def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
-    """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
-    base corner, for antisymmetric generator planes gen (d, d, *grid).
-
-    SO(2) steps commute, so for d = 2 y is the plane rotation by the
-    staircase cumsum of the angles gen[1, 0]; otherwise the batched expm
-    steps are chained by _staircase_scan.
-    """
-    if len(gen) == 2:
-        angle = _staircase_cumsum(gen[1, 0], ndim)
-        cos, sin = np.cos(angle), np.sin(angle)
-        return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
-    import scipy.linalg
-
-    steps = scipy.linalg.expm(_grid_major(gen, 2))
-    return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
-
-
 def _complete_normal_stack(tangent):
     """Gram-Schmidt completion of tangent planes (k, n, P) with ascending
     standard basis vectors, skipping residuals <= 0.5 (<= 1e-8 in a second
@@ -1248,7 +1271,7 @@ def _polar_factor(m):
     return np.stack([np.stack([p, -sign * q]), np.stack([q, sign * p])])
 
 
-def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
+def build_frame_field(chart: ImmersionChart, shape=None,
                       integrability_tol=None) -> FrameField:
     """Adapted frames, curvature and connection data on the chart grid.
 
@@ -1280,12 +1303,13 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     that product matters.  The field is then flipped to det +1 at the base
     corner.
 
-    With parallel=True and codimension >= 2, the normal frame is rotated by
-    the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the
-    staircase: one exponential exp(-h Mbar) per edge (_transport), which in
-    codimension 2 is a cumsum of rotation angles and one plane rotation,
-    and otherwise a batched expm chained by the same scan.  On a curve this
-    is the Bishop frame.
+    In codimension >= 2 the normal frame is then rotated into a parallel
+    frame by the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along
+    the staircase: one exponential exp(-h Mbar) per edge, Mbar the mean of
+    M_alpha at the edge's two ends (_staircase_edges), which in codimension
+    2 is a staircase sum of rotation angles and one plane rotation, and
+    otherwise a batched expm chained by the same scan (_transport).  On a
+    curve this is the Bishop frame.
 
     The spin connection is exact: differentiating jac = tangent^T R gives
     tangent d_alpha(jac) R^-1 = tangent d_alpha(tangent^T) + d_alpha(R) R^-1,
@@ -1303,20 +1327,18 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
     """
     shape = tuple(shape or chart.grid_shape)
     axes = chart.axes(shape)
-    if len(shape) > 2:
-        raise ValueError("staircase traversal supports curve and surface grids only")
+    dims = _staircase_ndim(len(shape))
     hs = chart.spacings(shape)
     points = chart.grid(shape)
     x, jac, hess = chart._planes(points)
     k, n = chart.k, chart.n
     nk = n - k
-    dims = len(shape)
 
     tangent, r = _tangent_frames(jac, chart.name)
 
     normal, pivots = _raw_normals(tangent)
     if pivots is not None:  # the closed forms need no smoothing
-        step = _polar_factor(_plane_matmul(_previous_planes(normal, dims),
+        step = _polar_factor(_plane_matmul(_staircase_previous(normal, dims),
                                            np.swapaxes(normal, 0, 1)))
         # the scan chains per-point matrices, so it runs on (*grid, d, d) views
         q_t = _staircase_scan(_grid_major(np.swapaxes(step, 0, 1), 2), np.eye(nk))
@@ -1341,15 +1363,9 @@ def build_frame_field(chart: ImmersionChart, shape=None, parallel=True,
 
     gtilde = gtilde_of(normal)
 
-    if parallel and nk >= 2:
-        # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase;
-        # the edge into s along axis alpha steps by exp(-h_alpha Mbar), Mbar
-        # the mean of M_alpha at s and at its predecessor
-        mbar = 0.5 * (_previous_planes(gtilde, dims) + gtilde)
-        gen = -hs[-1] * mbar[-1]
-        if dims == 2:  # the base column steps along axis 0
-            gen[..., 0] = -hs[0] * mbar[0][..., 0]
-        lam = np.swapaxes(_transport(gen, dims), 0, 1)
+    if nk >= 2:
+        # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase
+        lam = np.swapaxes(_transport(-_staircase_edges(gtilde, hs), dims), 0, 1)
         normal = _plane_matmul(lam, normal)
         wein = _plane_matmul(lam, wein.reshape((nk, k * k) + shape)).reshape(wein.shape)
         gtilde = gtilde_of(normal)

@@ -8,12 +8,13 @@ every partial derivative of the immersion,
     B^i_alpha(s) = < conj(psi_i), (sum_a (x_alpha . e_a) gamma_a) psi_i >
                  = d_alpha x^i(s),
 
-and trapezoid path integration of that exact 1-form rebuilds the chart up
-to the anchored base-corner translation.  The lift enters as its real
-even-blade coefficients c (dirac.frame_lift_coefficients): with
-tau = sum_K c_K gamma_K, every W_ia = Re <conj(psi_i), gamma_a psi_i> is
-one quadratic form of c against a fixed table, so no complex lift matrix
-is formed.
+and trapezoid path integration of that exact 1-form along geometry's
+staircase (edge increments summed down the base column, then along the
+rows) rebuilds the chart up to the anchored base-corner translation.  The
+lift enters as its real even-blade coefficients c (dirac.frame_lift_coefficients):
+with tau = sum_K c_K gamma_K, every W_ia = Re <conj(psi_i), gamma_a psi_i>
+is one quadratic form of c against a fixed table, so no complex lift
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -25,14 +26,21 @@ import numpy as np
 from .dirac import (
     _pair_products,
     _pair_table,
-    _unsigned_coefficients,
     frame_lift_coefficients,
     intrinsic_dirac,
     lift_residuals,
     submanifold_dirac,
 )
-from .geometry import FrameField, ImmersionChart, _grid_major, _plane_matmul, build_frame_field
-from .spinors import GammaRep, build_gamma_rep
+from .geometry import (
+    FrameField,
+    ImmersionChart,
+    _grid_major,
+    _plane_matmul,
+    _staircase_accumulate,
+    _staircase_edges,
+    build_frame_field,
+)
+from .spinors import GammaRep, _unsigned_coefficients, build_gamma_rep
 
 
 class MisclassificationError(ValueError):
@@ -116,19 +124,13 @@ def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
     return float(_bilinear_kernel(coeffs, tangent, jac, rep)[i, alpha])
 
 
-def _cumtrapz(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Cumulative trapezoid along a grid axis, zero at the first slice."""
-    values = np.moveaxis(values, axis, 0)
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]), axis=0)
-    return np.moveaxis(out, 0, axis)
-
-
 def integrate_one_form(b: np.ndarray, spacings, anchor: np.ndarray,
                        reverse: bool = False) -> np.ndarray:
     """Staircase path integral of the 1-form b (*grid, n, k) from the base corner.
 
-    reverse=True runs the staircase with the axis order swapped (last axis
+    The trapezoid steps along each point's incoming edge, summed along the
+    staircase (geometry._staircase_edges, _staircase_accumulate).
+    reverse=True runs it on the grid with its two axes swapped (last axis
     first); the difference between the two is the path-independence
     certificate.
     """
@@ -136,17 +138,11 @@ def integrate_one_form(b: np.ndarray, spacings, anchor: np.ndarray,
     k = b.shape[-1]
     if len(grid_shape) != k:
         raise ValueError("one-form axes do not match the grid")
-    if k == 1:
-        return anchor + _cumtrapz(b[..., 0], spacings[0], 0)
-    order = (1, 0) if reverse else (0, 1)
-    first, second = order
-    # chain along `first` at the base slice of `second`, then fill rows
-    along_first = _cumtrapz(b[..., first], spacings[first], first)
-    base_index = [slice(None), slice(None)]
-    base_index[second] = slice(0, 1)
-    line = along_first[tuple(base_index)]
-    out = line + _cumtrapz(b[..., second], spacings[second], second)
-    return anchor + out
+    if reverse and k == 2:  # a curve has one staircase
+        swapped = integrate_one_form(np.swapaxes(b, 0, 1)[..., ::-1], spacings[::-1], anchor)
+        return np.swapaxes(swapped, 0, 1)
+    planes = np.moveaxis(b, (-1, -2), (0, 1))  # (k, n, *grid): f_alpha at index alpha
+    return anchor + _grid_major(_staircase_accumulate(np.add, _staircase_edges(planes, spacings), k), 1)
 
 
 def plaquette_circulation(b: np.ndarray, spacings) -> float:

@@ -14,7 +14,7 @@ pointwise functions.  Each guard of the plane kernels (non-finite or
 nearly singular Jacobians, uncompletable normal fields, singular alignment
 steps) is driven by random inputs near its threshold and must raise its
 named error, never a numpy warning.  The codimension-2 transport, one
-rotation by a cumsum of angles, is pinned against the matrix scan.
+rotation by a staircase sum of angles, is pinned against the matrix scan.
 """
 
 import dataclasses
@@ -33,6 +33,7 @@ from subdirac.geometry import (
     CATALOG,
     ImmersionChart,
     ImmersionError,
+    IntegrabilityError,
     _complete_normal_stack,
     _diff_axis,
     _tangent_frames,
@@ -489,9 +490,10 @@ def test_grid_completion_failure_message():
 
 @pytest.mark.parametrize("shape", [(257,), (65, 65), (9, 12)])
 def test_angle_cumsum_transport_matches_scan(shape):
-    """Codimension-2 transport: one rotation by the staircase cumsum of the
+    """Codimension-2 transport: one rotation by the staircase sum of the
     edge angles equals the chained product of the edge rotations."""
     angle = np.random.default_rng(len(shape)).uniform(-0.2, 0.2, size=shape)
+    angle[(0,) * len(shape)] = 0.0  # the base corner has no incoming edge
     zero = np.zeros(shape)
     gen = np.stack([np.stack([zero, -angle]), np.stack([angle, zero])])
     got = np.moveaxis(geometry._transport(gen, len(shape)), (0, 1), (-2, -1))
@@ -518,6 +520,20 @@ def solid_in_r5():
     return ImmersionChart.from_sympy(
         "solid-r5", [_S1, _S2, _S3, _S1 * _S2, _S2 * _S3], [_S1, _S2, _S3],
         [(0.0, 1.0)] * 3, grid_shape=(8, 8, 8))
+
+
+@pytest.mark.parametrize("chart, raises", [(surface_in_r5(), True),  # residual about 0.96
+                                           (catalog_chart("clifford-torus-r4"), False)],
+                         ids=["surface-r5", "clifford-torus-r4"])
+def test_integrability_tolerance(chart, raises):
+    # codimension 3 leaves the curved normal bundle's connection in place;
+    # the Clifford torus's normal bundle is flat
+    if raises:
+        with pytest.raises(IntegrabilityError, match="normal connection residual"):
+            build_frame_field(chart, shape=(33, 33), integrability_tol=0.5)
+    else:
+        ff = build_frame_field(chart, shape=(33, 33), integrability_tol=0.5)
+        assert ff.gtilde_residual <= 1e-12
 
 
 def test_three_axis_grid_rejected():

@@ -190,7 +190,7 @@ def test_circle_curvature_magnitude():
 # --- parallel normal frames ----------------------------------------------------
 
 def test_parallel_frame_plane_trivial():
-    ff = build_frame_field(catalog_chart("plane"), parallel=True)
+    ff = build_frame_field(catalog_chart("plane"))
     assert ff.gtilde_residual < 1e-12
 
 

@@ -4,7 +4,9 @@ frame_lift_field and, up to LIFT_TABLE_MAX_DIMENSION, spin_lift read the
 lift off one fixed table of rotation minors.  The oracle lifts each point
 from a real Schur decomposition (spinors._schur_lift) with spin_lift's
 checks and sign rules, and the grid reference walks the staircase order
-point by point, anchoring each lift to its predecessor's.
+point by point, anchoring each lift to its predecessor's.  The same walk is
+the reference of geometry._staircase_accumulate, the staircase's sums and
+sign products.
 """
 
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from subdirac.clifford import Multivector
 from subdirac.dirac import frame_lift_coefficients, frame_lift_field
-from subdirac.geometry import build_frame_field, catalog_chart
+from subdirac.geometry import _staircase_accumulate, build_frame_field, catalog_chart
 from subdirac.spinors import (
     LIFT_TABLE_MAX_DIMENSION,
     CliffordGroupElement,
@@ -46,6 +48,31 @@ def staircase_indices(shape):
                 yield (i, j), (i, j - 1)
     else:
         raise ValueError("staircase traversal supports curve and surface grids only")
+
+
+def walk_accumulate(ufunc, steps, ndim):
+    """out(s) = ufunc(out(prev s), steps(s)) point by point in staircase order,
+    for planes whose grid is the trailing ndim axes."""
+    grid = steps.shape[steps.ndim - ndim:]
+    out = np.empty_like(steps)
+    for idx, prev in staircase_indices(grid):
+        at = (Ellipsis,) + idx
+        out[at] = steps[at] if prev is None else ufunc(out[(Ellipsis,) + prev], steps[at])
+    return out
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.multiply], ids=["add", "multiply"])
+@pytest.mark.parametrize("shape, ndim", [((17,), 1), ((3, 17), 1), ((9, 12), 2),
+                                         ((2, 3, 9, 12), 2)])
+def test_staircase_accumulate_matches_walk(ufunc, shape, ndim):
+    # leading axes are entry axes; products of factors near +-1 keep rounding in play
+    rng = np.random.default_rng(len(shape))
+    steps = (rng.uniform(-1, 1, size=shape) if ufunc is np.add
+             else rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.9, 1.1, size=shape))
+    before = steps.copy()
+    got = _staircase_accumulate(ufunc, steps, ndim)
+    assert np.array_equal(got, walk_accumulate(ufunc, steps, ndim))
+    assert np.array_equal(steps, before)
 
 
 def schur_spin_lift(rot, rep, anchor=None):
@@ -384,6 +411,21 @@ def test_spin_lift_matches_schur_lift(case):
     tau = spin_lift(rot, rep, element)
     assert np.abs(tau.matrix - expected).max() <= 1e-14
     assert np.array_equal(tau.rotation, rot)
+
+
+@pytest.mark.parametrize("n", range(LIFT_TABLE_MAX_DIMENSION + 1, 13))
+def test_spin_lift_above_the_table_matches_schur_lift(n):
+    # above the table the Schur lift is projected onto the even blades and
+    # recombined, so it agrees with the Schur lift itself to rounding
+    rng = np.random.default_rng(200 + n)
+    rep = build_gamma_rep(n)
+    random = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    random[:, 0] *= np.sign(np.linalg.det(random))
+    for rot in (random, _near_half_turns(rng, n)):
+        expected = schur_spin_lift(rot, rep)
+        assert np.abs(spin_lift(rot, rep).matrix - expected).max() <= 1e-12
+        anchor = CliffordGroupElement(n, -expected, rot)
+        assert np.abs(spin_lift(rot, rep, anchor).matrix + expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8])

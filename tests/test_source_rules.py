@@ -53,3 +53,16 @@ def test_no_contiguous_copy_of_moved_axes(path):
              and node.args and isinstance(node.args[0], ast.Call)
              and _called_name(node.args[0].func) == "moveaxis"]
     assert not lines, f"np.ascontiguousarray(np.moveaxis(...)) at lines {lines}"
+
+
+def test_spinor_layers_walk_no_staircase_of_their_own():
+    # the staircase order (base column, then rows) lives in geometry.py; the
+    # lift's sign chain and the path integral call its kernels
+    lines = {}
+    for name in ("dirac.py", "weierstrass.py"):
+        path = next(p for p in SOURCES if p.name == name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines[name] = [node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and _called_name(node.func) in ("cumsum", "cumprod")]
+    assert not any(lines.values()), f"np.cumsum or np.cumprod at lines {lines}"

@@ -10,7 +10,7 @@ from subdirac.dirac import (
     frame_spinor_fields,
     submanifold_dirac,
 )
-from subdirac.geometry import ImmersionChart, build_frame_field, catalog_chart
+from subdirac.geometry import CATALOG, ImmersionChart, build_frame_field, catalog_chart
 from subdirac.spinors import build_gamma_rep, primitive_spinor
 from subdirac.weierstrass import (
     MisclassificationError,
@@ -18,6 +18,7 @@ from subdirac.weierstrass import (
     frenet_serret_case,
     immersion_bilinear,
     immersion_bilinears,
+    integrate_one_form,
     minimal_surface_crosscheck,
     plaquette_circulation,
     reconstruct_immersion,
@@ -111,6 +112,46 @@ def test_bilinear_zero_direction():
 
 
 # --- reconstruction ------------------------------------------------------------
+
+def cumtrapz(values, h, axis):
+    """Cumulative trapezoid along a grid axis, zero at the first slice."""
+    values = np.moveaxis(values, axis, 0)
+    out = np.zeros_like(values)
+    out[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]), axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
+def integrate_one_form_oracle(b, spacings, anchor, reverse=False):
+    """The staircase path integral as whole-axis cumulative trapezoids: along
+    the first axis at the base slice, then along the second from that line."""
+    k = b.shape[-1]
+    if k == 1:
+        return anchor + cumtrapz(b[..., 0], spacings[0], 0)
+    first, second = (1, 0) if reverse else (0, 1)
+    base_index = [slice(None), slice(None)]
+    base_index[second] = slice(0, 1)
+    line = cumtrapz(b[..., first], spacings[first], first)[tuple(base_index)]
+    return anchor + line + cumtrapz(b[..., second], spacings[second], second)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_integrate_one_form_matches_oracle(name, reverse):
+    ff = build_frame_field(catalog_chart(name))
+    b = immersion_bilinears(ff)
+    anchor = ff.x[(0,) * ff.chart.k]
+    expected = integrate_one_form_oracle(b, ff.spacings, anchor, reverse)
+    assert np.abs(integrate_one_form(b, ff.spacings, anchor, reverse) - expected).max() <= 1e-14
+
+
+def test_integrate_one_form_rejects_three_axis_grid():
+    # the exact one-form of the linear map s -> a s on the unit cube at 9^3:
+    # a staircase over the first two axes only is off by O(1)
+    a = np.arange(12.0).reshape(4, 3) / 7
+    b = np.broadcast_to(a, (9, 9, 9) + a.shape)
+    with pytest.raises(ValueError, match="curve and surface grids only"):
+        integrate_one_form(b, [1.0 / 8] * 3, np.zeros(4))
+
 
 def test_plane_reconstruction_exact():
     ff = build_frame_field(catalog_chart("plane"), shape=(17, 17))
