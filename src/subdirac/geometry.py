@@ -19,17 +19,14 @@ A field of small matrices, (*grid, p, q) to the reader, is held as
 x, the Jacobian and the Hessian in that layout, every per-point step of a
 frame field is elementwise arithmetic on whole planes with Python loops
 over the 2-4 entry indices only, and the FrameField stores the planes; its
-(*grid, ...) attributes are read-only np.moveaxis views of them.
-
-Every walk from the base corner (the normal frame's smoothing and
-transport here, the lift's sign chain in dirac, the path integral in
-weierstrass) follows one staircase, down the base column and then along
-every row, coded once in the _staircase_* kernels: predecessors, trapezoid
-edge increments, ufunc.accumulate sums and products, and matrix scans.
-
-The pointwise functions run the same plane kernels on one point (planes
-with no grid axes, where the two layouts agree), with an exact normal
-connection from the completed frame's Gram-Schmidt factor.
+(*grid, ...) attributes are read-only np.moveaxis views of them.  Every
+walk from the base corner (the normal frame's smoothing and transport, the
+lift's sign chain in dirac, the path integral in weierstrass) follows one
+staircase, down the base column and then along every row, coded once in
+the _staircase_* kernels.  The pointwise functions run the same plane
+kernels on one point (planes with no grid axes, where the two layouts
+agree), with an exact normal connection from the completed frame's
+Gram-Schmidt factor.
 """
 
 from __future__ import annotations
@@ -968,15 +965,13 @@ def rho(chart: ImmersionChart, s, q, frames: PointFrame = None, gamma=None) -> f
 
 
 # --------------------------------------------------------------------------
-# the staircase: the one traversal order of the normal transport, the lift's
-# sign chain and the path integral
+# the staircase: the one traversal order of every walk from the base corner
 
 
 def _staircase_ndim(ndim: int) -> int:
-    """ndim grid axes, checked: the staircase runs down the base column
-    (axis 0 at index 0 of the last axis), then along every row (the last
-    axis), so it covers curve and surface grids only.  A point's predecessor
-    is the one before it in its column or row; the base corner is its own."""
+    """ndim, checked: the staircase runs down the base column (axis 0), then
+    along every row (the last axis), so it covers curves and surfaces only.
+    A point's predecessor precedes it in its column or row."""
     if ndim > 2:
         raise ValueError("staircase traversal supports curve and surface grids only")
     return ndim
@@ -1013,10 +1008,8 @@ def _staircase_edges(per_axis_planes: np.ndarray, spacings) -> np.ndarray:
 def _staircase_accumulate(ufunc, steps: np.ndarray, ndim: int) -> np.ndarray:
     """out(s) = ufunc(out(prev s), steps(s)) along the staircase, with
     out = steps at the base corner, for planes whose grid is the trailing
-    ndim axes: ufunc.accumulate down the base column, then along every row.
-    Each point takes one ufunc step from its predecessor, the arithmetic of
-    a point-by-point walk.
-    """
+    ndim axes: ufunc.accumulate down the base column, then along every row,
+    the arithmetic of a point-by-point walk."""
     out = steps.copy()
     if _staircase_ndim(ndim) == 2:
         out[..., 0] = ufunc.accumulate(out[..., 0], axis=-1)
@@ -1050,15 +1043,17 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
     """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
-    base corner, for antisymmetric generator planes gen (d, d, *grid) that
-    vanish at the base corner, as _staircase_edges leaves them.
+    base corner, for antisymmetric generator planes gen (d, d, *grid); gen
+    is not read at the base corner.
 
     SO(2) steps commute, so for d = 2 y is the plane rotation by the
     staircase sum of the angles gen[1, 0]; otherwise the batched expm
     steps are chained by _staircase_scan.
     """
     if len(gen) == 2:
-        angle = _staircase_accumulate(np.add, gen[1, 0], ndim)
+        angle = gen[1, 0].copy()
+        angle[(0,) * ndim] = 0.0  # the base corner has no incoming edge
+        angle = _staircase_accumulate(np.add, angle, ndim)
         cos, sin = np.cos(angle), np.sin(angle)
         return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
     import scipy.linalg
@@ -1303,13 +1298,12 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     that product matters.  The field is then flipped to det +1 at the base
     corner.
 
-    In codimension >= 2 the normal frame is then rotated into a parallel
-    frame by the transport of d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along
-    the staircase: one exponential exp(-h Mbar) per edge, Mbar the mean of
-    M_alpha at the edge's two ends (_staircase_edges), which in codimension
-    2 is a staircase sum of rotation angles and one plane rotation, and
-    otherwise a batched expm chained by the same scan (_transport).  On a
-    curve this is the Bishop frame.
+    In codimension >= 2 the normal frame is then transported by
+    d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase: one
+    exp(-h Mbar) per edge, Mbar the mean of M_alpha at its ends
+    (_staircase_edges); in codimension 2 a staircase sum of rotation angles
+    and one plane rotation, otherwise batched expm steps chained by the same
+    scan (_transport).  On a curve this is the Bishop frame.
 
     The spin connection is exact: differentiating jac = tangent^T R gives
     tangent d_alpha(jac) R^-1 = tangent d_alpha(tangent^T) + d_alpha(R) R^-1,

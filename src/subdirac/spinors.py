@@ -495,16 +495,26 @@ def _schur_lift(r: np.ndarray, rep: GammaRep) -> np.ndarray:
     return tau
 
 
+def _schur_lifts(entries: np.ndarray, rep: GammaRep, tol: float) -> np.ndarray:
+    """_schur_lift of each rotation in entries (m * m, P), stacked (P, d, d), once
+    each is checked finite with R^T R within tol of 1 entrywise and det R > 0."""
+    m = rep.m
+    _assert_orthogonal(entries, m, tol)
+    rotations = np.moveaxis(entries.reshape(m, m, -1), -1, 0)
+    if (np.linalg.det(rotations) < 0).any():
+        raise ValueError("matrix has determinant -1 (not in SO)")
+    return np.stack([_schur_lift(r, rep) for r in rotations])
+
+
 def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-10) -> np.ndarray:
     """Even-blade coefficients c (K, P) of the spin lifts of rotations, up to sign.
 
     entries (m * m, P) holds the rotations entry-major: row i m + j is the
     plane of entry (i, j).
 
-    Up to LIFT_TABLE_MAX_DIMENSION the minor table (_table_lift) gives c.
-    Above it each point is lifted from a real Schur decomposition
-    (_schur_lift) and projected onto the even blades,
-    c_K = Re tr(gamma_K^H tau) / d, since tr(gamma_K^H gamma_L) = d delta_KL.
+    Up to LIFT_TABLE_MAX_DIMENSION the minor table (_table_lift) gives c;
+    above it the Schur lifts (_schur_lifts) are projected onto the even
+    blades, c_K = Re tr(gamma_K^H tau) / d, as tr(gamma_K^H gamma_L) = d delta_KL.
     Every rotation must be finite with each entry of R^T R within tol of
     the identity's and det R > 0.
     """
@@ -513,11 +523,7 @@ def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-1
         raise ValueError(f"expected {m}x{m} rotation")
     if m <= LIFT_TABLE_MAX_DIMENSION:
         return _table_lift(entries, m, tol)
-    _assert_orthogonal(entries, m, tol)
-    rotations = np.moveaxis(entries.reshape(m, m, -1), -1, 0)
-    if (np.linalg.det(rotations) < 0).any():
-        raise ValueError("matrix has determinant -1 (not in SO)")
-    taus = np.stack([_schur_lift(r, rep) for r in rotations])
+    taus = _schur_lifts(entries, rep, tol)
     blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
     return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
 
@@ -526,18 +532,23 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
               tol: float = 1e-10) -> CliffordGroupElement:
     """Unitary tau with tau gamma(v) tau^{-1} = gamma(R v) for all v.
 
-    tau = sum_K c_K gamma_K, c from the kernel that frame_lift_coefficients
-    applies to a whole grid (_unsigned_coefficients), with its checks: R must
-    be finite with each entry of R^T R within tol of the identity's and
-    det R > 0.  The double-cover sign is chosen nearest to the anchor when
-    given, otherwise by a fixed deterministic rule.
+    Up to LIFT_TABLE_MAX_DIMENSION, tau = sum_K c_K gamma_K with c from the
+    kernel that frame_lift_coefficients applies to a whole grid
+    (_unsigned_coefficients); above it tau is the Schur lift (_schur_lifts)
+    and no blade table is built.  R must be finite with each entry of R^T R
+    within tol of the identity's and det R > 0.  The double-cover sign is
+    nearest to the anchor when given, otherwise by a fixed deterministic rule.
     """
     r = np.asarray(rotation, dtype=float)
     m = rep.m
     if r.shape != (m, m):
         raise ValueError(f"expected {m}x{m} rotation")
-    c = _unsigned_coefficients(r.reshape(m * m, 1), rep, tol)[:, 0]
-    tau = (c @ rep.even_products.reshape(len(c), -1)).reshape(rep.dim, rep.dim)
+    entries = r.reshape(m * m, 1)
+    if m > LIFT_TABLE_MAX_DIMENSION:
+        tau = _schur_lifts(entries, rep, tol)[0]
+    else:
+        c = _unsigned_coefficients(entries, rep, tol)[:, 0]
+        tau = (c @ rep.even_products.reshape(len(c), -1)).reshape(rep.dim, rep.dim)
 
     if anchor is not None:
         overlap = np.real(np.trace(anchor.matrix.conj().T @ tau))

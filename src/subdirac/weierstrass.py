@@ -9,12 +9,11 @@ every partial derivative of the immersion,
                  = d_alpha x^i(s),
 
 and trapezoid path integration of that exact 1-form along geometry's
-staircase (edge increments summed down the base column, then along the
-rows) rebuilds the chart up to the anchored base-corner translation.  The
-lift enters as its real even-blade coefficients c (dirac.frame_lift_coefficients):
-with tau = sum_K c_K gamma_K, every W_ia = Re <conj(psi_i), gamma_a psi_i>
-is one quadratic form of c against a fixed table, so no complex lift
-matrix is formed.
+staircase rebuilds the chart up to the anchored base-corner translation.
+The lift enters as its real even-blade coefficients c
+(dirac.frame_lift_coefficients): with tau = sum_K c_K gamma_K, every
+W_ia = Re <conj(psi_i), gamma_a psi_i> is one quadratic form of c against
+a fixed table, so no complex lift matrix is formed.
 """
 
 from __future__ import annotations
@@ -128,15 +127,13 @@ def integrate_one_form(b: np.ndarray, spacings, anchor: np.ndarray,
                        reverse: bool = False) -> np.ndarray:
     """Staircase path integral of the 1-form b (*grid, n, k) from the base corner.
 
-    The trapezoid steps along each point's incoming edge, summed along the
-    staircase (geometry._staircase_edges, _staircase_accumulate).
-    reverse=True runs it on the grid with its two axes swapped (last axis
-    first); the difference between the two is the path-independence
-    certificate.
+    Trapezoid edge steps summed along geometry's staircase; reverse=True
+    runs it with the two grid axes swapped (last axis first), and the
+    difference between the two is the path-independence certificate.
     """
     grid_shape = b.shape[:-2]
     k = b.shape[-1]
-    if len(grid_shape) != k:
+    if len(grid_shape) != k or len(spacings) != k:
         raise ValueError("one-form axes do not match the grid")
     if reverse and k == 2:  # a curve has one staircase
         swapped = integrate_one_form(np.swapaxes(b, 0, 1)[..., ::-1], spacings[::-1], anchor)

@@ -493,7 +493,6 @@ def test_angle_cumsum_transport_matches_scan(shape):
     """Codimension-2 transport: one rotation by the staircase sum of the
     edge angles equals the chained product of the edge rotations."""
     angle = np.random.default_rng(len(shape)).uniform(-0.2, 0.2, size=shape)
-    angle[(0,) * len(shape)] = 0.0  # the base corner has no incoming edge
     zero = np.zeros(shape)
     gen = np.stack([np.stack([zero, -angle]), np.stack([angle, zero])])
     got = np.moveaxis(geometry._transport(gen, len(shape)), (0, 1), (-2, -1))

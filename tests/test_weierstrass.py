@@ -144,13 +144,18 @@ def test_integrate_one_form_matches_oracle(name, reverse):
     assert np.abs(integrate_one_form(b, ff.spacings, anchor, reverse) - expected).max() <= 1e-14
 
 
-def test_integrate_one_form_rejects_three_axis_grid():
+@pytest.mark.parametrize("shape, count, match", [
     # the exact one-form of the linear map s -> a s on the unit cube at 9^3:
     # a staircase over the first two axes only is off by O(1)
-    a = np.arange(12.0).reshape(4, 3) / 7
-    b = np.broadcast_to(a, (9, 9, 9) + a.shape)
-    with pytest.raises(ValueError, match="curve and surface grids only"):
-        integrate_one_form(b, [1.0 / 8] * 3, np.zeros(4))
+    ((9, 9, 9), 3, "curve and surface grids only"),
+    ((9, 9), 1, "one-form axes do not match the grid"),
+    ((9, 9), 3, "one-form axes do not match the grid"),
+], ids=["three-axis-grid", "one-spacing", "three-spacings"])
+def test_integrate_one_form_rejects_bad_axes(shape, count, match):
+    a = np.arange(4.0 * len(shape)).reshape(4, len(shape)) / 7
+    b = np.broadcast_to(a, shape + a.shape)
+    with pytest.raises(ValueError, match=match):
+        integrate_one_form(b, [1.0 / 8] * count, np.zeros(4))
 
 
 def test_plane_reconstruction_exact():
