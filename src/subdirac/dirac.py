@@ -141,25 +141,32 @@ def _potential_blades(k: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _residual_table(k: int, m: int) -> np.ndarray:
-    """Signed permutations taking even-blade planes to the odd coefficients of D tau.
+def _residual_table(k: int, m: int) -> tuple:
+    """The signed permutations taking even-blade planes to the odd coefficients of D tau.
 
     With g_aK = sum_alpha e_a^alpha d_alpha c_K and the potential's v_J,
-    D tau = sum_L b_L gamma_L with b = table @ [g; v c], the operand
-    stacked as (a, K) rows then (J, K) rows: gamma_a gamma_K =
-    s(a, K) gamma_{a ^ K} and gamma_J gamma_K = s(J, K) gamma_{J ^ K}.
-    The normal blades come last, so the intrinsic operator uses the leading
-    columns only.  Shape (odd blades, (k + J) * even blades).
+    D tau = sum_L b_L gamma_L with b_L = sum_a s(a, K) g_aK [L = a ^ K]
+    + sum_J s(J, K) v_J c_K [L = J ^ K]: gamma_a gamma_K = s(a, K) gamma_{a ^ K}
+    and gamma_J gamma_K = s(J, K) gamma_{J ^ K}.  Each source blade maps the
+    even blades one to one onto the odd ones.  Returns (tangent, signed):
+    tangent (odd blades, k * even blades) holds the k tangent vectors'
+    signed permutations side by side, one +-1 per row and source, for the
+    stacked g; signed (potential blades, odd blades) gives the row of
+    [c; -c] that carries v_J's term in b_L.  The potential's normal blades
+    come last, so the intrinsic operator reads the leading rows only.
     """
     even = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
     odd = {mask: i for i, mask in enumerate(_odd_masks(m))}
-    sources = [1 << a for a in range(k)] + list(_potential_blades(k, m)[0])
-    table = np.zeros((len(odd), len(sources) * len(even)))
-    for s, source in enumerate(sources):
-        for i, mask in enumerate(even):
-            table[odd[source ^ mask], s * len(even) + i] = _blade_product_sign(source, mask)
-    table.flags.writeable = False
-    return table
+    tangent = np.zeros((len(odd), k * len(even)))
+    signed = np.zeros((len(_potential_blades(k, m)[0]), len(odd)), dtype=np.intp)
+    for i, mask in enumerate(even):
+        for a in range(k):
+            tangent[odd[mask ^ (1 << a)], a * len(even) + i] = _blade_product_sign(1 << a, mask)
+        for j, blade in enumerate(_potential_blades(k, m)[0]):
+            negative = _blade_product_sign(blade, mask) < 0
+            signed[j, odd[mask ^ blade]] = i + len(even) * negative
+    tangent.flags.writeable = signed.flags.writeable = False
+    return tangent, signed
 
 
 def _operator_planes(frames: FrameField, rep: GammaRep, with_mean: bool) -> tuple:
@@ -250,7 +257,9 @@ def _interior_differences(planes: np.ndarray, spacings) -> list:
     for alpha, h in enumerate(spacings):
         plus, minus = list(inner), list(inner)
         plus[1 + alpha], minus[1 + alpha] = slice(2, None), slice(None, -2)
-        out.append((planes[tuple(plus)] - planes[tuple(minus)]) / (2 * h))
+        diff = planes[tuple(plus)] - planes[tuple(minus)]
+        diff /= 2 * h
+        out.append(diff)
     return out
 
 
@@ -261,33 +270,44 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     coeffs (K, *grid) are frame_lift_coefficients; D is the submanifold
     operator, or the intrinsic one for with_mean=False.  The odd
     coefficients b_L = sum_alpha sum_a e_a^alpha s(a, K) d_alpha c_K
-    + sum_J v_J s(J, K) c_K (L = a ^ K and J ^ K) come from one product
-    against _residual_table, and the squared column norms from one
-    quadratic form of b against the fixed odd-blade table
-    Re (gamma_L^H gamma_L')_aa, which also covers odd m, where odd blades
-    are multiples of even ones.  Column a is the field psi^a of
-    frame_spinor_fields, so the result is dirac_residual of each (shape
-    (d,)): its max is the kernel residual.
+    + sum_J v_J s(J, K) c_K (L = a ^ K and J ^ K) are summed source by
+    source with _residual_table's signed permutations: the tangent sources
+    in one product against the stacked g, each potential source as one
+    gather of signed rows, with no stacked operand of the potential's
+    products.  The squared column norms come from one quadratic form of b
+    against the fixed odd-blade table Re (gamma_L^H gamma_L')_aa, which
+    also covers odd m, where odd blades are multiples of even ones.  Column
+    a is the field psi^a of frame_spinor_fields, so the result is
+    dirac_residual of each (shape (d,)): its max is the kernel residual.
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     k, d = frames.chart.k, rep.dim
     axis, potential = _operator_planes(frames, rep, with_mean)
     inner = (slice(None),) + (slice(1, -1),) * k
-    c = coeffs[inner].reshape(len(coeffs), -1)
-    if c.shape[1] == 0:
+    K = len(coeffs)
+    signed_c = np.empty((2 * K,) + tuple(n - 2 for n in coeffs.shape[1:]))  # [c; -c]
+    signed_c[:K] = coeffs[inner]
+    np.negative(signed_c[:K], out=signed_c[K:])
+    signed_c = signed_c.reshape(2 * K, -1)
+    if signed_c.shape[1] == 0:
         return np.zeros(d)
     blades = len(potential) if with_mean else len(potential) - (rep.m - k)  # no normal planes
-    operand = np.empty((k + blades,) + c.shape)
     e = axis[(slice(None),) + inner].reshape(k, k, 1, -1)
     for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings)):
-        term = e[alpha] * dc.reshape(1, *c.shape)
+        term = e[alpha] * dc.reshape(1, K, -1)
         if alpha:
-            operand[:k] += term
+            g += term
         else:
-            operand[:k] = term
-    operand[k:] = potential[:blades][inner].reshape(blades, 1, -1) * c
-    table = _residual_table(k, rep.m)
-    b = table[:, : operand.shape[0] * len(c)] @ operand.reshape(-1, c.shape[1])
+            g = term
+    v = potential[:blades][inner].reshape(blades, -1)
+    tangent, signed = _residual_table(k, rep.m)
+    # the tangent sources come stacked in g; each potential source adds v_J
+    # times its signed rows of [c; -c], in source order
+    b = tangent @ g.reshape(k * K, -1)
+    for j in range(blades):
+        term = signed_c[signed[j]]
+        term *= v[j]
+        b += term
     form = rep.cached_table("odd_form", _odd_form)
     squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(b), -1), b)
     return np.sqrt(np.maximum(squares.max(axis=1), 0.0))

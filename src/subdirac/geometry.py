@@ -16,9 +16,11 @@ connection (from the Hessian, with no evaluation off the grid).
 One layout runs from the chart pass to the consumers: entry-major planes.
 A field of small matrices, (*grid, p, q) to the reader, is held as
 (p, q, *grid), one contiguous plane per matrix entry.  The jet pass writes
-x, the Jacobian and the Hessian in that layout, every per-point step of a
-frame field is elementwise arithmetic on whole planes with Python loops
-over the 2-4 entry indices only, and the FrameField stores the planes; its
+x, the Jacobian and the Hessian in that layout (on a grid it reads the
+open mesh, so a one-parameter subexpression is evaluated once per axis
+line), every per-point step of a frame field is elementwise arithmetic on
+whole planes with Python loops over the 2-4 entry indices only, and the
+FrameField stores the planes; its
 (*grid, ...) attributes are read-only np.moveaxis views of them.  Every
 walk from the base corner (the normal frame's smoothing and transport, the
 lift's sign chain in dirac, the path integral in weierstrass) follows one
@@ -102,9 +104,10 @@ class Jet:
     adding the remaining terms in the order a dense jet adds all of them, so
     skipping the zero planes changes no bit but the sign of a zero.  A numpy
     expression in the parameters evaluated on Jet.variables(s) carries the
-    exact first and second derivatives along with its value.  Indexing and
-    np.stack shape the result.  Anything else (math.sin, float(),
-    comparisons, np.asarray, other numpy functions) raises TypeError.
+    exact first and second derivatives along with its value.  Indexing,
+    np.stack and @ by a constant matrix shape the result.  Anything else
+    (math.sin, float(), comparisons, np.asarray, other numpy functions)
+    raises TypeError.
 
     d and dd read the planes as dense arrays, d (k, *shape) and dd
     (k, k, *shape) or None for a zero Hessian.
@@ -117,13 +120,10 @@ class Jet:
 
     @classmethod
     def variables(cls, s, order=2):
-        """The parameter points s (..., k) as a jet: gradient plane a is the
-        indicator of entry a of the last axis, and the Hessian is zero (not
-        propagated at all for order 1)."""
-        s = np.asarray(s, dtype=float)
-        k = s.shape[-1]
-        eye = np.eye(k)
-        return _Parameters(s, tuple(eye), None if order == 1 else (None,) * len(_hessian_pairs(k)))
+        """The parameter points s (..., k), or a grid's _OpenMesh, as a jet:
+        gradient plane a is the indicator of entry a of the last axis, and
+        the Hessian is zero (not propagated at all for order 1)."""
+        return _Parameters(s, order)
 
     @property
     def shape(self):
@@ -209,16 +209,62 @@ class Jet:
     def __pow__(self, p):
         return _jet_power(self, p)
 
+    def __matmul__(self, m):
+        return _jet_matmul(self, m)
+
     def __neg__(self):
         return Jet(-self.v, _scaled(np.negative, self.g), _scaled(np.negative, self.h))
 
 
-class _Parameters(Jet):
-    """Jet.variables: s[..., a] gives a jet whose one nonzero gradient plane is
-    the unit plane of parameter a.  Other indices keep the indicator planes,
-    zero where they pick no parameter a."""
+class _OpenMesh(tuple):
+    """A grid's open mesh, np.meshgrid(*axes, indexing="ij", sparse=True):
+    axis a's values lie along grid axis a, and the k arrays broadcast to
+    the grid.  dense() materialises the points (*grid, k)."""
 
     __slots__ = ()
+
+    def dense(self):
+        """The points (*grid, k): a grid-major view of the contiguous mesh (k, *grid)."""
+        return _grid_major(np.stack(np.broadcast_arrays(*self)), 1)
+
+
+def _dense_points(s):
+    """The points s (..., k) as a float array; an _OpenMesh is materialised."""
+    return s.dense() if isinstance(s, _OpenMesh) else np.asarray(s, dtype=float)
+
+
+class _Parameters(Jet):
+    """Jet.variables: s[..., a] gives a jet whose one nonzero gradient plane is
+    the unit plane of parameter a.  Its value is the open mesh's axis-a
+    array as it stands, so on a grid every one-parameter subexpression is
+    evaluated once per axis line and only products of parameters reach the
+    full grid.  Any other use of s (other indices, which keep the indicator
+    planes, zero where they pick no parameter a; arithmetic; ufuncs) reads
+    the value v, the dense points (*grid, k), materialised from an open
+    mesh on first use."""
+
+    __slots__ = ("mesh", "points")
+
+    def __init__(self, s, order):
+        if isinstance(s, _OpenMesh):
+            self.mesh, self.points = s, None
+        else:
+            self.mesh, self.points = None, np.asarray(s, dtype=float)
+        k = self.shape[-1]
+        self.g = tuple(np.eye(k))
+        self.h = None if order == 1 else (None,) * len(_hessian_pairs(k))
+
+    @property
+    def v(self):
+        if self.points is None:
+            self.points = self.mesh.dense()
+        return self.points
+
+    @property
+    def shape(self):
+        if self.points is None:
+            return np.broadcast_shapes(*(a.shape for a in self.mesh)) + (len(self.mesh),)
+        return self.points.shape
 
     def __getitem__(self, idx):
         k = len(self.g)
@@ -226,7 +272,8 @@ class _Parameters(Jet):
                 and isinstance(idx[1], int) and -k <= idx[1] < k):
             return super().__getitem__(idx)
         a = idx[1] % k
-        return Jet(self.v[idx], tuple(1.0 if b == a else None for b in range(k)), self.h)
+        v = self.v[idx] if self.mesh is None else self.mesh[a]
+        return Jet(v, tuple(1.0 if b == a else None for b in range(k)), self.h)
 
 
 def _scaled(op, planes, *args):
@@ -295,6 +342,19 @@ def _jet_power(u, p):
     return u._chain(u.v ** p, p * u.v ** (p - 1), lambda: p * (p - 1) * u.v ** (p - 2))
 
 
+def _jet_matmul(u, m):
+    """u @ m for a constant matrix m (p, q): the linear map of the last axis,
+    applied to every nonzero plane (broadcast to the p entries first)."""
+    if isinstance(m, Jet) or np.ndim(m) != 2:
+        return NotImplemented
+    p = u.shape[-1]
+
+    def mapped(plane):
+        return None if plane is None else np.broadcast_to(plane, np.shape(plane)[:-1] + (p,)) @ m
+
+    return Jet(u.v @ m, tuple(map(mapped, u.g)), None if u.h is None else tuple(map(mapped, u.h)))
+
+
 def _jet_stack(arrays, axis=0):
     """np.stack of jets and constants, plane by plane."""
     arrays = list(arrays)
@@ -345,19 +405,20 @@ _JET_OPERATORS = {np.add: lambda a, b: _jet_linear(np.add, a, b),
 
 
 def _jet_pass(fn, s, n, order=2):
-    """Planes of fn at the points s (*grid, k) from one jet pass: x (n, *grid),
-    jac (n, k, *grid) and hess (n, k, k, *grid).
+    """Planes of fn at the points s (*grid, k), or on a grid's _OpenMesh, from
+    one jet pass: x (n, *grid), jac (n, k, *grid) and hess (n, k, k, *grid).
 
     order=1 propagates no Hessian planes and returns hess None; its jac is
     the second-order pass's, bit for bit.  fn returns one jet (*grid, n), or
     the sequence of its n components (jets or constants), whose planes are
-    written into the entry-major arrays directly.  Raises TypeError when fn
-    does not return a jet (it computed on plain arrays somewhere) and
-    whatever fn raises on a jet.
+    written into the entry-major arrays directly, broadcasting where the
+    open mesh left them on fewer grid axes.  Raises TypeError when fn does
+    not return a jet (it computed on plain arrays somewhere) and whatever fn
+    raises on a jet.
     """
-    s = np.asarray(s, dtype=float)
-    grid, k = s.shape[:-1], s.shape[-1]
-    out = fn(Jet.variables(s, order))
+    params = Jet.variables(s, order)
+    grid, k = params.shape[:-1], params.shape[-1]
+    out = fn(params)
     if isinstance(out, Jet):
         if out.shape[-1:] != (n,):
             raise ValueError(f"the chart callable returned shape {out.shape}, expected (..., {n})")
@@ -409,10 +470,10 @@ class ImmersionChart:
     """Parametric immersion of a k-rectangle into R^n with derivative access.
 
     jet, when set, gives x, the jacobian and the hessian at the same points
-    in one pass, as entry-major planes (n, *grid), (n, k, *grid) and
-    (n, k, k, *grid); without a jet the three callables' results are
-    transposed into planes once (_planes).  derivatives() reads the planes
-    as (*grid, ...) views.
+    (or on a grid's _OpenMesh) in one pass, as entry-major planes
+    (n, *grid), (n, k, *grid) and (n, k, k, *grid); without a jet the three
+    callables' results are transposed into planes once (_planes).
+    derivatives() reads the planes as (*grid, ...) views.
     """
 
     name: str
@@ -425,7 +486,7 @@ class ImmersionChart:
     grid_shape: tuple = None
     h_fd: float = 1e-4
     params: dict = field(default_factory=dict)
-    jet: Callable = None  # (*grid, k) -> planes of (x, jacobian, hessian)
+    jet: Callable = None  # (*grid, k) or _OpenMesh -> planes of (x, jacobian, hessian)
 
     def __post_init__(self):
         if self.grid_shape is None:
@@ -466,16 +527,18 @@ class ImmersionChart:
         """Chart from a plain callable (..., k) -> (..., n).
 
         The derivatives are exact when fn is a numpy expression in s
-        (operators, np.sin, np.stack, ...): fn runs once on
-        Jet.variables(s).  From the first time fn rejects a jet (math.sin,
-        np.asarray, ... raise TypeError or AttributeError) the chart takes
-        central differences instead, with steps h_fd * max(1, span).
+        (operators, s @ M for a constant matrix M, np.sin, np.stack, ...):
+        fn runs once on Jet.variables(s), on a grid's open mesh as well.
+        From the first time fn rejects a jet (math.sin, np.asarray, ...
+        raise TypeError or AttributeError) the chart takes central
+        differences instead, on the dense points, with steps
+        h_fd * max(1, span).
         """
         def x(s):
-            return np.asarray(fn(np.asarray(s, dtype=float)), dtype=float)
+            return np.asarray(fn(_dense_points(s)), dtype=float)
 
         def jacobian_fd(s):
-            s = np.asarray(s, dtype=float)
+            s = _dense_points(s)
             out = np.empty(s.shape[:-1] + (n, k))
             for a in range(k):
                 step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
@@ -485,7 +548,7 @@ class ImmersionChart:
             return out
 
         def hessian_fd(s):
-            s = np.asarray(s, dtype=float)
+            s = _dense_points(s)
             out = np.empty(s.shape[:-1] + (n, k, k))
             for a in range(k):
                 step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
@@ -523,10 +586,12 @@ class ImmersionChart:
 
     def _planes(self, s):
         """Entry-major planes x (n, *grid), jac (n, k, *grid) and hess
-        (n, k, k, *grid) at the points s (*grid, k): the jet's, or for a chart
-        without one the three callables' results, transposed once."""
+        (n, k, k, *grid) at the points s (*grid, k) or on an _OpenMesh: the
+        jet's, or for a chart without one the three callables' results on
+        the dense points, transposed once."""
         if self.jet is not None:
             return self.jet(s)
+        s = _dense_points(s)
         return (_entry_major(self.x(s), 1), _entry_major(self.jacobian(s), 2),
                 _entry_major(self.hessian(s), 3))
 
@@ -544,20 +609,26 @@ class ImmersionChart:
             raise ValueError("grids need at least 8 points per axis")
         return [np.linspace(lo, hi, nn) for (lo, hi), nn in zip(self.rectangle, shape)]
 
+    def open_mesh(self, shape=None):
+        """The grid's open mesh (_OpenMesh): one array per axis, broadcasting
+        to the grid, which a jet pass reads without materialising it."""
+        return _OpenMesh(np.meshgrid(*self.axes(shape), indexing="ij", sparse=True))
+
     def grid(self, shape=None):
         """Meshgrid of parameter points, shape (*shape, k): a view of the
         entry-major mesh (k, *shape), one contiguous plane per parameter."""
-        return _grid_major(np.stack(np.meshgrid(*self.axes(shape), indexing="ij")), 1)
+        return self.open_mesh(shape).dense()
 
     def spacings(self, shape=None):
         shape = self._shape(shape)
         return [(hi - lo) / (nn - 1) for (lo, hi), nn in zip(self.rectangle, shape)]
 
     def contains(self, s, tol=1e-9) -> bool:
-        """Every point of s (..., k) within tol * max(span, 1) of the rectangle;
-        NaN and infinite coordinates are outside."""
+        """Every point of s (..., k), or of an _OpenMesh, within
+        tol * max(span, 1) of the rectangle; NaN and infinite coordinates are
+        outside."""
         lo, hi, span = self._bounds
-        s = np.asarray(s, dtype=float)
+        s = _dense_points(s)
         return bool(((s >= lo - tol * span) & (s <= hi + tol * span)).all())
 
     def base_point(self):
@@ -1041,14 +1112,38 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rotation_exp3(gen: np.ndarray) -> np.ndarray:
+    """exp of antisymmetric 3 x 3 planes gen (3, 3, *grid) by Rodrigues' formula.
+
+    gen = [w]_x with w = (gen[2, 1], gen[0, 2], gen[1, 0]), so with the angle
+    t = |w| and [w]_x^2 = w w^T - t^2 I, exp gen = I + a gen + b [w]_x^2 with
+    a = sin t / t and b = (1 - cos t) / t^2 = 2 sin^2(t / 2) / t^2 (no
+    cancellation).  Below t = 1e-3 both take their Taylor series to t^4,
+    whose truncation error is under 1e-21.
+    """
+    w = np.stack([gen[2, 1], gen[0, 2], gen[1, 0]])
+    t2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    t = np.sqrt(t2)
+    small = t < 1e-3
+    safe = np.where(small, 1.0, t)
+    half = np.sin(0.5 * safe) / (0.5 * safe)
+    a = np.where(small, 1.0 - t2 / 6 * (1.0 - t2 / 20), np.sin(safe) / safe)
+    b = np.where(small, 0.5 - t2 / 24 * (1.0 - t2 / 30), 0.5 * half * half)
+    out = (b * w)[:, None] * w + a * gen
+    for i in range(3):
+        out[i, i] += 1.0 - b * t2
+    return out
+
+
 def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
     """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
     base corner, for antisymmetric generator planes gen (d, d, *grid); gen
     is not read at the base corner.
 
     SO(2) steps commute, so for d = 2 y is the plane rotation by the
-    staircase sum of the angles gen[1, 0]; otherwise the batched expm
-    steps are chained by _staircase_scan.
+    staircase sum of the angles gen[1, 0]; otherwise the exp steps, by
+    Rodrigues' formula on the planes for d = 3 (_rotation_exp3) and the
+    batched expm above, are chained by _staircase_scan.
     """
     if len(gen) == 2:
         angle = gen[1, 0].copy()
@@ -1056,9 +1151,12 @@ def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
         angle = _staircase_accumulate(np.add, angle, ndim)
         cos, sin = np.cos(angle), np.sin(angle)
         return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
-    import scipy.linalg
+    if len(gen) == 3:
+        steps = np.ascontiguousarray(_grid_major(_rotation_exp3(gen), 2))
+    else:
+        import scipy.linalg
 
-    steps = scipy.linalg.expm(_grid_major(gen, 2))
+        steps = scipy.linalg.expm(_grid_major(gen, 2))
     return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
 
 
@@ -1272,7 +1370,8 @@ def build_frame_field(chart: ImmersionChart, shape=None,
 
     The chart is evaluated once on the grid, x, jac and hess together, as
     entry-major planes (n, *grid), (n, k, *grid) and (n, k, k, *grid)
-    (a jet pass writes them so; other charts are transposed once): every
+    (a jet pass on the grid's open mesh writes them so; other charts are
+    evaluated on the dense points and transposed once): every
     per-point quantity is a stack of planes, one per matrix entry, each
     holding that entry at all grid points contiguously.  Every step below
     is plane arithmetic over the whole grid, with Python loops over the
@@ -1323,8 +1422,8 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     axes = chart.axes(shape)
     dims = _staircase_ndim(len(shape))
     hs = chart.spacings(shape)
-    points = chart.grid(shape)
-    x, jac, hess = chart._planes(points)
+    mesh = chart.open_mesh(shape)
+    x, jac, hess = chart._planes(mesh)
     k, n = chart.k, chart.n
     nk = n - k
 
@@ -1355,7 +1454,8 @@ def build_frame_field(chart: ImmersionChart, shape=None,
             gt[a] = 0.5 * (m - np.swapaxes(m, 0, 1))
         return gt
 
-    gtilde = gtilde_of(normal)
+    # in codimension 1 the antisymmetric 1 x 1 matrix is 0, with no differencing
+    gtilde = gtilde_of(normal) if nk >= 2 else np.zeros((k, nk, nk) + shape)
 
     if nk >= 2:
         # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase
@@ -1364,7 +1464,7 @@ def build_frame_field(chart: ImmersionChart, shape=None,
         wein = _plane_matmul(lam, wein.reshape((nk, k * k) + shape)).reshape(wein.shape)
         gtilde = gtilde_of(normal)
 
-    gtilde_residual = float(np.abs(gtilde).max()) if nk >= 1 else 0.0
+    gtilde_residual = float(np.abs(gtilde).max()) if nk >= 2 else 0.0
     if integrability_tol is not None and gtilde_residual > integrability_tol:
         raise IntegrabilityError(
             f"normal connection residual {gtilde_residual:.3e} above {integrability_tol:.3e}")
@@ -1377,6 +1477,6 @@ def build_frame_field(chart: ImmersionChart, shape=None,
         low = _plane_matmul(tangent[1:], hess[:, 0])[0] * r_inv[0, 0]
         omega[:, 1, 0], omega[:, 0, 1] = low, -low
 
-    return FrameField(chart, axes, hs, _plane_view(points, 1), x, jac, metric, metric_inv,
+    return FrameField(chart, axes, hs, _plane_view(mesh.dense(), 1), x, jac, metric, metric_inv,
                       tangent, normal, wein, np.trace(wein, axis1=1, axis2=2), gtilde,
                       gtilde_residual, np.swapaxes(r_inv, 0, 1), omega)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -33,11 +35,18 @@ def export_obj(coords: np.ndarray, path, chart_id: str = "chart") -> None:
     if len(grid_shape) == 1:
         parts.append("l " + " ".join(map(str, range(1, grid_shape[0] + 1))) + "\n")
     else:
-        # quad (i, j) has corners a = i n2 + j + 1, b = a + 1, c = a + n2, d = c + 1
-        # and is split into the triangles (a, b, d) and (a, d, c)
-        n1, n2 = grid_shape
-        a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1) + 1).ravel()
-        faces = np.stack([a, a + 1, a + n2 + 1, a, a + n2 + 1, a + n2], axis=-1)
-        parts.append("f %d %d %d\nf %d %d %d\n" * len(a) % tuple(faces.ravel().tolist()))
+        parts.append(_face_block(*grid_shape))
     with open(path, "w") as fh:
         fh.write("".join(parts))
+
+
+@functools.lru_cache(maxsize=4)
+def _face_block(n1: int, n2: int) -> str:
+    """The face lines of an n1 x n2 surface grid, formatted once per grid shape.
+
+    Quad (i, j) has corners a = i n2 + j + 1, b = a + 1, c = a + n2, d = c + 1
+    and is split into the triangles (a, b, d) and (a, d, c).
+    """
+    a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1) + 1).ravel()
+    faces = np.stack([a, a + 1, a + n2 + 1, a, a + n2 + 1, a + n2], axis=-1)
+    return "f %d %d %d\nf %d %d %d\n" * len(a) % tuple(faces.ravel().tolist())

@@ -1,4 +1,6 @@
-"""The dense second-order jet, kept as the test oracle for geometry.Jet.
+"""The dense second-order jet, kept as the test oracle for geometry.Jet, and
+the chart's jet pass on the dense meshgrid, kept as the oracle of the pass
+on the grid's axes (dense_jet_pass).
 
 A value with its gradient and Hessian stacked in front as dense arrays, d
 (k, *shape) and dd (k, k, *shape), dd None standing for zero; every rule
@@ -10,7 +12,12 @@ without writing in place), so that it accepts every expression the sparse
 jet accepts; neither changes a value.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
+
+from subdirac.geometry import Jet, _dense_points, _hessian_pairs
 
 
 class DenseJet:
@@ -252,3 +259,50 @@ _JET_OPERATORS = {np.add: lambda a, b: _jet_linear(np.add, a, b),
                   np.subtract: lambda a, b: _jet_linear(np.subtract, a, b),
                   np.multiply: _jet_multiply, np.true_divide: _jet_divide,
                   np.power: _jet_power, np.negative: DenseJet.__neg__}
+
+
+# --- the chart pass on the dense meshgrid -------------------------------------------
+
+
+def dense_jet_pass(fn, s, n, order=2):
+    """Planes x (n, *grid), jac (n, k, *grid) and hess (n, k, k, *grid) of fn
+    from one pass of geometry.Jet on the dense points s (*grid, k): every
+    parameter, and so every subexpression, a full grid plane.  The pass as it
+    ran before geometry._jet_pass took a grid's open mesh."""
+    s = np.asarray(s, dtype=float)
+    grid, k = s.shape[:-1], s.shape[-1]
+    out = fn(Jet.variables(s, order))
+    if isinstance(out, Jet):
+        out = [out[..., i] for i in range(n)]
+    x = np.empty((n,) + grid)
+    jac = np.zeros((n, k) + grid)
+    hess = None if order == 1 else np.zeros((n, k, k) + grid)
+    for i, c in enumerate(out):
+        if not isinstance(c, Jet):
+            x[i] = c
+            continue
+        x[i] = c.v
+        for a, p in enumerate(c.g):
+            if p is not None:
+                jac[i, a] = p
+        if hess is not None:
+            for (a, b), p in zip(_hessian_pairs(k), c.h):
+                if p is not None:
+                    hess[i, a, b] = hess[i, b, a] = p
+    return x, jac, hess
+
+
+def chart_callable(chart):
+    """The numpy callable of a from_callable chart (catalog charts included)."""
+    return inspect.getclosurevars(chart.jet).nonlocals["fn"]
+
+
+def dense_pass_chart(chart):
+    """chart with its jet pass run on the dense points (dense_jet_pass), an
+    open mesh materialised first."""
+    fn = chart_callable(chart)
+
+    def jet(s, order=2):
+        return dense_jet_pass(fn, _dense_points(s), chart.n, order)
+
+    return dataclasses.replace(chart, jet=jet)

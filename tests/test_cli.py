@@ -100,9 +100,13 @@ def _awkward_surface():
     np.random.default_rng(6).normal(size=(8, 13, 4)),  # R^4, projected
 ], ids=["surface", "space-curve", "plane-curve", "r4-surface"])
 def test_obj_bytes_match_reference_writer(tmp_path, coords):
-    export_obj(coords, tmp_path / "new.obj", chart_id="id")
-    reference_export_obj(coords, tmp_path / "ref.obj", chart_id="id")
-    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+    # surfaces of two shapes back to back, then the first again: the face
+    # block is formatted once per grid shape and reused
+    other = np.random.default_rng(7).normal(size=(9, 12, 3))
+    for i, grid in enumerate([coords, other, coords]):
+        export_obj(grid, tmp_path / f"new{i}.obj", chart_id="id")
+        reference_export_obj(grid, tmp_path / f"ref{i}.obj", chart_id="id")
+        assert (tmp_path / f"new{i}.obj").read_bytes() == (tmp_path / f"ref{i}.obj").read_bytes()
 
 
 def test_obj_unsupported_dimension(tmp_path):

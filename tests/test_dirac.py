@@ -26,7 +26,18 @@ from subdirac.dirac import (
     selfadjointization_limit,
     submanifold_dirac,
 )
-from subdirac.dirac import _assemble, _gram_table, _odd_form, _pair_table
+from subdirac.clifford import _blade_product_sign, _popcount
+from subdirac.dirac import (
+    _assemble,
+    _gram_table,
+    _interior_differences,
+    _odd_form,
+    _odd_masks,
+    _operator_planes,
+    _pair_table,
+    _potential_blades,
+    _residual_table,
+)
 from subdirac.geometry import (
     CATALOG,
     FocalDistanceError,
@@ -487,6 +498,73 @@ def test_lift_residuals_match_dense_residuals(name, level):
         got = lift_residuals(frames, coeffs, rep, with_mean)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-10 * expected.max()
+
+
+def stacked_residual_table(k, m):
+    """The dense signed-permutation table that lift_residuals multiplied: shape
+    (odd blades, sources * even blades), one +-1 per column."""
+    even = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
+    odd = {mask: i for i, mask in enumerate(_odd_masks(m))}
+    sources = [1 << a for a in range(k)] + list(_potential_blades(k, m)[0])
+    table = np.zeros((len(odd), len(sources) * len(even)))
+    for s, source in enumerate(sources):
+        for i, mask in enumerate(even):
+            table[odd[source ^ mask], s * len(even) + i] = _blade_product_sign(source, mask)
+    return table
+
+
+def stacked_lift_residuals(frames, coeffs, rep, with_mean):
+    """lift_residuals as one dense product of the stacked (k + J) * K operand
+    [g; v c] against stacked_residual_table."""
+    k, d = frames.chart.k, rep.dim
+    axis, potential = _operator_planes(frames, rep, with_mean)
+    inner = (slice(None),) + (slice(1, -1),) * k
+    c = coeffs[inner].reshape(len(coeffs), -1)
+    blades = len(potential) if with_mean else len(potential) - (rep.m - k)
+    operand = np.empty((k + blades,) + c.shape)
+    e = axis[(slice(None),) + inner].reshape(k, k, 1, -1)
+    for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings)):
+        term = e[alpha] * dc.reshape(1, *c.shape)
+        if alpha:
+            operand[:k] += term
+        else:
+            operand[:k] = term
+    operand[k:] = potential[:blades][inner].reshape(blades, 1, -1) * c
+    table = stacked_residual_table(k, rep.m)
+    b = table[:, : operand.shape[0] * len(c)] @ operand.reshape(-1, c.shape[1])
+    form = _odd_form(rep)
+    squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(b), -1), b)
+    return np.sqrt(np.maximum(squares.max(axis=1), 0.0))
+
+
+@pytest.mark.parametrize("case", sorted(CATALOG) + ["surface-in-r5"])
+def test_lift_residuals_match_stacked_operand(case):
+    chart = surface_in_r5() if case == "surface-in-r5" else catalog_chart(case)
+    for shape in [(17, 17), (65, 65)] if chart.k == 2 else [(65,), (257,)]:
+        frames = build_frame_field(chart, shape=shape)
+        for kind in ("standard", "conjugated"):
+            rep = oracle_rep(chart.n, kind)
+            coeffs = frame_lift_coefficients(frames, rep)
+            for with_mean in (True, False):
+                got = lift_residuals(frames, coeffs, rep, with_mean)
+                expected = stacked_lift_residuals(frames, coeffs, rep, with_mean)
+                assert np.abs(got - expected).max() <= 1e-15 * expected.max()
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5)])
+def test_residual_table_is_the_dense_table(k, m):
+    tangent, signed = _residual_table(k, m)
+    assert _residual_table(k, m)[0] is tangent
+    assert not tangent.flags.writeable and not signed.flags.writeable
+    dense = stacked_residual_table(k, m)
+    even = dense.shape[0]
+    assert np.array_equal(tangent, dense[:, : k * even])
+    # row signed[j, L] of [c; -c] is the one +-1 entry of source k + j in row L
+    for j, rows in enumerate(signed):
+        block = dense[:, (k + j) * even: (k + j + 1) * even]
+        expected = np.zeros_like(block)
+        expected[np.arange(even), rows % even] = np.where(rows < even, 1.0, -1.0)
+        assert np.array_equal(block, expected)
 
 
 def test_lift_residuals_are_the_operator_residuals_of_the_frame_fields():

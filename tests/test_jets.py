@@ -1,15 +1,17 @@
 """Second-order jets: each rule against sympy, the sparse jet against the
 dense one (tests/dense_jet.py) on random expressions, the catalog against
-its sympy oracle (tests/sympy_catalog.py), and from_callable on numpy
-callables and on callables that reject jets."""
+its sympy oracle (tests/sympy_catalog.py), from_callable on numpy
+callables and on callables that reject jets, and the chart pass on a
+grid's axes against the pass on the dense meshgrid (dense_jet_pass)."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
-from dense_jet import DenseJet
+from dense_jet import DenseJet, chart_callable, dense_jet_pass, dense_pass_chart
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy_catalog import SYMPY_CATALOG
@@ -381,3 +383,106 @@ def test_one_chart_pass_per_call_site(name):
     calls.clear()
     weingarten(counting, s, frames)
     assert calls == ["jet"]
+
+
+# --- the pass on the grid's axes against the dense pass ---------------------------
+
+
+def _frame_planes(frames):
+    return {f.name: getattr(frames, f.name) for f in dataclasses.fields(frames)
+            if f.name.endswith("_planes") or f.name == "gtilde_residual"}
+
+
+@pytest.mark.parametrize("level", ["default", "fine", "finer"])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_axis_pass_matches_dense_pass(name, level):
+    chart = catalog_chart(name)
+    shape = {"default": chart.grid_shape, "fine": (257,) if chart.k == 1 else (65, 65),
+             "finer": (513,) if chart.k == 1 else (129, 129)}[level]
+    got = chart._planes(chart.open_mesh(shape))
+    want = dense_jet_pass(chart_callable(chart), chart.grid(shape), chart.n)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    frames = _frame_planes(build_frame_field(chart, shape))
+    dense = _frame_planes(build_frame_field(dense_pass_chart(chart), shape))
+    assert frames.keys() == dense.keys()
+    for key in frames:
+        assert np.array_equal(frames[key], dense[key]), key
+
+
+def test_sphere_axis_pass_evaluates_trig_on_axis_lines(monkeypatch):
+    sizes = []
+
+    def recorded(rule):
+        def wrapped(v):
+            sizes.append(np.size(v))
+            return rule(v)
+        return wrapped
+
+    monkeypatch.setitem(geometry._JET_FUNCTIONS, np.sin, recorded(geometry._sin))
+    monkeypatch.setitem(geometry._JET_FUNCTIONS, np.cos, recorded(geometry._cos))
+    build_frame_field(catalog_chart("sphere"), (129, 129))
+    assert sizes and max(sizes) <= 129
+
+
+def test_from_callable_matmul_stays_exact():
+    m = np.array([[0.7, -0.4, 1.1], [0.3, 0.9, -0.5]])
+
+    def fn(s):
+        return np.sin(s @ m) + s[..., 1:2] * s[..., 0:1]
+
+    chart = ImmersionChart.from_callable("matmul", fn, 2, 3, [(-1.0, 1.0), (-0.5, 1.5)])
+    shape = (33, 33)
+    x, jac, hess = chart._planes(chart.open_mesh(shape))
+    assert inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
+    for a, b in zip((x, jac, hess), dense_jet_pass(fn, chart.grid(shape), 3)):
+        assert np.array_equal(a, b)
+    # the exact derivatives: d_a x_i = cos(s m)_i m_ai + [a = 0] s_1 + [a = 1] s_0
+    u, v = chart.grid(shape)[..., 0], chart.grid(shape)[..., 1]
+    arg = np.moveaxis(chart.grid(shape) @ m, -1, 0)
+    jac_exact = np.cos(arg)[:, None] * m.T[:, :, None, None] + np.stack([v, u])
+    hess_exact = -np.sin(arg)[:, None, None] * (m.T[:, :, None] * m.T[:, None, :])[..., None, None]
+    hess_exact = hess_exact + np.array([[0.0, 1.0], [1.0, 0.0]])[..., None, None]
+    assert np.abs(jac - jac_exact).max() <= 1e-15 * 4
+    assert np.abs(hess - hess_exact).max() <= 1e-15 * 4
+    frames = _frame_planes(build_frame_field(chart, shape))
+    dense = _frame_planes(build_frame_field(dense_pass_chart(chart), shape))
+    for key in frames:
+        assert np.array_equal(frames[key], dense[key]), key
+
+
+def test_central_difference_charts_take_the_dense_points():
+    sphere = catalog_chart("sphere")
+    chart = ImmersionChart.from_callable("asarray-sphere", lambda s: numpy_sphere(np.asarray(s)),
+                                         2, 3, sphere.rectangle)
+    got = chart._planes(chart.open_mesh((17, 17)))
+    assert not inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
+    for a, b in zip(got, chart._planes(chart.grid((17, 17)))):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def open_mesh_cases(draw):
+    k = draw(st.integers(1, 2))
+    leaves = st.tuples(st.just("parameter"), st.integers(0, k - 1), st.booleans())
+    tree = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(sorted(UNARY)), kids),
+        st.tuples(st.sampled_from(sorted(BINARY)), kids, kids)), max_leaves=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = [np.sort(rng.uniform(-1, 1, draw(st.integers(2, 6)))) for _ in range(k)]
+    return tree, axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_mesh_cases())
+def test_open_mesh_jet_matches_dense_points(case):
+    # one-parameter subexpressions stay on their axis line, and any other
+    # use of the parameters reads the dense points: the same bits
+    tree, axes = case
+    mesh = geometry._OpenMesh(np.meshgrid(*axes, indexing="ij", sparse=True))
+    with np.errstate(all="ignore"):
+        open_jet = evaluate(tree, Jet.variables(mesh))
+        dense = evaluate(tree, Jet.variables(mesh.dense()))
+    shape = np.broadcast_shapes(open_jet.shape, dense.shape)
+    for got, want in zip(dense_parts(open_jet, shape), dense_parts(dense, shape)):
+        assert np.array_equal(np.broadcast_to(got, np.shape(want)), want, equal_nan=True)
