@@ -104,10 +104,9 @@ class Jet:
     adding the remaining terms in the order a dense jet adds all of them, so
     skipping the zero planes changes no bit but the sign of a zero.  A numpy
     expression in the parameters evaluated on Jet.variables(s) carries the
-    exact first and second derivatives along with its value.  Indexing,
-    np.stack and @ by a constant matrix shape the result.  Anything else
-    (math.sin, float(), comparisons, np.asarray, other numpy functions)
-    raises TypeError.
+    exact first and second derivatives along with its value.  Indexing and
+    np.stack shape the result.  Anything else (math.sin, float(),
+    comparisons, np.asarray, other numpy functions) raises TypeError.
 
     d and dd read the planes as dense arrays, d (k, *shape) and dd
     (k, k, *shape) or None for a zero Hessian.
@@ -208,9 +207,6 @@ class Jet:
 
     def __pow__(self, p):
         return _jet_power(self, p)
-
-    def __matmul__(self, m):
-        return _jet_matmul(self, m)
 
     def __neg__(self):
         return Jet(-self.v, _scaled(np.negative, self.g), _scaled(np.negative, self.h))
@@ -340,19 +336,6 @@ def _jet_power(u, p):
     if p == 0:
         return Jet(u.v ** 0, (None,) * len(u.g), None if u.h is None else (None,) * len(u.h))
     return u._chain(u.v ** p, p * u.v ** (p - 1), lambda: p * (p - 1) * u.v ** (p - 2))
-
-
-def _jet_matmul(u, m):
-    """u @ m for a constant matrix m (p, q): the linear map of the last axis,
-    applied to every nonzero plane (broadcast to the p entries first)."""
-    if isinstance(m, Jet) or np.ndim(m) != 2:
-        return NotImplemented
-    p = u.shape[-1]
-
-    def mapped(plane):
-        return None if plane is None else np.broadcast_to(plane, np.shape(plane)[:-1] + (p,)) @ m
-
-    return Jet(u.v @ m, tuple(map(mapped, u.g)), None if u.h is None else tuple(map(mapped, u.h)))
 
 
 def _jet_stack(arrays, axis=0):
@@ -527,8 +510,8 @@ class ImmersionChart:
         """Chart from a plain callable (..., k) -> (..., n).
 
         The derivatives are exact when fn is a numpy expression in s
-        (operators, s @ M for a constant matrix M, np.sin, np.stack, ...):
-        fn runs once on Jet.variables(s), on a grid's open mesh as well.
+        (operators, np.sin, np.stack, ...): fn runs once on
+        Jet.variables(s), on a grid's open mesh as well.
         From the first time fn rejects a jet (math.sin, np.asarray, ...
         raise TypeError or AttributeError) the chart takes central
         differences instead, on the dense points, with steps
@@ -1112,38 +1095,14 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_exp3(gen: np.ndarray) -> np.ndarray:
-    """exp of antisymmetric 3 x 3 planes gen (3, 3, *grid) by Rodrigues' formula.
-
-    gen = [w]_x with w = (gen[2, 1], gen[0, 2], gen[1, 0]), so with the angle
-    t = |w| and [w]_x^2 = w w^T - t^2 I, exp gen = I + a gen + b [w]_x^2 with
-    a = sin t / t and b = (1 - cos t) / t^2 = 2 sin^2(t / 2) / t^2 (no
-    cancellation).  Below t = 1e-3 both take their Taylor series to t^4,
-    whose truncation error is under 1e-21.
-    """
-    w = np.stack([gen[2, 1], gen[0, 2], gen[1, 0]])
-    t2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-    t = np.sqrt(t2)
-    small = t < 1e-3
-    safe = np.where(small, 1.0, t)
-    half = np.sin(0.5 * safe) / (0.5 * safe)
-    a = np.where(small, 1.0 - t2 / 6 * (1.0 - t2 / 20), np.sin(safe) / safe)
-    b = np.where(small, 0.5 - t2 / 24 * (1.0 - t2 / 30), 0.5 * half * half)
-    out = (b * w)[:, None] * w + a * gen
-    for i in range(3):
-        out[i, i] += 1.0 - b * t2
-    return out
-
-
 def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
     """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
     base corner, for antisymmetric generator planes gen (d, d, *grid); gen
     is not read at the base corner.
 
     SO(2) steps commute, so for d = 2 y is the plane rotation by the
-    staircase sum of the angles gen[1, 0]; otherwise the exp steps, by
-    Rodrigues' formula on the planes for d = 3 (_rotation_exp3) and the
-    batched expm above, are chained by _staircase_scan.
+    staircase sum of the angles gen[1, 0]; otherwise the batched expm
+    steps are chained by _staircase_scan.
     """
     if len(gen) == 2:
         angle = gen[1, 0].copy()
@@ -1151,12 +1110,9 @@ def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
         angle = _staircase_accumulate(np.add, angle, ndim)
         cos, sin = np.cos(angle), np.sin(angle)
         return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
-    if len(gen) == 3:
-        steps = np.ascontiguousarray(_grid_major(_rotation_exp3(gen), 2))
-    else:
-        import scipy.linalg
+    import scipy.linalg
 
-        steps = scipy.linalg.expm(_grid_major(gen, 2))
+    steps = scipy.linalg.expm(_grid_major(gen, 2))
     return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
 
 
@@ -1455,11 +1411,10 @@ def build_frame_field(chart: ImmersionChart, shape=None,
         return gt
 
     # in codimension 1 the antisymmetric 1 x 1 matrix is 0, with no differencing
-    gtilde = gtilde_of(normal) if nk >= 2 else np.zeros((k, nk, nk) + shape)
-
+    gtilde = np.zeros((k, nk, nk) + shape)
     if nk >= 2:
         # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase
-        lam = np.swapaxes(_transport(-_staircase_edges(gtilde, hs), dims), 0, 1)
+        lam = np.swapaxes(_transport(-_staircase_edges(gtilde_of(normal), hs), dims), 0, 1)
         normal = _plane_matmul(lam, normal)
         wein = _plane_matmul(lam, wein.reshape((nk, k * k) + shape)).reshape(wein.shape)
         gtilde = gtilde_of(normal)

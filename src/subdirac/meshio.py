@@ -42,7 +42,10 @@ def export_obj(coords: np.ndarray, path, chart_id: str = "chart") -> None:
 
 @functools.lru_cache(maxsize=4)
 def _face_block(n1: int, n2: int) -> str:
-    """The face lines of an n1 x n2 surface grid, formatted once per grid shape.
+    """The face lines of an n1 x n2 surface grid, formatted once per grid shape:
+    a later export of the same shape in this process (the second file of a
+    reconstruct command, every op after the first in a long-running process)
+    reuses the string.
 
     Quad (i, j) has corners a = i n2 + j + 1, b = a + 1, c = a + n2, d = c + 1
     and is split into the triangles (a, b, d) and (a, d, c).

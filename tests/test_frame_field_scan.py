@@ -502,36 +502,6 @@ def test_angle_cumsum_transport_matches_scan(shape):
     assert np.abs(got - expected).max() <= 1e-13
 
 
-@pytest.mark.parametrize("angle", [0.0, 1e-300, 1e-12, 1e-8, 1e-4, 1e-3 * (1 - 1e-12), 1e-3,
-                                   1e-3 * (1 + 1e-12), 0.05, 0.5, 1.0, 2.0, 3.1, 3.14159])
-def test_rodrigues_matches_expm(angle):
-    """Codimension-3 transport steps: Rodrigues' formula on the planes, its
-    series below the angle 1e-3 included, against scipy.linalg.expm."""
-    rng = np.random.default_rng(int(angle * 1e6) % 2**32)
-    axes = rng.normal(size=(3, 40))
-    w = angle * axes / np.linalg.norm(axes, axis=0)
-    zero = np.zeros(40)
-    gen = np.stack([np.stack([zero, -w[2], w[1]]), np.stack([w[2], zero, -w[0]]),
-                    np.stack([-w[1], w[0], zero])])
-    got = np.moveaxis(geometry._rotation_exp3(gen), (0, 1), (-2, -1))
-    expected = scipy.linalg.expm(np.moveaxis(gen, (0, 1), (-2, -1)))
-    assert np.abs(got - expected).max() <= 1e-14
-
-
-@pytest.mark.parametrize("shape", [(129,), (33, 33), (9, 12)])
-def test_rodrigues_transport_matches_expm_scan(shape):
-    """The codimension-3 staircase transport against expm steps chained by the same scan."""
-    rng = np.random.default_rng(len(shape) + shape[0])
-    w = rng.uniform(-0.2, 0.2, size=(3,) + shape)
-    zero = np.zeros(shape)
-    gen = np.stack([np.stack([zero, -w[2], w[1]]), np.stack([w[2], zero, -w[0]]),
-                    np.stack([-w[1], w[0], zero])])
-    got = np.moveaxis(geometry._transport(gen, len(shape)), (0, 1), (-2, -1))
-    steps = scipy.linalg.expm(np.moveaxis(gen, (0, 1), (-2, -1)))
-    expected = geometry._staircase_scan(steps, np.eye(3))
-    assert np.abs(got - expected).max() <= 1e-13
-
-
 def test_orientation_seam_is_reported():
     # the tangent turns by nearly a half-turn per grid step, so Procrustes
     # keeps the normals while the tangent reverses

@@ -425,36 +425,42 @@ def test_sphere_axis_pass_evaluates_trig_on_axis_lines(monkeypatch):
     assert sizes and max(sizes) <= 129
 
 
-def test_from_callable_matmul_stays_exact():
-    m = np.array([[0.7, -0.4, 1.1], [0.3, 0.9, -0.5]])
+def test_from_callable_whole_array_use_stays_exact():
+    # s * w, s[..., ::-1] and whole-array ufuncs read the dense points, so
+    # the open mesh keeps the jet pass and its exact derivatives
+    w = np.array([0.7, -0.4])
 
     def fn(s):
-        return np.sin(s @ m) + s[..., 1:2] * s[..., 0:1]
+        t = s + np.sin(s * w) * s[..., ::-1]
+        return np.stack([t[..., 0], t[..., 1], s[..., 0] * s[..., 1]], axis=-1)
 
-    chart = ImmersionChart.from_callable("matmul", fn, 2, 3, [(-1.0, 1.0), (-0.5, 1.5)])
+    rectangle = [(-1.0, 1.0), (-0.5, 1.5)]
+    chart = ImmersionChart.from_callable("whole-array", fn, 2, 3, rectangle)
+    exprs = [U + sp.sin(0.7 * U) * V, V + sp.sin(-0.4 * V) * U, U * V]
+    exact = ImmersionChart.from_sympy("whole-array", exprs, [U, V], rectangle)
     shape = (33, 33)
-    x, jac, hess = chart._planes(chart.open_mesh(shape))
+    planes = chart._planes(chart.open_mesh(shape))
     assert inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
-    for a, b in zip((x, jac, hess), dense_jet_pass(fn, chart.grid(shape), 3)):
+    for a, b, c in zip(planes, dense_jet_pass(fn, chart.grid(shape), 3),
+                       exact._planes(exact.grid(shape))):
         assert np.array_equal(a, b)
-    # the exact derivatives: d_a x_i = cos(s m)_i m_ai + [a = 0] s_1 + [a = 1] s_0
-    u, v = chart.grid(shape)[..., 0], chart.grid(shape)[..., 1]
-    arg = np.moveaxis(chart.grid(shape) @ m, -1, 0)
-    jac_exact = np.cos(arg)[:, None] * m.T[:, :, None, None] + np.stack([v, u])
-    hess_exact = -np.sin(arg)[:, None, None] * (m.T[:, :, None] * m.T[:, None, :])[..., None, None]
-    hess_exact = hess_exact + np.array([[0.0, 1.0], [1.0, 0.0]])[..., None, None]
-    assert np.abs(jac - jac_exact).max() <= 1e-15 * 4
-    assert np.abs(hess - hess_exact).max() <= 1e-15 * 4
+        assert np.abs(a - c).max() <= 4e-15
     frames = _frame_planes(build_frame_field(chart, shape))
     dense = _frame_planes(build_frame_field(dense_pass_chart(chart), shape))
     for key in frames:
         assert np.array_equal(frames[key], dense[key]), key
 
 
-def test_central_difference_charts_take_the_dense_points():
-    sphere = catalog_chart("sphere")
-    chart = ImmersionChart.from_callable("asarray-sphere", lambda s: numpy_sphere(np.asarray(s)),
-                                         2, 3, sphere.rectangle)
+_MATRIX = np.array([[0.7, -0.4, 1.1], [0.3, 0.9, -0.5]])
+
+
+@pytest.mark.parametrize("name, fn", [("asarray-sphere", lambda s: numpy_sphere(np.asarray(s))),
+                                      ("matmul", lambda s: np.sin(s @ _MATRIX))],
+                         ids=["asarray-sphere", "matmul"])
+def test_central_difference_charts_take_the_dense_points(name, fn):
+    # a jet rejects np.asarray and s @ M, so these charts take central
+    # differences, on the open mesh at the same points as on the dense grid
+    chart = ImmersionChart.from_callable(name, fn, 2, 3, catalog_chart("sphere").rectangle)
     got = chart._planes(chart.open_mesh((17, 17)))
     assert not inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
     for a, b in zip(got, chart._planes(chart.grid((17, 17)))):
