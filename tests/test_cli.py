@@ -1,13 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subdirac import cli
+from subdirac.geometry import build_frame_field, catalog_chart
 from subdirac.meshio import export_obj
 
 
@@ -112,6 +118,102 @@ def test_obj_bytes_match_reference_writer(tmp_path, coords):
 def test_obj_unsupported_dimension(tmp_path):
     with pytest.raises(ValueError):
         export_obj(np.zeros((4, 4, 5)), tmp_path / "x.obj")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_obj_rejects_non_finite_before_opening(tmp_path, bad):
+    grid = np.random.default_rng(8).normal(size=(5, 6, 3))
+    grid[2, 3, 1] = bad
+    path = tmp_path / "bad.obj"
+    with pytest.raises(ValueError, match=rf"1 non-finite \[{bad!r}\].*\(2, 3\)"):
+        export_obj(grid, path)
+    assert not path.exists()
+
+
+def test_non_finite_reconstruction_is_the_failed_suite_entry(tmp_path, monkeypatch):
+    study = cli._reconstruction_study
+
+    def study_with_a_nan(*args, **kwargs):
+        report, coords = study(*args, **kwargs)
+        coords[0][3, 4, 0] = np.nan
+        return report, coords
+
+    monkeypatch.setattr(cli, "_reconstruction_study", study_with_a_nan)
+    assert run_cli(["--command", "reconstruct", "--chart", "sphere", "--grid", "17",
+                    "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report-reconstruct.json").read_text())
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [(c["name"], c["error"]) for c in failed] == [("reconstruct-suite", "ValueError")]
+    assert "non-finite [nan]" in failed[0]["value"]
+    assert (tmp_path / "sphere-source.obj").exists()
+    assert not (tmp_path / "sphere-reconstructed.obj").exists()
+
+
+# Values for the whole-array '%.17g': Python's writer is the oracle.
+def _power_of_ten_neighbour(k, toward, sign):
+    p = float(f"1e{k}")
+    return sign * (p if toward is None else float(np.nextafter(p, toward)))
+
+
+def _decimal_tie(s, frac, sign):
+    """An odd r / 2**s with exactly 18 significant digits, so its last digit
+    is a 5 and '%.17g' rounds a half-way tie: (k + 0.5) 10**(E - 16) for the
+    17-digit k, with E = 17 - s in the fixed range (3 <= s <= 21)."""
+    lo, hi = 10.0 ** (17 - s) * 2.0 ** s, min(10.0 ** (18 - s) * 2.0 ** s, 2.0 ** 53)
+    r = math.ceil(lo + frac * (hi - lo - 2)) | 1
+    return sign * float(np.ldexp(float(r), -s))
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+OBJ_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.builds(_power_of_ten_neighbour, st.integers(-6, 19),
+              st.sampled_from([None, 0.0, np.inf]), SIGNS),
+    st.builds(_decimal_tie, st.integers(3, 21), st.floats(0, 1), SIGNS),
+    st.sampled_from([0.0, -0.0, 1e-4, 1e17, 5e-324, 2.2250738585072014e-308]),
+)
+
+
+def _same_obj(tmp_path, coords):
+    export_obj(coords, tmp_path / "new.obj", chart_id="prop")
+    reference_export_obj(coords, tmp_path / "ref.obj", chart_id="prop")
+    return (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def test_decimal_ties_are_ties():
+    for s in range(3, 22):
+        for frac in (0.0, 0.37, 1.0):
+            digits = Decimal(_decimal_tie(s, frac, 1.0)).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+
+
+# tmp_path is shared by the examples of one test: each example overwrites the files
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(OBJ_VALUES, min_size=1, max_size=60))
+def test_obj_values_match_reference_writer(tmp_path, values):
+    values += [0.0] * (-len(values) % 3)
+    assert _same_obj(tmp_path, np.array(values).reshape(-1, 3))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), shape=st.sampled_from([(7, 2), (9, 3), (4, 5, 3), (3, 6, 4)]))
+def test_obj_grids_match_reference_writer(tmp_path, data, shape):
+    # curves, plane curves, surfaces and R^4 surfaces
+    coords = data.draw(hnp.arrays(np.float64, shape, elements=OBJ_VALUES))
+    assert _same_obj(tmp_path, coords)
+
+
+@pytest.mark.parametrize("name", ["sphere", "graph", "enneper"])
+def test_reconstruct_source_obj_matches_reference(tmp_path, name):
+    # exact zeros (graph, enneper) and coordinates below 1e-4 that take the
+    # exponent notation (sphere, enneper)
+    assert run_cli(["--command", "reconstruct", "--chart", name, "--grid", "17",
+                    "--seed", "7", "--out", str(tmp_path)]) == 0
+    source = build_frame_field(catalog_chart(name), shape=(17, 17)).x
+    reference_export_obj(source, tmp_path / "ref.obj", chart_id=f"{name} source")
+    assert (tmp_path / f"{name}-source.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
 
 
 # --- checks container -----------------------------------------------------------
