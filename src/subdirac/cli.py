@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,8 @@ from .dirac import (
     lift_residuals,
     selfadjointization_check,
 )
-from .geometry import CATALOG, adapted_frames, build_frame_field, catalog_chart, rho, weingarten
+from .geometry import (CATALOG, _catalog_builder, adapted_frames, build_frame_field, catalog_chart,
+                       rho, weingarten)
 from .meshio import export_obj
 from .reciprocity import check_reciprocity, recover_embedding, reference_intertwiner, restrict, induce
 from .spinors import (
@@ -141,7 +143,7 @@ def suite_verify_algebra(cfg, checks: Checks):
 
     def associativity():
         worst = 0.0
-        for _ in range(trials // 4):
+        for _ in range(max(trials // 4, 1)):
             a, b, c = (_random_multivector(rng, m) for _ in range(3))
             diff = (a * b) * c - a * (b * c)
             worst = max(worst, diff.max_abs_coeff())
@@ -151,7 +153,7 @@ def suite_verify_algebra(cfg, checks: Checks):
 
     def reversion_identity():
         worst = 0.0
-        for _ in range(trials // 4):
+        for _ in range(max(trials // 4, 1)):
             a, b = _random_multivector(rng, m), _random_multivector(rng, m)
             diff = clifford.reversion(a * b) - clifford.reversion(b) * clifford.reversion(a)
             worst = max(worst, diff.max_abs_coeff())
@@ -174,7 +176,7 @@ def suite_verify_algebra(cfg, checks: Checks):
 
     def rep_homomorphism():
         worst = 0.0
-        for _ in range(trials // 8):
+        for _ in range(max(trials // 8, 1)):
             a, b = _random_multivector(rng, m), _random_multivector(rng, m)
             diff = rep_of(a * b, rep) - rep_of(a, rep) @ rep_of(b, rep)
             worst = max(worst, np.abs(diff).max())
@@ -456,8 +458,9 @@ def validate(cfg: dict):
     """Reject a configuration before any suite runs (exit status 2).
 
     Checks what needs no chart compiled: the algebra dimension, the
-    reciprocity pairs, the chart name and parameters, the grid and refined
-    grid floor, and that every tolerance override is a number.
+    reciprocity pairs, the seed (>= 0) and trial count (>= 1) as integers,
+    the chart name and parameters, the grid and refined grid floor, and
+    that every tolerance override is a number.
     """
     command = cfg["command"]
     refined = cfg.get("refined_grid")
@@ -475,16 +478,23 @@ def validate(cfg: dict):
     if not isinstance(tolerances, dict) or not all(
             isinstance(t, (int, float)) and not isinstance(t, bool) for t in tolerances.values()):
         raise UsageError("tolerances must map check names to numbers")
+    for key, low in (("seed", 0), ("trials", 1)):
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
     if not 1 <= m <= 12:
         raise UsageError(f"algebra dimension m={m} outside 1..12")
     for k, n in pairs:
         if not k < n <= 12:
             raise UsageError(f"reciprocity pair ({k},{n}) needs k < n <= 12")
     if command in GRID_COMMANDS:
-        if cfg["chart"] not in CATALOG:
-            raise UsageError(f"unknown chart {cfg['chart']!r}; available: {sorted(CATALOG)}")
-        if not isinstance(cfg.get("params", {}), dict):
+        params = cfg.get("params", {})
+        if not isinstance(params, dict):
             raise UsageError("params must be a JSON object of chart parameters")
+        try:
+            _catalog_builder(cfg["chart"], params)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if any(g < 8 for g in grid + refined):
             raise UsageError("grid resolutions must be at least 8 per axis")
 

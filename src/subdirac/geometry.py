@@ -7,8 +7,9 @@ second-order jets, and sympy expressions have theirs compiled.  Callables
 that reject jets fall back to central finite differences.  Frame fields
 carry an orthonormal tangent frame from ordered Gram-Schmidt of the
 coordinate derivatives and a normal frame completed from the standard
-basis, smoothed across the grid and rotated into a parallel frame
-(vanishing normal-connection coefficients) by staircase path integration.
+basis and aligned along the grid by Procrustes steps, which make it a
+discrete parallel frame (vanishing normal-connection coefficients up to
+O(h^2) where the normal bundle is flat).
 The Gram-Schmidt triangular factor R also gives the immersion guard, the
 metric and its inverse, the frame coefficients and the exact spin
 connection (from the Hessian, with no evaluation off the grid).
@@ -22,7 +23,7 @@ line), every per-point step of a frame field is elementwise arithmetic on
 whole planes with Python loops over the 2-4 entry indices only, and the
 FrameField stores the planes; its
 (*grid, ...) attributes are read-only np.moveaxis views of them.  Every
-walk from the base corner (the normal frame's smoothing and transport, the
+walk from the base corner (the normal frame's Procrustes alignment, the
 lift's sign chain in dirac, the path integral in weierstrass) follows one
 staircase, down the base column and then along every row, coded once in
 the _staircase_* kernels.  The pointwise functions run the same plane
@@ -35,8 +36,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -642,59 +645,59 @@ def _numpy_chart(name, fn, k, n, rectangle, grid_shape=None, **params):
 
 
 def _catalog_builders():
-    def plane(**p):
+    def plane():
         return _numpy_chart("plane", lambda u, v: (u, v, 0 * u), 2, 3,
-                            [(0.0, 1.0), (0.0, 1.0)], **p)
+                            [(0.0, 1.0), (0.0, 1.0)])
 
-    def graph(a=0.8, **p):
+    def graph(a=0.8):
         return _numpy_chart("graph", lambda u, v: (u, v, a * (u**2 - v**2) / 2), 2, 3,
-                            [(-0.75, 0.75), (-0.75, 0.75)], a=a, **p)
+                            [(-0.75, 0.75), (-0.75, 0.75)], a=a)
 
-    def sphere(r=1.0, **p):
+    def sphere(r=1.0):
         def x(th, ph):
             rs = r * np.sin(th)
             return rs * np.cos(ph), rs * np.sin(ph), r * np.cos(th)
 
-        return _numpy_chart("sphere", x, 2, 3, [(0.45, math.pi - 0.45), (0.3, 5.9)], r=r, **p)
+        return _numpy_chart("sphere", x, 2, 3, [(0.45, math.pi - 0.45), (0.3, 5.9)], r=r)
 
-    def catenoid(c=1.0, **p):
+    def catenoid(c=1.0):
         def x(u, v):
             ch = c * np.cosh(v / c)
             return ch * np.cos(u), ch * np.sin(u), v
 
-        return _numpy_chart("catenoid", x, 2, 3, [(0.3, 5.9), (-0.75, 0.75)], c=c, **p)
+        return _numpy_chart("catenoid", x, 2, 3, [(0.3, 5.9), (-0.75, 0.75)], c=c)
 
-    def helicoid(c=0.8, **p):
+    def helicoid(c=0.8):
         return _numpy_chart("helicoid", lambda u, v: (v * np.cos(u), v * np.sin(u), c * u), 2, 3,
-                            [(-1.2, 1.2), (-1.0, 1.0)], c=c, **p)
+                            [(-1.2, 1.2), (-1.0, 1.0)], c=c)
 
-    def enneper(**p):
+    def enneper():
         def x(u, v):
             return u - u**3 / 3 + u * v**2, -v + v**3 / 3 - v * u**2, u**2 - v**2
 
-        return _numpy_chart("enneper", x, 2, 3, [(-0.7, 0.7), (-0.7, 0.7)], **p)
+        return _numpy_chart("enneper", x, 2, 3, [(-0.7, 0.7), (-0.7, 0.7)])
 
-    def torus(R=2.0, r=0.7, **p):
+    def torus(R=2.0, r=0.7):
         def x(u, v):
             w = R + r * np.cos(v)
             return w * np.cos(u), w * np.sin(u), r * np.sin(v)
 
-        return _numpy_chart("torus", x, 2, 3, [(0.25, 6.0), (0.25, 6.0)], R=R, r=r, **p)
+        return _numpy_chart("torus", x, 2, 3, [(0.25, 6.0), (0.25, 6.0)], R=R, r=r)
 
-    def clifford_torus_r4(r=1.0, **p):
+    def clifford_torus_r4(r=1.0):
         c = r / math.sqrt(2)
         return _numpy_chart(
             "clifford-torus-r4",
             lambda u, v: (c * np.cos(u), c * np.sin(u), c * np.cos(v), c * np.sin(v)), 2, 4,
-            [(0.25, 6.0), (0.25, 6.0)], r=r, **p)
+            [(0.25, 6.0), (0.25, 6.0)], r=r)
 
-    def helix_curve(a=1.0, b=0.5, **p):
+    def helix_curve(a=1.0, b=0.5):
         return _numpy_chart("helix-curve", lambda t: (a * np.cos(t), a * np.sin(t), b * t), 1, 3,
-                            [(0.0, 12.0)], grid_shape=(257,), a=a, b=b, **p)
+                            [(0.0, 12.0)], grid_shape=(257,), a=a, b=b)
 
-    def circle_curve(r=1.0, **p):
+    def circle_curve(r=1.0):
         return _numpy_chart("circle-curve", lambda t: (r * np.cos(t), r * np.sin(t)), 1, 2,
-                            [(0.15, 6.1)], grid_shape=(257,), r=r, **p)
+                            [(0.15, 6.1)], grid_shape=(257,), r=r)
 
     return {
         "plane": plane,
@@ -713,10 +716,23 @@ def _catalog_builders():
 CATALOG = _catalog_builders()
 
 
-def catalog_chart(name: str, **params) -> ImmersionChart:
-    if name not in CATALOG:
+def _catalog_builder(name: str, params: dict) -> Callable:
+    """The CATALOG builder of name, once params passes its signature: every
+    name is one of the builder's parameters and every value a real number
+    (bool excluded).  Raises ValueError naming the accepted parameters."""
+    if not isinstance(name, str) or name not in CATALOG:
         raise ValueError(f"unknown chart {name!r}; available: {sorted(CATALOG)}")
-    return CATALOG[name](**params)
+    builder = CATALOG[name]
+    accepted = list(inspect.signature(builder).parameters)
+    for key, value in params.items():
+        if key not in accepted or isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"chart {name!r} takes the real parameters "
+                             f"{accepted or 'none'}; got {key}={value!r}")
+    return builder
+
+
+def catalog_chart(name: str, **params) -> ImmersionChart:
+    return _catalog_builder(name, params)(**params)
 
 
 # --------------------------------------------------------------------------
@@ -1095,27 +1111,6 @@ def _staircase_scan(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transport(gen: np.ndarray, ndim: int) -> np.ndarray:
-    """Staircase transport planes y(s) = exp(gen(s)) y(prev(s)), y = 1 at the
-    base corner, for antisymmetric generator planes gen (d, d, *grid); gen
-    is not read at the base corner.
-
-    SO(2) steps commute, so for d = 2 y is the plane rotation by the
-    staircase sum of the angles gen[1, 0]; otherwise the batched expm
-    steps are chained by _staircase_scan.
-    """
-    if len(gen) == 2:
-        angle = gen[1, 0].copy()
-        angle[(0,) * ndim] = 0.0  # the base corner has no incoming edge
-        angle = _staircase_accumulate(np.add, angle, ndim)
-        cos, sin = np.cos(angle), np.sin(angle)
-        return np.stack([np.stack([cos, -sin]), np.stack([sin, cos])])
-    import scipy.linalg
-
-    steps = scipy.linalg.expm(_grid_major(gen, 2))
-    return _plane_view(_staircase_scan(steps, np.eye(len(gen))), 2)
-
-
 # --------------------------------------------------------------------------
 # grid frame fields
 
@@ -1186,7 +1181,7 @@ class FrameField:
     normal_planes: np.ndarray  # (n-k, n, *grid)
     weingarten_planes: np.ndarray  # (n-k, k, k, *grid): Gamma^beta_{adot alpha}
     mean_curvature_planes: np.ndarray  # (n-k, *grid)
-    gtilde_planes: np.ndarray  # (k, n-k, n-k, *grid) after parallelization
+    gtilde_planes: np.ndarray  # (k, n-k, n-k, *grid) of the aligned normal frame
     gtilde_residual: float
     e_coeff_planes: np.ndarray  # (k, k, *grid): e_a = e_a^alpha d_alpha at [a, alpha]
     omega_planes: np.ndarray  # (k, k, k, *grid): omega[alpha, b, c] = e_b . d_alpha e_c
@@ -1353,12 +1348,12 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     that product matters.  The field is then flipped to det +1 at the base
     corner.
 
-    In codimension >= 2 the normal frame is then transported by
-    d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase: one
-    exp(-h Mbar) per edge, Mbar the mean of M_alpha at its ends
-    (_staircase_edges); in codimension 2 a staircase sum of rotation angles
-    and one plane rotation, otherwise batched expm steps chained by the same
-    scan (_transport).  On a curve this is the Bishop frame.
+    Each alignment step, N(s) = polar(N(prev) b(s)^T) b(s), projects the
+    predecessor's normals onto the new normal space and orthonormalises
+    them, so the aligned frame is a discrete parallel (rotation-minimising)
+    normal frame: on a curve the Bishop frame, and its normal connection
+    gtilde, differenced once from it, is O(h^2) where the normal bundle is
+    flat.
 
     The spin connection is exact: differentiating jac = tangent^T R gives
     tangent d_alpha(jac) R^-1 = tangent d_alpha(tangent^T) + d_alpha(R) R^-1,
@@ -1402,22 +1397,13 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     metric = _plane_matmul(np.swapaxes(r, 0, 1), r)
     wein = _weingarten_planes(hess, metric_inv, normal)
 
-    # normal-connection coefficients of the completed field
-    def gtilde_of(nrm):
-        gt = np.empty((k, nk, nk) + shape)
-        for a in range(k):
-            m = _plane_matmul(nrm, np.swapaxes(_diff_axis(nrm, a - dims, hs[a]), 0, 1))
-            gt[a] = 0.5 * (m - np.swapaxes(m, 0, 1))
-        return gt
-
-    # in codimension 1 the antisymmetric 1 x 1 matrix is 0, with no differencing
+    # normal-connection coefficients of the aligned field; in codimension 1
+    # the antisymmetric 1 x 1 matrix is 0, with no differencing
     gtilde = np.zeros((k, nk, nk) + shape)
     if nk >= 2:
-        # integrate d(Lambda^T)/ds^alpha = -M_alpha Lambda^T along the staircase
-        lam = np.swapaxes(_transport(-_staircase_edges(gtilde_of(normal), hs), dims), 0, 1)
-        normal = _plane_matmul(lam, normal)
-        wein = _plane_matmul(lam, wein.reshape((nk, k * k) + shape)).reshape(wein.shape)
-        gtilde = gtilde_of(normal)
+        for a in range(k):
+            m = _plane_matmul(normal, np.swapaxes(_diff_axis(normal, a - dims, hs[a]), 0, 1))
+            gtilde[a] = 0.5 * (m - np.swapaxes(m, 0, 1))
 
     gtilde_residual = float(np.abs(gtilde).max()) if nk >= 2 else 0.0
     if integrability_tol is not None and gtilde_residual > integrability_tol:

@@ -462,7 +462,20 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"refined_grid": [5, 5]},
     {"refined_grid": [65]},
     {"tolerances": {"kernel-orthonormality": "tight"}},
-], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text"])
+    {"command": "verify-algebra", "seed": "abc"},
+    {"command": "verify-algebra", "seed": 1.5},
+    {"seed": -1},
+    {"seed": True},
+    {"params": {"r": "x"}},
+    {"params": {"R": 3}},
+    {"params": {"r": True}},
+    {"command": "all", "trials": -8},
+    {"command": "verify-algebra", "trials": 0},
+    {"command": "verify-reciprocity", "trials": 8.0},
+    {"chart": ["sphere"]},
+], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text",
+        "seed-text", "seed-float", "seed-negative", "seed-bool", "param-text", "param-unknown",
+        "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list"])
 def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
     called = []
     for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
@@ -471,7 +484,34 @@ def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
     cfg = dict({"command": "dirac", "chart": "sphere", "grid": 17, "out": str(tmp_path)}, **bad)
     assert run_cli(["--config", json.dumps(cfg)]) == 2
     assert called == []
-    assert not (tmp_path / "report-dirac.json").exists()
+    assert list(tmp_path.glob("report-*.json")) == []
+
+
+def test_sampled_algebra_checks_draw_at_least_once(monkeypatch):
+    # trials = 1 rounds every trials // c loop down to zero draws, which
+    # would report a vacuous value=0.0 [PASS]
+    draws, current = {}, [None]
+
+    class Counting(cli.Checks):
+        def run(self, name, fn, tolerance, center=0.0):
+            current[0] = name
+            super().run(name, fn, tolerance, center)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            draws[current[0]] = draws.get(current[0], 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_random_multivector", counted(cli._random_multivector))
+    monkeypatch.setattr(cli, "vector_pairing", counted(cli.vector_pairing))
+    checks = Counting()
+    cli.suite_verify_algebra(dict(cli.DEFAULTS, m=3, trials=1), checks)
+    assert checks.all_pass
+    # three multivectors per associativity draw, two per reversion and
+    # homomorphism draw, one pairing per dimension 2..5
+    assert draws == {"associativity": 3, "reversion-antiautomorphism": 2,
+                     "rep-homomorphism": 2, "primitive-spinor-inner-product": 4}
 
 
 # --- scipy.linalg stays unloaded ------------------------------------------------
@@ -502,20 +542,30 @@ for name in ("sphere", "clifford-torus-r4"):
     phi = sd.Spinor(k, rng.normal(size=1 << k // 2) + 1j * rng.normal(size=1 << k // 2))
     intw = sd.reference_intertwiner(k, n).with_tau(tau)
     status.append(int(sd.check_reciprocity(psi, phi, intw) > 1e-12))
+
+
+def surface_in_r5(s):
+    u, v = s[..., 0], s[..., 1]
+    return np.stack([u, v, u**2 / 2, 0.7 * u * v, v**2 / 2 + 0.2 * u**3], axis=-1)
+
+
+chart = sd.ImmersionChart.from_callable("surface-r5", surface_in_r5, 2, 5, [(-0.7, 0.7)] * 2)
+status.append(int(not 0.9 < sd.build_frame_field(chart, shape=(33, 33)).gtilde_residual < 1.0))
 print(status, "scipy.linalg" in sys.modules)
 """
 
 
 def test_catalog_commands_and_queries_leave_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg serves only lifts above the minor table (m > 6) and transport
-    # in codimension >= 3, which no catalog chart reaches
+    # scipy.linalg serves only lifts above the minor table (m > 6), which no
+    # catalog chart reaches; a codimension-3 frame field (a numpy chart, as
+    # sympy would load scipy itself) needs none either
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG, str(tmp_path)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{[0] * 10} False"
+    assert proc.stdout.splitlines()[-1] == f"{[0] * 11} False"
 
 
 # --- the CLI kernels run on lift coefficients -------------------------------------

@@ -1,20 +1,19 @@
 """The batched frame kernels against the per-point loops.
 
-The reference completes the normal frame point by point, aligns each
-completion to its staircase predecessor by Procrustes, and transports the
-normal frame one edge at a time, the way the grid frame field used to be
-built.  It also keeps the slow forms of the Gram-Schmidt quantities:
-e_coeff from the inverted metric, and omega from central differences of
-the tangent frames at s +- h_fd.  The closed-form immersion guard is
-checked against the SVD.  The pointwise functions, one-point calls into
-the grid kernels, are checked against the scalar per-point path they
-replaced and their exact normal connection against central differences
-of the completed frame; the plane kernels on a one-point grid against the
-pointwise functions.  Each guard of the plane kernels (non-finite or
-nearly singular Jacobians, uncompletable normal fields, singular alignment
-steps) is driven by random inputs near its threshold and must raise its
-named error, never a numpy warning.  The codimension-2 transport, one
-rotation by a staircase sum of angles, is pinned against the matrix scan.
+The reference completes the normal frame point by point and aligns each
+completion to its staircase predecessor by Procrustes, the way the grid
+frame field used to be built.  It also keeps the slow forms of the
+Gram-Schmidt quantities: e_coeff from the inverted metric, and omega
+from central differences of the tangent frames at s +- h_fd.  The
+closed-form immersion guard is checked against the SVD.  The pointwise
+functions, one-point calls into the grid kernels, are checked against
+the scalar per-point path they replaced and their exact normal
+connection against central differences of the completed frame; the plane
+kernels on a one-point grid against the pointwise functions.  Each guard
+of the plane kernels (non-finite or nearly singular Jacobians,
+uncompletable normal fields, singular alignment steps) is driven by
+random inputs near its threshold and must raise its named error, never a
+numpy warning.
 """
 
 import dataclasses
@@ -22,7 +21,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,13 +109,6 @@ def procrustes_align(b_cur, b_ref):
     return (u @ vt) @ b_cur
 
 
-def so_exponential(a):
-    if a.shape[0] == 2:
-        c, s = np.cos(a[1, 0]), np.sin(a[1, 0])
-        return np.array([[c, -s], [s, c]])
-    return scipy.linalg.expm(a)
-
-
 def tangent_frames(jac):
     """Ordered Gram-Schmidt of the coordinate derivatives, any k."""
     k = jac.shape[-1]
@@ -150,7 +141,7 @@ def finite_difference_omega(chart, shape):
 
 def reference_frame_field(chart, shape):
     """The per-point loops of build_frame_field in codimension >= 2; in
-    codimension 1 they reduce to sign alignment and the identity transport."""
+    codimension 1 they reduce to sign alignment."""
     hs = chart.spacings(shape)
     pts = chart.grid(shape)
     jac, hess = chart.jacobian(pts), chart.hessian(pts)
@@ -175,26 +166,10 @@ def reference_frame_field(chart, shape):
     metric_inv = np.linalg.inv(np.einsum("...ia,...ib->...ab", jac, jac))
     wein = weingarten_from_arrays(jac, hess, metric_inv, normal)
 
-    def gtilde_of(nrm_field):
-        gt = np.empty(shape + (k, nk, nk))
-        for a in range(k):
-            m = np.einsum("...di,...ei->...de", nrm_field, _diff_axis(nrm_field, a, hs[a]))
-            gt[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
-        return gt
-
-    gtilde = gtilde_of(normal)
-    y = np.empty(shape + (nk, nk))
-    for idx, prev in staircase_indices(shape):
-        if prev is None:
-            y[idx] = np.eye(nk)
-            continue
-        axis = 0 if idx[0] != prev[0] else len(shape) - 1
-        mbar = 0.5 * (gtilde[prev][..., axis, :, :] + gtilde[idx][..., axis, :, :])
-        y[idx] = so_exponential(-hs[axis] * mbar) @ y[prev]
-    lam = np.swapaxes(y, -1, -2)
-    normal = np.einsum("...de,...ei->...di", lam, normal)
-    wein = np.einsum("...de,...eab->...dab", lam, wein)
-    gtilde = gtilde_of(normal)
+    gtilde = np.empty(shape + (k, nk, nk))
+    for a in range(k):
+        m = np.einsum("...di,...ei->...de", normal, _diff_axis(normal, a, hs[a]))
+        gtilde[..., a, :, :] = 0.5 * (m - np.swapaxes(m, -1, -2))
 
     proj = np.einsum("...ai,...ib->...ab", tangent, jac)
     return {"tangent": tangent, "normal": normal, "weingarten": wein,
@@ -220,8 +195,8 @@ def surface_in_r5():
     (catalog_chart("clifford-torus-r4"), (65, 65)),
     (catalog_chart("helix-curve"), (257,)),  # its Procrustes steps include reflections
     (catalog_chart("helix-curve"), (513,)),
-    (surface_in_r5(), (33, 33)),  # batched expm transport
-    (catalog_chart("sphere"), (65, 65)),  # cross-product normal, nothing to transport
+    (surface_in_r5(), (33, 33)),  # codimension 3: stacked SVD polar factors
+    (catalog_chart("sphere"), (65, 65)),  # cross-product normal, nothing to align
 ], ids=["torus-33", "torus-65", "helix-257", "helix-513", "surface-r5-33", "sphere-65"])
 def test_matches_reference_loops(chart, shape):
     ff = build_frame_field(chart, shape=shape)
@@ -486,20 +461,6 @@ def test_grid_completion_failure_message():
     with pytest.raises(ImmersionError) as grid:
         _complete_normal_stack(np.moveaxis(tangent, 0, -1))
     assert str(grid.value) == str(scalar.value) == "could not complete the normal frame"
-
-
-@pytest.mark.parametrize("shape", [(257,), (65, 65), (9, 12)])
-def test_angle_cumsum_transport_matches_scan(shape):
-    """Codimension-2 transport: one rotation by the staircase sum of the
-    edge angles equals the chained product of the edge rotations."""
-    angle = np.random.default_rng(len(shape)).uniform(-0.2, 0.2, size=shape)
-    zero = np.zeros(shape)
-    gen = np.stack([np.stack([zero, -angle]), np.stack([angle, zero])])
-    got = np.moveaxis(geometry._transport(gen, len(shape)), (0, 1), (-2, -1))
-    cos, sin = np.cos(angle), np.sin(angle)
-    steps = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
-    expected = geometry._staircase_scan(steps, np.eye(2))
-    assert np.abs(got - expected).max() <= 1e-13
 
 
 def test_orientation_seam_is_reported():

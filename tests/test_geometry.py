@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -451,6 +452,18 @@ def test_all_catalog_charts_build():
         ff = build_frame_field(catalog_chart(name), shape=None)
         assert np.isfinite(ff.mean_curvature).all()
         assert ff.gtilde_residual < 5e-2
+
+
+@pytest.mark.parametrize("name, params, accepted", [
+    ("sphere", {"R": 3}, "['r']"),
+    ("sphere", {"r": "x"}, "['r']"),
+    ("torus", {"r": True}, "['R', 'r']"),
+    ("enneper", {"c": 1.0}, "none"),
+])
+def test_catalog_chart_rejects_unknown_and_non_real_params(name, params, accepted):
+    with pytest.raises(ValueError, match=f"chart '{name}' takes the real parameters "
+                                         + re.escape(accepted)):
+        catalog_chart(name, **params)
 
 
 def test_degenerate_grid_raises_before_dividing():
