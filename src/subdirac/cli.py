@@ -12,6 +12,8 @@ is rejected before any suite runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import numbers
 import sys
@@ -27,7 +29,7 @@ from .dirac import (
     lift_residuals,
     selfadjointization_check,
 )
-from .geometry import (CATALOG, _catalog_builder, adapted_frames, build_frame_field, catalog_chart,
+from .geometry import (CATALOG, ImmersionChart, adapted_frames, build_frame_field, catalog_chart,
                        rho, weingarten)
 from .meshio import export_obj
 from .reciprocity import check_reciprocity, recover_embedding, reference_intertwiner, restrict, induce
@@ -59,10 +61,29 @@ DEFAULTS = {
     "tolerances": {},
     "out": ".",
 }
+DEFAULT_PAIRS = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 5))
 
 
 class UsageError(ValueError):
     pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """parse_config's checked DEFAULTS keys, with the chart compiled from chart and params."""
+
+    command: str
+    chart: str
+    params: dict
+    grid: tuple
+    refined_grid: tuple
+    m: int
+    pairs: tuple
+    seed: int
+    trials: int
+    tolerances: dict
+    out: str
+    compiled_chart: ImmersionChart
 
 
 class Checks:
@@ -123,10 +144,9 @@ def _random_multivector(rng, m, nnz=5):
 # suites
 
 
-def suite_verify_algebra(cfg, checks: Checks):
-    m = int(cfg["m"])
-    rng = np.random.default_rng(cfg["seed"])
-    trials = int(cfg["trials"])
+def suite_verify_algebra(cfg: Config, checks: Checks):
+    m, trials = cfg.m, cfg.trials
+    rng = np.random.default_rng(cfg.seed)
 
     def generator_relations():
         worst = 0.0
@@ -220,10 +240,10 @@ def suite_verify_algebra(cfg, checks: Checks):
     checks.run("rotation-recovery", rotation_recovery, 1e-12)
 
 
-def suite_verify_reciprocity(cfg, checks: Checks):
-    rng = np.random.default_rng(cfg["seed"])
-    trials = int(cfg["trials"])
-    for k, n in _pairs(cfg):
+def suite_verify_reciprocity(cfg: Config, checks: Checks):
+    rng = np.random.default_rng(cfg.seed)
+    trials = cfg.trials
+    for k, n in cfg.pairs:
         rep_n = build_gamma_rep(n)
 
         def frobenius(k=k, n=n, rep_n=rep_n):
@@ -257,42 +277,6 @@ def suite_verify_reciprocity(cfg, checks: Checks):
         checks.run(f"embedding-recovery-({k},{n})", grassmannian, 1e-12)
 
 
-def _pairs(cfg):
-    return [tuple(p) for p in cfg.get("pairs") or [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]]
-
-
-def _grid(cfg):
-    grid = cfg.get("grid")
-    if grid is None:
-        return None
-    return tuple(int(g) for g in (grid if isinstance(grid, (list, tuple)) else [grid]))
-
-
-def _grid_for(chart, cfg):
-    refined = cfg.get("refined_grid")
-    if refined and len(refined) != chart.k:
-        raise UsageError(f"refined grid {refined} does not match chart dimension k={chart.k}")
-    grid = _grid(cfg)
-    if grid is None:
-        return chart.grid_shape
-    if len(grid) == 1 and chart.k == 2:
-        grid = grid * 2
-    if len(grid) != chart.k:
-        raise UsageError(f"grid {grid} does not match chart dimension k={chart.k}")
-    return grid
-
-
-def _refined(shape):
-    return tuple(2 * (g - 1) + 1 for g in shape)
-
-
-def _chart_for(cfg):
-    chart = catalog_chart(cfg["chart"], **cfg.get("params", {}))
-    if chart.n > 6:
-        raise UsageError("grid commands support ambient dimension n <= 6")
-    return chart
-
-
 class GridFields:
     """Frame fields and lift coefficients of one chart, built once per grid shape.
 
@@ -318,13 +302,9 @@ class GridFields:
         return self._coeffs[shape]
 
 
-def _fine(cfg, shape):
-    return tuple(cfg["refined_grid"]) if cfg.get("refined_grid") else _refined(shape)
-
-
-def suite_geometry(cfg, checks: Checks, fields: GridFields, shape):
+def suite_geometry(cfg: Config, checks: Checks, fields: GridFields):
     chart = fields.chart
-    ff = fields.frames(shape)
+    ff = fields.frames(cfg.grid)
 
     rot = ff.frame_rotation
     eye = np.eye(chart.n)
@@ -336,7 +316,7 @@ def suite_geometry(cfg, checks: Checks, fields: GridFields, shape):
     checks.add("normal-connection-residual", ff.gtilde_residual, 5e-2)
 
     def mean_curvature_vs_rho():
-        rng = np.random.default_rng(cfg["seed"])
+        rng = np.random.default_rng(cfg.seed)
         delta = 1e-5
         worst = 0.0
         for _ in range(8):
@@ -356,7 +336,7 @@ def suite_geometry(cfg, checks: Checks, fields: GridFields, shape):
     if chart.name == "sphere":
         def sphere_rho():
             r = chart.params.get("r", 1.0)
-            rng = np.random.default_rng(cfg["seed"])
+            rng = np.random.default_rng(cfg.seed)
             worst = 0.0
             for _ in range(8):
                 s = np.array([lo + (hi - lo) * rng.uniform(0.15, 0.85)
@@ -368,11 +348,11 @@ def suite_geometry(cfg, checks: Checks, fields: GridFields, shape):
         checks.run("sphere-rho-closed-form", sphere_rho, 1e-10)
 
 
-def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
+def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
     chart, rep = fields.chart, fields.rep
     residuals = []
     orth = 0.0
-    for sh in (shape, _fine(cfg, shape)):
+    for sh in (cfg.grid, cfg.refined_grid):
         ff, coeffs = fields.frames(sh), fields.coeffs(sh)
         residuals.append(float(lift_residuals(ff, coeffs, rep).max()))
         orth = max(orth, np.abs(lift_gram(coeffs, rep) - np.eye(rep.dim)).max())
@@ -383,8 +363,9 @@ def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
         checks.add("kernel-convergence-ratio", residuals[0] / residuals[1], 0.5, center=4.0)
 
     if chart.n - chart.k == 1 and np.abs(ff.mean_curvature).max() > 1e-6:
-        ff_coarse = fields.frames(shape)
-        control = float(lift_residuals(ff_coarse, fields.coeffs(shape), rep, with_mean=False).min())
+        ff_coarse = fields.frames(cfg.grid)
+        control = float(lift_residuals(ff_coarse, fields.coeffs(cfg.grid), rep,
+                                       with_mean=False).min())
         floor = 0.4 * float(np.abs(ff_coarse.mean_curvature).min())
         checks.add_floor("curvature-term-necessity", control, floor)
 
@@ -395,9 +376,9 @@ def suite_dirac(cfg, checks: Checks, fields: GridFields, shape):
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)
 
 
-def suite_reconstruct(cfg, checks: Checks, fields: GridFields, shape, out_dir: Path):
-    chart = fields.chart
-    shapes = (shape, _fine(cfg, shape))
+def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
+    chart, out_dir = fields.chart, Path(cfg.out)
+    shapes = (cfg.grid, cfg.refined_grid)
     report, coords = _reconstruction_study([fields.frames(sh) for sh in shapes], fields.rep,
                                            coeffs=[fields.coeffs(sh) for sh in shapes])
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
@@ -417,7 +398,7 @@ def suite_reconstruct(cfg, checks: Checks, fields: GridFields, shape, out_dir: P
             checks.add("path-independence-residual", paths[1], 1e-13)
 
     if chart.n in (3, 4) or chart.k == 1:
-        export_obj(fields.frames(shape).x, out_dir / f"{chart.name}-source.obj",
+        export_obj(fields.frames(cfg.grid).x, out_dir / f"{chart.name}-source.obj",
                    chart_id=f"{chart.name} source")
         export_obj(coords[0], out_dir / f"{chart.name}-reconstructed.obj",
                    chart_id=f"{chart.name} reconstructed")
@@ -427,101 +408,120 @@ def suite_reconstruct(cfg, checks: Checks, fields: GridFields, shape, out_dir: P
 # driver
 
 
-def load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        text = args.config
-        if not text.lstrip().startswith("{"):
-            text = Path(text).read_text()
-        loaded = json.loads(text)
-        if not isinstance(loaded, dict):
-            raise UsageError("config document must be a JSON object")
-        cfg.update(loaded)
-    if args.command:
-        cfg["command"] = args.command
-    if args.chart:
-        cfg["chart"] = args.chart
-    if args.grid:
-        cfg["grid"] = [int(g) for g in args.grid.split(",")]
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out:
-        cfg["out"] = args.out
-    if args.m is not None:
-        cfg["m"] = args.m
-    if cfg["command"] not in COMMANDS:
-        raise UsageError(f"unknown command {cfg['command']!r}; choose from {COMMANDS}")
-    return cfg
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="subdirac",
+        description="verification suites for the spinor-frame immersion machinery",
+        epilog="catalogued charts: " + ", ".join(sorted(CATALOG)))
+    parser.add_argument("--config", help="JSON config file path, or an inline JSON object")
+    parser.add_argument("--command", choices=COMMANDS)
+    parser.add_argument("--chart", help="catalogued chart name")
+    parser.add_argument("--grid", help="grid resolution, e.g. 65 or 65,65")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--m", type=int, help="algebra dimension for verify-algebra")
+    parser.add_argument("--out", help="output directory for reports and meshes")
+    return parser
 
 
-def validate(cfg: dict):
-    """Reject a configuration before any suite runs (exit status 2).
+def _is_integer(value, low, high=float("inf")) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high)
 
-    Checks what needs no chart compiled: the algebra dimension, the
-    reciprocity pairs, the seed (>= 0) and trial count (>= 1) as integers,
-    the chart name and parameters, the grid and refined grid floor, and
-    that every tolerance override is a number.
+
+def _shape(key: str, value, k: int) -> tuple:
+    """value as a grid shape of k resolutions, each an integer >= 8."""
+    if not (isinstance(value, (list, tuple)) and len(value) == k
+            and all(_is_integer(g, 8) for g in value)):
+        raise UsageError(f"{key} must list {k} integer resolutions >= 8 (chart dimension "
+                         f"k={k}), got {value!r}")
+    return tuple(value)
+
+
+def parse_config(argv=None) -> Config:
+    """The flags over the --config document (inline JSON or a file) over DEFAULTS.
+
+    Every value is checked whatever the command, and any fault raises
+    UsageError (exit status 2) before a suite runs.  Integers must be exact
+    (no bools); one grid resolution applies to every axis; grid defaults to
+    the chart's shape, refined_grid to 2 (g - 1) + 1 per axis.
     """
-    command = cfg["command"]
-    refined = cfg.get("refined_grid")
-    if refined and not isinstance(refined, (list, tuple)):
-        raise UsageError("refined_grid must list one resolution per chart axis")
-    try:
-        m = int(cfg["m"]) if command in ("verify-algebra", "all") else 1
-        pairs = ([(int(k), int(n)) for k, n in _pairs(cfg)]
-                 if command in ("verify-reciprocity", "all") else [])
-        grid = _grid(cfg) or ()
-        refined = tuple(int(g) for g in refined) if refined else ()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed configuration: {exc}") from exc
-    tolerances = cfg.get("tolerances") or {}
-    if not isinstance(tolerances, dict) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in tolerances.values()):
-        raise UsageError("tolerances must map check names to numbers")
-    for key, low in (("seed", 0), ("trials", 1)):
-        value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
-    if not 1 <= m <= 12:
-        raise UsageError(f"algebra dimension m={m} outside 1..12")
-    for k, n in pairs:
-        if not k < n <= 12:
-            raise UsageError(f"reciprocity pair ({k},{n}) needs k < n <= 12")
-    if command in GRID_COMMANDS:
-        params = cfg.get("params", {})
-        if not isinstance(params, dict):
-            raise UsageError("params must be a JSON object of chart parameters")
+    args = _parser().parse_args(argv)
+    raw = dict(DEFAULTS)
+    if args.config is not None:
+        text = args.config
         try:
-            _catalog_builder(cfg["chart"], params)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if any(g < 8 for g in grid + refined):
-            raise UsageError("grid resolutions must be at least 8 per axis")
+            document = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {text!r}: {exc}") from exc
+        if not isinstance(document, dict):
+            raise UsageError("config document must be a JSON object")
+        raw.update(document)
+    raw.update({key: value for key, value in vars(args).items()
+                if value is not None and key != "config"})
+    if args.grid is not None:
+        try:
+            raw["grid"] = [int(g) for g in args.grid.split(",")]
+        except ValueError:
+            raise UsageError(f"--grid takes comma-separated integers, got {args.grid!r}") from None
+    unknown = sorted(set(raw) - set(DEFAULTS))
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}; accepted: {sorted(DEFAULTS)}")
+
+    if raw["command"] not in COMMANDS:
+        raise UsageError(f"unknown command {raw['command']!r}; choose from {COMMANDS}")
+    for key, low, high in (("m", 1, 12), ("seed", 0, float("inf")), ("trials", 1, float("inf"))):
+        if not _is_integer(raw[key], low, high):
+            raise UsageError(f"{key} must be an integer in [{low}, {high}], got {raw[key]!r}")
+    pairs = DEFAULT_PAIRS if raw["pairs"] is None else raw["pairs"]
+    if not (isinstance(pairs, (list, tuple)) and pairs and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and _is_integer(p[0], 1)
+            and _is_integer(p[1], p[0] + 1, 12) for p in pairs)):
+        raise UsageError(f"pairs must list integer pairs [k, n] with 1 <= k < n <= 12, "
+                         f"got {pairs!r}")
+    tolerances = raw["tolerances"]
+    if not isinstance(tolerances, dict) or not all(
+            isinstance(t, numbers.Real) and not isinstance(t, bool) for t in tolerances.values()):
+        raise UsageError("tolerances must map check names to numbers")
+    if not isinstance(raw["out"], str):
+        raise UsageError(f"out must be a path string, got {raw['out']!r}")
+    if not isinstance(raw["params"], dict):
+        raise UsageError("params must be a JSON object of chart parameters")
+    try:
+        chart = catalog_chart(raw["chart"], **raw["params"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    grid = chart.grid_shape if raw["grid"] is None else raw["grid"]
+    if not isinstance(grid, (list, tuple)):
+        grid = [grid]
+    grid = _shape("grid", list(grid) * chart.k if len(grid) == 1 else grid, chart.k)
+    refined = raw["refined_grid"]
+    refined = (tuple(2 * (g - 1) + 1 for g in grid) if refined is None
+               else _shape("refined_grid", refined, chart.k))
+    return Config(raw["command"], raw["chart"], raw["params"], grid, refined, raw["m"],
+                  tuple(tuple(p) for p in pairs), raw["seed"], raw["trials"], tolerances,
+                  raw["out"], chart)
 
 
-def run(cfg: dict) -> int:
-    """Execute one suite; returns the process exit status.
+def run(cfg: Config) -> int:
+    """Execute one command on a checked configuration; returns the process exit status.
 
-    The grid commands compile the chart and check the grid and refined grid
-    dimensions and n <= 6 before the first suite runs, and share that chart
-    and its frame fields and lift coefficients (GridFields).
+    The grid suites share cfg's compiled chart and its frame fields and lift
+    coefficients (GridFields).
     """
     t0 = time.perf_counter()
-    validate(cfg)
-    checks = Checks(overrides=cfg.get("tolerances"))
-    out_dir = Path(cfg["out"])
+    checks = Checks(overrides=cfg.tolerances)
+    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    command = cfg["command"]
-    grid_args = ()
-    if command in GRID_COMMANDS:
-        chart = _chart_for(cfg)
-        grid_args = (GridFields(chart), _grid_for(chart, cfg))
+    command = cfg.command
+    grid_args = (GridFields(cfg.compiled_chart),) if command in GRID_COMMANDS else ()
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),
               ("geometry", suite_geometry, grid_args),
               ("dirac", suite_dirac, grid_args),
-              ("reconstruct", suite_reconstruct, grid_args + (out_dir,)))
+              ("reconstruct", suite_reconstruct, grid_args))
     for name, suite, extra in suites:
         if command not in (name, "all"):
             continue
@@ -532,7 +532,7 @@ def run(cfg: dict) -> int:
 
     report = {
         "command": command,
-        "config": {k: cfg[k] for k in sorted(cfg)},
+        "config": {key: getattr(cfg, key) for key in sorted(DEFAULTS)},
         "checks": checks.entries,
         "timing-ms": round(1000 * (time.perf_counter() - t0), 3),
     }
@@ -547,24 +547,12 @@ def run(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="subdirac",
-        description="verification suites for the spinor-frame immersion machinery",
-        epilog="catalogued charts: " + ", ".join(sorted(CATALOG)))
-    parser.add_argument("--config", help="JSON config file path, or an inline JSON object")
-    parser.add_argument("--command", choices=COMMANDS)
-    parser.add_argument("--chart", help="catalogued chart name")
-    parser.add_argument("--grid", help="grid resolution, e.g. 65 or 65,65")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--m", type=int, help="algebra dimension for verify-algebra")
-    parser.add_argument("--out", help="output directory for reports and meshes")
-    args = parser.parse_args(argv)
     try:
-        cfg = load_config(args)
-        return run(cfg)
+        cfg = parse_config(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    return run(cfg)
 
 
 if __name__ == "__main__":

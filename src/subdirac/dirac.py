@@ -291,7 +291,7 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     signed_c = signed_c.reshape(2 * K, -1)
     if signed_c.shape[1] == 0:
         return np.zeros(d)
-    blades = len(potential) if with_mean else len(potential) - (rep.m - k)  # no normal planes
+    blades = len(potential) if with_mean else _potential_blades(k, rep.m)[1].shape[1]  # no normal planes
     e = axis[(slice(None),) + inner].reshape(k, k, 1, -1)
     for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings)):
         term = e[alpha] * dc.reshape(1, K, -1)

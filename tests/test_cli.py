@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -379,7 +380,7 @@ def test_failing_check_writes_report_and_exits_one(tmp_path, monkeypatch):
         checks.add("still-recorded", 0.0, 1e-12)
 
     monkeypatch.setattr(cli, "suite_geometry", failing_suite)
-    cfg = dict(cli.DEFAULTS, command="geometry", out=str(tmp_path))
+    cfg = cli.parse_config(["--command", "geometry", "--out", str(tmp_path)])
     assert cli.run(cfg) == 1
     report = json.loads((tmp_path / "report-geometry.json").read_text())
     assert [c["pass"] for c in report["checks"]] == [False, True]
@@ -422,7 +423,7 @@ def test_failed_suite_does_not_stop_the_rest(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "suite_geometry", raising)
     monkeypatch.setattr(cli, "suite_dirac", passing("dirac"))
     monkeypatch.setattr(cli, "suite_reconstruct", passing("reconstruct"))
-    cfg = dict(cli.DEFAULTS, command="all", out=str(tmp_path))
+    cfg = cli.parse_config(["--command", "all", "--out", str(tmp_path)])
     assert cli.run(cfg) == 1
     report = json.loads((tmp_path / "report-all.json").read_text())
     assert [(c["name"], c["pass"], c.get("error")) for c in report["checks"]] == [
@@ -452,7 +453,8 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
                  "suite_dirac", "suite_reconstruct"):
         monkeypatch.setattr(cli, name, lambda cfg, checks, *rest: None)
-    assert cli.run(dict(cli.DEFAULTS, command="all", chart="helix-curve", out=str(tmp_path))) == 0
+    cfg = cli.parse_config(["--command", "all", "--chart", "helix-curve", "--out", str(tmp_path)])
+    assert cli.run(cfg) == 0
     assert compiled == ["helix-curve"]
 
 
@@ -473,10 +475,21 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-algebra", "trials": 0},
     {"command": "verify-reciprocity", "trials": 8.0},
     {"chart": ["sphere"]},
+    {"command": "verify-algebra", "m": 1.5},
+    {"command": "verify-algebra", "m": True},
+    {"command": "geometry", "grid": [17.9]},
+    {"command": "verify-reciprocity", "pairs": [[1.5, 3]]},
+    {"refined_grid": [40.5, 40]},
+    {"command": "verify-algebra", "out": 5},
+    {"command": "verify-reciprocity", "pairs": [[0, 3]]},
+    {"command": "verify-algebra", "chart": "moebius"},
+    {"command": "verify-reciprocity", "grid": [17, 17, 17]},
 ], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text",
         "seed-text", "seed-float", "seed-negative", "seed-bool", "param-text", "param-unknown",
-        "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list"])
-def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
+        "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list",
+        "m-float", "m-bool", "grid-float", "pair-float", "refined-float", "out-number",
+        "pair-zero", "algebra-unknown-chart", "reciprocity-grid-mismatch"])
+def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, capsys, bad):
     called = []
     for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
                  "suite_dirac", "suite_reconstruct"):
@@ -485,6 +498,49 @@ def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, bad):
     assert run_cli(["--config", json.dumps(cfg)]) == 2
     assert called == []
     assert list(tmp_path.glob("report-*.json")) == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", '{"trails": 8}'], "unknown config keys ['trails']; accepted: ['chart'"),
+    (["--grid", "abc"], "--grid takes comma-separated integers, got 'abc'"),
+    (["--config", "nofile.json"], "cannot read config 'nofile.json'"),
+    (["--config", "{bad"], "cannot read config '{bad'"),
+], ids=["unknown-key", "grid-text", "config-missing", "config-not-json"])
+def test_unreadable_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    called = []
+    for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
+                 "suite_dirac", "suite_reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    assert called == []
+    assert list(tmp_path.glob("report-*.json")) == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1
+
+
+def test_report_echoes_the_checked_config(tmp_path):
+    # flags over the document over the defaults, with the grids and pairs resolved
+    assert run_cli(["--command", "geometry", "--chart", "sphere", "--grid", "17",
+                    "--config", '{"seed": 3, "m": 5}', "--seed", "9", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "report-geometry.json").read_text())["config"]
+    assert config["grid"] == [17, 17] and config["refined_grid"] == [33, 33]
+    assert config["pairs"] == [[1, 2], [1, 3], [2, 3], [2, 4], [3, 5]]
+    assert (config["seed"], config["m"], config["chart"]) == (9, 5, "sphere")
+    assert sorted(config) == sorted(cli.DEFAULTS)
+
+
+def test_the_argument_parser_is_built_once(monkeypatch):
+    built = []
+    parser_class = cli.argparse.ArgumentParser
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(
+        ArgumentParser=lambda *args, **kwargs: built.append(1) or parser_class(*args, **kwargs)))
+    cli._parser.cache_clear()
+    for _ in range(3):
+        cli.parse_config(["--command", "verify-algebra"])
+    assert built == [1]
 
 
 def test_sampled_algebra_checks_draw_at_least_once(monkeypatch):
@@ -506,7 +562,7 @@ def test_sampled_algebra_checks_draw_at_least_once(monkeypatch):
     monkeypatch.setattr(cli, "_random_multivector", counted(cli._random_multivector))
     monkeypatch.setattr(cli, "vector_pairing", counted(cli.vector_pairing))
     checks = Counting()
-    cli.suite_verify_algebra(dict(cli.DEFAULTS, m=3, trials=1), checks)
+    cli.suite_verify_algebra(cli.parse_config(["--m", "3", "--config", '{"trials": 1}']), checks)
     assert checks.all_pass
     # three multivectors per associativity draw, two per reversion and
     # homomorphism draw, one pairing per dimension 2..5
