@@ -24,8 +24,8 @@ import numpy as np
 
 from . import clifford
 from .dirac import (
+    _gram_blocks,
     frame_lift_coefficients,
-    lift_gram,
     lift_residuals,
     selfadjointization_check,
 )
@@ -43,7 +43,7 @@ from .spinors import (
     spinor_dim,
     vector_pairing,
 )
-from .weierstrass import _reconstruction_study
+from .weierstrass import _reconstruction_study, immersion_bilinears
 
 COMMANDS = ("verify-algebra", "verify-reciprocity", "geometry", "dirac", "reconstruct", "all")
 GRID_COMMANDS = ("geometry", "dirac", "reconstruct", "all")
@@ -278,16 +278,25 @@ def suite_verify_reciprocity(cfg: Config, checks: Checks):
 
 
 class GridFields:
-    """Frame fields and lift coefficients of one chart, built once per grid shape.
+    """Frame fields and lift coefficients of one chart on the run's two grid levels.
 
-    The grid suites of one run share them, so `--command all` builds each
-    (chart, shape) frame field and its lift once.  A build that raises is
+    The grid suites of one run share them, so `--command all` builds and
+    lifts each level once.  geometry reads the coarse level alone (frames).
+    dirac and reconstruct read both (levels): the fine level is built and
+    lifted first, and when the refined grid has 2 (g - 1) + 1 points per
+    axis the coarse level is the fine one at every other point (nested):
+    its planes and lift coefficients are strided views, with axes [::2]
+    (checked against chart.axes) and spacings 2h.  A fine field with a
+    nonzero normal connection keeps a separate coarse build: its Procrustes
+    normal frame depends on the step (helix-curve).  A build that raises is
     not kept, and raises again in the next suite that asks for it.
     """
 
-    def __init__(self, chart):
+    def __init__(self, chart, shapes):
         self.chart = chart
         self.rep = build_gamma_rep(chart.n)
+        self.shapes = shapes  # (coarse, fine)
+        self.nested = False  # set by levels()
         self._frames = {}
         self._coeffs = {}
 
@@ -296,9 +305,28 @@ class GridFields:
             self._frames[shape] = build_frame_field(self.chart, shape=shape)
         return self._frames[shape]
 
+    def levels(self):
+        """The (coarse, fine) frame fields, the fine one built first."""
+        coarse, fine = self.shapes
+        ff = self.frames(fine)
+        axes = [a[::2] for a in ff.axes]
+        self.nested = (fine == tuple(2 * g - 1 for g in coarse) and ff.gtilde_residual == 0.0
+                       and all(map(np.array_equal, axes, self.chart.axes(coarse))))
+        if self.nested and coarse not in self._frames:
+            every = (Ellipsis,) + (slice(None, None, 2),) * len(coarse)
+            planes = {f.name: getattr(ff, f.name)[every] for f in dataclasses.fields(ff)
+                      if f.name.endswith("_planes")}
+            self._frames[coarse] = dataclasses.replace(
+                ff, axes=axes, spacings=[2 * h for h in ff.spacings], **planes)
+        return self.frames(coarse), ff
+
     def coeffs(self, shape):
         if shape not in self._coeffs:
-            self._coeffs[shape] = frame_lift_coefficients(self.frames(shape), self.rep)
+            if self.nested and shape == self.shapes[0]:
+                every = (slice(None),) + (slice(None, None, 2),) * len(shape)
+                self._coeffs[shape] = self.coeffs(self.shapes[1])[every]
+            else:
+                self._coeffs[shape] = frame_lift_coefficients(self.frames(shape), self.rep)
         return self._coeffs[shape]
 
 
@@ -350,22 +378,22 @@ def suite_geometry(cfg: Config, checks: Checks, fields: GridFields):
 
 def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
     chart, rep = fields.chart, fields.rep
-    residuals = []
-    orth = 0.0
-    for sh in (cfg.grid, cfg.refined_grid):
-        ff, coeffs = fields.frames(sh), fields.coeffs(sh)
-        residuals.append(float(lift_residuals(ff, coeffs, rep).max()))
-        orth = max(orth, np.abs(lift_gram(coeffs, rep) - np.eye(rep.dim)).max())
+    levels = fields.levels()
+    coeffs = [fields.coeffs(sh) for sh in fields.shapes]
+    residuals = [float(lift_residuals(ff, c, rep).max()) for ff, c in zip(levels, coeffs)]
+    # nested levels: the coarse Gram is a subset of the fine one
+    orth = max(np.abs(gram - np.eye(rep.dim)).max()
+               for c in (coeffs[1:] if fields.nested else coeffs)
+               for _, gram in _gram_blocks(c, rep))
     checks.add("kernel-orthonormality", orth, 1e-10)
     if residuals[1] < 1e-13:
         checks.add("kernel-residual-fine", residuals[1], 1e-12)
     else:
         checks.add("kernel-convergence-ratio", residuals[0] / residuals[1], 0.5, center=4.0)
 
+    ff_coarse, ff = levels
     if chart.n - chart.k == 1 and np.abs(ff.mean_curvature).max() > 1e-6:
-        ff_coarse = fields.frames(cfg.grid)
-        control = float(lift_residuals(ff_coarse, fields.coeffs(cfg.grid), rep,
-                                       with_mean=False).min())
+        control = float(lift_residuals(ff_coarse, coeffs[0], rep, with_mean=False).min())
         floor = 0.4 * float(np.abs(ff_coarse.mean_curvature).min())
         checks.add_floor("curvature-term-necessity", control, floor)
 
@@ -377,10 +405,13 @@ def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
 
 
 def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
-    chart, out_dir = fields.chart, Path(cfg.out)
-    shapes = (cfg.grid, cfg.refined_grid)
-    report, coords = _reconstruction_study([fields.frames(sh) for sh in shapes], fields.rep,
-                                           coeffs=[fields.coeffs(sh) for sh in shapes])
+    chart, out_dir, rep = fields.chart, Path(cfg.out), fields.rep
+    levels = fields.levels()
+    fine = immersion_bilinears(levels[1], rep, coeffs=fields.coeffs(fields.shapes[1]))
+    # nested levels: the coarse bilinears are the fine ones at every other point
+    coarse = (fine[(slice(None, None, 2),) * chart.k] if fields.nested else
+              immersion_bilinears(levels[0], rep, coeffs=fields.coeffs(fields.shapes[0])))
+    report, coords = _reconstruction_study(levels, rep, bilinears=(coarse, fine))
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
     errs = report.extras["errors_by_resolution"]
     if max(errs) > 1e-13:
@@ -398,7 +429,7 @@ def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
             checks.add("path-independence-residual", paths[1], 1e-13)
 
     if chart.n in (3, 4) or chart.k == 1:
-        export_obj(fields.frames(cfg.grid).x, out_dir / f"{chart.name}-source.obj",
+        export_obj(levels[0].x, out_dir / f"{chart.name}-source.obj",
                    chart_id=f"{chart.name} source")
         export_obj(coords[0], out_dir / f"{chart.name}-reconstructed.obj",
                    chart_id=f"{chart.name} reconstructed")
@@ -485,6 +516,11 @@ def parse_config(argv=None) -> Config:
         raise UsageError("tolerances must map check names to numbers")
     if not isinstance(raw["out"], str):
         raise UsageError(f"out must be a path string, got {raw['out']!r}")
+    out = Path(raw["out"])
+    existing = next(p for p in (out, *out.parents) if p.exists())  # run creates the rest
+    if not existing.is_dir():
+        raise UsageError(f"out {raw['out']!r} cannot be made a directory: {str(existing)!r} "
+                         "exists and is not one")
     if not isinstance(raw["params"], dict):
         raise UsageError("params must be a JSON object of chart parameters")
     try:
@@ -516,7 +552,8 @@ def run(cfg: Config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     command = cfg.command
-    grid_args = (GridFields(cfg.compiled_chart),) if command in GRID_COMMANDS else ()
+    grid_args = ((GridFields(cfg.compiled_chart, (cfg.grid, cfg.refined_grid)),)
+                 if command in GRID_COMMANDS else ())
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),
               ("geometry", suite_geometry, grid_args),

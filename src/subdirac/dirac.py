@@ -48,7 +48,9 @@ from .geometry import (
 )
 from .spinors import (
     GammaRep,
+    GRID_BLOCK,
     _default_sign,
+    _grid_blocks,
     _unsigned_coefficients,
     build_gamma_rep,
     spinor_dim,
@@ -249,15 +251,17 @@ def dirac_residual(op: DiracOperator, field: GridSpinorField) -> float:
     return float(np.linalg.norm(vals, axis=-1).max())
 
 
-def _interior_differences(planes: np.ndarray, spacings) -> list:
+def _interior_differences(planes: np.ndarray, spacings, rows: slice | None = None) -> list:
     """Central differences of planes (r, *grid) along each grid axis, at the
-    interior points only: the interior of geometry._diff_axis, (r, *interior)."""
-    inner = [slice(None)] + [slice(1, -1)] * len(spacings)
+    interior points only: the interior of geometry._diff_axis, (r, *interior).
+    rows (positive start and stop) limits the first grid axis to those interior rows."""
+    inner = [rows or slice(1, planes.shape[1] - 1)] + [slice(1, n - 1) for n in planes.shape[2:]]
     out = []
     for alpha, h in enumerate(spacings):
         plus, minus = list(inner), list(inner)
-        plus[1 + alpha], minus[1 + alpha] = slice(2, None), slice(None, -2)
-        diff = planes[tuple(plus)] - planes[tuple(minus)]
+        plus[alpha] = slice(inner[alpha].start + 1, inner[alpha].stop + 1)
+        minus[alpha] = slice(inner[alpha].start - 1, inner[alpha].stop - 1)
+        diff = planes[(slice(None), *plus)] - planes[(slice(None), *minus)]
         diff /= 2 * h
         out.append(diff)
     return out
@@ -279,38 +283,49 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     also covers odd m, where odd blades are multiples of even ones.  Column
     a is the field psi^a of frame_spinor_fields, so the result is
     dirac_residual of each (shape (d,)): its max is the kernel residual.
+
+    The interior runs in blocks of whole rows of the first grid axis, about
+    GRID_BLOCK points each, differences included, so no temporary but the
+    operator planes spans the grid.
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     k, d = frames.chart.k, rep.dim
     axis, potential = _operator_planes(frames, rep, with_mean)
-    inner = (slice(None),) + (slice(1, -1),) * k
-    K = len(coeffs)
-    signed_c = np.empty((2 * K,) + tuple(n - 2 for n in coeffs.shape[1:]))  # [c; -c]
-    signed_c[:K] = coeffs[inner]
-    np.negative(signed_c[:K], out=signed_c[K:])
-    signed_c = signed_c.reshape(2 * K, -1)
-    if signed_c.shape[1] == 0:
-        return np.zeros(d)
+    K, grid = len(coeffs), coeffs.shape[1:]
+    squares = np.zeros(d)  # running max over the blocks
+    if min(grid) < 3:
+        return squares
     blades = len(potential) if with_mean else _potential_blades(k, rep.m)[1].shape[1]  # no normal planes
-    e = axis[(slice(None),) + inner].reshape(k, k, 1, -1)
-    for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings)):
-        term = e[alpha] * dc.reshape(1, K, -1)
-        if alpha:
-            g += term
-        else:
-            g = term
-    v = potential[:blades][inner].reshape(blades, -1)
     tangent, signed = _residual_table(k, rep.m)
-    # the tangent sources come stacked in g; each potential source adds v_J
-    # times its signed rows of [c; -c], in source order
-    b = tangent @ g.reshape(k * K, -1)
-    for j in range(blades):
-        term = signed_c[signed[j]]
-        term *= v[j]
-        b += term
     form = rep.cached_table("odd_form", _odd_form)
-    squares = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(b), -1), b)
-    return np.sqrt(np.maximum(squares.max(axis=1), 0.0))
+    row = int(np.prod([n - 2 for n in grid[1:]]))
+    step = max(1, GRID_BLOCK // row)
+    for start in range(1, grid[0] - 1, step):
+        rows = slice(start, min(start + step, grid[0] - 1))
+        inner = (slice(None), rows) + (slice(1, -1),) * (k - 1)
+        points = (rows.stop - rows.start) * row
+        signed_c = np.empty((2 * K,) + coeffs[inner].shape[1:])  # [c; -c]
+        signed_c[:K] = coeffs[inner]
+        np.negative(signed_c[:K], out=signed_c[K:])
+        signed_c = signed_c.reshape(2 * K, points)
+        e = axis[(slice(None),) + inner].reshape(k, k, 1, points)
+        for alpha, dc in enumerate(_interior_differences(coeffs, frames.spacings, rows)):
+            term = e[alpha] * dc.reshape(1, K, points)
+            if alpha:
+                g += term
+            else:
+                g = term
+        v = potential[:blades][inner].reshape(blades, points)
+        # the tangent sources come stacked in g; each potential source adds v_J
+        # times its signed rows of [c; -c], in source order
+        b = tangent @ g.reshape(k * K, points)
+        for j in range(blades):
+            term = signed_c[signed[j]]
+            term *= v[j]
+            b += term
+        block = np.einsum("alp,lp->ap", (form @ b).reshape(d, len(b), points), b)
+        np.maximum(squares, block.max(axis=1), out=squares)
+    return np.sqrt(squares)
 
 
 def _odd_form(rep: GammaRep) -> np.ndarray:
@@ -343,12 +358,23 @@ def lift_gram(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
 
     Entry (a, b) is the pairing <conj(psi^a), psi^b> of the fields of
     frame_spinor_fields (pointwise_pairings): a quadratic form of c against
-    the fixed table gamma_K^H gamma_L over the pairs K <= L.
+    the fixed table gamma_K^H gamma_L over the pairs K <= L, block by block
+    (_gram_blocks).
     """
-    table = rep.cached_table("lift_gram", _gram_table)
-    pairs = _pair_products(coeffs).reshape(len(table), -1)
-    gram = np.ascontiguousarray((table.view(float).T @ pairs).T).view(complex)
+    gram = np.empty((coeffs[0].size, rep.dim, rep.dim), dtype=complex)
+    for block, part in _gram_blocks(coeffs, rep):
+        gram[block] = part
     return gram.reshape(coeffs.shape[1:] + (rep.dim, rep.dim))
+
+
+def _gram_blocks(coeffs: np.ndarray, rep: GammaRep):
+    """lift_gram over GRID_BLOCK points at a time: (columns of the flattened
+    grid, gram (points, d, d)) per block."""
+    table = rep.cached_table("lift_gram", _gram_table).view(float).T
+    flat = coeffs.reshape(len(coeffs), -1)
+    for block in _grid_blocks(flat.shape[1]):
+        gram = np.ascontiguousarray((table @ _pair_products(flat[:, block])).T).view(complex)
+        yield block, gram.reshape(-1, rep.dim, rep.dim)
 
 
 def _gram_table(rep: GammaRep) -> np.ndarray:
@@ -386,7 +412,9 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     fixed table of spinors._table_lift, the kernel that spin_lift runs on
     one point.  The table grows as 4^m, so above it each point is lifted
     from a real Schur decomposition and projected onto the even blades
-    (spinors._unsigned_coefficients).
+    (spinors._unsigned_coefficients).  The points are lifted GRID_BLOCK at
+    a time, and the overlaps below are summed one blade plane at a time, so
+    no temporary but c spans the grid.
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
@@ -401,15 +429,22 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     """
     rep = rep or build_gamma_rep(frames.chart.n)
     # the rotation's rows are the tangent then the normal vectors: its entry
-    # planes are the two plane stacks one after the other
-    rot = np.concatenate([frames.tangent_planes, frames.normal_planes])
-    shape = rot.shape[2:]
-    c = _unsigned_coefficients(rot.reshape(len(rot) * rot.shape[1], -1), rep)
-    c = c.reshape((len(c),) + shape)
-    overlap = rep.dim * (c * _staircase_previous(c, len(shape))).sum(axis=0)
+    # planes are the two plane stacks one after the other, joined block by block
+    shape = frames.grid_shape
+    stacks = [p.reshape(-1, int(np.prod(shape))) for p in (frames.tangent_planes,
+                                                           frames.normal_planes)]
+    c = np.empty((1 << (rep.m - 1),) + shape)  # one row per even blade
+    flat = c.reshape(len(c), -1)
+    for block in _grid_blocks(flat.shape[1]):
+        flat[:, block] = _unsigned_coefficients(np.concatenate([s[:, block] for s in stacks]), rep)
+    overlap = np.zeros(shape)  # c(s) . c(prev), one plane at a time
+    for plane in c:
+        overlap += plane * _staircase_previous(plane, len(shape))
+    overlap *= rep.dim
     base = (slice(None),) + (0,) * len(shape)
     base_sign = _default_sign(np.tensordot(c[base], rep.even_products, axes=1))
-    return _sign_chain(overlap, base_sign) * c
+    c *= _sign_chain(overlap, base_sign)
+    return c
 
 
 def frame_lift_field(frames: FrameField, rep: GammaRep | None = None) -> np.ndarray:

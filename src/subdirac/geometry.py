@@ -1397,6 +1397,15 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     metric = _plane_matmul(np.swapaxes(r, 0, 1), r)
     wein = _weingarten_planes(hess, metric_inv, normal)
 
+    # omega_alpha = L - L^T with L the strict-lower part of tangent hess_alpha
+    # R^-1; for k = 2 that is the one entry L[1, 0] = e_1 . d_alpha d_0 x / R[0, 0]
+    # (0-based), and a curve has no spin connection
+    omega = np.zeros((k, k, k) + shape)
+    if k == 2:
+        low = _plane_matmul(tangent[1:], hess[:, 0])[0] * r_inv[0, 0]
+        omega[:, 1, 0], omega[:, 0, 1] = low, -low
+    del hess  # the rest of the build holds no second derivatives
+
     # normal-connection coefficients of the aligned field; in codimension 1
     # the antisymmetric 1 x 1 matrix is 0, with no differencing
     gtilde = np.zeros((k, nk, nk) + shape)
@@ -1409,14 +1418,6 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     if integrability_tol is not None and gtilde_residual > integrability_tol:
         raise IntegrabilityError(
             f"normal connection residual {gtilde_residual:.3e} above {integrability_tol:.3e}")
-
-    # omega_alpha = L - L^T with L the strict-lower part of tangent hess_alpha
-    # R^-1; for k = 2 that is the one entry L[1, 0] = e_1 . d_alpha d_0 x / R[0, 0]
-    # (0-based), and a curve has no spin connection
-    omega = np.zeros((k, k, k) + shape)
-    if k == 2:
-        low = _plane_matmul(tangent[1:], hess[:, 0])[0] * r_inv[0, 0]
-        omega[:, 1, 0], omega[:, 0, 1] = low, -low
 
     return FrameField(chart, axes, hs, _plane_view(mesh.dense(), 1), x, jac, metric, metric_inv,
                       tangent, normal, wein, np.trace(wein, axis1=1, axis2=2), gtilde,

@@ -431,6 +431,32 @@ def _spin_lift_table(m: int) -> tuple:
     return blades, diagonal, partner, weight
 
 
+# Points per block of the pointwise grid kernels (the lift's minors and table
+# product, the residual's odd coefficients, the Gram and bilinear pair
+# products): one block's temporaries, at most the 53 minor rows of m = 4
+# (0.4 MB), stay in a 2 MB L2 cache.
+GRID_BLOCK = 1024
+# The lift's BLAS products run over whole multiples of _BLAS_TILE columns and
+# over at least _BLAS_MIN_ENTRIES output entries: OpenBLAS takes other paths,
+# which round differently, for a partial tile and for a small product (up to
+# about 1200 outputs).  So a rotation's lift comes out the same wherever a
+# block puts it.
+_BLAS_TILE = 16
+_BLAS_MIN_ENTRIES = 2048
+
+
+def _grid_blocks(points: int) -> list:
+    """Slices of GRID_BLOCK consecutive columns (the last one shorter) covering points."""
+    return [slice(start, min(start + GRID_BLOCK, points)) for start in range(0, points, GRID_BLOCK)]
+
+
+def _whole_tiles(points: int, rows: int) -> np.ndarray:
+    """Indices of points columns, the last one repeated, for products with rows
+    output rows to take the full-tile path (_BLAS_TILE, _BLAS_MIN_ENTRIES)."""
+    width = max(-(-points // _BLAS_TILE) * _BLAS_TILE, -(-_BLAS_MIN_ENTRIES // rows))
+    return np.minimum(np.arange(width), points - 1)
+
+
 def _table_lift(entries: np.ndarray, m: int, tol: float) -> np.ndarray:
     """Even-blade coefficients c (K, P) of the spin lifts of P rotations, up to sign.
 
@@ -440,21 +466,29 @@ def _table_lift(entries: np.ndarray, m: int, tol: float) -> np.ndarray:
     blade, normalised, is c up to sign.  Raises ValueError unless every R
     is finite with R^T R within tol of the identity (absolute, entrywise)
     and det R, the last grade of the minors, is positive.
+
+    Each blade's row multiplies all P columns, and for P > 1 the columns are
+    padded to the full-tile path (_whole_tiles), so that a rotation's c does
+    not depend on the rotations it is lifted with; one rotation (spin_lift)
+    is lifted alone.
     """
     _assert_orthogonal(entries, m, tol)
+    points, blades = entries.shape[1], 1 << (m - 1)
+    if points > 1 and (points % _BLAS_TILE or points * blades < _BLAS_MIN_ENTRIES):
+        entries = entries[:, _whole_tiles(points, blades)]
     grades = _rotation_minors(entries, m)
     if (grades[m] < 0).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
 
-    blades, diagonal, partner, weight = _spin_lift_table(m)
+    _, diagonal, partner, weight = _spin_lift_table(m)
     minors = np.concatenate(grades[: m // 2 + 1])
-    best = (diagonal @ minors).argmax(axis=0)
-    c = np.empty((len(blades), minors.shape[1]))
-    for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
+    best = (diagonal @ minors).argmax(axis=0)[:points]
+    c = np.empty((blades, points))
+    for k in np.flatnonzero(np.bincount(best, minlength=blades)):
         at = best == k
-        row = np.zeros((len(blades), len(minors)))
+        row = np.zeros((blades, len(minors)))
         row[partner[k], np.arange(len(minors))] = weight[k]
-        c[:, at] = row @ minors[:, at]
+        c[:, at] = (row @ minors)[:, :points][:, at]
     c /= np.linalg.norm(c, axis=0)
     return c
 

@@ -39,7 +39,7 @@ from .geometry import (
     _staircase_edges,
     build_frame_field,
 )
-from .spinors import GammaRep, _unsigned_coefficients, build_gamma_rep
+from .spinors import GammaRep, _grid_blocks, _unsigned_coefficients, build_gamma_rep
 
 
 class MisclassificationError(ValueError):
@@ -83,13 +83,21 @@ def _bilinear_kernel(coeffs: np.ndarray, tangent: np.ndarray, jac: np.ndarray,
     and the tangent (k, n, *grid) and jac (n, k, *grid) planes at the same points.
 
     B^i_alpha = sum_a (tangent jac)_{a alpha} W_ia, with W a quadratic form
-    of c (_bilinear_table), so the sign of the lift does not enter.
+    of c (_bilinear_table), so the sign of the lift does not enter.  Runs
+    GRID_BLOCK points at a time into the preallocated planes.
     """
     grid = coeffs.shape[1:]
     n, k = jac.shape[:2]
-    table = _bilinear_table(rep, k)
-    w = table.T @ _pair_products(coeffs).reshape(len(table), -1)  # (n k, P): the W_ia planes
-    return _plane_matmul(w.reshape((n, k) + grid), _plane_matmul(tangent, jac))
+    table = _bilinear_table(rep, k).T
+    points = int(np.prod(grid))
+    flat = coeffs.reshape(len(coeffs), points)
+    tangent, jac = tangent.reshape(k, n, points), jac.reshape(n, k, points)
+    out = np.empty((n, k, points))
+    for block in _grid_blocks(points):
+        w = table @ _pair_products(flat[:, block])  # (n k, points): the W_ia planes
+        out[:, :, block] = _plane_matmul(w.reshape(n, k, -1),
+                                         _plane_matmul(tangent[:, :, block], jac[:, :, block]))
+    return out.reshape((n, k) + grid)
 
 
 def immersion_bilinears(frames: FrameField, rep: GammaRep | None = None,
@@ -189,10 +197,10 @@ def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
 
 
 def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
-                          extras: dict | None = None, coeffs=None):
+                          extras: dict | None = None, bilinears=None):
     """reconstruction_report over a coarse and a fine frame field of one chart.
 
-    coeffs, when given, holds each field's frame_lift_coefficients.  Also
+    bilinears, when given, holds each field's immersion_bilinears.  Also
     returns the reconstructed coordinate grid of each field.
     """
     errors = []
@@ -203,7 +211,7 @@ def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
     bilinear_dev = 0.0
     per_coord = None
     for j, frames in enumerate(frame_fields):
-        b = immersion_bilinears(frames, rep, coeffs=None if coeffs is None else coeffs[j])
+        b = immersion_bilinears(frames, rep) if bilinears is None else bilinears[j]
         bilinear_dev = max(bilinear_dev, float(np.abs(b - frames.jac).max()))
         coords, path_res = reconstruct_immersion(frames, rep, bilinears=b)
         err = np.abs(coords - frames.x)
@@ -273,5 +281,6 @@ def frenet_serret_case(chart: ImmersionChart, shapes=((257,), (513,)),
         "kernel_order": float(np.log2(residuals[0] / residuals[1])
                               / np.log2((shapes[1][0] - 1) / (shapes[0][0] - 1))),
         "curvature_norm": np.linalg.norm(frame_fields[-1].mean_curvature, axis=-1),
-    }, coeffs=coeffs)
+    }, bilinears=[immersion_bilinears(frames, rep, coeffs=c)
+                  for frames, c in zip(frame_fields, coeffs)])
     return report

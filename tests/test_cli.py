@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from subdirac import cli
-from subdirac.geometry import build_frame_field, catalog_chart
+from subdirac.dirac import frame_lift_coefficients
+from subdirac.geometry import CATALOG, build_frame_field, catalog_chart
 from subdirac.meshio import export_obj
 
 
@@ -521,6 +523,22 @@ def test_unreadable_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
     assert err.startswith("usage error: " + message) and err.count("\n") == 1
 
 
+def test_out_naming_a_file_is_one_usage_error_line(tmp_path, monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, "suite_verify_algebra", lambda *args: called.append(1))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "reports"):
+        assert run_cli(["--command", "verify-algebra", "--m", "2", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith(f"usage error: out {str(out)!r} cannot be made a directory") \
+            and err.count("\n") == 1
+    assert called == []
+    assert afile.read_text() == "kept\n"
+    assert list(tmp_path.rglob("report-*.json")) == []
+
+
 def test_report_echoes_the_checked_config(tmp_path):
     # flags over the document over the defaults, with the grids and pairs resolved
     assert run_cli(["--command", "geometry", "--chart", "sphere", "--grid", "17",
@@ -659,3 +677,64 @@ def test_dirac_and_reconstruct_build_no_operator_and_no_complex_lift(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str([0] * 10), proc.stdout
+
+
+# --- one fine-grid pass per command ------------------------------------------------
+
+STRIDE_CASES = [(name, {}) for name in sorted(CATALOG)] + [
+    (name, {"r": r}) for name in ("sphere", "clifford-torus-r4") for r in (0.85, 1.2)]
+
+
+@pytest.mark.parametrize("name, params", STRIDE_CASES,
+                         ids=[name + "".join(f"-r{r}" for r in params.values())
+                              for name, params in STRIDE_CASES])
+def test_coarse_level_read_off_the_fine_one_is_a_fresh_build(name, params):
+    chart = catalog_chart(name, **params)
+    cfg = cli.parse_config(["--chart", name, "--config", json.dumps({"params": params})])
+    fields = cli.GridFields(chart, (cfg.grid, cfg.refined_grid))
+    derived, fine = fields.levels()
+    fresh = build_frame_field(chart, shape=cfg.grid)
+    # the helix's Procrustes normal frame depends on the step: a separate build
+    assert fields.nested == (name != "helix-curve")
+    assert np.shares_memory(derived.x_planes, fine.x_planes) == fields.nested
+    for field in dataclasses.fields(fresh):
+        if field.name.endswith("_planes"):
+            assert np.array_equal(getattr(derived, field.name), getattr(fresh, field.name)), \
+                field.name
+    assert derived.gtilde_residual == fresh.gtilde_residual
+    assert derived.spacings == fresh.spacings
+    assert all(map(np.array_equal, derived.axes, fresh.axes))
+    assert np.array_equal(fields.coeffs(cfg.grid), frame_lift_coefficients(fresh, fields.rep))
+
+
+def test_helix_checks_keep_their_separate_coarse_build(tmp_path):
+    # read off the fine level, the helix's convergence-ratio deviation would be 0.27
+    values = {}
+    for command in ("dirac", "reconstruct"):
+        assert run_cli(["--command", command, "--chart", "helix-curve", "--seed", "7",
+                        "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"report-{command}.json").read_text())
+        values.update((c["name"], c["value"]) for c in report["checks"])
+    assert values["kernel-convergence-ratio"] == pytest.approx(1.6484583460485425e-4, abs=1e-8)
+    assert values["reconstruction-order"] == pytest.approx(3.962647266941843e-05, abs=1e-8)
+    assert values["reconstruction-error-fine"] == pytest.approx(9.155355114576214e-05, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["sphere", "clifford-torus-r4"])
+def test_grid_commands_build_and_lift_each_level_once(tmp_path, monkeypatch, name):
+    built, lifted = [], []
+    build, lift = cli.build_frame_field, cli.frame_lift_coefficients
+    monkeypatch.setattr(cli, "build_frame_field",
+                        lambda chart, shape: built.append(shape) or build(chart, shape=shape))
+    monkeypatch.setattr(cli, "frame_lift_coefficients",
+                        lambda frames, rep: lifted.append(frames.grid_shape) or lift(frames, rep))
+    calls = {}
+    for command in ("geometry", "dirac", "reconstruct"):
+        built.clear()
+        lifted.clear()
+        assert run_cli(["--command", command, "--chart", name, "--grid", "17", "--seed", "7",
+                        "--out", str(tmp_path)]) == 0
+        calls[command] = (list(built), list(lifted))
+    assert calls == {"geometry": ([(17, 17)], []),
+                     "dirac": ([(33, 33)], [(33, 33)]),
+                     "reconstruct": ([(33, 33)], [(33, 33)])}
