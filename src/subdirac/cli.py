@@ -278,15 +278,15 @@ def suite_verify_reciprocity(cfg: Config, checks: Checks):
 
 
 class GridFields:
-    """Frame fields and lift coefficients of one chart on the run's two grid levels.
+    """Frame fields, lift coefficients and bilinears of one chart on the run's two grid levels.
 
     The grid suites of one run share them, so `--command all` builds and
     lifts each level once.  geometry reads the coarse level alone (frames).
     dirac and reconstruct read both (levels): the fine level is built and
     lifted first, and when the refined grid has 2 (g - 1) + 1 points per
     axis the coarse level is the fine one at every other point (nested):
-    its planes and lift coefficients are strided views, with axes [::2]
-    (checked against chart.axes) and spacings 2h.  A fine field with a
+    its planes, coefficients and bilinears are strided views, with axes
+    [::2] (checked against chart.axes) and spacings 2h.  A fine field with a
     nonzero normal connection keeps a separate coarse build: its Procrustes
     normal frame depends on the step (helix-curve).  A build that raises is
     not kept, and raises again in the next suite that asks for it.
@@ -299,6 +299,7 @@ class GridFields:
         self.nested = False  # set by levels()
         self._frames = {}
         self._coeffs = {}
+        self._bilinears = {}
 
     def frames(self, shape):
         if shape not in self._frames:
@@ -321,13 +322,27 @@ class GridFields:
         return self.frames(coarse), ff
 
     def coeffs(self, shape):
-        if shape not in self._coeffs:
+        return self._on_level(self._coeffs, shape, 1,
+                              lambda sh: frame_lift_coefficients(self.frames(sh), self.rep))
+
+    def bilinears(self, shape):
+        return self._on_level(self._bilinears, shape, 0, lambda sh: immersion_bilinears(
+            self.frames(sh), self.rep, coeffs=self.coeffs(sh)))
+
+    def distinct_coeffs(self):
+        """The lift coefficients of every distinct point: the fine level's alone when nested."""
+        return [self.coeffs(shape) for shape in (self.shapes[1:] if self.nested else self.shapes)]
+
+    def _on_level(self, cache, shape, lead, build):
+        """cache[shape] from build(shape); on a nested coarse level, the fine
+        level's array at every other point of its grid axes (after lead axes)."""
+        if shape not in cache:
             if self.nested and shape == self.shapes[0]:
-                every = (slice(None),) + (slice(None, None, 2),) * len(shape)
-                self._coeffs[shape] = self.coeffs(self.shapes[1])[every]
+                every = (slice(None),) * lead + (slice(None, None, 2),) * len(shape)
+                cache[shape] = self._on_level(cache, self.shapes[1], lead, build)[every]
             else:
-                self._coeffs[shape] = frame_lift_coefficients(self.frames(shape), self.rep)
-        return self._coeffs[shape]
+                cache[shape] = build(shape)
+        return cache[shape]
 
 
 def suite_geometry(cfg: Config, checks: Checks, fields: GridFields):
@@ -381,10 +396,8 @@ def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
     levels = fields.levels()
     coeffs = [fields.coeffs(sh) for sh in fields.shapes]
     residuals = [float(lift_residuals(ff, c, rep).max()) for ff, c in zip(levels, coeffs)]
-    # nested levels: the coarse Gram is a subset of the fine one
     orth = max(np.abs(gram - np.eye(rep.dim)).max()
-               for c in (coeffs[1:] if fields.nested else coeffs)
-               for _, gram in _gram_blocks(c, rep))
+               for c in fields.distinct_coeffs() for _, gram in _gram_blocks(c, rep))
     checks.add("kernel-orthonormality", orth, 1e-10)
     if residuals[1] < 1e-13:
         checks.add("kernel-residual-fine", residuals[1], 1e-12)
@@ -407,11 +420,8 @@ def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
 def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
     chart, out_dir, rep = fields.chart, Path(cfg.out), fields.rep
     levels = fields.levels()
-    fine = immersion_bilinears(levels[1], rep, coeffs=fields.coeffs(fields.shapes[1]))
-    # nested levels: the coarse bilinears are the fine ones at every other point
-    coarse = (fine[(slice(None, None, 2),) * chart.k] if fields.nested else
-              immersion_bilinears(levels[0], rep, coeffs=fields.coeffs(fields.shapes[0])))
-    report, coords = _reconstruction_study(levels, rep, bilinears=(coarse, fine))
+    bilinears = tuple(fields.bilinears(shape) for shape in fields.shapes)
+    report, coords = _reconstruction_study(levels, rep, bilinears=bilinears)
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
     errs = report.extras["errors_by_resolution"]
     if max(errs) > 1e-13:

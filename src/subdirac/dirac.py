@@ -411,10 +411,10 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     Up to LIFT_TABLE_MAX_DIMENSION c is read off the minors of R by the
     fixed table of spinors._table_lift, the kernel that spin_lift runs on
     one point.  The table grows as 4^m, so above it each point is lifted
-    from a real Schur decomposition and projected onto the even blades
-    (spinors._unsigned_coefficients).  The points are lifted GRID_BLOCK at
-    a time, and the overlaps below are summed one blade plane at a time, so
-    no temporary but c spans the grid.
+    as a product of Householder reflections (spinors._reflection_lifts) and
+    projected onto the even blades (spinors._unsigned_coefficients).  The
+    points are lifted GRID_BLOCK at a time, and the overlaps below are
+    summed one blade plane at a time, so no temporary but c spans the grid.
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
@@ -573,7 +573,8 @@ def selfadjointization_check(chart: ImmersionChart, s_shape=None, q_points=33,
         return 1j * _diff_axis(field, 0, hq)
 
     v = w_q * (np.conj(p(f_q)) * g_q - np.conj(f_q) * p(g_q))
-    residual_without = abs((v @ sqrt_rho) @ u)
+    # v is complex and sqrt_rho real: two real products, so the factor is never cast
+    residual_without = abs((v.real @ sqrt_rho + 1j * (v.imag @ sqrt_rho)) @ u)
     residual_with = abs(u.sum() * v.sum())
     return residual_without, residual_with, _tube_limit(frames, pairing, direction)
 

@@ -493,51 +493,38 @@ def _table_lift(entries: np.ndarray, m: int, tol: float) -> np.ndarray:
     return c
 
 
-def _schur_lift(r: np.ndarray, rep: GammaRep) -> np.ndarray:
-    """Spin lift of R in SO(m) from a real Schur decomposition, sign as it falls.
+def _reflection_lifts(entries: np.ndarray, rep: GammaRep, tol: float) -> np.ndarray:
+    """Spin lifts tau (P, d, d) of the rotations in entries (m * m, P), sign as it falls.
 
-    R is split into planar blocks and lifted plane by plane as
-    cos(t/2) - sin(t/2) gamma(u) gamma(w).  R is not checked, beyond an odd
-    number of -1 eigenvalues raising.  Lifts above LIFT_TABLE_MAX_DIMENSION
-    use it, and the tests hold the table against it; it is the only lift
-    that loads scipy.linalg.
+    Householder reflections H_j = 1 - 2 v_j v_j^T / |v_j|^2 reduce each R
+    column by column, with v_j = x + sign(x_0) |x| e_j for x the rows j..
+    of column j of the partly reduced R (|x| = 1, so |v_j|^2 >= 2), to
+    H_{m-1} ... H_1 R = D = diag(+-1).  As gamma(v) gamma(w) gamma(v)^{-1}
+    = -gamma(H_v w), an even number of reflections lifts to their gamma
+    product (Cartan-Dieudonne): tau = gamma(v_1) ... gamma(v_{m-1})
+    prod_{D_jj < 0} gamma_j, and the count is even exactly when det R > 0.
+    Raises ValueError unless every R is finite with R^T R within tol of the
+    identity (absolute, entrywise) and det R > 0.
     """
-    import scipy.linalg
-
-    t, z = scipy.linalg.schur(r, output="real")
-    tau = np.eye(rep.dim, dtype=complex)
-    pending_flip = None  # unpaired -1 eigenvalue column awaiting a partner
-    i = 0
-    while i < rep.m:
-        if i + 1 < rep.m and abs(t[i + 1, i]) > 1e-12:
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            gu, gw = rep.gamma(z[:, i]), rep.gamma(z[:, i + 1])
-            tau = (np.cos(theta / 2) * np.eye(rep.dim) - np.sin(theta / 2) * gu @ gw) @ tau
-            i += 2
-        else:
-            if t[i, i] < 0:
-                if pending_flip is None:
-                    pending_flip = z[:, i]
-                else:
-                    # two -1 eigenvalues form a rotation by pi in their plane
-                    gu, gw = rep.gamma(pending_flip), rep.gamma(z[:, i])
-                    tau = (-gu @ gw) @ tau
-                    pending_flip = None
-            i += 1
-    if pending_flip is not None:
-        raise ValueError("odd number of -1 eigenvalues; determinant is -1")
-    return tau
-
-
-def _schur_lifts(entries: np.ndarray, rep: GammaRep, tol: float) -> np.ndarray:
-    """_schur_lift of each rotation in entries (m * m, P), stacked (P, d, d), once
-    each is checked finite with R^T R within tol of 1 entrywise and det R > 0."""
     m = rep.m
     _assert_orthogonal(entries, m, tol)
-    rotations = np.moveaxis(entries.reshape(m, m, -1), -1, 0)
-    if (np.linalg.det(rotations) < 0).any():
+    reduced = entries.reshape(m, m, -1).copy()  # one plane per entry R[i, j]
+    points = reduced.shape[-1]
+    tau = np.repeat(np.eye(rep.dim, dtype=complex)[None], points, axis=0)
+    for j in range(m - 1):
+        x = reduced[j:, j]
+        v = np.zeros((m, points))
+        v[j:] = x
+        v[j] += np.copysign(np.linalg.norm(x, axis=0), x[0])
+        v /= np.linalg.norm(v, axis=0)
+        reduced -= 2 * v[:, None] * np.einsum("ip,ijp->jp", v, reduced)
+        tau = tau @ np.tensordot(v.T, rep.gamma_stack, axes=1)
+    negative = reduced[np.arange(m), np.arange(m)] < 0  # D_jj < 0, (m, P)
+    if ((m - 1 + negative.sum(axis=0)) % 2).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
-    return np.stack([_schur_lift(r, rep) for r in rotations])
+    for gamma, flip in zip(rep.gammas, negative):
+        tau[flip] = tau[flip] @ gamma
+    return tau
 
 
 def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-10) -> np.ndarray:
@@ -547,8 +534,8 @@ def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-1
     plane of entry (i, j).
 
     Up to LIFT_TABLE_MAX_DIMENSION the minor table (_table_lift) gives c;
-    above it the Schur lifts (_schur_lifts) are projected onto the even
-    blades, c_K = Re tr(gamma_K^H tau) / d, as tr(gamma_K^H gamma_L) = d delta_KL.
+    above it the reflection lifts (_reflection_lifts) are projected onto the
+    even blades, c_K = Re tr(gamma_K^H tau) / d, as tr(gamma_K^H gamma_L) = d delta_KL.
     Every rotation must be finite with each entry of R^T R within tol of
     the identity's and det R > 0.
     """
@@ -557,7 +544,7 @@ def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-1
         raise ValueError(f"expected {m}x{m} rotation")
     if m <= LIFT_TABLE_MAX_DIMENSION:
         return _table_lift(entries, m, tol)
-    taus = _schur_lifts(entries, rep, tol)
+    taus = _reflection_lifts(entries, rep, tol)
     blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
     return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
 
@@ -568,10 +555,11 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
 
     Up to LIFT_TABLE_MAX_DIMENSION, tau = sum_K c_K gamma_K with c from the
     kernel that frame_lift_coefficients applies to a whole grid
-    (_unsigned_coefficients); above it tau is the Schur lift (_schur_lifts)
-    and no blade table is built.  R must be finite with each entry of R^T R
-    within tol of the identity's and det R > 0.  The double-cover sign is
-    nearest to the anchor when given, otherwise by a fixed deterministic rule.
+    (_unsigned_coefficients); above it tau is the Householder reflection
+    lift (_reflection_lifts) and no blade table is built.  R must be finite
+    with each entry of R^T R within tol of the identity's and det R > 0.
+    The double-cover sign is nearest to the anchor when given, otherwise by
+    a fixed deterministic rule.
     """
     r = np.asarray(rotation, dtype=float)
     m = rep.m
@@ -579,7 +567,7 @@ def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = Non
         raise ValueError(f"expected {m}x{m} rotation")
     entries = r.reshape(m * m, 1)
     if m > LIFT_TABLE_MAX_DIMENSION:
-        tau = _schur_lifts(entries, rep, tol)[0]
+        tau = _reflection_lifts(entries, rep, tol)[0]
     else:
         c = _unsigned_coefficients(entries, rep, tol)[:, 0]
         tau = (c @ rep.even_products.reshape(len(c), -1)).reshape(rep.dim, rep.dim)

@@ -588,7 +588,7 @@ def test_sampled_algebra_checks_draw_at_least_once(monkeypatch):
                      "rep-homomorphism": 2, "primitive-spinor-inner-product": 4}
 
 
-# --- scipy.linalg stays unloaded ------------------------------------------------
+# --- scipy stays unloaded ---------------------------------------------------------
 
 NO_SCIPY_LINALG = """
 import sys
@@ -630,9 +630,8 @@ print(status, "scipy.linalg" in sys.modules)
 
 
 def test_catalog_commands_and_queries_leave_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg serves only lifts above the minor table (m > 6), which no
-    # catalog chart reaches; a codimension-3 frame field (a numpy chart, as
-    # sympy would load scipy itself) needs none either
+    # no command or query loads scipy.linalg; a codimension-3 frame field (a
+    # numpy chart, as sympy would load scipy itself) needs none either
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG, str(tmp_path)], cwd=tmp_path,
@@ -640,6 +639,34 @@ def test_catalog_commands_and_queries_leave_scipy_linalg_unloaded(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * 11} False"
+
+
+NO_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+
+from subdirac import cli
+
+runs = [["--command", "verify-algebra", "--m", "7"], ["--command", "verify-algebra", "--m", "12"],
+        ["--command", "verify-reciprocity", "--config", '{"pairs": [[3, 8]]}']]
+runs += [["--command", "all", "--chart", chart, "--grid", grid]
+         for chart, grid in (("sphere", "17"), ("clifford-torus-r4", "9"), ("helix-curve", "17"))]
+status = [cli.main(args + ["--seed", "7", "--out", sys.argv[1]]) for args in runs]
+print(status, sorted(name for name, module in sys.modules.items()
+                     if name.split(".")[0] == "scipy" and module is not None))
+"""
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    # the lift above the minor table (m > 6) is numpy-only, like every other path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * 6} []", proc.stdout
 
 
 # --- the CLI kernels run on lift coefficients -------------------------------------

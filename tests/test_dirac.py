@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_frame_field_scan import surface_in_r5
 
+from subdirac import dirac
 from subdirac.clifford import Multivector
 from subdirac.dirac import (
     GridSpinorField,
@@ -254,6 +256,25 @@ def test_selfadjointization_rejects_a_tube_past_the_focal_set():
 def test_selfadjointization_direction_range():
     with pytest.raises(ValueError):
         selfadjointization_check(catalog_chart("sphere"), s_shape=(9, 9), direction=1)
+
+
+def test_tube_pairing_never_casts_the_factor_to_complex(monkeypatch):
+    # the real (q_points, P) factor sqrt(rho) meets the complex q weights as
+    # two real products: precomputed outside the trace, the check holds no
+    # temporary as large as the factor (a complex cast is twice its size)
+    chart = catalog_chart("sphere")
+    frames = build_frame_field(chart, shape=(65, 65))
+    expected = selfadjointization_check(chart, frames=frames)
+    factor = _tube_factor(frames.weingarten_planes[:1], np.linspace(-0.25, 0.25, 33)[:, None])
+    monkeypatch.setattr(dirac, "_tube_factor", lambda gamma, q: factor)
+    tracemalloc.start()
+    try:
+        got = selfadjointization_check(chart, frames=frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < factor.nbytes
 
 
 # --- gamma-table assembly and factored tube check against the dense forms ----------

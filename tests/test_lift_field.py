@@ -1,12 +1,13 @@
-"""The minor-table spin lift against the Schur-decomposition lift.
+"""The minor-table and reflection spin lifts against the Schur-decomposition lift.
 
 frame_lift_field and, up to LIFT_TABLE_MAX_DIMENSION, spin_lift read the
-lift off one fixed table of rotation minors.  The oracle lifts each point
-from a real Schur decomposition (spinors._schur_lift) with spin_lift's
-checks and sign rules, and the grid reference walks the staircase order
-point by point, anchoring each lift to its predecessor's.  The same walk is
-the reference of geometry._staircase_accumulate, the staircase's sums and
-sign products.
+lift off one fixed table of rotation minors; above it they take the
+product of Householder reflections (spinors._reflection_lifts).  The
+oracle lifts each point from a real Schur decomposition (_schur_lift,
+kept here) with spin_lift's checks and sign rules, and the grid reference
+walks the staircase order point by point, anchoring each lift to its
+predecessor's.  The same walk is the reference of
+geometry._staircase_accumulate, the staircase's sums and sign products.
 """
 
 from types import SimpleNamespace
@@ -23,9 +24,9 @@ from subdirac.geometry import _staircase_accumulate, build_frame_field, catalog_
 from subdirac.spinors import (
     LIFT_TABLE_MAX_DIMENSION,
     CliffordGroupElement,
+    GammaRep,
     _default_sign,
     _rotation_minors,
-    _schur_lift,
     _spin_lift_table,
     build_gamma_rep,
     rep_of,
@@ -73,6 +74,39 @@ def test_staircase_accumulate_matches_walk(ufunc, shape, ndim):
     got = _staircase_accumulate(ufunc, steps, ndim)
     assert np.array_equal(got, walk_accumulate(ufunc, steps, ndim))
     assert np.array_equal(steps, before)
+
+
+def _schur_lift(r: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """Spin lift of R in SO(m) from a real Schur decomposition, sign as it falls.
+
+    R is split into planar blocks and lifted plane by plane as
+    cos(t/2) - sin(t/2) gamma(u) gamma(w).  R is not checked, beyond an odd
+    number of -1 eigenvalues raising.  The oracle of both lifts of
+    spinors: the minor table and, above it, the reflection lift.
+    """
+    t, z = scipy.linalg.schur(r, output="real")
+    tau = np.eye(rep.dim, dtype=complex)
+    pending_flip = None  # unpaired -1 eigenvalue column awaiting a partner
+    i = 0
+    while i < rep.m:
+        if i + 1 < rep.m and abs(t[i + 1, i]) > 1e-12:
+            theta = np.arctan2(t[i + 1, i], t[i, i])
+            gu, gw = rep.gamma(z[:, i]), rep.gamma(z[:, i + 1])
+            tau = (np.cos(theta / 2) * np.eye(rep.dim) - np.sin(theta / 2) * gu @ gw) @ tau
+            i += 2
+        else:
+            if t[i, i] < 0:
+                if pending_flip is None:
+                    pending_flip = z[:, i]
+                else:
+                    # two -1 eigenvalues form a rotation by pi in their plane
+                    gu, gw = rep.gamma(pending_flip), rep.gamma(z[:, i])
+                    tau = (-gu @ gw) @ tau
+                    pending_flip = None
+            i += 1
+    if pending_flip is not None:
+        raise ValueError("odd number of -1 eigenvalues; determinant is -1")
+    return tau
 
 
 def schur_spin_lift(rot, rep, anchor=None):
@@ -284,6 +318,38 @@ def _near_half_turns(rng, n):
     return q @ scipy.linalg.expm(gen - gen.T) @ q.T
 
 
+def _turns(q, angles):
+    """q diag(turn by angles[0], turn by angles[1], ..., 1) q^T."""
+    n = len(q)
+    block = np.eye(n)
+    for i, angle in enumerate(angles):
+        c, s = np.cos(angle), np.sin(angle)
+        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
+    return q @ block @ q.T
+
+
+def _above_table_rotations(n):
+    """Seeded random rotations of R^n and the cases the Schur lift meets in its
+    -1 eigenvalue branch: the identity, turns by pi in one and in two planes
+    (coordinate and conjugated), diag(-1, -1, 1, ...), and block-diagonal turns."""
+    rng = np.random.default_rng(300 + n)
+    eye = np.eye(n)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    blocks = np.eye(n)
+    for lo, hi in ((0, 3), (3, n)):
+        block = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))[0]
+        block[:, 0] *= np.sign(np.linalg.det(block))
+        blocks[lo:hi, lo:hi] = block
+    rotations = [eye, _turns(eye, [np.pi]), _turns(q, [np.pi]), _turns(eye, [np.pi, np.pi]),
+                 _turns(q, [np.pi, np.pi]), np.diag([-1.0, -1.0] + [1.0] * (n - 2)),
+                 _turns(eye, rng.uniform(-np.pi, np.pi, n // 2)), blocks]
+    for _ in range(6):
+        rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        rot[:, 0] *= np.sign(np.linalg.det(rot))
+        rotations.append(rot)
+    return rotations
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_minor_table_matches_spin_lift(n):
     rng = np.random.default_rng(100 + n)
@@ -313,7 +379,7 @@ def test_minor_table_is_sparse_and_bounded():
         _spin_lift_table(LIFT_TABLE_MAX_DIMENSION + 1)
 
 
-# --- above the table: every point lifted by _schur_lift, the same sign chain ----
+# --- above the table: the reflection lift against the Schur reference ----------
 
 @pytest.mark.parametrize("n, shape", [(7, (24,)), (7, (6, 5)), (8, (5, 6)), (12, (3, 3))])
 def test_matches_reference_above_the_table(n, shape):
@@ -325,7 +391,7 @@ def test_matches_reference_above_the_table(n, shape):
 
 @pytest.mark.parametrize("n, shape", [(7, (24,)), (8, (5, 6))])
 def test_projection_above_the_table(n, shape):
-    # above the table the Schur lifts are projected onto the even blades; the
+    # above the table the reflection lifts are projected onto the even blades; the
     # signed coefficients are those of the staircase reference, and the lift
     # field is their product against the even blade products
     rot = _smooth_field(n, shape, seed=n)
@@ -341,30 +407,37 @@ def test_projection_above_the_table(n, shape):
     assert np.abs(frame_lift_field(rotation_field(rot), rep) - lifted).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n", range(LIFT_TABLE_MAX_DIMENSION + 1, 13))
+def test_lift_coefficients_above_the_table_match_the_projected_schur_lift(n):
+    # a smooth field and one-point fields of every case; c_K = Re tr(gamma_K^H tau) / d
+    rep = build_gamma_rep(n)
+    blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
+
+    def projected(taus):
+        return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
+
+    fields = [_smooth_field(n, (5,) if n > 9 else (4, 3), seed=n)]
+    fields += [rot[None] for rot in _above_table_rotations(n)]
+    for rot in fields:
+        expected = projected(reference_lift(rot, rep).reshape(-1, rep.dim, rep.dim))
+        coeffs = frame_lift_coefficients(rotation_field(rot), rep)
+        assert np.abs(coeffs.reshape(len(blades), -1) - expected).max() <= 1e-13
+
+
 def test_errors_above_the_table():
-    n = LIFT_TABLE_MAX_DIMENSION + 1
-    identity = np.broadcast_to(np.eye(n), (6, 6, n, n))
-    non_orthogonal, reflection, non_finite = identity.copy(), identity.copy(), identity.copy()
-    non_orthogonal[4, 2] = np.diag([1 + 4e-6] + [1.0] * (n - 1))
-    reflection[2, 5] = np.diag([-1.0] + [1.0] * (n - 1))
-    non_finite[3, 3, 1, 2] = np.nan
-    assert "not orthogonal" in assert_same_error(non_orthogonal)
-    assert "determinant -1" in assert_same_error(reflection)
-    assert "not orthogonal" in assert_same_error(non_finite)
-    assert "ambiguous" in assert_same_error(_half_turn_jump((6, 6), n))
+    for n in (LIFT_TABLE_MAX_DIMENSION + 1, 12):
+        identity = np.broadcast_to(np.eye(n), (6, 6, n, n))
+        non_orthogonal, reflection, non_finite = identity.copy(), identity.copy(), identity.copy()
+        non_orthogonal[4, 2] = np.diag([1 + 4e-6] + [1.0] * (n - 1))
+        reflection[2, 5] = np.diag([-1.0] + [1.0] * (n - 1))
+        non_finite[3, 3, 1, 2] = np.nan
+        assert "not orthogonal" in assert_same_error(non_orthogonal)
+        assert "determinant -1" in assert_same_error(reflection)
+        assert "not orthogonal" in assert_same_error(non_finite)
+        assert "ambiguous" in assert_same_error(_half_turn_jump((6, 6), n))
 
 
 # --- spin_lift on one point: the table kernel against the Schur lift ------------
-
-def _turns(q, angles):
-    """q diag(turn by angles[0], turn by angles[1], ..., 1) q^T."""
-    n = len(q)
-    block = np.eye(n)
-    for i, angle in enumerate(angles):
-        c, s = np.cos(angle), np.sin(angle)
-        block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
-    return q @ block @ q.T
-
 
 @st.composite
 def point_lifts(draw):
@@ -415,20 +488,21 @@ def test_spin_lift_matches_schur_lift(case):
 
 @pytest.mark.parametrize("n", range(LIFT_TABLE_MAX_DIMENSION + 1, 13))
 def test_spin_lift_above_the_table_matches_schur_lift(n):
-    # above the table the Schur lift is projected onto the even blades and
-    # recombined, so it agrees with the Schur lift itself to rounding
-    rng = np.random.default_rng(200 + n)
+    # above the table spin_lift is the reflection lift: it covers R, and with
+    # the default sign or an anchor it is the Schur lift's tau
     rep = build_gamma_rep(n)
-    random = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    random[:, 0] *= np.sign(np.linalg.det(random))
-    for rot in (random, _near_half_turns(rng, n)):
+    rotations = _above_table_rotations(n) + [_near_half_turns(np.random.default_rng(200 + n), n)]
+    for rot in rotations:
+        tau = spin_lift(rot, rep).matrix
+        for i in range(n):
+            assert np.abs(tau @ rep.gammas[i] @ tau.conj().T - rep.gamma(rot[:, i])).max() <= 1e-14
         expected = schur_spin_lift(rot, rep)
-        assert np.abs(spin_lift(rot, rep).matrix - expected).max() <= 1e-12
+        assert np.abs(tau - expected).max() <= 1e-13
         anchor = CliffordGroupElement(n, -expected, rot)
-        assert np.abs(spin_lift(rot, rep, anchor).matrix + expected).max() <= 1e-12
+        assert np.abs(spin_lift(rot, rep, anchor).matrix + expected).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_spin_lift_error_messages(n):
     rep = build_gamma_rep(n)
     eye = np.eye(n)
@@ -446,3 +520,4 @@ def test_spin_lift_error_messages(n):
         assert raised(spin_lift, rot, rep) == message
         if rot.shape == (n, n):
             assert raised(schur_spin_lift, rot, rep) == message
+
