@@ -522,8 +522,9 @@ def parse_config(argv=None) -> Config:
                          f"got {pairs!r}")
     tolerances = raw["tolerances"]
     if not isinstance(tolerances, dict) or not all(
-            isinstance(t, numbers.Real) and not isinstance(t, bool) for t in tolerances.values()):
-        raise UsageError("tolerances must map check names to numbers")
+            isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max
+            for t in tolerances.values()):
+        raise UsageError(f"tolerances must map check names to finite numbers >= 0, got {tolerances!r}")
     if not isinstance(raw["out"], str):
         raise UsageError(f"out must be a path string, got {raw['out']!r}")
     out = Path(raw["out"])

@@ -51,6 +51,7 @@ from .spinors import (
     GRID_BLOCK,
     _default_sign,
     _grid_blocks,
+    _reflection_product,
     _unsigned_coefficients,
     build_gamma_rep,
     spinor_dim,
@@ -408,20 +409,20 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     The lifted rotation has the frame vectors as matrix rows, and its lift
     is tau = sum_K c_K gamma_K over the even blades K in ascending mask
     order (the order of GammaRep.even_products), with c real and |c| = 1.
-    Up to LIFT_TABLE_MAX_DIMENSION c is read off the minors of R by the
-    fixed table of spinors._table_lift, the kernel that spin_lift runs on
-    one point.  The table grows as 4^m, so above it each point is lifted
-    as a product of Householder reflections (spinors._reflection_lifts) and
-    projected onto the even blades (spinors._unsigned_coefficients).  The
-    points are lifted GRID_BLOCK at a time, and the overlaps below are
-    summed one blade plane at a time, so no temporary but c spans the grid.
+    Each point's R is reduced by Householder reflections to diag(+-1)
+    (spinors._reflection_lifts), and c is the product of the reflection
+    vectors and the flipped axes taken in blade coefficients
+    (spinors._blade_lift): elementwise over the points, so a point's c does
+    not depend on the points lifted with it.  The points are lifted
+    GRID_BLOCK at a time, and the overlaps below are summed one blade plane
+    at a time, so no temporary but c spans the grid.
 
     Signs follow the staircase order (base column first, then along each
     row): a point keeps the sign with c(s) . c(prev) > 0, the one nearest
     to its predecessor's lift, as tr(tau(s) tau(prev)^H) = d c(s) . c(prev).
-    The base corner takes spin_lift's default sign rule, applied to its own
-    lift, and the +-1 steps are chained by a staircase product
-    (_sign_chain).
+    The base corner takes spin_lift's default sign rule, applied to the
+    product of its reflections' gammas (spinors._reflection_product), and
+    the +-1 steps are chained by a staircase product (_sign_chain).
 
     Every rotation must be finite with each entry of R^T R within 1e-10 of
     the identity's and det R > 0, and d |c(s) . c(prev)| < 1e-6 (a
@@ -436,14 +437,13 @@ def frame_lift_coefficients(frames: FrameField, rep: GammaRep | None = None) -> 
     c = np.empty((1 << (rep.m - 1),) + shape)  # one row per even blade
     flat = c.reshape(len(c), -1)
     for block in _grid_blocks(flat.shape[1]):
-        flat[:, block] = _unsigned_coefficients(np.concatenate([s[:, block] for s in stacks]), rep)
+        flat[:, block] = _unsigned_coefficients(np.concatenate([s[:, block] for s in stacks]), rep.m)
     overlap = np.zeros(shape)  # c(s) . c(prev), one plane at a time
     for plane in c:
         overlap += plane * _staircase_previous(plane, len(shape))
     overlap *= rep.dim
-    base = (slice(None),) + (0,) * len(shape)
-    base_sign = _default_sign(np.tensordot(c[base], rep.even_products, axes=1))
-    c *= _sign_chain(overlap, base_sign)
+    base = _reflection_product(np.concatenate([s[:, :1] for s in stacks]), rep, 1e-10)
+    c *= _sign_chain(overlap, _default_sign(base))
     return c
 
 

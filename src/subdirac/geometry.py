@@ -40,6 +40,7 @@ import inspect
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -718,15 +719,16 @@ CATALOG = _catalog_builders()
 
 def _catalog_builder(name: str, params: dict) -> Callable:
     """The CATALOG builder of name, once params passes its signature: every
-    name is one of the builder's parameters and every value a real number
-    (bool excluded).  Raises ValueError naming the accepted parameters."""
+    name is one of the builder's parameters and every value a finite real
+    number (bool excluded).  Raises ValueError naming the accepted parameters."""
     if not isinstance(name, str) or name not in CATALOG:
         raise ValueError(f"unknown chart {name!r}; available: {sorted(CATALOG)}")
     builder = CATALOG[name]
     accepted = list(inspect.signature(builder).parameters)
     for key, value in params.items():
-        if key not in accepted or isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"chart {name!r} takes the real parameters "
+        if key not in accepted or isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not abs(value) <= sys.float_info.max:  # nan, +-inf, or past the float range
+            raise ValueError(f"chart {name!r} takes the finite real parameters "
                              f"{accepted or 'none'}; got {key}={value!r}")
     return builder
 

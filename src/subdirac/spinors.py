@@ -5,13 +5,21 @@ k generators of the dimension-n system restrict to the dimension-k system
 on a fixed submodule (used by the induced/restricted representations).
 All gammas are hermitian and unitary, so the hermite conjugation of
 components realizes the algebra's reversion involution on matrices.
+
+A rotation R in SO(m) lifts to the Clifford group through its Householder
+reflections: R = H_1 ... H_{m-1} D with D = diag(+-1), and the lift is
+tau = gamma(v_1) ... gamma(v_{m-1}) gamma_N, the product of the reflection
+vectors and the axes N that D flips (Cartan-Dieudonne).  One elementwise
+kernel (_reflection_lifts) reduces any number of rotations at once and
+serves every m: spin_lift multiplies one rotation's gammas, and a frame
+field multiplies its vectors in even-blade coefficients (_blade_lift), so
+no table over the blades is needed to lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -75,8 +83,9 @@ class GammaRep:
     def even_products(self) -> np.ndarray:
         """gamma_K for the even blades K in ascending mask order, shape (K, d, d).
 
-        The order of _spin_lift_table's blades, so tau = sum_K c_K gamma_K is
-        one product against this stack.  Built on first use and read-only.
+        The order of the lift coefficients (spinors._blade_lift), so
+        tau = sum_K c_K gamma_K is one product against this stack.  Built on
+        first use and read-only.
         """
         return self._blade_products(0)
 
@@ -298,7 +307,7 @@ def _assert_orthogonal(entries: np.ndarray, m: int, tol: float):
         raise ValueError("matrix is not orthogonal within tolerance")
     planes = entries.reshape(m, m, -1)
     gram = np.einsum("kip,kjp->ijp", planes, planes)
-    gram[np.diag_indices(m)] -= 1
+    gram.reshape(m * m, -1)[:: m + 1] -= 1  # the diagonal entries
     if not np.abs(gram, out=gram).max() <= tol:
         raise ValueError("matrix is not orthogonal within tolerance")
 
@@ -313,136 +322,11 @@ def _default_sign(tau: np.ndarray) -> float:
     return 1.0
 
 
-@lru_cache(maxsize=None)
-def _minor_schedule(m: int) -> tuple:
-    """Index arrays of _rotation_minors' Laplace expansion, built once per m.
-
-    For each grade g = 2, ..., m, one pair per t < g: the entry rows of
-    R[J[0], I[t]] and the grade g - 1 rows of det R[J[1:], I without I[t]],
-    over the grade's (J, I) pairs in order.
-    """
-    def row_subsets(g):
-        return list(combinations(range(m), g)) if g <= m // 2 else [tuple(range(m - g, m))]
-
-    schedule = []
-    for g in range(2, m + 1):
-        lower_rows = {s: i for i, s in enumerate(row_subsets(g - 1))}
-        lower_cols = {s: i for i, s in enumerate(combinations(range(m), g - 1))}
-        pairs = [(rows, cols) for rows in row_subsets(g) for cols in combinations(range(m), g)]
-        steps = []
-        for t in range(g):
-            entry = np.array([rows[0] * m + cols[t] for rows, cols in pairs])
-            lower = np.array([lower_rows[rows[1:]] * len(lower_cols)
-                              + lower_cols[cols[:t] + cols[t + 1:]] for rows, cols in pairs])
-            entry.flags.writeable = lower.flags.writeable = False  # shared by every caller
-            steps.append((entry, lower))
-        schedule.append(tuple(steps))
-    return tuple(schedule)
-
-
-def _rotation_minors(entries: np.ndarray, m: int) -> list:
-    """Minors det R[J, I] over entries (m*m, P) holding R[j, i] at row j*m + i.
-
-    One (rows * columns, P) array per grade g = 0, ..., m, row subset J
-    major, subsets in itertools.combinations order (the order of
-    _spin_lift_table).  The columns I are every size-g subset; the rows J
-    are too up to g = m // 2, and above that only the last g rows, which is
-    all that the Laplace expansion along the first row needs on its way to
-    the last grade, det R.  The index arrays come from _minor_schedule.
-    """
-    grades = [np.ones((1, entries.shape[1])), entries]
-    for steps in _minor_schedule(m):
-        minor = None
-        for t, (entry_rows, lower_rows) in enumerate(steps):
-            term = entries[entry_rows]
-            term *= grades[-1][lower_rows]
-            if minor is None:
-                minor = term
-            elif t % 2:
-                minor -= term
-            else:
-                minor += term
-        grades.append(minor)
-    return grades
-
-
-# Largest m for which _spin_lift_table is built: it holds 2^(m-1) *
-# sum_{g <= m/2} C(m, g)^2 entries (21 184 for m = 6, 1.1 M for m = 8), and a
-# point's minors number that sum (662 for m = 6, 8 885 for m = 8).
-LIFT_TABLE_MAX_DIMENSION = 6
-
-
-@lru_cache(maxsize=None)
-def _spin_lift_table(m: int) -> tuple:
-    """Fixed table that reads the spin lift of R in SO(m) off the minors of R.
-
-    Write the lift as tau = sum_K c_K gamma_K over the even blades K, with
-    c real and |c| = 1, and take tau gamma_i tau^{-1} = sum_j R[j, i] gamma_j,
-    so that tau e_I tau^{-1} = sum_J det R[J, I] e_J.  Since
-    sum_I e_I A e_I^{-1} = 2^m <A>_0 over all blades I,
-
-        2^m c_K c_L = sum_{|J| = |I|} det R[J, I] <rev(e_K) e_J e_L e_I^{-1}>_0,
-
-    and that scalar part is +-1 where K ^ J ^ L ^ I = 0 and 0 otherwise.
-    For det R = 1, Jacobi's complementary-minor identity
-    det R[J, I] = (-1)^(sum J + sum I) det R[J^c, I^c] folds the grades
-    above m/2 into the lower ones (10 minors for m = 3, 53 for m = 4); a
-    folded pair (J, I), (J^c, I^c) meets the same L = K ^ J ^ I.
-
-    So for each K every minor enters exactly one c_K c_L, and the table is
-    stored sparsely.  The minors enter grade by grade for g = 0, ..., m // 2,
-    each grade with its row subset J major and the size-g subsets in
-    itertools.combinations order.  Returns (blades, diagonal, partner,
-    weight): the even blade masks in ascending order; diagonal (K, F) with
-    c_K^2 = diagonal[K] @ minors; and partner, weight (K, F) with
-    c_K c_L = sum of weight[K, f] minors[f] over the f with
-    partner[K, f] = L.  Raises ValueError above LIFT_TABLE_MAX_DIMENSION.
-    """
-    if not 1 <= m <= LIFT_TABLE_MAX_DIMENSION:
-        raise ValueError(f"spin lift table covers dimensions 1..{LIFT_TABLE_MAX_DIMENSION}, "
-                         f"got {m}")
-    blades = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
-    where = np.full(1 << m, -1)
-    where[blades] = np.arange(len(blades))
-    masks = np.arange(1 << m)
-    sign = _blade_product_signs(masks[:, None], masks)
-
-    def mask_of(subset):
-        return sum(1 << i for i in subset)
-
-    rows, cols, folded = [], [], []
-    for g in range(m // 2 + 1):
-        for row in combinations(range(m), g):
-            for col in combinations(range(m), g):
-                rows.append(mask_of(row))
-                cols.append(mask_of(col))
-                folded.append((-1) ** (sum(row) + sum(col)) if 2 * g < m else 0)
-    j, i, folded = np.array(rows), np.array(cols), np.array(folded)
-    k = np.array(blades)[:, None]
-    l = k ^ j ^ i  # even, as |J| = |I|; e_K e_J e_L = +-e_I
-    reverse = np.array([-1 if _popcount(mask) % 4 == 2 else 1 for mask in blades])[:, None]
-    full = (1 << m) - 1
-    weight = reverse * (sign[k, j] * sign[k ^ j, l]
-                        + folded * sign[k, full ^ j] * sign[k ^ full ^ j, l]) / 2 ** m
-    partner = where[l]
-    diagonal = np.where(partner == np.arange(len(blades))[:, None], weight, 0.0)
-    for table in (diagonal, partner, weight):
-        table.flags.writeable = False  # shared by every caller
-    return blades, diagonal, partner, weight
-
-
-# Points per block of the pointwise grid kernels (the lift's minors and table
-# product, the residual's odd coefficients, the Gram and bilinear pair
-# products): one block's temporaries, at most the 53 minor rows of m = 4
-# (0.4 MB), stay in a 2 MB L2 cache.
+# Points per block of the pointwise grid kernels (the lift's reflections and
+# vector products, the residual's odd coefficients, the Gram and bilinear pair
+# products): one block's temporaries, about 70 planes for the lift of m = 4
+# (0.6 MB), stay in a 2 MB L2 cache.
 GRID_BLOCK = 1024
-# The lift's BLAS products run over whole multiples of _BLAS_TILE columns and
-# over at least _BLAS_MIN_ENTRIES output entries: OpenBLAS takes other paths,
-# which round differently, for a partial tile and for a small product (up to
-# about 1200 outputs).  So a rotation's lift comes out the same wherever a
-# block puts it.
-_BLAS_TILE = 16
-_BLAS_MIN_ENTRIES = 2048
 
 
 def _grid_blocks(points: int) -> list:
@@ -450,127 +334,142 @@ def _grid_blocks(points: int) -> list:
     return [slice(start, min(start + GRID_BLOCK, points)) for start in range(0, points, GRID_BLOCK)]
 
 
-def _whole_tiles(points: int, rows: int) -> np.ndarray:
-    """Indices of points columns, the last one repeated, for products with rows
-    output rows to take the full-tile path (_BLAS_TILE, _BLAS_MIN_ENTRIES)."""
-    width = max(-(-points // _BLAS_TILE) * _BLAS_TILE, -(-_BLAS_MIN_ENTRIES // rows))
-    return np.minimum(np.arange(width), points - 1)
+def _reflection_lifts(entries: np.ndarray, m: int, tol: float) -> tuple:
+    """Householder reflections of the rotations in entries (m * m, P), R[i, j] at row i m + j.
 
+    Reflections H_j = 1 - 2 v_j v_j^T reduce each R column by column, with
+    v_j = x + sign(x_0) |x| e_j normalised, for x the rows j.. of column j
+    of the partly reduced R, to H_{m-1} ... H_1 R = D = diag(+-1), where
+    D_jj = -sign(x_0).  As gamma(v) gamma(w) gamma(v)^{-1} = -gamma(H_v w)
+    and D is the product of the reflections along the e_j with D_jj < 0, R
+    is a product of reflections, and the even number of them lifts to the
+    product of their gammas (Cartan-Dieudonne):
 
-def _table_lift(entries: np.ndarray, m: int, tol: float) -> np.ndarray:
-    """Even-blade coefficients c (K, P) of the spin lifts of P rotations, up to sign.
+        tau = gamma(v_1) ... gamma(v_{m-1}) gamma_N,  N = {j : D_jj < 0},
 
-    entries (m*m, P) holds R[j, i] at row j*m + i.  One real product of
-    each rotation's minors against _spin_lift_table's diagonal gives every
-    c_K^2; the largest is at least 2^(1-m), and the table's row for that
-    blade, normalised, is c up to sign.  Raises ValueError unless every R
-    is finite with R^T R within tol of the identity (absolute, entrywise)
-    and det R, the last grade of the minors, is positive.
+    with m - 1 + |N| even exactly when det R > 0.  Returns the unit vectors
+    (m - 1, m, P), each zero above its own row, and the masks N (P,).
 
-    Each blade's row multiplies all P columns, and for P > 1 the columns are
-    padded to the full-tile path (_whole_tiles), so that a rotation's c does
-    not depend on the rotations it is lifted with; one rotation (spin_lift)
-    is lifted alone.
+    R is orthogonal, so the steps take no sums but R's column norms, summed
+    once in row order: a reflection keeps the norms, so |x| is the norm of
+    column j of R, and x is orthogonal to the columns still to reduce, so
+    H_j takes the block B of rows and columns j.. to B[1:, 1:] -
+    v[1:] B[0, 1:] / v_0 (v before normalising).  Every step is elementwise
+    over the points, so a rotation's reflections do not depend on the
+    rotations reduced with it.  Raises ValueError unless every R is finite
+    with each entry of R^T R within tol (absolute) of the identity's and
+    det R > 0.
     """
     _assert_orthogonal(entries, m, tol)
-    points, blades = entries.shape[1], 1 << (m - 1)
-    if points > 1 and (points % _BLAS_TILE or points * blades < _BLAS_MIN_ENTRIES):
-        entries = entries[:, _whole_tiles(points, blades)]
-    grades = _rotation_minors(entries, m)
-    if (grades[m] < 0).any():
+    reduced = entries.reshape(m, m, -1).copy()  # reduced[i, j] is the plane of entry (i, j)
+    norms = reduced[0] * reduced[0]  # column norms, summed in row order
+    for row in reduced[1:]:
+        norms += row * row
+    np.sqrt(norms, out=norms)
+    vectors = np.zeros((m - 1,) + reduced.shape[1:])
+    shifts = np.empty(reduced.shape[1:])  # row j: -D_jj
+    for j, vector in enumerate(vectors):
+        v = vector[j:]
+        shift = np.copysign(norms[j], reduced[j, j], out=shifts[j])  # H_j x = -shift e_j
+        v[...] = reduced[j:, j]
+        v[0] += shift
+        reduced[j + 1:, j + 1:] -= v[1:, None] * (reduced[j, j + 1:] / v[0])
+        scale = shift * v[0]  # |v|^2 / 2
+        scale += scale
+        v /= np.sqrt(scale, out=scale)
+    np.negative(reduced[-1, -1], out=shifts[-1])
+    # det R = (-1)^(m - 1) prod D_jj = -prod shifts, each shift near +-1
+    if (np.multiply.reduce(shifts, axis=0) >= 0).any():
         raise ValueError("matrix has determinant -1 (not in SO)")
+    return vectors, ((shifts > 0) << np.arange(m)[:, None]).sum(axis=0)
 
-    _, diagonal, partner, weight = _spin_lift_table(m)
-    minors = np.concatenate(grades[: m // 2 + 1])
-    best = (diagonal @ minors).argmax(axis=0)[:points]
-    c = np.empty((blades, points))
-    for k in np.flatnonzero(np.bincount(best, minlength=blades)):
-        at = best == k
-        row = np.zeros((blades, len(minors)))
-        row[partner[k], np.arange(len(minors))] = weight[k]
-        c[:, at] = (row @ minors)[:, :points][:, at]
-    c /= np.linalg.norm(c, axis=0)
+
+@lru_cache(maxsize=None)
+def _vector_products(m: int) -> np.ndarray:
+    """Signed permutations of the left product e_i c in blade coefficients, built once per m.
+
+    c holds the coefficients of the blades of one parity in ascending mask
+    order, so blade L sits at row L >> 1.  Row t of table[q, i] is the row
+    of [c; -c] that e_i e_K = s(i, K) e_(i ^ K) brings to the blade of
+    parity q at row t, so that (gamma(v) c)[t] = sum_i v_i [c; -c][table[q, i, t]].
+    """
+    generators = 1 << np.arange(m)[:, None]
+    table = np.empty((2, m, 1 << (m - 1)), dtype=np.intp)
+    for q in (0, 1):
+        source = np.array([mask for mask in range(1 << m) if _popcount(mask) % 2 == q]) ^ generators
+        table[q] = source >> 1
+        table[q] += np.where(_blade_product_signs(generators, source) < 0, 1 << (m - 1), 0)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _blade_lift(vectors: np.ndarray, flips: np.ndarray, m: int) -> np.ndarray:
+    """Even-blade coefficients c (K, P) of tau = gamma(v_1) ... gamma(v_{m-1}) gamma_N.
+
+    The reflections are _reflection_lifts'.  c starts as the blade e_N, one
+    unit coefficient per point, and takes the vectors from the left, the
+    last one first, each as the signed permutations of _vector_products
+    weighted by its entries from its own row on.  Elementwise over the
+    points, with no matrix product.  The blades are in ascending mask
+    order, the order of GammaRep.even_products.
+    """
+    table = _vector_products(m)
+    points = np.arange(len(flips))
+    c = np.zeros((1 << (m - 1), len(flips)))
+    c[flips >> 1, points] = 1
+    for j in reversed(range(m - 1)):  # gamma(v_j) c has the parity of j
+        signed = np.concatenate([c, -c])
+        v, products = vectors[j], table[j % 2]
+        c = signed[products[j]]
+        c *= v[j]
+        for i in range(j + 1, m):
+            term = signed[products[i]]
+            term *= v[i]
+            c += term
     return c
 
 
-def _reflection_lifts(entries: np.ndarray, rep: GammaRep, tol: float) -> np.ndarray:
-    """Spin lifts tau (P, d, d) of the rotations in entries (m * m, P), sign as it falls.
-
-    Householder reflections H_j = 1 - 2 v_j v_j^T / |v_j|^2 reduce each R
-    column by column, with v_j = x + sign(x_0) |x| e_j for x the rows j..
-    of column j of the partly reduced R (|x| = 1, so |v_j|^2 >= 2), to
-    H_{m-1} ... H_1 R = D = diag(+-1).  As gamma(v) gamma(w) gamma(v)^{-1}
-    = -gamma(H_v w), an even number of reflections lifts to their gamma
-    product (Cartan-Dieudonne): tau = gamma(v_1) ... gamma(v_{m-1})
-    prod_{D_jj < 0} gamma_j, and the count is even exactly when det R > 0.
-    Raises ValueError unless every R is finite with R^T R within tol of the
-    identity (absolute, entrywise) and det R > 0.
-    """
-    m = rep.m
-    _assert_orthogonal(entries, m, tol)
-    reduced = entries.reshape(m, m, -1).copy()  # one plane per entry R[i, j]
-    points = reduced.shape[-1]
-    tau = np.repeat(np.eye(rep.dim, dtype=complex)[None], points, axis=0)
-    for j in range(m - 1):
-        x = reduced[j:, j]
-        v = np.zeros((m, points))
-        v[j:] = x
-        v[j] += np.copysign(np.linalg.norm(x, axis=0), x[0])
-        v /= np.linalg.norm(v, axis=0)
-        reduced -= 2 * v[:, None] * np.einsum("ip,ijp->jp", v, reduced)
-        tau = tau @ np.tensordot(v.T, rep.gamma_stack, axes=1)
-    negative = reduced[np.arange(m), np.arange(m)] < 0  # D_jj < 0, (m, P)
-    if ((m - 1 + negative.sum(axis=0)) % 2).any():
-        raise ValueError("matrix has determinant -1 (not in SO)")
-    for gamma, flip in zip(rep.gammas, negative):
-        tau[flip] = tau[flip] @ gamma
-    return tau
-
-
-def _unsigned_coefficients(entries: np.ndarray, rep: GammaRep, tol: float = 1e-10) -> np.ndarray:
+def _unsigned_coefficients(entries: np.ndarray, m: int, tol: float = 1e-10) -> np.ndarray:
     """Even-blade coefficients c (K, P) of the spin lifts of rotations, up to sign.
 
     entries (m * m, P) holds the rotations entry-major: row i m + j is the
-    plane of entry (i, j).
-
-    Up to LIFT_TABLE_MAX_DIMENSION the minor table (_table_lift) gives c;
-    above it the reflection lifts (_reflection_lifts) are projected onto the
-    even blades, c_K = Re tr(gamma_K^H tau) / d, as tr(gamma_K^H gamma_L) = d delta_KL.
-    Every rotation must be finite with each entry of R^T R within tol of
-    the identity's and det R > 0.
+    plane of entry (i, j).  c is the blade rendering (_blade_lift) of their
+    Householder reflections (_reflection_lifts), real with |c| = 1.  Every
+    rotation must be finite with each entry of R^T R within tol of the
+    identity's and det R > 0.
     """
-    m = rep.m
     if len(entries) != m * m:
         raise ValueError(f"expected {m}x{m} rotation")
-    if m <= LIFT_TABLE_MAX_DIMENSION:
-        return _table_lift(entries, m, tol)
-    taus = _reflection_lifts(entries, rep, tol)
-    blades = rep.even_products.reshape(len(rep.even_products), -1).view(float)
-    return blades @ taus.reshape(len(taus), -1).view(float).T / rep.dim
+    return _blade_lift(*_reflection_lifts(entries, m, tol), m)
+
+
+def _reflection_product(entries: np.ndarray, rep: GammaRep, tol: float) -> np.ndarray:
+    """The lift tau = gamma(v_1) ... gamma(v_{m-1}) gamma_N (d, d) of the one
+    rotation in entries (m * m, 1), from its _reflection_lifts, sign as it falls."""
+    vectors, flips = _reflection_lifts(entries, rep.m, tol)
+    flipped = int(flips[0])
+    factors = list((vectors[..., 0] @ rep.gamma_stack.reshape(rep.m, -1)).reshape(-1, rep.dim, rep.dim))
+    factors += [gamma for j, gamma in enumerate(rep.gammas) if flipped >> j & 1]
+    return reduce(np.matmul, factors, np.eye(rep.dim, dtype=complex))
 
 
 def spin_lift(rotation, rep: GammaRep, anchor: CliffordGroupElement | None = None,
               tol: float = 1e-10) -> CliffordGroupElement:
     """Unitary tau with tau gamma(v) tau^{-1} = gamma(R v) for all v.
 
-    Up to LIFT_TABLE_MAX_DIMENSION, tau = sum_K c_K gamma_K with c from the
-    kernel that frame_lift_coefficients applies to a whole grid
-    (_unsigned_coefficients); above it tau is the Householder reflection
-    lift (_reflection_lifts) and no blade table is built.  R must be finite
-    with each entry of R^T R within tol of the identity's and det R > 0.
-    The double-cover sign is nearest to the anchor when given, otherwise by
-    a fixed deterministic rule.
+    tau is the product of the gammas of R's Householder reflections,
+    gamma(v_1) ... gamma(v_{m-1}) gamma_N (_reflection_lifts), the kernel
+    that frame_lift_coefficients applies to a whole grid, on a one-point
+    grid; no blade table is built.  R must be finite with each entry of
+    R^T R within tol of the identity's and det R > 0.  The double-cover
+    sign is nearest to the anchor when given, otherwise by a fixed
+    deterministic rule (_default_sign).
     """
     r = np.asarray(rotation, dtype=float)
     m = rep.m
     if r.shape != (m, m):
         raise ValueError(f"expected {m}x{m} rotation")
-    entries = r.reshape(m * m, 1)
-    if m > LIFT_TABLE_MAX_DIMENSION:
-        tau = _reflection_lifts(entries, rep, tol)[0]
-    else:
-        c = _unsigned_coefficients(entries, rep, tol)[:, 0]
-        tau = (c @ rep.even_products.reshape(len(c), -1)).reshape(rep.dim, rep.dim)
+    tau = _reflection_product(r.reshape(m * m, 1), rep, tol)
 
     if anchor is not None:
         overlap = np.real(np.trace(anchor.matrix.conj().T @ tau))

@@ -127,7 +127,7 @@ def immersion_bilinear(frames: FrameField, i: int, alpha: int, index,
     at = (Ellipsis,) + index
     tangent, normal = frames.tangent_planes[at], frames.normal_planes[at]
     jac = frames.jac_planes[at]
-    coeffs = _unsigned_coefficients(np.concatenate([tangent, normal]).reshape(-1, 1), rep)[:, 0]
+    coeffs = _unsigned_coefficients(np.concatenate([tangent, normal]).reshape(-1, 1), rep.m)[:, 0]
     return float(_bilinear_kernel(coeffs, tangent, jac, rep)[i, alpha])
 
 

@@ -486,11 +486,17 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-reciprocity", "pairs": [[0, 3]]},
     {"command": "verify-algebra", "chart": "moebius"},
     {"command": "verify-reciprocity", "grid": [17, 17, 17]},
+    {"params": {"r": float("nan")}},
+    {"params": {"r": float("inf")}},
+    {"command": "verify-algebra", "tolerances": {"associativity": float("nan")}},
+    {"command": "verify-algebra", "tolerances": {"associativity": -1}},
+    {"command": "verify-algebra", "tolerances": {"associativity": float("inf")}},
 ], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text",
         "seed-text", "seed-float", "seed-negative", "seed-bool", "param-text", "param-unknown",
         "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list",
         "m-float", "m-bool", "grid-float", "pair-float", "refined-float", "out-number",
-        "pair-zero", "algebra-unknown-chart", "reciprocity-grid-mismatch"])
+        "pair-zero", "algebra-unknown-chart", "reciprocity-grid-mismatch", "param-nan",
+        "param-inf", "tolerance-nan", "tolerance-negative", "tolerance-inf"])
 def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, capsys, bad):
     called = []
     for name in ("suite_verify_algebra", "suite_verify_reciprocity", "suite_geometry",
@@ -508,7 +514,14 @@ def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, capsys, bad):
     (["--grid", "abc"], "--grid takes comma-separated integers, got 'abc'"),
     (["--config", "nofile.json"], "cannot read config 'nofile.json'"),
     (["--config", "{bad"], "cannot read config '{bad'"),
-], ids=["unknown-key", "grid-text", "config-missing", "config-not-json"])
+    (["--command", "geometry", "--chart", "sphere", "--config", '{"params": {"r": NaN}}'],
+     "chart 'sphere' takes the finite real parameters ['r']; got r=nan"),
+    (["--command", "verify-algebra", "--config", '{"tolerances": {"associativity": NaN}}'],
+     "tolerances must map check names to finite numbers >= 0, got {'associativity': nan}"),
+    (["--command", "verify-algebra", "--config", '{"tolerances": {"associativity": -1}}'],
+     "tolerances must map check names to finite numbers >= 0, got {'associativity': -1}"),
+], ids=["unknown-key", "grid-text", "config-missing", "config-not-json", "param-nan",
+        "tolerance-nan", "tolerance-negative"])
 def test_unreadable_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     called = []
@@ -659,7 +672,7 @@ print(status, sorted(name for name, module in sys.modules.items()
 
 
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
-    # the lift above the minor table (m > 6) is numpy-only, like every other path
+    # the spin lift is numpy-only for every m, like every other path
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], cwd=tmp_path,

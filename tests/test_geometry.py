@@ -461,9 +461,17 @@ def test_all_catalog_charts_build():
     ("enneper", {"c": 1.0}, "none"),
 ])
 def test_catalog_chart_rejects_unknown_and_non_real_params(name, params, accepted):
-    with pytest.raises(ValueError, match=f"chart '{name}' takes the real parameters "
+    with pytest.raises(ValueError, match=f"chart '{name}' takes the finite real parameters "
                                          + re.escape(accepted)):
         catalog_chart(name, **params)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), 10**400],
+                         ids=["nan", "inf", "-inf", "float64-nan", "past-float-range"])
+def test_catalog_chart_rejects_non_finite_params(value):
+    # a NaN radius used to pass the signature check and fail later as a lost immersion
+    with pytest.raises(ValueError, match=r"chart 'sphere' takes the finite real parameters \['r'\]"):
+        catalog_chart("sphere", r=value)
 
 
 def test_degenerate_grid_raises_before_dividing():

@@ -6,10 +6,12 @@ whole rows of about that many).  tests/whole_grid.py keeps each kernel as
 it runs on every point at once.  The grids below hold fewer points than
 one block, exactly one block, and one block plus a remainder, for the
 pointwise kernels (P points) and for the residual's interior rows.
-Elementwise steps agree bit for bit; BLAS products agree to 1e-15.
+Elementwise steps, the whole lift among them, agree bit for bit; BLAS
+products agree to 1e-15.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ import whole_grid
 
 from subdirac.dirac import _interior_differences, frame_lift_coefficients, lift_gram, lift_residuals
 from subdirac.geometry import build_frame_field, catalog_chart
-from subdirac.spinors import GRID_BLOCK, _table_lift, build_gamma_rep
+from subdirac.spinors import (
+    GRID_BLOCK,
+    GammaRep,
+    _reflection_product,
+    _unsigned_coefficients,
+    build_gamma_rep,
+)
 from subdirac.weierstrass import _bilinear_kernel
 
 SHAPES = ((17, 17), (32, 32), (34, 34), (40, 34))
@@ -53,7 +61,7 @@ def test_lift_coefficients_match_the_whole_grid_lift(level):
     frames, rep, coeffs = level
     want = whole_grid.frame_lift_coefficients(frames, rep)
     assert coeffs.shape == want.shape
-    assert np.abs(coeffs - want).max() <= 1e-15
+    assert np.array_equal(coeffs, want)
 
 
 @pytest.mark.parametrize("with_mean", [True, False])
@@ -91,38 +99,37 @@ def test_row_block_differences_are_the_whole_grid_ones(level):
             assert np.array_equal(np.concatenate([b[alpha] for b in blocks], axis=1), dc)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("points", [300, GRID_BLOCK, GRID_BLOCK + 37])
-def test_table_lift_matches_the_whole_grid_body(m, points):
-    entries = random_rotations(np.random.default_rng(m * points), m, points)
-    got, want = _table_lift(entries, m, 1e-10), whole_grid.table_lift(entries, m)
-    assert np.abs(got - want).max() <= 1e-15
-
-
 @pytest.mark.parametrize("m", [3, 4])
 def test_a_rotations_lift_does_not_depend_on_its_neighbours(m):
-    # every column of the table products sits in a whole BLAS tile, so any
-    # subset or order of the rotations lifts each one to the same bits
+    # the lift is elementwise over the points, so any subset or order of the
+    # rotations lifts each one to the same bits: one column, a part of one
+    # block and more than one block among them
     rng = np.random.default_rng(m)
-    entries = random_rotations(rng, m, 700)
-    whole = _table_lift(entries, m, 1e-10)
-    for take in (rng.permutation(700), rng.choice(700, 45, replace=False), [5, 9]):
-        assert np.array_equal(_table_lift(entries[:, take], m, 1e-10), whole[:, take])
+    entries = random_rotations(rng, m, 2 * GRID_BLOCK)
+    whole = _unsigned_coefficients(entries, m)
+    for take in (rng.permutation(2 * GRID_BLOCK), rng.choice(2 * GRID_BLOCK, 45, replace=False),
+                 [5, 9], [7], rng.choice(2 * GRID_BLOCK, 17, replace=False),
+                 rng.choice(2 * GRID_BLOCK, GRID_BLOCK + 37, replace=False)):
+        assert np.array_equal(_unsigned_coefficients(entries[:, take], m), whole[:, take])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_one_point_lift_is_the_whole_grid_one(m):
-    # spin_lift's one-column path takes no block and no padding
+    # spin_lift multiplies one point's reflection gammas as matrices; the grid
+    # takes the same reflections in blade coefficients, sign as it falls for both
+    rep = build_gamma_rep(m)
     entries = random_rotations(np.random.default_rng(10 + m), m, 20)
-    for column in entries.T:
-        one = column.reshape(m * m, 1)
-        assert np.array_equal(_table_lift(one, m, 1e-10), whole_grid.table_lift(one, m))
+    whole = _unsigned_coefficients(entries, m)
+    for column, c in zip(entries.T, whole.T):
+        tau = _reflection_product(column.reshape(m * m, 1), rep, 1e-10)
+        assert np.abs(tau - np.tensordot(c, rep.even_products, axes=1)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name, grid, minors", [("sphere", 129, 10), ("clifford-torus-r4", 65, 53)])
 def test_lift_peak_stays_below_the_whole_grid_minors(name, grid, minors):
-    # the whole-grid lift held every point's minors at once (F x P floats,
-    # F = 10 for m = 3 and 53 for m = 4) besides its (K, P) temporaries
+    # the lift once read c off every point's rotation minors at once (F x P
+    # floats, F = 10 for m = 3 and 53 for m = 4); in blocks its temporaries
+    # stay below that besides c itself
     chart = catalog_chart(name)
     frames = build_frame_field(chart, shape=(grid, grid))
     rep = build_gamma_rep(chart.n)
@@ -134,3 +141,24 @@ def test_lift_peak_stays_below_the_whole_grid_minors(name, grid, minors):
     finally:
         tracemalloc.stop()
     assert peak < minors * grid * grid * 8
+
+
+def test_lift_coefficients_at_m12_build_no_blade_stack():
+    # the even blade products of m = 12 take 134 MB; the lift multiplies the
+    # reflections in blade coefficients, so it neither builds nor needs them
+    rep = GammaRep(12, build_gamma_rep(12).gammas)  # unshared: no cached stack
+    rot = np.stack([np.linalg.qr(np.random.default_rng(seed).normal(size=(12, 12)))[0]
+                    for seed in range(9)])
+    rot[np.linalg.det(rot) < 0, :, 0] *= -1
+    planes = np.moveaxis(rot, (1, 2), (0, 1)).reshape(12, 12, 3, 3)  # entry-major, rows of R first
+    frames = SimpleNamespace(tangent_planes=planes[:2], normal_planes=planes[2:],
+                             grid_shape=(3, 3), chart=SimpleNamespace(n=12))
+    tracemalloc.start()
+    try:
+        coeffs = frame_lift_coefficients(frames, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape == (2048, 3, 3)
+    assert peak < 16 * 2 ** 20
+    assert "even_products" not in rep.__dict__

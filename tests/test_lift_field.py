@@ -1,13 +1,15 @@
-"""The minor-table and reflection spin lifts against the Schur-decomposition lift.
+"""The reflection spin lift against the Schur-decomposition lift.
 
-frame_lift_field and, up to LIFT_TABLE_MAX_DIMENSION, spin_lift read the
-lift off one fixed table of rotation minors; above it they take the
-product of Householder reflections (spinors._reflection_lifts).  The
-oracle lifts each point from a real Schur decomposition (_schur_lift,
-kept here) with spin_lift's checks and sign rules, and the grid reference
-walks the staircase order point by point, anchoring each lift to its
-predecessor's.  The same walk is the reference of
-geometry._staircase_accumulate, the staircase's sums and sign products.
+spin_lift and frame_lift_field lift every rotation, for every m, as the
+product of its Householder reflections (spinors._reflection_lifts):
+spin_lift multiplies their gammas, and a frame field multiplies them in
+blade coefficients.  The oracle lifts each point from a real Schur
+decomposition (_schur_lift, kept here) with spin_lift's checks and sign
+rules, and the grid reference walks the staircase order point by point,
+anchoring each lift to its predecessor's.  The same walk is the reference
+of geometry._staircase_accumulate, the staircase's sums and sign products.
+The tests named "above the table" date from a minor table that lifted
+m <= 6; they now run for every m.
 """
 
 from types import SimpleNamespace
@@ -22,12 +24,10 @@ from subdirac.clifford import Multivector
 from subdirac.dirac import frame_lift_coefficients, frame_lift_field
 from subdirac.geometry import _staircase_accumulate, build_frame_field, catalog_chart
 from subdirac.spinors import (
-    LIFT_TABLE_MAX_DIMENSION,
     CliffordGroupElement,
     GammaRep,
     _default_sign,
-    _rotation_minors,
-    _spin_lift_table,
+    _reflection_lifts,
     build_gamma_rep,
     rep_of,
     spin_lift,
@@ -81,8 +81,8 @@ def _schur_lift(r: np.ndarray, rep: GammaRep) -> np.ndarray:
 
     R is split into planar blocks and lifted plane by plane as
     cos(t/2) - sin(t/2) gamma(u) gamma(w).  R is not checked, beyond an odd
-    number of -1 eigenvalues raising.  The oracle of both lifts of
-    spinors: the minor table and, above it, the reflection lift.
+    number of -1 eigenvalues raising.  The oracle of spinors' reflection
+    lift.
     """
     t, z = scipy.linalg.schur(r, output="real")
     tau = np.eye(rep.dim, dtype=complex)
@@ -173,7 +173,8 @@ def _smooth_field(n, shape, seed):
     """
     rng = np.random.default_rng(seed)
     a0 = 0.3 * _antisymmetric(rng, n)
-    a0[0, 1], a0[1, 0] = -(np.pi - 0.2), np.pi - 0.2
+    if n > 1:
+        a0[0, 1], a0[1, 0] = -(np.pi - 0.2), np.pi - 0.2
     drifts = [0.5 * _antisymmetric(rng, n) for _ in shape]
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     grids = np.meshgrid(*[np.linspace(0.0, 1.0, g) for g in shape], indexing="ij")
@@ -186,7 +187,7 @@ def _smooth_field(n, shape, seed):
 
 @st.composite
 def smooth_fields(draw):
-    n = draw(st.integers(2, LIFT_TABLE_MAX_DIMENSION))
+    n = draw(st.integers(2, 6))
     two_d = draw(st.booleans())
     shape = ((draw(st.integers(8, 12)), draw(st.integers(8, 12))) if two_d
              else (draw(st.integers(8, 40)),))
@@ -285,28 +286,10 @@ def test_ambiguity_guard_at_its_threshold(n, trace, ambiguous):
         assert np.abs(frame_lift_field(rotation_field(rot), rep) - expected).max() <= 1e-12
 
 
-# --- the fixed minor table against the Schur lift's blade coefficients ----------
+# --- the reflection lift against the Schur reference, m = 1..12 -----------------
 
 def _even_blades(n):
     return [mask for mask in range(1 << n) if bin(mask).count("1") % 2 == 0]
-
-
-def blade_coefficients(tau, rep):
-    """c_K of tau = sum_K c_K gamma_K, from tr(gamma_K^H gamma_L) = d delta_KL."""
-    return np.array([np.trace(rep_of(Multivector(rep.m, {mask: 1.0}), rep).conj().T @ tau).real
-                     for mask in _even_blades(rep.m)]) / rep.dim
-
-
-def table_outer(rot):
-    """c c^T read off the table from the minors of one rotation."""
-    n = rot.shape[-1]
-    blades, _, partner, weight = _spin_lift_table(n)
-    assert blades == _even_blades(n)
-    minors = np.concatenate(_rotation_minors(rot.reshape(n * n, 1), n)[: n // 2 + 1])[:, 0]
-    outer = np.zeros((len(blades), len(blades)))
-    for k in range(len(blades)):
-        np.add.at(outer[k], partner[k], weight[k] * minors)
-    return outer
 
 
 def _near_half_turns(rng, n):
@@ -331,18 +314,23 @@ def _turns(q, angles):
 def _above_table_rotations(n):
     """Seeded random rotations of R^n and the cases the Schur lift meets in its
     -1 eigenvalue branch: the identity, turns by pi in one and in two planes
-    (coordinate and conjugated), diag(-1, -1, 1, ...), and block-diagonal turns."""
+    (coordinate and conjugated), diag(-1, -1, 1, ...), and block-diagonal turns,
+    as far as n has room for them."""
     rng = np.random.default_rng(300 + n)
     eye = np.eye(n)
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     blocks = np.eye(n)
-    for lo, hi in ((0, 3), (3, n)):
-        block = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))[0]
-        block[:, 0] *= np.sign(np.linalg.det(block))
-        blocks[lo:hi, lo:hi] = block
-    rotations = [eye, _turns(eye, [np.pi]), _turns(q, [np.pi]), _turns(eye, [np.pi, np.pi]),
-                 _turns(q, [np.pi, np.pi]), np.diag([-1.0, -1.0] + [1.0] * (n - 2)),
-                 _turns(eye, rng.uniform(-np.pi, np.pi, n // 2)), blocks]
+    for lo, hi in ((0, min(3, n)), (min(3, n), n)):
+        if hi > lo:
+            block = np.linalg.qr(rng.normal(size=(hi - lo, hi - lo)))[0]
+            block[:, 0] *= np.sign(np.linalg.det(block))
+            blocks[lo:hi, lo:hi] = block
+    rotations = [eye, blocks]
+    if n >= 2:
+        rotations += [_turns(eye, [np.pi]), _turns(q, [np.pi]), np.diag([-1.0, -1.0] + [1.0] * (n - 2)),
+                      _turns(eye, rng.uniform(-np.pi, np.pi, n // 2))]
+    if n >= 4:
+        rotations += [_turns(eye, [np.pi, np.pi]), _turns(q, [np.pi, np.pi])]
     for _ in range(6):
         rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
         rot[:, 0] *= np.sign(np.linalg.det(rot))
@@ -350,36 +338,22 @@ def _above_table_rotations(n):
     return rotations
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_minor_table_matches_spin_lift(n):
-    rng = np.random.default_rng(100 + n)
-    rep = build_gamma_rep(n)
-    for draw in range(12):
-        if draw % 2:
-            rot = _near_half_turns(rng, n)
-        else:
-            rot = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            rot[:, 0] *= np.sign(np.linalg.det(rot))
-        c = blade_coefficients(_schur_lift(rot, rep), rep)
-        assert np.abs(table_outer(rot) - np.outer(c, c)).max() <= 1e-14
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflections_read_the_determinant_sign(n):
+    # m - 1 reflections and the flipped axes N: an even count lifts, an odd
+    # one is det R = -1, for random orthogonal matrices of either sign
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(rng.normal(size=(40, n, n)))[0]
+    q[:, :, 0] *= rng.choice([-1.0, 1.0], size=(40, 1))
+    det = np.linalg.det(q)
+    entries = np.moveaxis(q, 0, -1).reshape(n * n, -1)
+    vectors, flips = _reflection_lifts(entries[:, det > 0], n, 1e-10)
+    assert vectors.shape == (n - 1, n, (det > 0).sum())
+    assert np.allclose(np.linalg.norm(vectors, axis=1), 1, rtol=0, atol=1e-15)
+    assert all(bin(f).count("1") % 2 == (n - 1) % 2 for f in flips.tolist())
+    with pytest.raises(ValueError, match="determinant -1"):
+        _reflection_lifts(entries[:, det < 0], n, 1e-10)
 
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_last_minor_is_the_determinant(n):
-    rot = np.random.default_rng(n).normal(size=(5, n, n))
-    grades = _rotation_minors(np.moveaxis(rot, 0, -1).reshape(n * n, -1), n)
-    assert np.abs(grades[n][0] - np.linalg.det(rot)).max() <= 1e-12
-
-
-def test_minor_table_is_sparse_and_bounded():
-    # one (partner, weight) pair per blade and minor: 32 x 662 at m = 6
-    blades, diagonal, partner, weight = _spin_lift_table(LIFT_TABLE_MAX_DIMENSION)
-    assert diagonal.shape == partner.shape == weight.shape == (32, 662)
-    with pytest.raises(ValueError, match="spin lift table covers dimensions 1..6"):
-        _spin_lift_table(LIFT_TABLE_MAX_DIMENSION + 1)
-
-
-# --- above the table: the reflection lift against the Schur reference ----------
 
 @pytest.mark.parametrize("n, shape", [(7, (24,)), (7, (6, 5)), (8, (5, 6)), (12, (3, 3))])
 def test_matches_reference_above_the_table(n, shape):
@@ -391,9 +365,9 @@ def test_matches_reference_above_the_table(n, shape):
 
 @pytest.mark.parametrize("n, shape", [(7, (24,)), (8, (5, 6))])
 def test_projection_above_the_table(n, shape):
-    # above the table the reflection lifts are projected onto the even blades; the
-    # signed coefficients are those of the staircase reference, and the lift
-    # field is their product against the even blade products
+    # the signed coefficients are the staircase reference's lifts projected
+    # onto the even blades, and the lift field is their product against the
+    # even blade products
     rot = _smooth_field(n, shape, seed=n)
     rep = build_gamma_rep(n)
     expected = reference_lift(rot, rep).reshape(-1, rep.dim, rep.dim)
@@ -407,7 +381,7 @@ def test_projection_above_the_table(n, shape):
     assert np.abs(frame_lift_field(rotation_field(rot), rep) - lifted).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", range(LIFT_TABLE_MAX_DIMENSION + 1, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_lift_coefficients_above_the_table_match_the_projected_schur_lift(n):
     # a smooth field and one-point fields of every case; c_K = Re tr(gamma_K^H tau) / d
     rep = build_gamma_rep(n)
@@ -425,7 +399,7 @@ def test_lift_coefficients_above_the_table_match_the_projected_schur_lift(n):
 
 
 def test_errors_above_the_table():
-    for n in (LIFT_TABLE_MAX_DIMENSION + 1, 12):
+    for n in (3, 7, 12):
         identity = np.broadcast_to(np.eye(n), (6, 6, n, n))
         non_orthogonal, reflection, non_finite = identity.copy(), identity.copy(), identity.copy()
         non_orthogonal[4, 2] = np.diag([1 + 4e-6] + [1.0] * (n - 1))
@@ -437,13 +411,13 @@ def test_errors_above_the_table():
         assert "ambiguous" in assert_same_error(_half_turn_jump((6, 6), n))
 
 
-# --- spin_lift on one point: the table kernel against the Schur lift ------------
+# --- spin_lift on one point against the Schur lift -------------------------------
 
 @st.composite
 def point_lifts(draw):
     """(rotation, anchor or None): random, half-turn, near-half-turn and identity
-    rotations of R^1..R^6; anchors are +-lifts of nearby rotations or the identity."""
-    n = draw(st.integers(1, LIFT_TABLE_MAX_DIMENSION))
+    rotations of R^1..R^8; anchors are +-lifts of nearby rotations or the identity."""
+    n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "half-turns", "near-half-turns", "mixed", "identity"]))
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
@@ -486,10 +460,10 @@ def test_spin_lift_matches_schur_lift(case):
     assert np.array_equal(tau.rotation, rot)
 
 
-@pytest.mark.parametrize("n", range(LIFT_TABLE_MAX_DIMENSION + 1, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_spin_lift_above_the_table_matches_schur_lift(n):
-    # above the table spin_lift is the reflection lift: it covers R, and with
-    # the default sign or an anchor it is the Schur lift's tau
+    # spin_lift is the reflection lift: it covers R, and with the default
+    # sign or an anchor it is the Schur lift's tau
     rep = build_gamma_rep(n)
     rotations = _above_table_rotations(n) + [_near_half_turns(np.random.default_rng(200 + n), n)]
     for rot in rotations:

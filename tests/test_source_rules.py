@@ -66,3 +66,19 @@ def test_spinor_layers_walk_no_staircase_of_their_own():
                        if isinstance(node, ast.Call)
                        and _called_name(node.func) in ("cumsum", "cumprod")]
     assert not any(lines.values()), f"np.cumsum or np.cumprod at lines {lines}"
+
+
+def test_lift_kernels_take_no_matrix_product():
+    # the reflection lift is elementwise over the points, so a rotation's lift
+    # does not depend on the rotations lifted with it by construction; a BLAS
+    # product may round a column differently by where it sits in its operand
+    path = next(p for p in SOURCES if p.name == "spinors.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kernels = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and node.name in ("_reflection_lifts", "_blade_lift")]
+    assert len(kernels) == 2
+    lines = [node.lineno for kernel in kernels for node in ast.walk(kernel)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call)
+             and _called_name(node.func) in ("dot", "matmul", "tensordot", "inner")]
+    assert not lines, f"matrix products in the lift kernels at lines {lines}"

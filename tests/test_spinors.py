@@ -392,16 +392,14 @@ def test_recover_rotation_rejects_mismatched_dimensions():
         recover_rotation(CliffordGroupElement.identity(4), rep)
 
 
-@pytest.mark.parametrize("m", range(1, spinors.LIFT_TABLE_MAX_DIMENSION + 1))
-def test_spin_lift_table_matches_loop_signs(m, monkeypatch):
-    """The table's sign matrix is the closed form on mask arrays; built from
-    the per-bit loop instead, every array of the table is bit-identical."""
-    expected = spinors._spin_lift_table(m)
+@pytest.mark.parametrize("m", range(1, 13))
+def test_vector_products_match_loop_signs(m, monkeypatch):
+    """The lift's signed permutations take their signs from the closed form on
+    mask arrays; built from the per-bit loop instead, they are bit-identical."""
+    expected = spinors._vector_products(m)
     monkeypatch.setattr(spinors, "_blade_product_signs", np.vectorize(oracle_blade_sign))
-    got = spinors._spin_lift_table.__wrapped__(m)
-    assert got[0] == expected[0]
-    for a, b in zip(got[1:], expected[1:]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    got = spinors._vector_products.__wrapped__(m)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # --- conjugated representations --------------------------------------------------

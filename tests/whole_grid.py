@@ -1,14 +1,15 @@
 """The whole-grid bodies of the pointwise grid kernels, kept as the test
 oracles of their blocked forms.
 
-The package runs the spin lift's minors and table product, the residual's
-odd coefficients and quadratic form, the Gram's and the bilinears' pair
-products over blocks of spinors.GRID_BLOCK points (or whole rows of about
-that many, for the residual's differences).  These are the same kernels
-applied to every grid point at once, as they were before the blocks: the
-elementwise steps must agree with the blocked ones bit for bit, and the
-BLAS products to rounding, since a BLAS product may round a column
-differently by where it sits in the operand.
+The package runs the spin lift, the residual's odd coefficients and
+quadratic form, the Gram's and the bilinears' pair products over blocks of
+spinors.GRID_BLOCK points (or whole rows of about that many, for the
+residual's differences).  These are the same kernels applied to every grid
+point at once, as they were before the blocks.  The lift is elementwise
+over the points (Householder reflections and their products in blade
+coefficients), so its blocked and whole-grid forms agree bit for bit; the
+other kernels end in BLAS products, which agree to rounding, since a BLAS
+product may round a column differently by where it sits in the operand.
 """
 
 import numpy as np
@@ -24,33 +25,8 @@ from subdirac.dirac import (
     _sign_chain,
 )
 from subdirac.geometry import _plane_matmul, _staircase_previous
-from subdirac.spinors import (
-    _assert_orthogonal,
-    _default_sign,
-    _rotation_minors,
-    _spin_lift_table,
-)
+from subdirac.spinors import _default_sign, _reflection_product, _unsigned_coefficients
 from subdirac.weierstrass import _bilinear_table
-
-
-def table_lift(entries, m, tol=1e-10):
-    """spinors._table_lift on all P rotations at once."""
-    _assert_orthogonal(entries, m, tol)
-    grades = _rotation_minors(entries, m)
-    if (grades[m] < 0).any():
-        raise ValueError("matrix has determinant -1 (not in SO)")
-
-    blades, diagonal, partner, weight = _spin_lift_table(m)
-    minors = np.concatenate(grades[: m // 2 + 1])
-    best = (diagonal @ minors).argmax(axis=0)
-    c = np.empty((len(blades), minors.shape[1]))
-    for k in np.flatnonzero(np.bincount(best, minlength=len(blades))):
-        at = best == k
-        row = np.zeros((len(blades), len(minors)))
-        row[partner[k], np.arange(len(minors))] = weight[k]
-        c[:, at] = row @ minors[:, at]
-    c /= np.linalg.norm(c, axis=0)
-    return c
 
 
 def frame_lift_coefficients(frames, rep):
@@ -58,11 +34,10 @@ def frame_lift_coefficients(frames, rep):
     entries, the lift and the sign chain's overlaps as (rows, P) arrays."""
     rot = np.concatenate([frames.tangent_planes, frames.normal_planes])
     shape = rot.shape[2:]
-    c = table_lift(rot.reshape(len(rot) * rot.shape[1], -1), rep.m)
-    c = c.reshape((len(c),) + shape)
+    entries = rot.reshape(len(rot) * rot.shape[1], -1)
+    c = _unsigned_coefficients(entries, rep.m).reshape((-1,) + shape)
     overlap = rep.dim * (c * _staircase_previous(c, len(shape))).sum(axis=0)
-    base = (slice(None),) + (0,) * len(shape)
-    base_sign = _default_sign(np.tensordot(c[base], rep.even_products, axes=1))
+    base_sign = _default_sign(_reflection_product(entries[:, :1], rep, 1e-10))
     return _sign_chain(overlap, base_sign) * c
 
 
