@@ -1,9 +1,11 @@
 """Differential geometry of k-charts immersed in flat euclidean R^n.
 
-Charts are parametric maps on a rectangle with exact first and second
-derivatives: numpy expressions (the catalogued surfaces, and callables
-given to from_callable) carry them through one pass of sparse symmetric
-second-order jets, and sympy expressions have theirs compiled.  Callables
+Charts are parametric maps on a rectangle, evaluated through one method,
+ImmersionChart.jet(s, order), which returns the value and the derivatives
+up to order as entry-major planes.  Numpy expressions (the catalogued
+surfaces, and callables given to from_callable) get exact derivatives
+from one pass of sparse symmetric second-order jets; sympy expressions
+have each order's entries lambdified into one planes function; callables
 that reject jets fall back to central finite differences.  Frame fields
 carry an orthonormal tangent frame from ordered Gram-Schmidt of the
 coordinate derivatives and a normal frame completed from the standard
@@ -16,16 +18,15 @@ connection (from the Hessian, with no evaluation off the grid).
 
 One layout runs from the chart pass to the consumers: entry-major planes.
 A field of small matrices, (*grid, p, q) to the reader, is held as
-(p, q, *grid), one contiguous plane per matrix entry.  The jet pass writes
-x, the Jacobian and the Hessian in that layout (on a grid it reads the
-open mesh, so a one-parameter subexpression is evaluated once per axis
-line), every per-point step of a frame field is elementwise arithmetic on
-whole planes with Python loops over the 2-4 entry indices only, and the
-FrameField stores the planes; its
-(*grid, ...) attributes are read-only np.moveaxis views of them.  Every
-walk from the base corner (the normal frame's Procrustes alignment, the
-lift's sign chain in dirac, the path integral in weierstrass) follows one
-staircase, down the base column and then along every row, coded once in
+(p, q, *grid), one contiguous plane per matrix entry.  Every chart writes
+x, the Jacobian and the Hessian in that layout (a jet pass on a grid
+reads the open mesh, so a one-parameter subexpression is evaluated once
+per axis line), every per-point step of a frame field is elementwise
+arithmetic on whole planes with Python loops over the 2-4 entry indices
+only, and the FrameField stores the planes; its (*grid, ...) attributes
+are read-only np.moveaxis views of them.  Every walk from the base corner
+(the normal frame's Procrustes alignment, the lift's sign chain in dirac,
+the path integral in weierstrass) follows one staircase, down the base column and then along every row, coded once in
 the _staircase_* kernels.  The pointwise functions run the same plane
 kernels on one point (planes with no grid axes, where the two layouts
 agree), with an exact normal connection from the completed frame's
@@ -435,45 +436,27 @@ def _jet_pass(fn, s, n, order=2):
 # charts
 
 
-def _compile_vector(exprs, syms) -> Callable:
-    import sympy as sp
-
-    fns = [sp.lambdify(syms, e, modules="numpy") for e in exprs]
-
-    def evaluate(s):
-        s = np.asarray(s, dtype=float)
-        args = tuple(np.moveaxis(s, -1, 0))
-        comps = []
-        for fn in fns:
-            val = np.asarray(fn(*args), dtype=float)
-            comps.append(np.broadcast_to(val, s.shape[:-1]))
-        return np.stack(comps, axis=-1)
-
-    return evaluate
-
-
 @dataclass(frozen=True)
 class ImmersionChart:
-    """Parametric immersion of a k-rectangle into R^n with derivative access.
+    """Parametric immersion of a k-rectangle into R^n, evaluated by its jet.
 
-    jet, when set, gives x, the jacobian and the hessian at the same points
-    (or on a grid's _OpenMesh) in one pass, as entry-major planes
-    (n, *grid), (n, k, *grid) and (n, k, k, *grid); without a jet the three
-    callables' results are transposed into planes once (_planes).
-    derivatives() reads the planes as (*grid, ...) views.
+    jet(s, order=2) is the chart's one evaluation: at the points s (*grid, k),
+    or on a grid's _OpenMesh, it returns the entry-major planes x (n, *grid),
+    jac (n, k, *grid) and hess (n, k, k, *grid), with None for each
+    derivative above order.  x, jacobian, hessian and derivatives read one
+    jet call each, at order 0, 1, 2 and 2, as (*grid, ...) views.  Charts come
+    from from_sympy, from_callable and catalog_chart; every bound of the
+    rectangle is finite, with lo < hi.
     """
 
     name: str
     k: int
     n: int
     rectangle: tuple
-    x: Callable
-    jacobian: Callable  # (..., k) -> (..., n, k)
-    hessian: Callable  # (..., k) -> (..., n, k, k)
+    jet: Callable  # (s, order=2) -> planes (x, jac | None, hess | None)
     grid_shape: tuple = None
     h_fd: float = 1e-4
     params: dict = field(default_factory=dict)
-    jet: Callable = None  # (*grid, k) or _OpenMesh -> planes of (x, jacobian, hessian)
 
     def __post_init__(self):
         if self.grid_shape is None:
@@ -481,106 +464,111 @@ class ImmersionChart:
         if len(self.rectangle) != self.k or len(self.grid_shape) != self.k:
             raise ValueError("rectangle/grid must have one entry per parameter")
         lo, hi = np.array(self.rectangle, dtype=float).T
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+            raise ValueError(f"chart {self.name!r} needs finite bounds lo < hi on every "
+                             f"axis; got the rectangle {self.rectangle}")
         object.__setattr__(self, "_bounds", (lo, hi, np.maximum(hi - lo, 1.0)))
 
     @classmethod
     def from_sympy(cls, name, exprs, syms, rectangle, grid_shape=None, params=None):
+        """Chart from sympy expressions in the symbols syms.  Each order's
+        entries (x, the Jacobian, the Hessian) are differentiated
+        symbolically and lambdified, and one planes function per order
+        writes them on the dense points."""
         import sympy as sp
 
         exprs = [sp.sympify(e) for e in exprs]
         n, k = len(exprs), len(syms)
-        jac_exprs = [[sp.diff(e, s) for s in syms] for e in exprs]
-        hess_exprs = [[[sp.diff(e, s1, s2) for s2 in syms] for s1 in syms] for e in exprs]
 
-        x_fn = _compile_vector(exprs, syms)
-        jac_flat = _compile_vector([jac_exprs[i][a] for i in range(n) for a in range(k)], syms)
-        hess_flat = _compile_vector(
-            [hess_exprs[i][a][b] for i in range(n) for a in range(k) for b in range(k)], syms
-        )
+        def compiled(entries, entry_shape):
+            fns = [sp.lambdify(syms, e, modules="numpy") for e in entries]
 
-        def jacobian(s):
-            out = jac_flat(s)
-            return out.reshape(out.shape[:-1] + (n, k))
+            def planes(s):
+                out = np.empty((len(fns),) + s.shape[:-1])
+                args = tuple(np.moveaxis(s, -1, 0))
+                for i, fn in enumerate(fns):
+                    out[i] = fn(*args)  # by index: one point's planes are scalars
+                return out.reshape(entry_shape + s.shape[:-1])
 
-        def hessian(s):
-            out = hess_flat(s)
-            return out.reshape(out.shape[:-1] + (n, k, k))
+            return planes
 
-        return cls(name, k, n, tuple(rectangle), x_fn, jacobian, hessian,
-                   grid_shape=grid_shape, params=dict(params or {}))
+        orders = (compiled(exprs, (n,)),
+                  compiled([sp.diff(e, a) for e in exprs for a in syms], (n, k)),
+                  compiled([sp.diff(e, a, b) for e in exprs for a in syms for b in syms],
+                           (n, k, k)))
+
+        def jet(s, order=2):
+            s = _dense_points(s)
+            return tuple(planes(s) if i <= order else None for i, planes in enumerate(orders))
+
+        return cls(name, k, n, tuple(rectangle), jet, grid_shape=grid_shape,
+                   params=dict(params or {}))
 
     @classmethod
     def from_callable(cls, name, fn, k, n, rectangle, grid_shape=None, h_fd=1e-4):
         """Chart from a plain callable (..., k) -> (..., n).
 
-        The derivatives are exact when fn is a numpy expression in s
-        (operators, np.sin, np.stack, ...): fn runs once on
-        Jet.variables(s), on a grid's open mesh as well.
+        Order 0 evaluates fn on the dense points.  The derivatives are exact
+        when fn is a numpy expression in s (operators, np.sin, np.stack, ...):
+        fn runs once on Jet.variables(s), on a grid's open mesh as well.
         From the first time fn rejects a jet (math.sin, np.asarray, ...
         raise TypeError or AttributeError) the chart takes central
-        differences instead, on the dense points, with steps
-        h_fd * max(1, span).
+        differences of the planes instead, on the dense points, with steps
+        h_fd * max(1, span); the Hessian differences the differenced
+        Jacobian.
         """
-        def x(s):
-            return np.asarray(fn(_dense_points(s)), dtype=float)
+        def values(s):
+            return _entry_major(np.asarray(fn(s), dtype=float), 1)
 
-        def jacobian_fd(s):
-            s = _dense_points(s)
-            out = np.empty(s.shape[:-1] + (n, k))
-            for a in range(k):
-                step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
-                e = np.zeros(k)
-                e[a] = step
-                out[..., :, a] = (x(s + e) - x(s - e)) / (2 * step)
-            return out
+        def differenced(f, entry_ndim):
+            """s -> central differences of the planes f(s) (*entry, *grid), one
+            per parameter, stacked on the axis after the entry axes."""
+            def planes(s):
+                parts = []
+                for a in range(k):
+                    step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
+                    e = np.zeros(k)
+                    e[a] = step
+                    parts.append((f(s + e) - f(s - e)) / (2 * step))
+                return np.stack(parts, axis=entry_ndim)
 
-        def hessian_fd(s):
-            s = _dense_points(s)
-            out = np.empty(s.shape[:-1] + (n, k, k))
-            for a in range(k):
-                step = h_fd * max(1.0, abs(rectangle[a][1] - rectangle[a][0]))
-                e = np.zeros(k)
-                e[a] = step
-                out[..., :, :, a] = (jacobian_fd(s + e) - jacobian_fd(s - e)) / (2 * step)
-            return out
+            return planes
 
+        jacobian_fd = differenced(values, 1)
+        hessian_fd = differenced(jacobian_fd, 2)
         takes_jets = True
 
         def jet(s, order=2):
             nonlocal takes_jets
-            if takes_jets:
+            if order > 0 and takes_jets:
                 try:
                     return _jet_pass(fn, s, n, order)
                 except (TypeError, AttributeError):
                     takes_jets = False
-            return (_entry_major(x(s), 1), _entry_major(jacobian_fd(s), 2),
-                    None if order == 1 else _entry_major(hessian_fd(s), 3))
+            s = _dense_points(s)
+            return (values(s), jacobian_fd(s) if order > 0 else None,
+                    hessian_fd(s) if order > 1 else None)
 
-        def jacobian(s):
-            # a first-order pass: the Jacobian alone needs no Hessian planes
-            return _grid_major(jet(s, order=1)[1], 2) if takes_jets else jacobian_fd(s)
+        return cls(name, k, n, tuple(rectangle), jet, grid_shape=grid_shape, h_fd=h_fd)
 
-        return cls(name, k, n, tuple(rectangle), x, jacobian,
-                   lambda s: _grid_major(jet(s)[2], 3), grid_shape=grid_shape, h_fd=h_fd,
-                   jet=jet)
+    def x(self, s):
+        """The points x(s) (..., n) at the parameter points s (..., k)."""
+        return _grid_major(self.jet(s, 0)[0], 1)
+
+    def jacobian(self, s):
+        """d_a x^i at s, shape (..., n, k), from a first-order pass."""
+        return _grid_major(self.jet(s, 1)[1], 2)
+
+    def hessian(self, s):
+        """d_a d_b x^i at s, shape (..., n, k, k)."""
+        return _grid_major(self.jet(s, 2)[2], 3)
 
     def derivatives(self, s):
         """(x, jacobian, hessian) at the points s (..., k), shapes (..., n),
-        (..., n, k) and (..., n, k, k): np.moveaxis views of _planes (for one
-        point the two layouts agree)."""
-        x, jac, hess = self._planes(s)
+        (..., n, k) and (..., n, k, k): np.moveaxis views of one second-order
+        jet (for one point the two layouts agree)."""
+        x, jac, hess = self.jet(s, 2)
         return _grid_major(x, 1), _grid_major(jac, 2), _grid_major(hess, 3)
-
-    def _planes(self, s):
-        """Entry-major planes x (n, *grid), jac (n, k, *grid) and hess
-        (n, k, k, *grid) at the points s (*grid, k) or on an _OpenMesh: the
-        jet's, or for a chart without one the three callables' results on
-        the dense points, transposed once."""
-        if self.jet is not None:
-            return self.jet(s)
-        s = _dense_points(s)
-        return (_entry_major(self.x(s), 1), _entry_major(self.jacobian(s), 2),
-                _entry_major(self.hessian(s), 3))
 
     # -- grids ---------------------------------------------------------
 
@@ -755,8 +743,8 @@ def _plane_view(a, entry_ndim):
 
 def _entry_major(a, entry_ndim):
     """(*grid, *entry) copied into contiguous planes (*entry, *grid): the one
-    transposition of a chart that evaluates grid-major (from_sympy, direct
-    construction, the finite-difference fallback)."""
+    transposition of a from_callable chart's grid-major values (at order 0
+    and in the finite-difference fallback)."""
     planes = np.empty(a.shape[a.ndim - entry_ndim:] + a.shape[:a.ndim - entry_ndim])
     planes[...] = _plane_view(a, entry_ndim)
     return planes
@@ -904,16 +892,13 @@ class PointFrame:
         return np.vstack([self.tangent, self.normal])
 
 
-def _point_frame(chart, s, with_hessian=False):
+def _point_frame(chart, s, order=1):
     """The grid kernels at the one point s, as planes with no grid axes: jac
-    (n, k) (and hess (n, k, k), from the same chart pass, if asked for; None
-    otherwise), tangent (k, n) and r (k, k), and the raw normal completion
+    (n, k) and hess (n, k, k) from one chart pass at order 1 or 2 (hess None
+    at order 1), tangent (k, n) and r (k, k), and the raw normal completion
     (n-k, n) turned to det +1 with its pivots (_raw_normals)."""
     _require_inside(chart, s)
-    if with_hessian:
-        _, jac, hess = chart.derivatives(s)
-    else:
-        jac, hess = chart.jacobian(s), None
+    _, jac, hess = chart.jet(s, order)
     tangent, r = _tangent_frames(jac, chart.name)
     normal, pivots = _raw_normals(tangent)
     if pivots is not None and _plane_det(np.concatenate([tangent, normal])) < 0:
@@ -923,7 +908,7 @@ def _point_frame(chart, s, with_hessian=False):
 
 def _point_weingarten(chart, s, frames):
     """jac and Gamma at s in frames.normal (the completion's if frames is None)."""
-    jac, hess, _, r, normal, _ = _point_frame(chart, s, with_hessian=True)
+    jac, hess, _, r, normal, _ = _point_frame(chart, s, order=2)
     normal = normal if frames is None else frames.normal
     return jac, _weingarten_planes(hess, _r_inverse(r)[1], normal)
 
@@ -947,7 +932,7 @@ def weingarten(chart: ImmersionChart, s, frames: PointFrame):
     = U - U^T, U the strict upper part of L^-1 [hess_alpha^T; 0] F^T; then
     Gammatilde_alpha = -K_alpha[k:, k:], which is 0 in codimension 1.
     """
-    jac, hess, tangent, r, normal, pivots = _point_frame(chart, s, with_hessian=True)
+    jac, hess, tangent, r, normal, pivots = _point_frame(chart, s, order=2)
     gamma = _weingarten_planes(hess, _r_inverse(r)[1], frames.normal)
     mean = np.einsum("daa->d", gamma)  # trace over the coordinate/mixed pair
 
@@ -1321,15 +1306,13 @@ def build_frame_field(chart: ImmersionChart, shape=None,
                       integrability_tol=None) -> FrameField:
     """Adapted frames, curvature and connection data on the chart grid.
 
-    The chart is evaluated once on the grid, x, jac and hess together, as
-    entry-major planes (n, *grid), (n, k, *grid) and (n, k, k, *grid)
-    (a jet pass on the grid's open mesh writes them so; other charts are
-    evaluated on the dense points and transposed once): every
-    per-point quantity is a stack of planes, one per matrix entry, each
-    holding that entry at all grid points contiguously.  Every step below
-    is plane arithmetic over the whole grid, with Python loops over the
-    2-4 entry indices only, and the FrameField keeps the planes as they
-    are, so nothing is transposed back.
+    The chart is evaluated once on the grid's open mesh, x, jac and hess
+    together (chart.jet), as entry-major planes (n, *grid), (n, k, *grid)
+    and (n, k, k, *grid): every per-point quantity is a stack of planes,
+    one per matrix entry, each holding that entry at all grid points
+    contiguously.  Every step below is plane arithmetic over the whole
+    grid, with Python loops over the 2-4 entry indices only, and the
+    FrameField keeps the planes as they are, so nothing is transposed back.
 
     The tangent frame is the ordered Gram-Schmidt of the coordinate
     derivatives, jac = tangent^T R with R = tangent jac upper triangular
@@ -1376,7 +1359,7 @@ def build_frame_field(chart: ImmersionChart, shape=None,
     dims = _staircase_ndim(len(shape))
     hs = chart.spacings(shape)
     mesh = chart.open_mesh(shape)
-    x, jac, hess = chart._planes(mesh)
+    x, jac, hess = chart.jet(mesh)
     k, n = chart.k, chart.n
     nk = n - k
 

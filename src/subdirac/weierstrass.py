@@ -239,10 +239,11 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
                                minimality_tol: float = 1e-8) -> ReconstructionReport:
     """Verify a minimal chart and reconstruct it.
 
-    Checks that the mean curvature vanishes on the grid, that the
+    Checks that the mean curvature vanishes on the coarse grid, that the
     submanifold operator coincides with the intrinsic one (the curvature
     term carries no weight: their coefficient planes agree), then runs the
-    reconstruction study.
+    reconstruction study on that coarse field and a fine one, built only
+    once the checks pass.
     """
     frames = build_frame_field(chart, shape=shapes[0])
     mean_max = float(np.abs(frames.mean_curvature).max())
@@ -253,10 +254,11 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
     op_intr = intrinsic_dirac(frames, rep)
     op_diff = float(max(np.abs(op_sub.axis_coeff - op_intr.axis_coeff).max(),
                         np.abs(op_sub.potential_coeff - op_intr.potential_coeff).max()))
-    return reconstruction_report(chart, shapes, rep, extras={
+    fine = build_frame_field(chart, shape=shapes[1])
+    return _reconstruction_study((frames, fine), rep, extras={
         "mean_curvature_max": mean_max,
         "operator_difference": op_diff,
-    })
+    })[0]
 
 
 def frenet_serret_case(chart: ImmersionChart, shapes=((257,), (513,)),

@@ -55,6 +55,26 @@ def test_metric_scaling():
     assert np.allclose(induced_metric(scaled, s), lam**2 * induced_metric(chart, s), atol=1e-12)
 
 
+def plane_points(s):
+    return np.stack([s[..., 0], s[..., 1], 0 * s[..., 0]], axis=-1)
+
+
+@pytest.mark.parametrize("rectangle", [
+    [(1.0, 0.0), (0.0, 1.0)],  # reversed: negative spacing, every point outside
+    [(0.0, 1.0), (0.5, 0.5)],  # empty: zero spacing
+    [(0.0, float("nan")), (0.0, 1.0)],
+    [(0.0, 1.0), (-float("inf"), 1.0)],
+], ids=["reversed", "empty", "nan", "inf"])
+def test_chart_rejects_a_bad_rectangle(rectangle):
+    with pytest.raises(ValueError, match="finite bounds lo < hi"):
+        ImmersionChart.from_callable("plane", plane_points, 2, 3, rectangle, grid_shape=(9, 9))
+
+
+def test_sympy_chart_rejects_a_reversed_rectangle():
+    with pytest.raises(ValueError, match="finite bounds lo < hi"):
+        ImmersionChart.from_sympy("plane", [S1, S2, 0], [S1, S2], [(0.0, 1.0), (1.0, 0.0)])
+
+
 def test_metric_outside_rectangle_rejected():
     with pytest.raises(ValueError):
         induced_metric(catalog_chart("plane"), [2.0, 0.5])

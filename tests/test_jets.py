@@ -368,14 +368,12 @@ def test_one_chart_pass_per_call_site(name):
     calls = []
 
     def counted(fn, label):
-        def evaluate(s):
+        def evaluate(s, *order):
             calls.append(label)
-            return fn(s)
+            return fn(s, *order)
         return evaluate
 
-    counting = dataclasses.replace(
-        chart, x=counted(chart.x, "x"), jacobian=counted(chart.jacobian, "jacobian"),
-        hessian=counted(chart.hessian, "hessian"), jet=counted(chart.jet, "jet"))
+    counting = dataclasses.replace(chart, jet=counted(chart.jet, "jet"))
     build_frame_field(counting, shape=(17,) * chart.k)
     assert calls == ["jet"]
     s = seeded_points(chart, 1, seed=2)[0]
@@ -383,6 +381,32 @@ def test_one_chart_pass_per_call_site(name):
     calls.clear()
     weingarten(counting, s, frames)
     assert calls == ["jet"]
+
+
+SPHERE_CHARTS = {
+    "catalog": lambda: catalog_chart("sphere"),
+    "central-differences": lambda: ImmersionChart.from_callable(
+        "math-sphere", math_sphere, 2, 3, catalog_chart("sphere").rectangle),
+    "sympy": SYMPY_CATALOG["sphere"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPHERE_CHARTS))
+def test_each_accessor_is_one_jet_call(kind):
+    chart = SPHERE_CHARTS[kind]()
+    orders = []
+
+    def counted(s, order=2):
+        orders.append(order)
+        return chart.jet(s, order)
+
+    counting = dataclasses.replace(chart, jet=counted)
+    s = seeded_points(chart, 1, seed=11)[0]
+    for accessor, order in [("x", 0), ("jacobian", 1), ("hessian", 2), ("derivatives", 2)]:
+        orders.clear()
+        getattr(counting, accessor)(s)
+        assert orders == [order], accessor
+    assert np.array_equal(counting.jacobian(s), counting.derivatives(s)[1])
 
 
 # --- the pass on the grid's axes against the dense pass ---------------------------
@@ -399,7 +423,7 @@ def test_axis_pass_matches_dense_pass(name, level):
     chart = catalog_chart(name)
     shape = {"default": chart.grid_shape, "fine": (257,) if chart.k == 1 else (65, 65),
              "finer": (513,) if chart.k == 1 else (129, 129)}[level]
-    got = chart._planes(chart.open_mesh(shape))
+    got = chart.jet(chart.open_mesh(shape))
     want = dense_jet_pass(chart_callable(chart), chart.grid(shape), chart.n)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -439,10 +463,10 @@ def test_from_callable_whole_array_use_stays_exact():
     exprs = [U + sp.sin(0.7 * U) * V, V + sp.sin(-0.4 * V) * U, U * V]
     exact = ImmersionChart.from_sympy("whole-array", exprs, [U, V], rectangle)
     shape = (33, 33)
-    planes = chart._planes(chart.open_mesh(shape))
+    planes = chart.jet(chart.open_mesh(shape))
     assert inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
     for a, b, c in zip(planes, dense_jet_pass(fn, chart.grid(shape), 3),
-                       exact._planes(exact.grid(shape))):
+                       exact.jet(exact.grid(shape))):
         assert np.array_equal(a, b)
         assert np.abs(a - c).max() <= 4e-15
     frames = _frame_planes(build_frame_field(chart, shape))
@@ -461,9 +485,9 @@ def test_central_difference_charts_take_the_dense_points(name, fn):
     # a jet rejects np.asarray and s @ M, so these charts take central
     # differences, on the open mesh at the same points as on the dense grid
     chart = ImmersionChart.from_callable(name, fn, 2, 3, catalog_chart("sphere").rectangle)
-    got = chart._planes(chart.open_mesh((17, 17)))
+    got = chart.jet(chart.open_mesh((17, 17)))
     assert not inspect.getclosurevars(chart.jet).nonlocals["takes_jets"]
-    for a, b in zip(got, chart._planes(chart.grid((17, 17)))):
+    for a, b in zip(got, chart.jet(chart.grid((17, 17)))):
         assert np.array_equal(a, b)
 
 

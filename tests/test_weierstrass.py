@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 from test_dirac import ORACLE_CASES, oracle_frames, oracle_rep
 
+from subdirac import weierstrass
 from subdirac.dirac import (
     dirac_residual,
     frame_lift_coefficients,
@@ -224,6 +225,25 @@ def test_minimal_surface_crosscheck(name):
 def test_minimal_crosscheck_rejects_curved_chart():
     with pytest.raises(MisclassificationError):
         minimal_surface_crosscheck(catalog_chart("sphere"))
+
+
+def test_minimal_crosscheck_builds_each_level_once(monkeypatch):
+    shapes = []
+
+    def counted(chart, shape=None, **kwargs):
+        shapes.append(shape)
+        return build_frame_field(chart, shape=shape, **kwargs)
+
+    monkeypatch.setattr(weierstrass, "build_frame_field", counted)
+    levels = ((33, 33), (65, 65))
+    rep = minimal_surface_crosscheck(catalog_chart("catenoid"), shapes=levels)
+    assert shapes == list(levels)
+    assert rep.extras["errors_by_resolution"] == reconstruction_report(
+        catalog_chart("catenoid"), levels).extras["errors_by_resolution"]
+    shapes.clear()
+    with pytest.raises(MisclassificationError):  # before any fine build
+        minimal_surface_crosscheck(catalog_chart("sphere"), shapes=levels)
+    assert shapes == [levels[0]]
 
 
 # --- curves (Frenet-Serret case) ----------------------------------------------------
