@@ -23,14 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford
-from .dirac import (
-    _gram_blocks,
-    frame_lift_coefficients,
-    lift_residuals,
-    selfadjointization_check,
-)
-from .geometry import (CATALOG, ImmersionChart, adapted_frames, build_frame_field, catalog_chart,
-                       rho, weingarten)
+from .dirac import _gram_blocks, lift_residuals, selfadjointization_check
+from .geometry import CATALOG, ImmersionChart, adapted_frames, catalog_chart, rho, weingarten
 from .meshio import export_obj
 from .reciprocity import check_reciprocity, recover_embedding, reference_intertwiner, restrict, induce
 from .spinors import (
@@ -43,7 +37,7 @@ from .spinors import (
     spinor_dim,
     vector_pairing,
 )
-from .weierstrass import _reconstruction_study, immersion_bilinears
+from .weierstrass import GridLevels, _reconstruction_study
 
 COMMANDS = ("verify-algebra", "verify-reciprocity", "geometry", "dirac", "reconstruct", "all")
 GRID_COMMANDS = ("geometry", "dirac", "reconstruct", "all")
@@ -277,75 +271,7 @@ def suite_verify_reciprocity(cfg: Config, checks: Checks):
         checks.run(f"embedding-recovery-({k},{n})", grassmannian, 1e-12)
 
 
-class GridFields:
-    """Frame fields, lift coefficients and bilinears of one chart on the run's two grid levels.
-
-    The grid suites of one run share them, so `--command all` builds and
-    lifts each level once.  geometry reads the coarse level alone (frames).
-    dirac and reconstruct read both (levels): the fine level is built and
-    lifted first, and when the refined grid has 2 (g - 1) + 1 points per
-    axis the coarse level is the fine one at every other point (nested):
-    its planes, coefficients and bilinears are strided views, with axes
-    [::2] (checked against chart.axes) and spacings 2h.  A fine field with a
-    nonzero normal connection keeps a separate coarse build: its Procrustes
-    normal frame depends on the step (helix-curve).  A build that raises is
-    not kept, and raises again in the next suite that asks for it.
-    """
-
-    def __init__(self, chart, shapes):
-        self.chart = chart
-        self.rep = build_gamma_rep(chart.n)
-        self.shapes = shapes  # (coarse, fine)
-        self.nested = False  # set by levels()
-        self._frames = {}
-        self._coeffs = {}
-        self._bilinears = {}
-
-    def frames(self, shape):
-        if shape not in self._frames:
-            self._frames[shape] = build_frame_field(self.chart, shape=shape)
-        return self._frames[shape]
-
-    def levels(self):
-        """The (coarse, fine) frame fields, the fine one built first."""
-        coarse, fine = self.shapes
-        ff = self.frames(fine)
-        axes = [a[::2] for a in ff.axes]
-        self.nested = (fine == tuple(2 * g - 1 for g in coarse) and ff.gtilde_residual == 0.0
-                       and all(map(np.array_equal, axes, self.chart.axes(coarse))))
-        if self.nested and coarse not in self._frames:
-            every = (Ellipsis,) + (slice(None, None, 2),) * len(coarse)
-            planes = {f.name: getattr(ff, f.name)[every] for f in dataclasses.fields(ff)
-                      if f.name.endswith("_planes")}
-            self._frames[coarse] = dataclasses.replace(
-                ff, axes=axes, spacings=[2 * h for h in ff.spacings], **planes)
-        return self.frames(coarse), ff
-
-    def coeffs(self, shape):
-        return self._on_level(self._coeffs, shape, 1,
-                              lambda sh: frame_lift_coefficients(self.frames(sh), self.rep))
-
-    def bilinears(self, shape):
-        return self._on_level(self._bilinears, shape, 0, lambda sh: immersion_bilinears(
-            self.frames(sh), self.rep, coeffs=self.coeffs(sh)))
-
-    def distinct_coeffs(self):
-        """The lift coefficients of every distinct point: the fine level's alone when nested."""
-        return [self.coeffs(shape) for shape in (self.shapes[1:] if self.nested else self.shapes)]
-
-    def _on_level(self, cache, shape, lead, build):
-        """cache[shape] from build(shape); on a nested coarse level, the fine
-        level's array at every other point of its grid axes (after lead axes)."""
-        if shape not in cache:
-            if self.nested and shape == self.shapes[0]:
-                every = (slice(None),) * lead + (slice(None, None, 2),) * len(shape)
-                cache[shape] = self._on_level(cache, self.shapes[1], lead, build)[every]
-            else:
-                cache[shape] = build(shape)
-        return cache[shape]
-
-
-def suite_geometry(cfg: Config, checks: Checks, fields: GridFields):
+def suite_geometry(cfg: Config, checks: Checks, fields: GridLevels):
     chart = fields.chart
     ff = fields.frames(cfg.grid)
 
@@ -391,11 +317,9 @@ def suite_geometry(cfg: Config, checks: Checks, fields: GridFields):
         checks.run("sphere-rho-closed-form", sphere_rho, 1e-10)
 
 
-def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
+def suite_dirac(cfg: Config, checks: Checks, fields: GridLevels):
     chart, rep = fields.chart, fields.rep
-    levels = fields.levels()
-    coeffs = [fields.coeffs(sh) for sh in fields.shapes]
-    residuals = [float(lift_residuals(ff, c, rep).max()) for ff, c in zip(levels, coeffs)]
+    residuals = fields.kernel_residuals()
     orth = max(np.abs(gram - np.eye(rep.dim)).max()
                for c in fields.distinct_coeffs() for _, gram in _gram_blocks(c, rep))
     checks.add("kernel-orthonormality", orth, 1e-10)
@@ -404,9 +328,10 @@ def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
     else:
         checks.add("kernel-convergence-ratio", residuals[0] / residuals[1], 0.5, center=4.0)
 
-    ff_coarse, ff = levels
+    ff_coarse, ff = fields.levels()
     if chart.n - chart.k == 1 and np.abs(ff.mean_curvature).max() > 1e-6:
-        control = float(lift_residuals(ff_coarse, coeffs[0], rep, with_mean=False).min())
+        control = float(lift_residuals(ff_coarse, fields.coeffs(cfg.grid), rep,
+                                       with_mean=False).min())
         floor = 0.4 * float(np.abs(ff_coarse.mean_curvature).min())
         checks.add_floor("curvature-term-necessity", control, floor)
 
@@ -417,11 +342,9 @@ def suite_dirac(cfg: Config, checks: Checks, fields: GridFields):
         checks.add("selfadjointization-defect-flattened-measure", with_, 1e-6)
 
 
-def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
-    chart, out_dir, rep = fields.chart, Path(cfg.out), fields.rep
-    levels = fields.levels()
-    bilinears = tuple(fields.bilinears(shape) for shape in fields.shapes)
-    report, coords = _reconstruction_study(levels, rep, bilinears=bilinears)
+def suite_reconstruct(cfg: Config, checks: Checks, fields: GridLevels):
+    chart, out_dir = fields.chart, Path(cfg.out)
+    report, coords = _reconstruction_study(fields)
     checks.add("bilinear-vs-derivative", report.bilinear_max_deviation, 1e-10)
     errs = report.extras["errors_by_resolution"]
     if max(errs) > 1e-13:
@@ -439,7 +362,7 @@ def suite_reconstruct(cfg: Config, checks: Checks, fields: GridFields):
             checks.add("path-independence-residual", paths[1], 1e-13)
 
     if chart.n in (3, 4) or chart.k == 1:
-        export_obj(levels[0].x, out_dir / f"{chart.name}-source.obj",
+        export_obj(fields.frames(cfg.grid).x, out_dir / f"{chart.name}-source.obj",
                    chart_id=f"{chart.name} source")
         export_obj(coords[0], out_dir / f"{chart.name}-reconstructed.obj",
                    chart_id=f"{chart.name} reconstructed")
@@ -554,8 +477,9 @@ def parse_config(argv=None) -> Config:
 def run(cfg: Config) -> int:
     """Execute one command on a checked configuration; returns the process exit status.
 
-    The grid suites share cfg's compiled chart and its frame fields and lift
-    coefficients (GridFields).
+    The grid suites share cfg's compiled chart and one weierstrass.GridLevels
+    of its frame fields, lift coefficients and bilinears on the grid and
+    the refined grid.
     """
     t0 = time.perf_counter()
     checks = Checks(overrides=cfg.tolerances)
@@ -563,7 +487,7 @@ def run(cfg: Config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     command = cfg.command
-    grid_args = ((GridFields(cfg.compiled_chart, (cfg.grid, cfg.refined_grid)),)
+    grid_args = ((GridLevels(cfg.compiled_chart, (cfg.grid, cfg.refined_grid)),)
                  if command in GRID_COMMANDS else ())
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),

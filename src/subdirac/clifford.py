@@ -314,7 +314,7 @@ def is_clifford_group(a: Multivector, tol: float = 1e-10) -> bool:
     return True
 
 
-def adjoint_rotation(a: Multivector, tol: float = 1e-10) -> np.ndarray:
+def adjoint_rotation(a: Multivector) -> np.ndarray:
     """The m x m matrix of v -> grade-1 part of a gamma(v) a^{-1}.
 
     For Clifford group elements this is the orthogonal transformation the

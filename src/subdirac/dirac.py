@@ -95,7 +95,6 @@ class DiracOperator:
     axis_coeff: np.ndarray  # (k, k, *grid)
     potential_blades: tuple
     potential_coeff: np.ndarray  # (J, *grid)
-    includes_mean_curvature: bool
 
     @property
     def chart(self):
@@ -200,7 +199,7 @@ def _operator_planes(frames: FrameField, rep: GammaRep, with_mean: bool) -> tupl
 def _assemble(frames: FrameField, rep: GammaRep, with_mean: bool) -> DiracOperator:
     axis, potential = _operator_planes(frames, rep, with_mean)
     blades = _potential_blades(frames.chart.k, frames.chart.n)[0]
-    return DiracOperator(frames, rep, axis, blades, potential, with_mean)
+    return DiracOperator(frames, rep, axis, blades, potential)
 
 
 def intrinsic_dirac(frames: FrameField, rep: GammaRep | None = None) -> DiracOperator:

@@ -455,7 +455,6 @@ class ImmersionChart:
     rectangle: tuple
     jet: Callable  # (s, order=2) -> planes (x, jac | None, hess | None)
     grid_shape: tuple = None
-    h_fd: float = 1e-4
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -549,7 +548,7 @@ class ImmersionChart:
             return (values(s), jacobian_fd(s) if order > 0 else None,
                     hessian_fd(s) if order > 1 else None)
 
-        return cls(name, k, n, tuple(rectangle), jet, grid_shape=grid_shape, h_fd=h_fd)
+        return cls(name, k, n, tuple(rectangle), jet, grid_shape=grid_shape)
 
     def x(self, s):
         """The points x(s) (..., n) at the parameter points s (..., k)."""

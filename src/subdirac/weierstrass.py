@@ -14,11 +14,15 @@ The lift enters as its real even-blade coefficients c
 (dirac.frame_lift_coefficients): with tau = sum_K c_K gamma_K, every
 W_ia = Re <conj(psi_i), gamma_a psi_i> is one quadratic form of c against
 a fixed table, so no complex lift matrix is formed.
+
+The studies below and the command line's grid suites read a chart's
+coarse and fine grid levels through one GridLevels, which builds and lifts
+each level at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 
 import numpy as np
 
@@ -46,7 +50,7 @@ class MisclassificationError(ValueError):
     """A surface handled as minimal has detectably nonzero mean curvature."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ReconstructionReport:
     """Error figures of one immersion-recovery run."""
 
@@ -54,7 +58,7 @@ class ReconstructionReport:
     path_independence_residual: float
     convergence_order: float
     bilinear_max_deviation: float
-    extras: dict = field(default_factory=dict)
+    extras: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.asarray(self.max_abs_error) < 0) or self.path_independence_residual < 0 \
@@ -188,40 +192,111 @@ def reconstruct_immersion(frames: FrameField, rep: GammaRep | None = None,
     return coords, path_residual
 
 
+class GridLevels:
+    """Frame fields, lift coefficients and bilinears of one chart on a coarse and a fine grid level.
+
+    The CLI's grid suites and the three studies below read their levels
+    through one instance, so each level is built and lifted at most once.
+    frames(shape) builds one level alone (the CLI's geometry suite, the
+    minimality check).  levels() returns both, the fine level built and
+    lifted first: when the fine grid has 2 (g - 1) + 1 points per axis the
+    coarse level is the fine one at every other point (nested), and its
+    planes, coefficients and bilinears are strided views, with axes [::2]
+    (checked against chart.axes) and spacings 2h.  A coarse field built
+    before levels() is kept, and only its coefficients and bilinears are
+    read off the fine level.  A fine field with a nonzero normal connection
+    keeps a separate coarse build: its Procrustes normal frame depends on
+    the step (helix-curve).  A build that raises is not kept, and raises
+    again when it is next asked for.
+    """
+
+    def __init__(self, chart: ImmersionChart, shapes, rep: GammaRep | None = None):
+        self.chart = chart
+        self.rep = rep or build_gamma_rep(chart.n)
+        self.shapes = tuple(tuple(shape) for shape in shapes)  # (coarse, fine)
+        self.nested = False  # set by levels()
+        self._frames = {}
+        self._coeffs = {}
+        self._bilinears = {}
+
+    def frames(self, shape):
+        if shape not in self._frames:
+            self._frames[shape] = build_frame_field(self.chart, shape=shape)
+        return self._frames[shape]
+
+    def levels(self):
+        """The (coarse, fine) frame fields, the fine one built first."""
+        coarse, fine = self.shapes
+        ff = self.frames(fine)
+        axes = [a[::2] for a in ff.axes]
+        self.nested = (fine == tuple(2 * g - 1 for g in coarse) and ff.gtilde_residual == 0.0
+                       and all(map(np.array_equal, axes, self.chart.axes(coarse))))
+        if self.nested and coarse not in self._frames:
+            every = (Ellipsis,) + (slice(None, None, 2),) * len(coarse)
+            planes = {f.name: getattr(ff, f.name)[every] for f in dataclasses.fields(ff)
+                      if f.name.endswith("_planes")}
+            self._frames[coarse] = dataclasses.replace(
+                ff, axes=axes, spacings=[2 * h for h in ff.spacings], **planes)
+        return self.frames(coarse), ff
+
+    def coeffs(self, shape):
+        return self._on_level(self._coeffs, shape, 1,
+                              lambda sh: frame_lift_coefficients(self.frames(sh), self.rep))
+
+    def bilinears(self, shape):
+        return self._on_level(self._bilinears, shape, 0, lambda sh: immersion_bilinears(
+            self.frames(sh), self.rep, coeffs=self.coeffs(sh)))
+
+    def distinct_coeffs(self):
+        """The lift coefficients of every distinct point: the fine level's alone when nested."""
+        return [self.coeffs(shape) for shape in (self.shapes[1:] if self.nested else self.shapes)]
+
+    def kernel_residuals(self):
+        """The (coarse, fine) maxima of lift_residuals: the frame spinors against the operator."""
+        return tuple(float(lift_residuals(frames, self.coeffs(shape), self.rep).max())
+                     for frames, shape in zip(self.levels(), self.shapes))
+
+    def _on_level(self, cache, shape, lead, build):
+        """cache[shape] from build(shape); on a nested coarse level, the fine
+        level's array at every other point of its grid axes (after lead axes)."""
+        if shape not in cache:
+            if self.nested and shape == self.shapes[0]:
+                every = (slice(None),) * lead + (slice(None, None, 2),) * len(shape)
+                cache[shape] = self._on_level(cache, self.shapes[1], lead, build)[every]
+            else:
+                cache[shape] = build(shape)
+        return cache[shape]
+
+
 def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
                           rep: GammaRep | None = None, extras: dict | None = None
                           ) -> ReconstructionReport:
-    """Run the recovery at two resolutions and collect the error figures."""
-    frame_fields = (build_frame_field(chart, shape=shape) for shape in shapes)
-    return _reconstruction_study(frame_fields, rep, extras)[0]
+    """Run the recovery on a coarse and a fine level (GridLevels) and collect the error figures."""
+    return _reconstruction_study(GridLevels(chart, shapes, rep), extras)[0]
 
 
-def _reconstruction_study(frame_fields, rep: GammaRep | None = None,
-                          extras: dict | None = None, bilinears=None):
-    """reconstruction_report over a coarse and a fine frame field of one chart.
+def _reconstruction_study(fields: GridLevels, extras: dict | None = None):
+    """reconstruction_report over the coarse and fine levels of fields.
 
-    bilinears, when given, holds each field's immersion_bilinears.  Also
-    returns the reconstructed coordinate grid of each field.
+    Also returns the reconstructed coordinate grid of each level.
     """
     errors = []
     path_residuals = []
     loop_residuals = []
     coords_by_field = []
-    sizes = []
     bilinear_dev = 0.0
     per_coord = None
-    for j, frames in enumerate(frame_fields):
-        b = immersion_bilinears(frames, rep) if bilinears is None else bilinears[j]
+    for frames, shape in zip(fields.levels(), fields.shapes):
+        b = fields.bilinears(shape)
         bilinear_dev = max(bilinear_dev, float(np.abs(b - frames.jac).max()))
-        coords, path_res = reconstruct_immersion(frames, rep, bilinears=b)
+        coords, path_res = reconstruct_immersion(frames, bilinears=b)
         err = np.abs(coords - frames.x)
         per_coord = err.reshape(-1, err.shape[-1]).max(axis=0)
         errors.append(per_coord.max())
         path_residuals.append(path_res)
         loop_residuals.append(plaquette_circulation(b, frames.spacings))
         coords_by_field.append(coords)
-        sizes.append(frames.grid_shape[0])
-    refine = np.log2((sizes[1] - 1) / (sizes[0] - 1))
+    refine = np.log2((fields.shapes[1][0] - 1) / (fields.shapes[0][0] - 1))
     if errors[0] == 0 and errors[1] == 0:
         order = float("inf")
     else:
@@ -239,23 +314,24 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
                                minimality_tol: float = 1e-8) -> ReconstructionReport:
     """Verify a minimal chart and reconstruct it.
 
-    Checks that the mean curvature vanishes on the coarse grid, that the
+    Checks that the mean curvature vanishes on the coarse level, that the
     submanifold operator coincides with the intrinsic one (the curvature
     term carries no weight: their coefficient planes agree), then runs the
-    reconstruction study on that coarse field and a fine one, built only
-    once the checks pass.
+    reconstruction study on the levels of one GridLevels.  The coarse field
+    is built first and kept; the fine one is built only once the checks
+    pass, and lifted once for both levels when the coarse is nested in it.
     """
-    frames = build_frame_field(chart, shape=shapes[0])
+    fields = GridLevels(chart, shapes, rep)
+    frames = fields.frames(fields.shapes[0])
     mean_max = float(np.abs(frames.mean_curvature).max())
     if mean_max > minimality_tol:
         raise MisclassificationError(
             f"{chart.name} has mean curvature {mean_max:.3e}, not minimal")
-    op_sub = submanifold_dirac(frames, rep)
-    op_intr = intrinsic_dirac(frames, rep)
+    op_sub = submanifold_dirac(frames, fields.rep)
+    op_intr = intrinsic_dirac(frames, fields.rep)
     op_diff = float(max(np.abs(op_sub.axis_coeff - op_intr.axis_coeff).max(),
                         np.abs(op_sub.potential_coeff - op_intr.potential_coeff).max()))
-    fine = build_frame_field(chart, shape=shapes[1])
-    return _reconstruction_study((frames, fine), rep, extras={
+    return _reconstruction_study(fields, extras={
         "mean_curvature_max": mean_max,
         "operator_difference": op_diff,
     })[0]
@@ -267,22 +343,20 @@ def frenet_serret_case(chart: ImmersionChart, shapes=((257,), (513,)),
 
     The operator is gamma_1 e_1^s d/ds + (1/2) gamma_adot kappa_adot with
     kappa the curvature components in the parallel normal frame; the frame
-    spinor field must lie in its kernel to O(h^2).  Each resolution's frame
-    field and lift coefficients serve both the kernel check and the
-    reconstruction.
+    spinor field must lie in its kernel to O(h^2).  The levels of one
+    GridLevels serve both the kernel check and the reconstruction, so the
+    circle is built and lifted once, at the fine level; the helix keeps its
+    separate coarse build.
     """
     if chart.k != 1 or chart.n not in (2, 3):
         raise ValueError("Frenet-Serret case needs a curve in R^2 or R^3")
-    rep = rep or build_gamma_rep(chart.n)
-    frame_fields = [build_frame_field(chart, shape=shape) for shape in shapes]
-    coeffs = [frame_lift_coefficients(frames, rep) for frames in frame_fields]
-    residuals = [float(lift_residuals(frames, c, rep).max())
-                 for frames, c in zip(frame_fields, coeffs)]
-    report, _ = _reconstruction_study(frame_fields, rep, extras={
-        "kernel_residuals": tuple(residuals),
+    fields = GridLevels(chart, shapes, rep)
+    residuals = fields.kernel_residuals()
+    coarse, fine = fields.shapes
+    report, _ = _reconstruction_study(fields, extras={
+        "kernel_residuals": residuals,
         "kernel_order": float(np.log2(residuals[0] / residuals[1])
-                              / np.log2((shapes[1][0] - 1) / (shapes[0][0] - 1))),
-        "curvature_norm": np.linalg.norm(frame_fields[-1].mean_curvature, axis=-1),
-    }, bilinears=[immersion_bilinears(frames, rep, coeffs=c)
-                  for frames, c in zip(frame_fields, coeffs)])
+                              / np.log2((fine[0] - 1) / (coarse[0] - 1))),
+        "curvature_norm": np.linalg.norm(fields.frames(fine).mean_curvature, axis=-1),
+    })
     return report

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from subdirac import cli
+from subdirac import cli, weierstrass
 from subdirac.dirac import frame_lift_coefficients
 from subdirac.geometry import CATALOG, build_frame_field, catalog_chart
 from subdirac.meshio import export_obj
@@ -305,8 +305,8 @@ def test_dirac_tube_check_passes_on_the_saddle(tmp_path):
 def test_all_shares_frame_fields_with_the_single_commands_checks(tmp_path, monkeypatch,
                                                                 chart, grid):
     built = []
-    build = cli.build_frame_field
-    monkeypatch.setattr(cli, "build_frame_field",
+    build = weierstrass.build_frame_field
+    monkeypatch.setattr(weierstrass, "build_frame_field",
                         lambda chart, shape: built.append(shape) or build(chart, shape=shape))
     common = ["--chart", chart, "--grid", grid, "--seed", "7"]
     assert run_cli(["--command", "all", *common, "--out", str(tmp_path / "all")]) == 0
@@ -731,7 +731,7 @@ STRIDE_CASES = [(name, {}) for name in sorted(CATALOG)] + [
 def test_coarse_level_read_off_the_fine_one_is_a_fresh_build(name, params):
     chart = catalog_chart(name, **params)
     cfg = cli.parse_config(["--chart", name, "--config", json.dumps({"params": params})])
-    fields = cli.GridFields(chart, (cfg.grid, cfg.refined_grid))
+    fields = weierstrass.GridLevels(chart, (cfg.grid, cfg.refined_grid))
     derived, fine = fields.levels()
     fresh = build_frame_field(chart, shape=cfg.grid)
     # the helix's Procrustes normal frame depends on the step: a separate build
@@ -763,10 +763,10 @@ def test_helix_checks_keep_their_separate_coarse_build(tmp_path):
 @pytest.mark.parametrize("name", ["sphere", "clifford-torus-r4"])
 def test_grid_commands_build_and_lift_each_level_once(tmp_path, monkeypatch, name):
     built, lifted = [], []
-    build, lift = cli.build_frame_field, cli.frame_lift_coefficients
-    monkeypatch.setattr(cli, "build_frame_field",
+    build, lift = weierstrass.build_frame_field, weierstrass.frame_lift_coefficients
+    monkeypatch.setattr(weierstrass, "build_frame_field",
                         lambda chart, shape: built.append(shape) or build(chart, shape=shape))
-    monkeypatch.setattr(cli, "frame_lift_coefficients",
+    monkeypatch.setattr(weierstrass, "frame_lift_coefficients",
                         lambda frames, rep: lifted.append(frames.grid_shape) or lift(frames, rep))
     calls = {}
     for command in ("geometry", "dirac", "reconstruct"):

@@ -4,7 +4,7 @@ The reference completes the normal frame point by point and aligns each
 completion to its staircase predecessor by Procrustes, the way the grid
 frame field used to be built.  It also keeps the slow forms of the
 Gram-Schmidt quantities: e_coeff from the inverted metric, and omega
-from central differences of the tangent frames at s +- h_fd.  The
+from central differences of the tangent frames at s +- H_FD.  The
 closed-form immersion guard is checked against the SVD.  The pointwise
 functions, one-point calls into the grid kernels, are checked against
 the scalar per-point path they replaced and their exact normal
@@ -40,6 +40,8 @@ from subdirac.geometry import (
     catalog_chart,
     weingarten,
 )
+
+H_FD = 1e-4  # the reference omega's relative difference step
 
 
 def gram_schmidt_rows(vectors):
@@ -123,13 +125,13 @@ def tangent_frames(jac):
 
 
 def finite_difference_omega(chart, shape):
-    """omega from central differences of the tangent frames at s +- h_fd."""
+    """omega from central differences of the tangent frames at s +- H_FD."""
     pts = chart.grid(shape)
     k = chart.k
     tangent = tangent_frames(chart.jacobian(pts))
     omega = np.empty(shape + (k, k, k))
     for a in range(k):
-        step = chart.h_fd * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
+        step = H_FD * max(1.0, abs(chart.rectangle[a][1] - chart.rectangle[a][0]))
         e = np.zeros(k)
         e[a] = step
         de = (tangent_frames(chart.jacobian(pts + e))
@@ -205,7 +207,7 @@ def test_matches_reference_loops(chart, shape):
     assert np.abs(ff.e_coeff - expected["e_coeff"]).max() <= 1e-14
     assert np.abs(ff.metric - expected["metric"]).max() <= 1e-12
     assert np.abs(ff.metric_inv - expected["metric_inv"]).max() <= 1e-12
-    # the reference omega carries the O(h_fd^2) error of its central differences
+    # the reference omega carries the O(H_FD^2) error of its central differences
     assert np.abs(ff.omega - expected["omega"]).max() <= 1e-7
     for name in ("normal", "weingarten", "mean_curvature", "gtilde", "gtilde_residual"):
         assert np.abs(getattr(ff, name) - expected[name]).max() <= 1e-12, name

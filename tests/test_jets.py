@@ -333,12 +333,14 @@ def test_from_callable_numpy_is_exact():
 
 def test_from_callable_falls_back_to_central_differences():
     sphere = catalog_chart("sphere")
-    chart = ImmersionChart.from_callable("math-sphere", math_sphere, 2, 3, sphere.rectangle)
+    h_fd = 1e-4
+    chart = ImmersionChart.from_callable("math-sphere", math_sphere, 2, 3, sphere.rectangle,
+                                         h_fd=h_fd)
     # the central-difference truncation error: h^2/6 max|x'''| for the
     # Jacobian and twice that for the nested differences of the Hessian,
     # every derivative of the unit sphere's components being at most 1
     # (h up to 5.6e-4 on the second axis: 5.2e-8 and 1.05e-7), plus rounding
-    h = max(chart.h_fd * max(1.0, hi - lo) for lo, hi in sphere.rectangle)
+    h = max(h_fd * max(1.0, hi - lo) for lo, hi in sphere.rectangle)
     for s in seeded_points(sphere, 4, seed=3):
         x, jac, hess = chart.derivatives(s)
         assert np.array_equal(x, math_sphere(s))
@@ -354,9 +356,11 @@ def test_from_callable_falls_back_to_central_differences():
 
 def test_from_callable_fallback_keeps_central_difference_arithmetic():
     sphere = catalog_chart("sphere")
-    chart = ImmersionChart.from_callable("math-sphere", math_sphere, 2, 3, sphere.rectangle)
+    h_fd = 1e-4
+    chart = ImmersionChart.from_callable("math-sphere", math_sphere, 2, 3, sphere.rectangle,
+                                         h_fd=h_fd)
     s = seeded_points(sphere, 1, seed=5)[0]
-    step = chart.h_fd * max(1.0, sphere.rectangle[0][1] - sphere.rectangle[0][0])
+    step = h_fd * max(1.0, sphere.rectangle[0][1] - sphere.rectangle[0][0])
     e = np.array([step, 0.0])
     expected = (math_sphere(s + e) - math_sphere(s - e)) / (2 * step)
     assert np.array_equal(chart.jacobian(s)[:, 0], expected)

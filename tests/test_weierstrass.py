@@ -9,6 +9,7 @@ from subdirac.dirac import (
     frame_lift_coefficients,
     frame_lift_field,
     frame_spinor_fields,
+    lift_residuals,
     submanifold_dirac,
 )
 from subdirac.geometry import CATALOG, ImmersionChart, build_frame_field, catalog_chart
@@ -311,3 +312,85 @@ def test_rep_conjugation_leaves_bilinears_invariant():
     b1 = immersion_bilinears(ff, rep)
     b2 = immersion_bilinears(ff, rep2)
     assert np.abs(b1 - b2).max() < 1e-12
+
+
+# --- one level pair for the studies and the command line ----------------------------
+
+def counting(monkeypatch):
+    """Record the grid shape of every build_frame_field and frame_lift_coefficients
+    call the studies make."""
+    built, lifted = [], []
+    build, lift = weierstrass.build_frame_field, weierstrass.frame_lift_coefficients
+    monkeypatch.setattr(weierstrass, "build_frame_field",
+                        lambda chart, shape: built.append(shape) or build(chart, shape=shape))
+    monkeypatch.setattr(weierstrass, "frame_lift_coefficients",
+                        lambda frames, rep: lifted.append(frames.grid_shape) or lift(frames, rep))
+    return built, lifted
+
+
+def fresh_two_level_report(chart, shapes):
+    """The report figures from two fresh levels: build_frame_field, then
+    immersion_bilinears, then reconstruct_immersion on each."""
+    errors, paths, loops, bilinear_dev = [], [], [], 0.0
+    for shape in shapes:
+        frames = build_frame_field(chart, shape=shape)
+        b = immersion_bilinears(frames)
+        bilinear_dev = max(bilinear_dev, float(np.abs(b - frames.jac).max()))
+        coords, path = reconstruct_immersion(frames, bilinears=b)
+        err = np.abs(coords - frames.x)
+        per_coord = err.reshape(-1, err.shape[-1]).max(axis=0)
+        errors.append(per_coord.max())
+        paths.append(path)
+        loops.append(plaquette_circulation(b, frames.spacings))
+    refine = np.log2((shapes[1][0] - 1) / (shapes[0][0] - 1))
+    order = (float("inf") if errors == [0, 0]
+             else float(np.log2(errors[0] / max(errors[1], 1e-300)) / refine))
+    return per_coord, max(paths), order, bilinear_dev, tuple(errors), tuple(paths), tuple(loops)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_report_on_the_shared_levels_equals_two_fresh_levels(name):
+    chart = catalog_chart(name)
+    shapes = (chart.grid_shape, tuple(2 * g - 1 for g in chart.grid_shape))
+    rep = reconstruction_report(chart, shapes)
+    got = (rep.max_abs_error, rep.path_independence_residual, rep.convergence_order,
+           rep.bilinear_max_deviation, rep.extras["errors_by_resolution"],
+           rep.extras["path_residuals"], rep.extras["plaquette_loop_residuals"])
+    expected = fresh_two_level_report(chart, shapes)
+    for value, oracle in zip(got, expected):
+        assert np.array_equal(value, oracle)
+
+
+def test_report_builds_and_lifts_the_fine_level_alone(monkeypatch):
+    built, lifted = counting(monkeypatch)
+    # shapes given as lists, as build_frame_field takes them
+    reconstruction_report(catalog_chart("sphere"), shapes=([65, 65], [129, 129]))
+    assert built == lifted == [(129, 129)]
+
+
+def test_circle_case_builds_and_lifts_once(monkeypatch):
+    chart = catalog_chart("circle-curve")
+    built, lifted = counting(monkeypatch)
+    rep = frenet_serret_case(chart)
+    assert built == lifted == [(513,)]
+    monkeypatch.undo()
+    # the kernel residuals of two fresh levels
+    fresh, rep2 = [], build_gamma_rep(2)
+    for shape in ((257,), (513,)):
+        frames = build_frame_field(chart, shape=shape)
+        fresh.append(float(lift_residuals(frames, frame_lift_coefficients(frames, rep2), rep2).max()))
+    assert rep.extras["kernel_residuals"] == tuple(fresh)
+
+
+def test_helix_case_keeps_its_separate_coarse_build(monkeypatch):
+    built, lifted = counting(monkeypatch)
+    frenet_serret_case(catalog_chart("helix-curve"))
+    assert built == [(513,), (257,)]  # the fine level first, to test the nesting
+    assert lifted == [(257,), (513,)]
+
+
+def test_minimal_crosscheck_lifts_once(monkeypatch):
+    built, lifted = counting(monkeypatch)
+    minimal_surface_crosscheck(catalog_chart("catenoid"), shapes=((33, 33), (65, 65)))
+    assert built == [(33, 33), (65, 65)]
+    assert lifted == [(65, 65)]
