@@ -47,7 +47,6 @@ DEFAULTS = {
     "chart": "sphere",
     "params": {},
     "grid": None,
-    "refined_grid": None,
     "m": 4,
     "pairs": None,
     "seed": 0,
@@ -64,7 +63,8 @@ class UsageError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """parse_config's checked DEFAULTS keys, with the chart compiled from chart and params."""
+    """parse_config's checked DEFAULTS keys, with the refined grid derived from grid
+    and the chart compiled from chart and params."""
 
     command: str
     chart: str
@@ -408,7 +408,8 @@ def parse_config(argv=None) -> Config:
     Every value is checked whatever the command, and any fault raises
     UsageError (exit status 2) before a suite runs.  Integers must be exact
     (no bools); one grid resolution applies to every axis; grid defaults to
-    the chart's shape, refined_grid to 2 (g - 1) + 1 per axis.
+    the chart's shape.  The refined grid is 2 (g - 1) + 1 per axis, the
+    halved step that the grid suites' convergence orders assume.
     """
     args = _parser().parse_args(argv)
     raw = dict(DEFAULTS)
@@ -466,9 +467,7 @@ def parse_config(argv=None) -> Config:
     if not isinstance(grid, (list, tuple)):
         grid = [grid]
     grid = _shape("grid", list(grid) * chart.k if len(grid) == 1 else grid, chart.k)
-    refined = raw["refined_grid"]
-    refined = (tuple(2 * (g - 1) + 1 for g in grid) if refined is None
-               else _shape("refined_grid", refined, chart.k))
+    refined = tuple(2 * (g - 1) + 1 for g in grid)
     return Config(raw["command"], raw["chart"], raw["params"], grid, refined, raw["m"],
                   tuple(tuple(p) for p in pairs), raw["seed"], raw["trials"], tolerances,
                   raw["out"], chart)
@@ -504,7 +503,7 @@ def run(cfg: Config) -> int:
 
     report = {
         "command": command,
-        "config": {key: getattr(cfg, key) for key in sorted(DEFAULTS)},
+        "config": {key: getattr(cfg, key) for key in sorted([*DEFAULTS, "refined_grid"])},
         "checks": checks.entries,
         "timing-ms": round(1000 * (time.perf_counter() - t0), 3),
     }

@@ -10,11 +10,20 @@ Computer Science*, 2007): bit i of the prefix parity of a is the parity of
 a's generators above e_{i+1}, and the sign is the parity of the prefix
 parity masked by b.  Coefficients are kept as Python numbers, so integer
 inputs stay exact.
+
+The grid kernels keep real coefficient planes instead: c holds the blades
+of one parity in ascending mask order, so blade K sits at row K >> 1 (the
+masks 2t and 2t + 1 have opposite parities).  A left product by a blade J
+is then a signed row permutation: J e_K = s(J, K) e_{J ^ K} puts row
+K >> 1 of [c; -c], the second half when s(J, K) < 0, at row (J ^ K) >> 1
+of the product.  _left_product_rows tabulates these rows for the spin
+lift, the operator and its kernel residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,23 +50,38 @@ def _above_parity(a):
     return p
 
 
-def _blade_product_sign(a: int, b: int) -> int:
+def _blade_product_signs(a, b):
     """Sign of (blade a) * (blade b) for an orthonormal euclidean basis.
 
     The transpositions that move every generator of b past the higher
     generators of a number sum_{i in b} #{j in a, j > i}, whose parity is
     that of (_above_parity(a) & b); squared generators contribute +1 and
-    drop out.
+    drop out.  Works on Python ints and elementwise over broadcast integer
+    mask arrays.
     """
-    return -1 if (_above_parity(a) & b).bit_count() & 1 else 1
-
-
-def _blade_product_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_blade_product_sign elementwise over broadcast integer mask arrays."""
     x = _above_parity(a) & b
     for shift in (8, 4, 2, 1):
         x ^= x >> shift
     return 1 - 2 * (x & 1)
+
+
+@lru_cache(maxsize=None)
+def _left_product_rows(m: int, blades: tuple, parity: int) -> np.ndarray:
+    """The rows of [c; -c] that the left products by blades bring to the blades of parity.
+
+    Row t of entry j is the row that J = blades[j] brings to the blade L of
+    the given parity at row t = L >> 1: with K = L ^ J, row K >> 1, plus
+    2^(m - 1) when s(J, K) < 0, so that (e_J c)[t] = [c; -c][rows[j, t]]
+    for c on the blades of K's parity.  Shape (len(blades), 2^(m - 1)),
+    built once per arguments and read-only, since every caller shares it.
+    """
+    targets = np.array([mask for mask in range(1 << m) if _popcount(mask) % 2 == parity])
+    left = np.array(blades, dtype=np.intp).reshape(-1, 1)
+    sources = targets ^ left
+    rows = sources >> 1
+    rows += np.where(_blade_product_signs(left, sources) < 0, 1 << (m - 1), 0)
+    rows.flags.writeable = False
+    return rows
 
 
 def blade_label(mask: int) -> str:

@@ -14,18 +14,20 @@ the intrinsic one.
 
 Everything is kept in the Clifford algebra, as real coefficient planes
 over the grid.  gamma_a gamma_K = s(a, K) gamma_{a ^ K} for blades
-(bitmasks) with s from clifford._blade_product_sign, so the potential
+(bitmasks) with the sign s of clifford's blade product, so the potential
 sum_abc C_abc gamma_a gamma_b gamma_c + (1/2) H_adot gamma_adot is
 sum_J v_J gamma_J over a few odd blades J, and the operator is the e_a^alpha
 planes plus the v_J planes.  The frame spin lift is tau = sum_K c_K gamma_K
 with real c on the even blades K (frame_lift_coefficients), and D tau is
 sum_L b_L gamma_L over the odd blades L, whose b is a fixed signed
 permutation of the difference planes d_alpha c weighted by e_a^alpha, plus
-one of the products v_J c_K.  The kernel check (lift_residuals), the
-orthonormality of the lift (lift_gram) and, in weierstrass, the immersion
-bilinears are fixed real quadratic forms of these planes; gamma matrices
-enter only as those tables, and apply_operator applies the planes to an
-arbitrary spinor field through the fixed gammas.
+one of the products v_J c_K: the rows of [c; -c] that
+clifford._left_product_rows gives each blade a and J.  The kernel check
+(lift_residuals), the orthonormality of the lift (lift_gram) and, in
+weierstrass, the immersion bilinears are fixed real quadratic forms of
+these planes; gamma matrices enter only as those tables, and
+apply_operator applies the planes to an arbitrary spinor field through
+the fixed gammas.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import _blade_product_sign, _popcount
+from .clifford import Multivector, _left_product_rows
 from .geometry import (
     FrameField,
     ImmersionChart,
@@ -117,58 +119,27 @@ def _combine(coeff: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(coeff.shape[:-1] + (d, d))
 
 
-def _odd_masks(m: int) -> list:
-    return [mask for mask in range(1 << m) if _popcount(mask) % 2]
-
-
 @lru_cache(maxsize=None)
 def _potential_blades(k: int, n: int) -> tuple:
     """The odd blades of the potential and the fold of C_abc onto them.
 
-    gamma_a gamma_b gamma_c = s(a, b) s(a ^ b, c) gamma_{a ^ b ^ c}, so
-    sum_abc C_abc gamma_a gamma_b gamma_c = sum_J v_J gamma_J with v = C @ fold,
-    C flattened over (a, b, c).  The blades are the connection's in
-    ascending order (the tangent vectors, and for k >= 3 the tangent
-    trivectors), then the normal vectors e_{k + adot}.  Returns (blades,
-    fold of shape (k^3, connection blades)).
+    gamma_a gamma_b gamma_c = +-gamma_{a ^ b ^ c}, the exact blade product
+    of clifford.Multivector, so sum_abc C_abc gamma_a gamma_b gamma_c =
+    sum_J v_J gamma_J with v = C @ fold, C flattened over (a, b, c).  The
+    blades are the connection's in ascending order (the tangent vectors,
+    and for k >= 3 the tangent trivectors), then the normal vectors
+    e_{k + adot}.  Returns (blades, fold of shape (k^3, connection blades)).
     """
-    triples = [(1 << a, 1 << b, 1 << c) for a in range(k) for b in range(k) for c in range(k)]
-    connection = sorted({a ^ b ^ c for a, b, c in triples})
-    fold = np.zeros((len(triples), len(connection)))
-    for row, (a, b, c) in enumerate(triples):
-        sign = _blade_product_sign(a, b) * _blade_product_sign(a ^ b, c)
-        fold[row, connection.index(a ^ b ^ c)] = sign
+    gammas = [Multivector.basis_vector(k, a) for a in range(1, k + 1)]
+    # each product is one blade with a sign
+    products = [(a * b * c).coeffs for a in gammas for b in gammas for c in gammas]
+    connection = sorted({blade for product in products for blade in product})
+    fold = np.zeros((len(products), len(connection)))
+    for row, product in enumerate(products):
+        for blade, sign in product.items():
+            fold[row, connection.index(blade)] = sign
     fold.flags.writeable = False
     return tuple(connection) + tuple(1 << j for j in range(k, n)), fold
-
-
-@lru_cache(maxsize=None)
-def _residual_table(k: int, m: int) -> tuple:
-    """The signed permutations taking even-blade planes to the odd coefficients of D tau.
-
-    With g_aK = sum_alpha e_a^alpha d_alpha c_K and the potential's v_J,
-    D tau = sum_L b_L gamma_L with b_L = sum_a s(a, K) g_aK [L = a ^ K]
-    + sum_J s(J, K) v_J c_K [L = J ^ K]: gamma_a gamma_K = s(a, K) gamma_{a ^ K}
-    and gamma_J gamma_K = s(J, K) gamma_{J ^ K}.  Each source blade maps the
-    even blades one to one onto the odd ones.  Returns (tangent, signed):
-    tangent (odd blades, k * even blades) holds the k tangent vectors'
-    signed permutations side by side, one +-1 per row and source, for the
-    stacked g; signed (potential blades, odd blades) gives the row of
-    [c; -c] that carries v_J's term in b_L.  The potential's normal blades
-    come last, so the intrinsic operator reads the leading rows only.
-    """
-    even = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
-    odd = {mask: i for i, mask in enumerate(_odd_masks(m))}
-    tangent = np.zeros((len(odd), k * len(even)))
-    signed = np.zeros((len(_potential_blades(k, m)[0]), len(odd)), dtype=np.intp)
-    for i, mask in enumerate(even):
-        for a in range(k):
-            tangent[odd[mask ^ (1 << a)], a * len(even) + i] = _blade_product_sign(1 << a, mask)
-        for j, blade in enumerate(_potential_blades(k, m)[0]):
-            negative = _blade_product_sign(blade, mask) < 0
-            signed[j, odd[mask ^ blade]] = i + len(even) * negative
-    tangent.flags.writeable = signed.flags.writeable = False
-    return tangent, signed
 
 
 def _operator_planes(frames: FrameField, rep: GammaRep, with_mean: bool) -> tuple:
@@ -230,8 +201,7 @@ def apply_operator(op: DiracOperator, field: GridSpinorField) -> GridSpinorField
     if field.grid_shape != op.frames.grid_shape:
         raise ValueError("field grid does not match operator grid")
     rep = op.rep
-    odd = {mask: i for i, mask in enumerate(_odd_masks(rep.m))}
-    potential = rep.odd_products[[odd[mask] for mask in op.potential_blades]]
+    potential = rep.odd_products[[mask >> 1 for mask in op.potential_blades]]
     tangent = rep.gamma_stack[: op.chart.k]
     psi = field.values
     out = _weighted_images(psi.reshape(-1, rep.dim), potential, op.potential_coeff)
@@ -275,13 +245,14 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     operator, or the intrinsic one for with_mean=False.  The odd
     coefficients b_L = sum_alpha sum_a e_a^alpha s(a, K) d_alpha c_K
     + sum_J v_J s(J, K) c_K (L = a ^ K and J ^ K) are summed source by
-    source with _residual_table's signed permutations: the tangent sources
-    in one product against the stacked g, each potential source as one
-    gather of signed rows, with no stacked operand of the potential's
-    products.  The squared column norms come from one quadratic form of b
-    against the fixed odd-blade table Re (gamma_L^H gamma_L')_aa, which
-    also covers odd m, where odd blades are multiples of even ones.  Column
-    a is the field psi^a of frame_spinor_fields, so the result is
+    source with the signed rows of [c; -c] that clifford._left_product_rows
+    gives each source blade: the tangent sources in one product against the
+    stacked g, their rows spread into a dense +-1 table, and each potential
+    source as one gather of its rows, with no stacked operand of the
+    potential's products.  The squared column norms come from one quadratic
+    form of b against the fixed odd-blade table Re (gamma_L^H gamma_L')_aa,
+    which also covers odd m, where odd blades are multiples of even ones.
+    Column a is the field psi^a of frame_spinor_fields, so the result is
     dirac_residual of each (shape (d,)): its max is the kernel residual.
 
     The interior runs in blocks of whole rows of the first grid axis, about
@@ -295,8 +266,13 @@ def lift_residuals(frames: FrameField, coeffs: np.ndarray, rep: GammaRep | None 
     squares = np.zeros(d)  # running max over the blocks
     if min(grid) < 3:
         return squares
-    blades = len(potential) if with_mean else _potential_blades(k, rep.m)[1].shape[1]  # no normal planes
-    tangent, signed = _residual_table(k, rep.m)
+    potential_blades, fold = _potential_blades(k, rep.m)
+    blades = len(potential) if with_mean else fold.shape[1]  # no normal planes
+    signed = _left_product_rows(rep.m, potential_blades, 1)
+    tangent = np.zeros((K, k * K))  # the generators' rows as one dense +-1 table
+    generators = tuple(1 << i for i in range(k))
+    for a, source in enumerate(_left_product_rows(rep.m, generators, 1)):
+        tangent[np.arange(K), a * K + source % K] = np.where(source < K, 1.0, -1.0)
     form = rep.cached_table("odd_form", _odd_form)
     row = int(np.prod([n - 2 for n in grid[1:]]))
     step = max(1, GRID_BLOCK // row)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .clifford import MAX_DIMENSION, Multivector, _blade_product_signs, _popcount
+from .clifford import MAX_DIMENSION, Multivector, _left_product_rows, _popcount
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -384,36 +384,18 @@ def _reflection_lifts(entries: np.ndarray, m: int, tol: float) -> tuple:
     return vectors, ((shifts > 0) << np.arange(m)[:, None]).sum(axis=0)
 
 
-@lru_cache(maxsize=None)
-def _vector_products(m: int) -> np.ndarray:
-    """Signed permutations of the left product e_i c in blade coefficients, built once per m.
-
-    c holds the coefficients of the blades of one parity in ascending mask
-    order, so blade L sits at row L >> 1.  Row t of table[q, i] is the row
-    of [c; -c] that e_i e_K = s(i, K) e_(i ^ K) brings to the blade of
-    parity q at row t, so that (gamma(v) c)[t] = sum_i v_i [c; -c][table[q, i, t]].
-    """
-    generators = 1 << np.arange(m)[:, None]
-    table = np.empty((2, m, 1 << (m - 1)), dtype=np.intp)
-    for q in (0, 1):
-        source = np.array([mask for mask in range(1 << m) if _popcount(mask) % 2 == q]) ^ generators
-        table[q] = source >> 1
-        table[q] += np.where(_blade_product_signs(generators, source) < 0, 1 << (m - 1), 0)
-    table.flags.writeable = False  # shared by every caller
-    return table
-
-
 def _blade_lift(vectors: np.ndarray, flips: np.ndarray, m: int) -> np.ndarray:
     """Even-blade coefficients c (K, P) of tau = gamma(v_1) ... gamma(v_{m-1}) gamma_N.
 
     The reflections are _reflection_lifts'.  c starts as the blade e_N, one
     unit coefficient per point, and takes the vectors from the left, the
-    last one first, each as the signed permutations of _vector_products
-    weighted by its entries from its own row on.  Elementwise over the
-    points, with no matrix product.  The blades are in ascending mask
-    order, the order of GammaRep.even_products.
+    last one first, each as the generators' signed rows of [c; -c]
+    (clifford._left_product_rows) weighted by its entries from its own row
+    on.  Elementwise over the points, with no matrix product.  The blades
+    are in ascending mask order, the order of GammaRep.even_products.
     """
-    table = _vector_products(m)
+    generators = tuple(1 << i for i in range(m))
+    table = [_left_product_rows(m, generators, parity) for parity in (0, 1)]
     points = np.arange(len(flips))
     c = np.zeros((1 << (m - 1), len(flips)))
     c[flips >> 1, points] = 1

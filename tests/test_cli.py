@@ -461,10 +461,8 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [
-    {"refined_grid": 65},
+    {"refined_grid": [33, 33]},
     {"params": [1]},
-    {"refined_grid": [5, 5]},
-    {"refined_grid": [65]},
     {"tolerances": {"kernel-orthonormality": "tight"}},
     {"command": "verify-algebra", "seed": "abc"},
     {"command": "verify-algebra", "seed": 1.5},
@@ -481,7 +479,6 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-algebra", "m": True},
     {"command": "geometry", "grid": [17.9]},
     {"command": "verify-reciprocity", "pairs": [[1.5, 3]]},
-    {"refined_grid": [40.5, 40]},
     {"command": "verify-algebra", "out": 5},
     {"command": "verify-reciprocity", "pairs": [[0, 3]]},
     {"command": "verify-algebra", "chart": "moebius"},
@@ -491,10 +488,10 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-algebra", "tolerances": {"associativity": float("nan")}},
     {"command": "verify-algebra", "tolerances": {"associativity": -1}},
     {"command": "verify-algebra", "tolerances": {"associativity": float("inf")}},
-], ids=["refined-scalar", "params-list", "refined-small", "refined-short", "tolerance-text",
+], ids=["refined-grid", "params-list", "tolerance-text",
         "seed-text", "seed-float", "seed-negative", "seed-bool", "param-text", "param-unknown",
         "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list",
-        "m-float", "m-bool", "grid-float", "pair-float", "refined-float", "out-number",
+        "m-float", "m-bool", "grid-float", "pair-float", "out-number",
         "pair-zero", "algebra-unknown-chart", "reciprocity-grid-mismatch", "param-nan",
         "param-inf", "tolerance-nan", "tolerance-negative", "tolerance-inf"])
 def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, capsys, bad):
@@ -560,7 +557,7 @@ def test_report_echoes_the_checked_config(tmp_path):
     assert config["grid"] == [17, 17] and config["refined_grid"] == [33, 33]
     assert config["pairs"] == [[1, 2], [1, 3], [2, 3], [2, 4], [3, 5]]
     assert (config["seed"], config["m"], config["chart"]) == (9, 5, "sphere")
-    assert sorted(config) == sorted(cli.DEFAULTS)
+    assert sorted(config) == sorted([*cli.DEFAULTS, "refined_grid"])
 
 
 def test_the_argument_parser_is_built_once(monkeypatch):

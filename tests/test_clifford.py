@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from subdirac.clifford import (
     MAX_DIMENSION,
     Multivector,
-    _blade_product_sign,
     _blade_product_signs,
     _left_mult_matrix,
+    _left_product_rows,
     adjoint_rotation,
     geometric_product,
     grade_involution,
@@ -20,6 +20,7 @@ from subdirac.clifford import (
     is_even,
     reversion,
 )
+from subdirac.dirac import _potential_blades
 
 
 # --- brute-force oracle -------------------------------------------------
@@ -132,7 +133,7 @@ def test_product_matches_oracle_on_random_inputs():
 def test_blade_sign_matches_per_bit_loop_on_every_pair(m):
     masks = np.arange(1 << m)
     expected = np.array([[oracle_blade_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
-    got = np.array([[_blade_product_sign(a, b) for b in range(1 << m)] for a in range(1 << m)])
+    got = np.array([[_blade_product_signs(a, b) for b in range(1 << m)] for a in range(1 << m)])
     assert np.array_equal(got, expected)
     assert np.array_equal(_blade_product_signs(masks[:, None], masks), expected)
 
@@ -142,8 +143,57 @@ def test_blade_sign_matches_per_bit_loop_up_to_max_dimension():
     a = rng.integers(0, 1 << MAX_DIMENSION, size=4000)
     b = rng.integers(0, 1 << MAX_DIMENSION, size=4000)
     expected = np.array([oracle_blade_sign(int(x), int(y)) for x, y in zip(a, b)])
-    assert [_blade_product_sign(int(x), int(y)) for x, y in zip(a, b)] == expected.tolist()
+    assert [_blade_product_signs(int(x), int(y)) for x, y in zip(a, b)] == expected.tolist()
     assert np.array_equal(_blade_product_signs(a, b), expected)
+
+
+def oracle_left_product_rows(m, blades, parity):
+    """_left_product_rows one entry at a time, with the per-bit loop's signs."""
+    half = 1 << (m - 1)
+    targets = [mask for mask in range(1 << m) if bin(mask).count("1") % 2 == parity]
+    rows = np.empty((len(blades), half), dtype=np.intp)
+    for j, blade in enumerate(blades):
+        for t, target in enumerate(targets):
+            assert target >> 1 == t  # blade L sits at row L >> 1 of its parity
+            source = target ^ blade
+            rows[j, t] = (source >> 1) + (half if oracle_blade_sign(blade, source) < 0 else 0)
+    return rows
+
+
+def assert_left_product_rows(m, blades, parity):
+    got = _left_product_rows(m, blades, parity)
+    assert _left_product_rows(m, blades, parity) is got
+    assert not got.flags.writeable
+    expected = oracle_left_product_rows(m, blades, parity)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("m", range(1, MAX_DIMENSION + 1))
+def test_left_product_rows_of_the_generators_match_the_loop(m, parity):
+    assert_left_product_rows(m, tuple(1 << i for i in range(m)), parity)
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for k in (1, 2, 3) for m in range(k + 1, 9)])
+def test_left_product_rows_of_the_potential_blades_match_the_loop(k, m):
+    assert_left_product_rows(m, _potential_blades(k, m)[0], 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_left_product_rows_are_the_left_multiplication_matrix(m):
+    # (e_J c)[t] = [c; -c][rows[j, t]] for every blade J and either parity of the product
+    masks = np.arange(1 << m)
+    parities = np.array([bin(mask).count("1") % 2 for mask in masks])
+    blades = tuple(range(1 << m))
+    for parity in (0, 1):
+        for blade, rows in zip(blades, _left_product_rows(m, blades, parity)):
+            source_parity = parity ^ bin(blade).count("1") % 2
+            L = oracle_left_mult_matrix(Multivector(m, {blade: 1}))
+            block = L[np.ix_(masks[parities == parity], masks[parities == source_parity])]
+            half = len(block)
+            expected = np.zeros((half, half))
+            expected[np.arange(half), rows % half] = np.where(rows < half, 1.0, -1.0)
+            assert np.array_equal(block, expected)
 
 
 def random_coefficient(rng, kind):

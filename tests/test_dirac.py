@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_clifford import oracle_blade_sign
 from test_frame_field_scan import surface_in_r5
 
 from subdirac import dirac
@@ -28,17 +29,15 @@ from subdirac.dirac import (
     selfadjointization_limit,
     submanifold_dirac,
 )
-from subdirac.clifford import _blade_product_sign, _popcount
+from subdirac.clifford import _left_product_rows
 from subdirac.dirac import (
     _assemble,
     _gram_table,
     _interior_differences,
     _odd_form,
-    _odd_masks,
     _operator_planes,
     _pair_table,
     _potential_blades,
-    _residual_table,
 )
 from subdirac.geometry import (
     CATALOG,
@@ -524,13 +523,13 @@ def test_lift_residuals_match_dense_residuals(name, level):
 def stacked_residual_table(k, m):
     """The dense signed-permutation table that lift_residuals multiplied: shape
     (odd blades, sources * even blades), one +-1 per column."""
-    even = [mask for mask in range(1 << m) if _popcount(mask) % 2 == 0]
-    odd = {mask: i for i, mask in enumerate(_odd_masks(m))}
+    even = [mask for mask in range(1 << m) if mask.bit_count() % 2 == 0]
+    odd = {mask: i for i, mask in enumerate(mask for mask in range(1 << m) if mask.bit_count() % 2)}
     sources = [1 << a for a in range(k)] + list(_potential_blades(k, m)[0])
     table = np.zeros((len(odd), len(sources) * len(even)))
     for s, source in enumerate(sources):
         for i, mask in enumerate(even):
-            table[odd[source ^ mask], s * len(even) + i] = _blade_product_sign(source, mask)
+            table[odd[source ^ mask], s * len(even) + i] = oracle_blade_sign(source, mask)
     return table
 
 
@@ -574,15 +573,18 @@ def test_lift_residuals_match_stacked_operand(case):
 
 @pytest.mark.parametrize("k, m", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5)])
 def test_residual_table_is_the_dense_table(k, m):
-    tangent, signed = _residual_table(k, m)
-    assert _residual_table(k, m)[0] is tangent
+    """lift_residuals' rows of [c; -c], the tangent vectors' then the
+    potential blades', are the dense table's source blocks."""
+    generators = tuple(1 << a for a in range(k))
+    tangent = _left_product_rows(m, generators, 1)
+    signed = _left_product_rows(m, _potential_blades(k, m)[0], 1)
+    assert _left_product_rows(m, generators, 1) is tangent
     assert not tangent.flags.writeable and not signed.flags.writeable
     dense = stacked_residual_table(k, m)
     even = dense.shape[0]
-    assert np.array_equal(tangent, dense[:, : k * even])
-    # row signed[j, L] of [c; -c] is the one +-1 entry of source k + j in row L
-    for j, rows in enumerate(signed):
-        block = dense[:, (k + j) * even: (k + j + 1) * even]
+    # row rows[L] of [c; -c] is the one +-1 entry of source j in row L
+    for j, rows in enumerate(np.concatenate([tangent, signed])):
+        block = dense[:, j * even: (j + 1) * even]
         expected = np.zeros_like(block)
         expected[np.arange(even), rows % even] = np.where(rows < even, 1.0, -1.0)
         assert np.array_equal(block, expected)

@@ -82,3 +82,22 @@ def test_lift_kernels_take_no_matrix_product():
              or isinstance(node, ast.Call)
              and _called_name(node.func) in ("dot", "matmul", "tensordot", "inner")]
     assert not lines, f"matrix products in the lift kernels at lines {lines}"
+
+
+def _identifiers(node):
+    """The names a node binds or reads: a variable, an attribute, an import or a def."""
+    return {getattr(node, key, None) for key in ("id", "attr", "name", "asname")} - {None}
+
+
+def test_only_clifford_names_the_blade_sign():
+    # the blade-product sign and the signed coefficient rows built from it
+    # live in clifford.py; the spin lift, the operator and its residual read
+    # clifford._left_product_rows instead of signing rows of their own
+    lines = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if any(name.startswith("_blade_product_sign") for name in _identifiers(node))]
+        if found and path.name != "clifford.py":
+            lines[path.name] = found
+    assert not lines, f"_blade_product_sign* named at lines {lines}"

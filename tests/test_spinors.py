@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from test_clifford import oracle_blade_sign
 
-from subdirac import spinors
+from subdirac import clifford
 from subdirac.clifford import Multivector, reversion
 from subdirac.spinors import (
     CliffordGroupElement,
@@ -396,10 +396,13 @@ def test_recover_rotation_rejects_mismatched_dimensions():
 def test_vector_products_match_loop_signs(m, monkeypatch):
     """The lift's signed permutations take their signs from the closed form on
     mask arrays; built from the per-bit loop instead, they are bit-identical."""
-    expected = spinors._vector_products(m)
-    monkeypatch.setattr(spinors, "_blade_product_signs", np.vectorize(oracle_blade_sign))
-    got = spinors._vector_products.__wrapped__(m)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    generators = tuple(1 << i for i in range(m))
+    for parity in (0, 1):
+        expected = clifford._left_product_rows(m, generators, parity)
+        with monkeypatch.context() as patch:
+            patch.setattr(clifford, "_blade_product_signs", np.vectorize(oracle_blade_sign))
+            got = clifford._left_product_rows.__wrapped__(m, generators, parity)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # --- conjugated representations --------------------------------------------------

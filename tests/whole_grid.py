@@ -14,6 +14,7 @@ product may round a column differently by where it sits in the operand.
 
 import numpy as np
 
+from subdirac.clifford import _left_product_rows
 from subdirac.dirac import (
     _gram_table,
     _interior_differences,
@@ -21,7 +22,6 @@ from subdirac.dirac import (
     _operator_planes,
     _pair_products,
     _potential_blades,
-    _residual_table,
     _sign_chain,
 )
 from subdirac.geometry import _plane_matmul, _staircase_previous
@@ -62,7 +62,10 @@ def lift_residuals(frames, coeffs, rep, with_mean=True):
         else:
             g = term
     v = potential[:blades][inner].reshape(blades, -1)
-    tangent, signed = _residual_table(k, rep.m)
+    signed = _left_product_rows(rep.m, _potential_blades(k, rep.m)[0], 1)
+    tangent = np.zeros((K, k * K))
+    for a, source in enumerate(_left_product_rows(rep.m, tuple(1 << i for i in range(k)), 1)):
+        tangent[np.arange(K), a * K + source % K] = np.where(source < K, 1.0, -1.0)
     b = tangent @ g.reshape(k * K, -1)
     for j in range(blades):
         term = signed_c[signed[j]]
