@@ -462,7 +462,10 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     {"refined_grid": [33, 33]},
+    {"refined_grid": 65},
     {"params": [1]},
+    {"refined_grid": [5, 5]},
+    {"refined_grid": [65]},
     {"tolerances": {"kernel-orthonormality": "tight"}},
     {"command": "verify-algebra", "seed": "abc"},
     {"command": "verify-algebra", "seed": 1.5},
@@ -479,6 +482,7 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-algebra", "m": True},
     {"command": "geometry", "grid": [17.9]},
     {"command": "verify-reciprocity", "pairs": [[1.5, 3]]},
+    {"refined_grid": [40.5, 40]},
     {"command": "verify-algebra", "out": 5},
     {"command": "verify-reciprocity", "pairs": [[0, 3]]},
     {"command": "verify-algebra", "chart": "moebius"},
@@ -488,10 +492,11 @@ def test_grid_commands_compile_the_chart_once(tmp_path, monkeypatch):
     {"command": "verify-algebra", "tolerances": {"associativity": float("nan")}},
     {"command": "verify-algebra", "tolerances": {"associativity": -1}},
     {"command": "verify-algebra", "tolerances": {"associativity": float("inf")}},
-], ids=["refined-grid", "params-list", "tolerance-text",
+], ids=["refined-grid", "refined-scalar", "params-list", "refined-small", "refined-short",
+        "tolerance-text",
         "seed-text", "seed-float", "seed-negative", "seed-bool", "param-text", "param-unknown",
         "param-bool", "trials-negative", "trials-zero", "trials-float", "chart-list",
-        "m-float", "m-bool", "grid-float", "pair-float", "out-number",
+        "m-float", "m-bool", "grid-float", "pair-float", "refined-float", "out-number",
         "pair-zero", "algebra-unknown-chart", "reciprocity-grid-mismatch", "param-nan",
         "param-inf", "tolerance-nan", "tolerance-negative", "tolerance-inf"])
 def test_malformed_config_runs_no_suite(tmp_path, monkeypatch, capsys, bad):
