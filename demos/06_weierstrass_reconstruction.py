@@ -28,7 +28,7 @@ print("sphere: max |bilinear - jacobian| =", np.abs(b - ff.jac).max())
 
 # path integration rebuilds the chart; refinement quarters the error
 for name in ("sphere", "torus"):
-    rep = reconstruction_report(catalog_chart(name), shapes=((65, 65), (129, 129)))
+    rep = reconstruction_report(catalog_chart(name), shape=(65, 65))
     errs = rep.extras["errors_by_resolution"]
     print(f"{name:8s} errors {errs[0]:.3e} -> {errs[1]:.3e}  "
           f"order {rep.convergence_order:.3f}  path residual {rep.path_independence_residual:.1e}")
@@ -36,7 +36,7 @@ for name in ("sphere", "torus"):
 # minimal surfaces: the curvature term carries no weight and the operator
 # reduces to the intrinsic one
 for name in ("catenoid", "enneper", "helicoid"):
-    rep = minimal_surface_crosscheck(catalog_chart(name), shapes=((33, 33), (65, 65)))
+    rep = minimal_surface_crosscheck(catalog_chart(name), shape=(33, 33))
     print(f"{name:9s} |H|max={rep.extras['mean_curvature_max']:.1e} "
           f"operator gap={rep.extras['operator_difference']:.1e} "
           f"order={rep.convergence_order:.3f}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford
-from .dirac import _gram_blocks, lift_residuals, selfadjointization_check
+from .dirac import lift_residuals, selfadjointization_check
 from .geometry import CATALOG, ImmersionChart, adapted_frames, catalog_chart, rho, weingarten
 from .meshio import export_obj
 from .reciprocity import check_reciprocity, recover_embedding, reference_intertwiner, restrict, induce
@@ -37,7 +37,7 @@ from .spinors import (
     spinor_dim,
     vector_pairing,
 )
-from .weierstrass import GridLevels, _reconstruction_study
+from .weierstrass import GridLevels, _fine_shape, _reconstruction_study
 
 COMMANDS = ("verify-algebra", "verify-reciprocity", "geometry", "dirac", "reconstruct", "all")
 GRID_COMMANDS = ("geometry", "dirac", "reconstruct", "all")
@@ -64,7 +64,7 @@ class UsageError(ValueError):
 @dataclasses.dataclass(frozen=True)
 class Config:
     """parse_config's checked DEFAULTS keys, with the refined grid derived from grid
-    and the chart compiled from chart and params."""
+    (weierstrass.GridLevels' fine level) and the chart compiled from chart and params."""
 
     command: str
     chart: str
@@ -320,9 +320,7 @@ def suite_geometry(cfg: Config, checks: Checks, fields: GridLevels):
 def suite_dirac(cfg: Config, checks: Checks, fields: GridLevels):
     chart, rep = fields.chart, fields.rep
     residuals = fields.kernel_residuals()
-    orth = max(np.abs(gram - np.eye(rep.dim)).max()
-               for c in fields.distinct_coeffs() for _, gram in _gram_blocks(c, rep))
-    checks.add("kernel-orthonormality", orth, 1e-10)
+    checks.add("kernel-orthonormality", fields.kernel_orthonormality(), 1e-10)
     if residuals[1] < 1e-13:
         checks.add("kernel-residual-fine", residuals[1], 1e-12)
     else:
@@ -408,8 +406,9 @@ def parse_config(argv=None) -> Config:
     Every value is checked whatever the command, and any fault raises
     UsageError (exit status 2) before a suite runs.  Integers must be exact
     (no bools); one grid resolution applies to every axis; grid defaults to
-    the chart's shape.  The refined grid is 2 (g - 1) + 1 per axis, the
-    halved step that the grid suites' convergence orders assume.
+    the chart's shape.  The refined grid is the fine level that
+    weierstrass.GridLevels derives from grid: the halved step that the grid
+    suites' convergence orders assume.
     """
     args = _parser().parse_args(argv)
     raw = dict(DEFAULTS)
@@ -467,8 +466,7 @@ def parse_config(argv=None) -> Config:
     if not isinstance(grid, (list, tuple)):
         grid = [grid]
     grid = _shape("grid", list(grid) * chart.k if len(grid) == 1 else grid, chart.k)
-    refined = tuple(2 * (g - 1) + 1 for g in grid)
-    return Config(raw["command"], raw["chart"], raw["params"], grid, refined, raw["m"],
+    return Config(raw["command"], raw["chart"], raw["params"], grid, _fine_shape(grid), raw["m"],
                   tuple(tuple(p) for p in pairs), raw["seed"], raw["trials"], tolerances,
                   raw["out"], chart)
 
@@ -478,7 +476,7 @@ def run(cfg: Config) -> int:
 
     The grid suites share cfg's compiled chart and one weierstrass.GridLevels
     of its frame fields, lift coefficients and bilinears on the grid and
-    the refined grid.
+    the fine level derived from it, cfg.refined_grid.
     """
     t0 = time.perf_counter()
     checks = Checks(overrides=cfg.tolerances)
@@ -486,7 +484,7 @@ def run(cfg: Config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     command = cfg.command
-    grid_args = ((GridLevels(cfg.compiled_chart, (cfg.grid, cfg.refined_grid)),)
+    grid_args = ((GridLevels(cfg.compiled_chart, cfg.grid),)
                  if command in GRID_COMMANDS else ())
     suites = (("verify-algebra", suite_verify_algebra, ()),
               ("verify-reciprocity", suite_verify_reciprocity, ()),

@@ -199,10 +199,6 @@ class Multivector:
     def coefficient(self, mask: int):
         return self.coeffs.get(mask, 0)
 
-    @property
-    def grades(self):
-        return sorted({_popcount(k) for k in self.coeffs})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -214,9 +210,6 @@ class Multivector:
 
     def grade_1_vector(self) -> np.ndarray:
         return np.array([self.coeffs.get(1 << i, 0) for i in range(self.m)])
-
-    def prune(self, tol: float = 0.0) -> "Multivector":
-        return Multivector(self.m, {k: c for k, c in self.coeffs.items() if abs(c) > tol})
 
     def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
         self._check_dim(other)

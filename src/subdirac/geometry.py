@@ -161,6 +161,11 @@ class Jet:
     def __array__(self, dtype=None, copy=None):
         raise TypeError("a jet has no plain array value")
 
+    def __eq__(self, other):
+        raise TypeError("a jet has no truth value to compare")
+
+    __ne__ = __eq__
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
@@ -604,9 +609,6 @@ class ImmersionChart:
         lo, hi, span = self._bounds
         s = _dense_points(s)
         return bool(((s >= lo - tol * span) & (s <= hi + tol * span)).all())
-
-    def base_point(self):
-        return np.array([lo for lo, _ in self.rectangle])
 
 
 def _require_inside(chart, s):

@@ -16,8 +16,9 @@ W_ia = Re <conj(psi_i), gamma_a psi_i> is one quadratic form of c against
 a fixed table, so no complex lift matrix is formed.
 
 The studies below and the command line's grid suites read a chart's
-coarse and fine grid levels through one GridLevels, which builds and lifts
-each level at most once.
+coarse and fine grid levels through one GridLevels, which derives the fine
+level from the coarse shape (the halved step) and builds and lifts each
+level at most once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import dataclasses
 import numpy as np
 
 from .dirac import (
+    _gram_blocks,
     _pair_products,
     _pair_table,
     frame_lift_coefficients,
@@ -192,28 +194,33 @@ def reconstruct_immersion(frames: FrameField, rep: GammaRep | None = None,
     return coords, path_residual
 
 
+def _fine_shape(shape) -> tuple:
+    """The fine level of a coarse shape, 2 (g - 1) + 1 points per axis: the halved step."""
+    return tuple(2 * (g - 1) + 1 for g in shape)
+
+
 class GridLevels:
-    """Frame fields, lift coefficients and bilinears of one chart on a coarse and a fine grid level.
+    """Frame fields, lift coefficients and bilinears of one chart on a coarse
+    grid level of the given shape and the fine level _fine_shape derives.
 
     The CLI's grid suites and the three studies below read their levels
     through one instance, so each level is built and lifted at most once.
     frames(shape) builds one level alone (the CLI's geometry suite, the
     minimality check).  levels() returns both, the fine level built and
-    lifted first: when the fine grid has 2 (g - 1) + 1 points per axis the
-    coarse level is the fine one at every other point (nested), and its
-    planes, coefficients and bilinears are strided views, with axes [::2]
-    (checked against chart.axes) and spacings 2h.  A coarse field built
-    before levels() is kept, and only its coefficients and bilinears are
-    read off the fine level.  A fine field with a nonzero normal connection
-    keeps a separate coarse build: its Procrustes normal frame depends on
-    the step (helix-curve).  A build that raises is not kept, and raises
-    again when it is next asked for.
+    lifted first: the coarse level is the fine one at every other point
+    (nested), and its planes, coefficients and bilinears are strided views,
+    with axes [::2] (checked against chart.axes) and spacings 2h.  A coarse
+    field built before levels() is kept, and only its coefficients and
+    bilinears are read off the fine level.  A fine field with a nonzero
+    normal connection keeps a separate coarse build: its Procrustes normal
+    frame depends on the step (helix-curve).  A build that raises is not
+    kept, and raises again when it is next asked for.
     """
 
-    def __init__(self, chart: ImmersionChart, shapes, rep: GammaRep | None = None):
+    def __init__(self, chart: ImmersionChart, shape, rep: GammaRep | None = None):
         self.chart = chart
         self.rep = rep or build_gamma_rep(chart.n)
-        self.shapes = tuple(tuple(shape) for shape in shapes)  # (coarse, fine)
+        self.shapes = (tuple(shape), _fine_shape(shape))  # (coarse, fine)
         self.nested = False  # set by levels()
         self._frames = {}
         self._coeffs = {}
@@ -229,7 +236,7 @@ class GridLevels:
         coarse, fine = self.shapes
         ff = self.frames(fine)
         axes = [a[::2] for a in ff.axes]
-        self.nested = (fine == tuple(2 * g - 1 for g in coarse) and ff.gtilde_residual == 0.0
+        self.nested = (ff.gtilde_residual == 0.0
                        and all(map(np.array_equal, axes, self.chart.axes(coarse))))
         if self.nested and coarse not in self._frames:
             every = (Ellipsis,) + (slice(None, None, 2),) * len(coarse)
@@ -247,14 +254,17 @@ class GridLevels:
         return self._on_level(self._bilinears, shape, 0, lambda sh: immersion_bilinears(
             self.frames(sh), self.rep, coeffs=self.coeffs(sh)))
 
-    def distinct_coeffs(self):
-        """The lift coefficients of every distinct point: the fine level's alone when nested."""
-        return [self.coeffs(shape) for shape in (self.shapes[1:] if self.nested else self.shapes)]
-
     def kernel_residuals(self):
         """The (coarse, fine) maxima of lift_residuals: the frame spinors against the operator."""
         return tuple(float(lift_residuals(frames, self.coeffs(shape), self.rep).max())
                      for frames, shape in zip(self.levels(), self.shapes))
+
+    def kernel_orthonormality(self):
+        """max |tau^H tau - 1| over the distinct points, the fine level's alone when nested."""
+        self.levels()
+        shapes = self.shapes[1:] if self.nested else self.shapes
+        return max(float(np.abs(gram - np.eye(self.rep.dim)).max()) for shape in shapes
+                   for _, gram in _gram_blocks(self.coeffs(shape), self.rep))
 
     def _on_level(self, cache, shape, lead, build):
         """cache[shape] from build(shape); on a nested coarse level, the fine
@@ -268,17 +278,17 @@ class GridLevels:
         return cache[shape]
 
 
-def reconstruction_report(chart: ImmersionChart, shapes=((65, 65), (129, 129)),
-                          rep: GammaRep | None = None, extras: dict | None = None
-                          ) -> ReconstructionReport:
-    """Run the recovery on a coarse and a fine level (GridLevels) and collect the error figures."""
-    return _reconstruction_study(GridLevels(chart, shapes, rep), extras)[0]
+def reconstruction_report(chart: ImmersionChart, shape=(65, 65),
+                          rep: GammaRep | None = None) -> ReconstructionReport:
+    """Run the recovery on shape and its fine level (GridLevels); collect the error figures."""
+    return _reconstruction_study(GridLevels(chart, shape, rep))[0]
 
 
 def _reconstruction_study(fields: GridLevels, extras: dict | None = None):
-    """reconstruction_report over the coarse and fine levels of fields.
+    """reconstruction_report over the levels of fields, with extras merged in.
 
-    Also returns the reconstructed coordinate grid of each level.
+    The fine level halves the step, so the convergence order is log2 of the
+    error ratio.  Also returns the reconstructed coordinate grid of each level.
     """
     errors = []
     path_residuals = []
@@ -296,11 +306,10 @@ def _reconstruction_study(fields: GridLevels, extras: dict | None = None):
         path_residuals.append(path_res)
         loop_residuals.append(plaquette_circulation(b, frames.spacings))
         coords_by_field.append(coords)
-    refine = np.log2((fields.shapes[1][0] - 1) / (fields.shapes[0][0] - 1))
     if errors[0] == 0 and errors[1] == 0:
         order = float("inf")
     else:
-        order = float(np.log2(errors[0] / max(errors[1], 1e-300)) / refine)
+        order = float(np.log2(errors[0] / max(errors[1], 1e-300)))
     merged = {"errors_by_resolution": tuple(errors),
               "path_residuals": tuple(path_residuals),
               "plaquette_loop_residuals": tuple(loop_residuals)}
@@ -309,22 +318,22 @@ def _reconstruction_study(fields: GridLevels, extras: dict | None = None):
     return report, coords_by_field
 
 
-def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)),
-                               rep: GammaRep | None = None,
-                               minimality_tol: float = 1e-8) -> ReconstructionReport:
+def minimal_surface_crosscheck(chart: ImmersionChart, shape=(33, 33),
+                               rep: GammaRep | None = None) -> ReconstructionReport:
     """Verify a minimal chart and reconstruct it.
 
-    Checks that the mean curvature vanishes on the coarse level, that the
-    submanifold operator coincides with the intrinsic one (the curvature
-    term carries no weight: their coefficient planes agree), then runs the
-    reconstruction study on the levels of one GridLevels.  The coarse field
-    is built first and kept; the fine one is built only once the checks
-    pass, and lifted once for both levels when the coarse is nested in it.
+    Checks that the mean curvature vanishes (to 1e-8) on the coarse level
+    shape, that the submanifold operator coincides with the intrinsic one
+    (the curvature term carries no weight: their coefficient planes agree),
+    then runs the reconstruction study on the levels of one GridLevels.
+    The coarse field is built first and kept; the fine one is built only
+    once the checks pass, and lifted once for both levels when the coarse
+    is nested in it.
     """
-    fields = GridLevels(chart, shapes, rep)
+    fields = GridLevels(chart, shape, rep)
     frames = fields.frames(fields.shapes[0])
     mean_max = float(np.abs(frames.mean_curvature).max())
-    if mean_max > minimality_tol:
+    if mean_max > 1e-8:
         raise MisclassificationError(
             f"{chart.name} has mean curvature {mean_max:.3e}, not minimal")
     op_sub = submanifold_dirac(frames, fields.rep)
@@ -337,26 +346,24 @@ def minimal_surface_crosscheck(chart: ImmersionChart, shapes=((33, 33), (65, 65)
     })[0]
 
 
-def frenet_serret_case(chart: ImmersionChart, shapes=((257,), (513,)),
+def frenet_serret_case(chart: ImmersionChart, shape=(257,),
                        rep: GammaRep | None = None) -> ReconstructionReport:
     """Curve case: 1-D submanifold operator, kernel residuals, reconstruction.
 
     The operator is gamma_1 e_1^s d/ds + (1/2) gamma_adot kappa_adot with
     kappa the curvature components in the parallel normal frame; the frame
-    spinor field must lie in its kernel to O(h^2).  The levels of one
-    GridLevels serve both the kernel check and the reconstruction, so the
-    circle is built and lifted once, at the fine level; the helix keeps its
-    separate coarse build.
+    spinor field must lie in its kernel to O(h^2): the kernel order is log2
+    of the residual ratio on shape and its fine level, one GridLevels that
+    serves the reconstruction too, so the circle is built and lifted once,
+    at the fine level; the helix keeps its separate coarse build.
     """
     if chart.k != 1 or chart.n not in (2, 3):
         raise ValueError("Frenet-Serret case needs a curve in R^2 or R^3")
-    fields = GridLevels(chart, shapes, rep)
+    fields = GridLevels(chart, shape, rep)
     residuals = fields.kernel_residuals()
-    coarse, fine = fields.shapes
     report, _ = _reconstruction_study(fields, extras={
         "kernel_residuals": residuals,
-        "kernel_order": float(np.log2(residuals[0] / residuals[1])
-                              / np.log2((fine[0] - 1) / (coarse[0] - 1))),
-        "curvature_norm": np.linalg.norm(fields.frames(fine).mean_curvature, axis=-1),
+        "kernel_order": float(np.log2(residuals[0] / residuals[1])),
+        "curvature_norm": np.linalg.norm(fields.frames(fields.shapes[1]).mean_curvature, axis=-1),
     })
     return report

@@ -209,7 +209,7 @@ def test_criterion_9_weierstrass_reconstruction():
     ok = True
     details = []
     for name in ("sphere", "enneper"):
-        rep = reconstruction_report(catalog_chart(name), shapes=((65, 65), (129, 129)))
+        rep = reconstruction_report(catalog_chart(name), shape=(65, 65))
         h = max(catalog_chart(name).spacings((65, 65)))
         bil_ok = rep.bilinear_max_deviation <= max(1e-10, h**2)
         order_ok = 1.8 <= rep.convergence_order <= 2.2

@@ -733,7 +733,7 @@ STRIDE_CASES = [(name, {}) for name in sorted(CATALOG)] + [
 def test_coarse_level_read_off_the_fine_one_is_a_fresh_build(name, params):
     chart = catalog_chart(name, **params)
     cfg = cli.parse_config(["--chart", name, "--config", json.dumps({"params": params})])
-    fields = weierstrass.GridLevels(chart, (cfg.grid, cfg.refined_grid))
+    fields = weierstrass.GridLevels(chart, cfg.grid)
     derived, fine = fields.levels()
     fresh = build_frame_field(chart, shape=cfg.grid)
     # the helix's Procrustes normal frame depends on the step: a separate build

@@ -91,7 +91,8 @@ def test_jet_rejections():
     u = s[..., 0]
     for reject in (lambda: math.sin(u), lambda: float(u), lambda: np.asarray(u),
                    lambda: np.array([u, u]), lambda: np.abs(u), lambda: np.exp(u),
-                   lambda: u > 0, lambda: np.linalg.norm(u), lambda: 2.0 ** u,
+                   lambda: u > 0, lambda: u == 0, lambda: 0 != u,
+                   lambda: np.linalg.norm(u), lambda: 2.0 ** u,
                    lambda: u ** u, lambda: np.add(u, u, out=np.empty(2))):
         with pytest.raises(TypeError):
             reject()
@@ -352,6 +353,18 @@ def test_from_callable_falls_back_to_central_differences():
         # the pointwise geometry runs on the differenced derivatives
         gamma, _, mean = weingarten(chart, s, adapted_frames(chart, s))
         assert mean[0] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_from_callable_branch_on_a_comparison_takes_the_value_branch():
+    # x == 0.5 raises on a jet, so the branch is taken on plain values and
+    # differenced; a jet compared by identity would take the other branch
+    def kinked(s):
+        x, y = s[0], s[1]
+        return np.stack([x, y, 0.0 * x if x == 0.5 else x * y])
+
+    chart = ImmersionChart.from_callable("kinked", kinked, 2, 3, [(0.0, 1.0)] * 2)
+    jac = chart.jacobian(np.array([0.5, 0.2]))
+    assert jac[2] == pytest.approx([0.2, 0.0], abs=1e-6)
 
 
 def test_from_callable_fallback_keeps_central_difference_arithmetic():

@@ -9,6 +9,7 @@ from subdirac.dirac import (
     frame_lift_coefficients,
     frame_lift_field,
     frame_spinor_fields,
+    lift_gram,
     lift_residuals,
     submanifold_dirac,
 )
@@ -168,7 +169,7 @@ def test_plane_reconstruction_exact():
 
 
 def test_sphere_reconstruction_refines_at_second_order():
-    rep = reconstruction_report(catalog_chart("sphere"), shapes=((65, 65), (129, 129)))
+    rep = reconstruction_report(catalog_chart("sphere"), shape=(65, 65))
     assert rep.bilinear_max_deviation < 1e-10
     assert 1.8 <= rep.convergence_order <= 2.2
     errs = rep.extras["errors_by_resolution"]
@@ -217,7 +218,7 @@ def test_gauge_invariance_under_ambient_rotation():
 
 @pytest.mark.parametrize("name", ["catenoid", "enneper", "helicoid"])
 def test_minimal_surface_crosscheck(name):
-    rep = minimal_surface_crosscheck(catalog_chart(name), shapes=((33, 33), (65, 65)))
+    rep = minimal_surface_crosscheck(catalog_chart(name), shape=(33, 33))
     assert rep.extras["mean_curvature_max"] <= 1e-8
     assert rep.extras["operator_difference"] <= 1e-12
     assert 1.8 <= rep.convergence_order <= 2.2
@@ -237,13 +238,13 @@ def test_minimal_crosscheck_builds_each_level_once(monkeypatch):
 
     monkeypatch.setattr(weierstrass, "build_frame_field", counted)
     levels = ((33, 33), (65, 65))
-    rep = minimal_surface_crosscheck(catalog_chart("catenoid"), shapes=levels)
+    rep = minimal_surface_crosscheck(catalog_chart("catenoid"), shape=levels[0])
     assert shapes == list(levels)
     assert rep.extras["errors_by_resolution"] == reconstruction_report(
-        catalog_chart("catenoid"), levels).extras["errors_by_resolution"]
+        catalog_chart("catenoid"), levels[0]).extras["errors_by_resolution"]
     shapes.clear()
     with pytest.raises(MisclassificationError):  # before any fine build
-        minimal_surface_crosscheck(catalog_chart("sphere"), shapes=levels)
+        minimal_surface_crosscheck(catalog_chart("sphere"), shape=levels[0])
     assert shapes == [levels[0]]
 
 
@@ -352,7 +353,7 @@ def fresh_two_level_report(chart, shapes):
 def test_report_on_the_shared_levels_equals_two_fresh_levels(name):
     chart = catalog_chart(name)
     shapes = (chart.grid_shape, tuple(2 * g - 1 for g in chart.grid_shape))
-    rep = reconstruction_report(chart, shapes)
+    rep = reconstruction_report(chart, chart.grid_shape)
     got = (rep.max_abs_error, rep.path_independence_residual, rep.convergence_order,
            rep.bilinear_max_deviation, rep.extras["errors_by_resolution"],
            rep.extras["path_residuals"], rep.extras["plaquette_loop_residuals"])
@@ -363,8 +364,8 @@ def test_report_on_the_shared_levels_equals_two_fresh_levels(name):
 
 def test_report_builds_and_lifts_the_fine_level_alone(monkeypatch):
     built, lifted = counting(monkeypatch)
-    # shapes given as lists, as build_frame_field takes them
-    reconstruction_report(catalog_chart("sphere"), shapes=([65, 65], [129, 129]))
+    # the shape given as a list, as build_frame_field takes it
+    reconstruction_report(catalog_chart("sphere"), shape=[65, 65])
     assert built == lifted == [(129, 129)]
 
 
@@ -391,6 +392,23 @@ def test_helix_case_keeps_its_separate_coarse_build(monkeypatch):
 
 def test_minimal_crosscheck_lifts_once(monkeypatch):
     built, lifted = counting(monkeypatch)
-    minimal_surface_crosscheck(catalog_chart("catenoid"), shapes=((33, 33), (65, 65)))
+    minimal_surface_crosscheck(catalog_chart("catenoid"), shape=(33, 33))
     assert built == [(33, 33), (65, 65)]
     assert lifted == [(65, 65)]
+
+
+def test_levels_take_the_coarse_shape_and_halve_the_step():
+    fields = weierstrass.GridLevels(catalog_chart("torus"), [17, 33])
+    assert fields.shapes == ((17, 33), (33, 65))
+
+
+@pytest.mark.parametrize("name, shape", [("sphere", (17, 17)), ("helix-curve", (65,))],
+                         ids=["sphere", "helix-curve"])
+def test_kernel_orthonormality_covers_both_levels(name, shape):
+    fields = weierstrass.GridLevels(catalog_chart(name), shape)
+    got = fields.kernel_orthonormality()
+    assert fields.nested == (name != "helix-curve")
+    eye = np.eye(fields.rep.dim)
+    fresh = max(float(np.abs(lift_gram(frame_lift_coefficients(frames, fields.rep), fields.rep)
+                             - eye).max()) for frames in fields.levels())
+    assert got == pytest.approx(fresh, rel=0, abs=1e-15) and got < 1e-10
